@@ -8,6 +8,7 @@ oracle), and the closed-form generating functions that package every
 operator image at once.  All values are immutable and all operations pure.
 """
 
+from . import exterior, glaction, module_iso, symfunc
 from .bilaurent import BiLaurent
 from .determinant import exact_det
 from .errors import (AlgebraError, DegreeZeroError, EmptyWindow,
@@ -17,7 +18,7 @@ from .exterior import (BasisTag, DeltaForm, DualDeltaForm, ExtElement,
                        LinearForm, contract, convert_basis,
                        expand_over_factor, generating_contraction,
                        merge_indices, reduce_mod_n, residue, residue_tuple,
-                       sort_indices, unit_wedge, w_value, wedge, WedgeMonomial,
+                       sort_indices, unit_wedge, w_value, wedge,
                        wedge_coords, x_in_xc, xc_expand)
 from .glaction import (ActionResult, RepMatrix, StarOperator, bracket_check,
                        generating_action, generating_action_adapted,
@@ -29,8 +30,8 @@ from .module_iso import (poly_to_wedge, quotient_project, schur_map_of_poly,
                          wedge_to_poly)
 from .partitions import (Partition, partition_of_indices,
                          partitions_in_rectangle, wedge_indices)
-from .poly import (MvPolynomial, ONE, ZERO, c_, e_, h_, poly_arith,
-                   series_inverse, series_mul)
+from .poly import (MvPolynomial, ONE, ZERO, c_, e_, h_, series_inverse,
+                   series_mul)
 from .schubert import (sigma_bar_minus_h, sigma_bar_minus_vector,
                        sigma_bar_plus, sigma_coefficient, sigma_plus)
 from .symfunc import (SchurDelta, SeriesKind, StructSeries, build_series,
@@ -39,3 +40,15 @@ from .symfunc import (SchurDelta, SeriesKind, StructSeries, build_series,
                       h_symbol_series, s_coefficient)
 
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Empty every memo table of the package: each ``lru_cache`` and the
+    sigma-wedge and Schur-map dictionaries of ``module_iso``."""
+    for fn in (exterior.xc_expand, exterior.x_in_xc,
+               glaction._finite_action_cached, glaction._rep_cached,
+               symfunc.h_deformed, symfunc._s_coeffs_cached,
+               symfunc._giambelli_cached, symfunc._e_in_h):
+        fn.cache_clear()
+    module_iso._sigma_wedge_cache.clear()
+    module_iso._schur_map_cache.clear()

@@ -21,7 +21,7 @@ Instances are immutable after construction; all operations are pure.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .errors import EmptyWindow
 from .poly import MvPolynomial
@@ -139,12 +139,6 @@ class BiLaurent:
                               f"window {self.window} (exact sides {self.exact})")
         return self.coeffs.get((z, w), MvPolynomial.zero())
 
-    def support(self) -> set[tuple[int, int]]:
-        return set(self.coeffs)
-
-    def is_zero_on_window(self) -> bool:
-        return not self.coeffs
-
     # -- arithmetic ------------------------------------------------------------
 
     def __neg__(self) -> "BiLaurent":
@@ -240,10 +234,6 @@ class BiLaurent:
         if whi < owhi:
             wxh = wxh and all(k[1] <= whi for k in dropped)
         return BiLaurent(kept, (zlo, zhi, wlo, whi), (zxl, zxh, wxl, wxh))
-
-    def map_coeffs(self, fn: Callable[[MvPolynomial], MvPolynomial]) -> "BiLaurent":
-        return BiLaurent({k: fn(v) for k, v in self.coeffs.items()},
-                         self.window, self.exact)
 
     def shift(self, dz: int, dw: int) -> "BiLaurent":
         zlo, zhi, wlo, whi = self.window

@@ -407,7 +407,12 @@ def main(argv: list[str] | None = None) -> int:
     except AlgebraError as exc:
         sys.stderr.write(f"invariant violation: {exc}\n")
         return 2
-    _emit(doc, cfg.out_path)
+    try:
+        _emit(doc, cfg.out_path)
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot write {cfg.out_path or 'stdout'}: "
+                         f"{exc.strerror or exc}\n")
+        return 1
     return 0
 
 

@@ -1,13 +1,20 @@
 """Small exact determinants over a commutative ring.
 
 Cofactor expansion with memoisation on column subsets.  The entries only need
-+, -, * and truthiness (false = zero), so the same routine serves both
-polynomial and truncated-Laurent matrices.  Fraction-free elimination is
-deliberately avoided: the matrices here are tiny and their entries live in
-rings that are not fields.
++, -, * and truthiness, so the same routine serves both polynomial and
+truncated-Laurent matrices.  Only entries that are exactly zero are skipped:
+a truncated Laurent series with no stored coefficient is not the ring zero,
+and skipping it would drop the window its truncation imposes on the product.
+Fraction-free elimination is deliberately avoided: the matrices here are
+tiny and their entries live in rings that are not fields.
 """
 
 from __future__ import annotations
+
+
+def _exact_zero(x) -> bool:
+    """Zero everywhere, not just on a truncation window."""
+    return not x and all(getattr(x, "exact", ()))
 
 
 def exact_det(rows):
@@ -34,10 +41,10 @@ def exact_det(rows):
         acc = None
         for t, col in enumerate(cols):
             entry = rows[i][col]
-            if not entry:
+            if _exact_zero(entry):
                 continue
             rest = minor(cols[:t] + cols[t + 1:])
-            if not rest:
+            if _exact_zero(rest):
                 continue
             term = entry * rest
             if t & 1:

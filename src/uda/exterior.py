@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import enum
 from functools import lru_cache
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .bilaurent import BiLaurent
 from .determinant import exact_det
@@ -44,41 +44,6 @@ Indices = tuple[int, ...]
 class BasisTag(enum.Enum):
     PLAIN_X = "X"
     DEFORMED_XC = "Xc"
-
-
-class WedgeMonomial:
-    """A single tagged wedge monomial with strictly decreasing exponents."""
-
-    __slots__ = ("indices", "tag")
-
-    def __init__(self, indices: Iterable[int], tag: BasisTag):
-        idx = tuple(indices)
-        if any(idx[k] <= idx[k + 1] for k in range(len(idx) - 1)):
-            raise ValueError(f"indices not strictly decreasing: {idx}")
-        if idx and idx[-1] < 0:
-            raise ValueError(f"negative exponent in {idx}")
-        self.indices = idx
-        self.tag = tag
-
-    @property
-    def degree(self) -> int:
-        return len(self.indices)
-
-    def partition(self) -> Partition:
-        return partition_of_indices(self.indices)
-
-    def element(self) -> "ExtElement":
-        return ExtElement.basis_monomial(self.indices, self.tag)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, WedgeMonomial)
-                and self.indices == other.indices and self.tag is other.tag)
-
-    def __hash__(self):
-        return hash((self.indices, self.tag))
-
-    def __repr__(self) -> str:
-        return f"WedgeMonomial({self.indices}, {self.tag.value})"
 
 
 def sort_indices(seq: Iterable[int]) -> tuple[Indices, int] | None:
@@ -214,13 +179,6 @@ class ExtElement:
 
     def __hash__(self):
         raise TypeError("ExtElement is not hashable")
-
-    def max_index(self) -> int:
-        return max((idx[0] for idx in self.terms), default=-1)
-
-    def map_coeffs(self, fn: Callable[[MvPolynomial], MvPolynomial]) -> "ExtElement":
-        return ExtElement(self.r, self.tag,
-                          {idx: fn(c) for idx, c in self.terms.items()})
 
     def __repr__(self) -> str:
         if not self.terms:

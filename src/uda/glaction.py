@@ -15,16 +15,20 @@ The series
     z^{r-1} * (sum_j h_j z^j) * det(...)
 
 collects the images of X^i (x) del^j at z^i w^{-j}; scaling by c(z)/c(w)
-switches to the adapted operators X^i(c) (x) del^j(s), and for the finite
-quotient the 1/c(w) factor is cut at w^{n-1} and every coefficient is pushed
-through the rectangle normal form.
+switches to the adapted operators X^i(c) (x) del^j(s).  One builder,
+``_closed_form``, makes every version of this product: the determinant's
+w-exponents lie in [-(r-1+lam_1), 0], so carrying 1/c(w) to depth
+r-1+lam_1+max(wmax, 0) makes every coefficient at w <= wmax exact.  The
+finite quotient form is the adapted product cut at w <= 0, with every
+coefficient pushed through the rectangle normal form.
 
 Positive powers of w in the scaled forms do not correspond to any operator
-of the family (the dual forms are indexed by j >= 0 only) and they do not
-vanish under projection; they are computed, reported on the result object,
-and excluded from the series and from the JSON document.  Coefficients at
-z^i with i > n-1 must project to zero in the finite case and are checked up
-to an explicit margin; a nonzero survivor raises ``WindowViolation``.
+of the family (the dual forms are indexed by j >= 0) and they do not vanish
+under projection; when a window with wmax > 0 asks for them they are
+reported on the result object and excluded from the Schur form and from
+the JSON document.  Coefficients at z^i with i > n-1 must project to zero
+in the finite case and are checked up to an explicit margin; a nonzero
+survivor raises ``WindowViolation``.
 """
 
 from __future__ import annotations
@@ -134,9 +138,10 @@ class ActionResult:
 
     ``series`` holds the normal-form coefficients on the declared window;
     ``schur_form`` maps (z-exp, w-exp) to the Schur coordinates of that
-    coefficient.  For scaled forms, nonzero coefficients at positive powers
-    of w (which correspond to no operator of the family) are collected in
-    ``positive_w`` instead of the series.
+    coefficient.  For the adapted form read with wmax > 0, nonzero
+    coefficients at positive powers of w (which correspond to no operator of
+    the family) are collected in ``positive_w`` instead of ``schur_form``;
+    the finite form cuts them off before projection.
     """
     lam: Partition
     r: int
@@ -168,13 +173,64 @@ class ActionResult:
                 "dual": self.dual, "terms": terms}
 
 
-def _schur_forms(series: BiLaurent, r: int, ambient: int | None):
-    out: dict[tuple[int, int], dict[Partition, MvPolynomial]] = {}
+def _closed_form(lam: Partition, r: int, ambient: int | None, ztop: int,
+                 wmax: int | None = None) -> BiLaurent:
+    """z^(r-1) * [c(z)] * H(z) * [s(w)] * det on the window z in [0, ztop].
+
+    Without ``wmax`` this is the plain form.  With it, the product is
+    scaled by c(z)/c(w), and 1/c(w) is carried far enough that every
+    coefficient at a w-exponent up to ``wmax`` is exact.
+    """
+    det = mixed_schur_det(lam, r, ambient)
+    hseries = BiLaurent.from_z_series(h_symbol_series(ztop), ztop)
+    if wmax is None:
+        prod = BiLaurent.monomial(r - 1, 0) * hseries * det
+    else:
+        s_order = r - 1 + lam.part(1) + max(wmax, 0)
+        cpoly = BiLaurent.from_z_series(c_series_coeffs(ambient, ambient),
+                                        ambient, truncated_above=False)
+        sseries = BiLaurent.from_w_series(
+            [s_coefficient(k, ambient) for k in range(s_order + 1)], s_order)
+        prod = BiLaurent.monomial(r - 1, 0) * cpoly * hseries * sseries * det
+    return prod.restrict((0, ztop) + prod.window[2:])
+
+
+def _project(series: BiLaurent, lam: Partition, r: int, ambient: int | None,
+             n: int | None = None):
+    """Schur coordinates of every coefficient, split into w <= 0 and w > 0.
+
+    With the quotient rank ``n`` set, only coordinates inside the r x (n-r)
+    rectangle are kept, and a survivor beyond z^{n-1} or below w^{-(n-1)}
+    raises ``WindowViolation``.
+    """
+    schur: dict[tuple[int, int], dict[Partition, MvPolynomial]] = {}
+    positive: dict[tuple[int, int], dict[Partition, MvPolynomial]] = {}
     for key in sorted(series.coeffs):
         coords = schur_map_of_poly(series.coeffs[key], r, ambient)
-        if coords:
-            out[key] = coords
-    return out
+        if n is not None:
+            coords = {mu: v for mu, v in coords.items() if mu.part(1) <= n - r}
+        if not coords:
+            continue
+        z, w = key
+        if w > 0:
+            positive[key] = coords
+            continue
+        if n is not None and z > n - 1:
+            raise WindowViolation(
+                f"nonzero projected coefficient at z^{z} (> n-1 = {n - 1}) "
+                f"for lambda={lam}, r={r}, n={n}")
+        if n is not None and w < -(n - 1):
+            raise WindowViolation(
+                f"nonzero projected coefficient at w^{w} (< -(n-1)) "
+                f"for lambda={lam}, r={r}, n={n}")
+        schur[key] = coords
+    return schur, positive
+
+
+def _cut_w(series: BiLaurent, wmin: int | None, wmax: int) -> BiLaurent:
+    zlo, zhi, wlo, whi = series.window
+    return series.restrict((zlo, zhi, wlo if wmin is None else max(wlo, wmin),
+                            min(whi, wmax)))
 
 
 def generating_action(lam: Partition, r: int, zmax: int,
@@ -188,15 +244,9 @@ def generating_action(lam: Partition, r: int, zmax: int,
     if zmax < 0:
         raise ValueError("zmax must be nonnegative")
     ambient: int | None = 0 if zero_c else n
-    det = mixed_schur_det(lam, r, ambient)
-    hseries = BiLaurent.from_z_series(h_symbol_series(zmax), zmax)
-    prod = BiLaurent.monomial(r - 1, 0) * hseries * det
-    zlo, zhi, wlo, whi = prod.window
-    window = (max(zlo, 0), min(zhi, zmax),
-              wlo if wmin is None else max(wlo, wmin), whi)
-    series = prod.restrict(window)
-    return ActionResult(lam, r, n, "plain", series,
-                        _schur_forms(series, r, ambient))
+    series = _cut_w(_closed_form(lam, r, ambient, zmax), wmin, 0)
+    schur, _ = _project(series, lam, r, ambient)
+    return ActionResult(lam, r, n, "plain", series, schur)
 
 
 def generating_action_adapted(lam: Partition, r: int, n: int, zmax: int,
@@ -211,87 +261,39 @@ def generating_action_adapted(lam: Partition, r: int, n: int, zmax: int,
     if zmax < 0:
         raise ValueError("zmax must be nonnegative")
     ambient = 0 if zero_c else n
-    det = mixed_schur_det(lam, r, ambient)
-    depth = r - 1 + lam.part(1)
-    s_order = depth + max(wmax, 0)
-    hseries = BiLaurent.from_z_series(h_symbol_series(zmax), zmax)
-    cpoly = BiLaurent.from_z_series(c_series_coeffs(n, ambient), n,
-                                    truncated_above=False)
-    sseries = BiLaurent.from_w_series(
-        [s_coefficient(k, ambient) for k in range(s_order + 1)], s_order)
-    prod = BiLaurent.monomial(r - 1, 0) * cpoly * hseries * sseries * det
-    zlo, zhi, wlo, whi = prod.window
-    window = (max(zlo, 0), min(zhi, zmax),
-              wlo if wmin is None else max(wlo, wmin), min(whi, wmax))
-    series = prod.restrict(window)
-    negative = {k: v for k, v in series.coeffs.items() if k[1] <= 0}
-    positive = {k: v for k, v in series.coeffs.items() if k[1] > 0}
-    schur = _schur_forms(BiLaurent(negative, series.window, series.exact),
-                         r, ambient)
-    pos_schur = _schur_forms(BiLaurent(positive, series.window, series.exact),
-                             r, ambient)
-    return ActionResult(lam, r, n, "adapted", series, schur, pos_schur)
+    series = _cut_w(_closed_form(lam, r, ambient, zmax, wmax), wmin, wmax)
+    schur, positive = _project(series, lam, r, ambient)
+    return ActionResult(lam, r, n, "adapted", series, schur, positive)
 
 
 @lru_cache(maxsize=None)
 def _finite_action_cached(lam_parts: tuple[int, ...], r: int, n: int,
-                          z_margin: int, zero_c: bool) -> ActionResult:
+                          zero_c: bool) -> ActionResult:
     lam = Partition(lam_parts)
     ambient = 0 if zero_c else n
-    det = mixed_schur_det(lam, r, ambient)
-    ztop = n - 1 + z_margin
-    hseries = BiLaurent.from_z_series(h_symbol_series(ztop), ztop)
-    cpoly = BiLaurent.from_z_series(c_series_coeffs(n, ambient), n,
-                                    truncated_above=False)
-    # the closed form uses the cut polynomial 1 + s1 w + ... + s_{n-1} w^{n-1}
-    scut = BiLaurent.from_w_series(
-        [s_coefficient(k, ambient) for k in range(n)], n - 1,
-        truncated_above=False)
-    prod = BiLaurent.monomial(r - 1, 0) * cpoly * hseries * scut * det
-    prod = prod.restrict((0, ztop) + prod.window[2:])
-
-    legal: dict[tuple[int, int], MvPolynomial] = {}
-    schur: dict[tuple[int, int], dict[Partition, MvPolynomial]] = {}
-    positive: dict[tuple[int, int], dict[Partition, MvPolynomial]] = {}
-    for key in sorted(prod.coeffs):
-        z, w = key
-        coords = schur_map_of_poly(prod.coeffs[key], r, ambient)
-        coords = {mu: v for mu, v in coords.items() if mu.part(1) <= n - r}
-        if not coords:
-            continue
-        if w > 0:
-            positive[key] = coords
-            continue
-        if z > n - 1:
-            raise WindowViolation(
-                f"nonzero projected coefficient at z^{z} (> n-1 = {n - 1}) "
-                f"for lambda={lam}, r={r}, n={n}")
-        if w < -(n - 1):
-            raise WindowViolation(
-                f"nonzero projected coefficient at w^{w} (< -(n-1)) "
-                f"for lambda={lam}, r={r}, n={n}")
-        schur[key] = coords
-        legal[key] = schur_map_to_poly(coords, r, ambient)
+    prod = _closed_form(lam, r, ambient, n - 1 + max(2, r), wmax=0)
+    schur, _ = _project(prod, lam, r, ambient, n)
+    legal = {key: schur_map_to_poly(coords, r, ambient)
+             for key, coords in schur.items()}
     series = BiLaurent(legal, (0, n - 1, -(n - 1), 0))
-    return ActionResult(lam, r, n, "adapted", series, schur, positive)
+    return ActionResult(lam, r, n, "adapted", series, schur)
 
 
 def generating_action_finite(lam: Partition, r: int, n: int,
-                             z_margin: int | None = None,
                              zero_c: bool = False) -> ActionResult:
     """The full quotient-module structure on one rectangle basis element.
 
-    Every coefficient is pushed through the rectangle normal form; the
-    result is a genuine Laurent polynomial with z-exponents in [0, n-1] and
-    w-exponents in [-(n-1), 0].  The vanishing of projected coefficients
-    beyond z^{n-1} is checked up to ``z_margin`` extra orders.
+    This is the adapted form cut at w <= 0, with every coefficient pushed
+    through the rectangle normal form; the result is a genuine Laurent
+    polynomial with z-exponents in [0, n-1] and w-exponents in [-(n-1), 0].
+    The vanishing of projected coefficients beyond z^{n-1} is checked up to
+    max(2, r) extra orders.
     """
     if not (1 <= r <= n):
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
     if not lam.fits_rectangle(r, n - r):
         raise ValueError(f"partition {lam} does not fit {r}x{n - r}")
-    margin = max(2, r) if z_margin is None else z_margin
-    return _finite_action_cached(lam.parts, r, n, margin, zero_c)
+    return _finite_action_cached(lam.parts, r, n, zero_c)
 
 
 # -- representation matrices -------------------------------------------------------

@@ -129,8 +129,3 @@ def schur_map_to_poly(coords: dict[Partition, MvPolynomial], r: int,
     for lam in sorted(coords):
         acc = acc + coords[lam] * giambelli(lam, r, n).value
     return acc
-
-
-def clear_caches():
-    _sigma_wedge_cache.clear()
-    _schur_map_cache.clear()

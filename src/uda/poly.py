@@ -348,17 +348,6 @@ def h_(i: int) -> MvPolynomial:
     return MvPolynomial.variable(FAM_H, i)
 
 
-def poly_arith(a: MvPolynomial, b: MvPolynomial, op: str) -> MvPolynomial:
-    """Dispatch form of +, -, * used by the command-line layer."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def series_inverse(coeffs: list[MvPolynomial], order: int) -> list[MvPolynomial]:
     """Invert a univariate power series with polynomial coefficients.
 

@@ -10,10 +10,7 @@ import random
 import time
 from functools import reduce
 
-import uda.exterior
-import uda.glaction
-import uda.module_iso
-import uda.symfunc
+from uda import clear_caches
 from uda.bilaurent import BiLaurent
 from uda.exterior import (BasisTag, DualDeltaForm, ExtElement, contract,
                           convert_basis, expand_over_factor, residue_tuple,
@@ -28,17 +25,6 @@ from uda.poly import FAM_C, MvPolynomial, ONE, ZERO, c_, h_
 from uda.symfunc import e_series_coeffs, e_to_h_rewrite, giambelli, h_deformed
 
 
-def _clear_caches():
-    uda.module_iso.clear_caches()
-    uda.glaction._finite_action_cached.cache_clear()
-    uda.glaction._rep_cached.cache_clear()
-    uda.symfunc.h_deformed.cache_clear()
-    uda.symfunc._giambelli_cached.cache_clear()
-    uda.symfunc._s_coeffs_cached.cache_clear()
-    uda.exterior.xc_expand.cache_clear()
-    uda.exterior.x_in_xc.cache_clear()
-
-
 def _report(num: int, label: str, started: float, budget: float):
     elapsed = time.monotonic() - started
     print(f"PASS criterion {num}: {label} ({elapsed:.2f}s < {budget:g}s)")
@@ -46,7 +32,7 @@ def _report(num: int, label: str, started: float, budget: float):
 
 
 def test_criterion_1_golden_quotient_action():
-    _clear_caches()
+    clear_caches()
     t0 = time.monotonic()
     res = generating_action_finite(Partition((2, 1)), 2, 4)
     want_schur = {
@@ -75,7 +61,7 @@ def test_criterion_1_golden_quotient_action():
 
 
 def test_criterion_2_golden_stable_action():
-    _clear_caches()
+    clear_caches()
     t0 = time.monotonic()
     res = generating_action(EMPTY, 3, zmax=6)
     e3 = BiLaurent.from_z_series(
@@ -102,7 +88,7 @@ def test_criterion_2_golden_stable_action():
 
 
 def test_criterion_3_golden_single_action():
-    _clear_caches()
+    clear_caches()
     t0 = time.monotonic()
     res = star_oracle(StarOperator.plain(3, 2), Partition((2, 1)), 2)
     assert res == -c_(1) * (h_(1) * h_(2) - h_(3)) + c_(1) ** 2 * h_(2)
@@ -168,7 +154,7 @@ def test_criterion_5_residue_triangle():
 
 
 def test_criterion_6_representation_law():
-    _clear_caches()
+    clear_caches()
     t0 = time.monotonic()
     for a in range(4):
         for b in range(4):

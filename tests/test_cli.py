@@ -149,3 +149,26 @@ def test_out_path_writes_file(tmp_path, capsys):
     assert out == ""
     doc = json.loads(target.read_text())
     assert doc["partition"] == [2, 1]
+
+
+def test_out_path_write_failure_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x"
+    code, out, err = run_cli(capsys, "giambelli", "--r", "2", "--n", "4",
+                             "--lambda", "1", "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and str(target) in err
+    assert "Traceback" not in err
+
+
+def test_positive_w_note_only_in_windowed_adapted_text(capsys):
+    comment = "nonzero coefficients at positive powers of w"
+    code, out, _ = run_cli(capsys, "genfun", "--r", "2", "--n", "4",
+                           "--lambda", "2,1", "--no-project", "--dual", "s",
+                           "--zmax", "3", "--wmax", "2")
+    assert code == 0
+    assert comment in out.splitlines()[-1]
+    code, out, _ = run_cli(capsys, "genfun", "--r", "2", "--n", "4",
+                           "--lambda", "2,1")
+    assert code == 0
+    assert comment not in out

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import permutations
 
+from uda.bilaurent import BiLaurent
 from uda.determinant import exact_det
 from uda.poly import MvPolynomial, ONE, ZERO, h_
 
@@ -65,3 +66,21 @@ def test_polynomial_entries_vs_oracle():
         rows = [[h_(rng.randrange(1, 5)) + rng.randrange(-2, 3)
                  for _ in range(3)] for _ in range(3)]
         assert exact_det(rows) == leibniz_det(rows)
+
+
+def test_truncated_zero_entry_keeps_its_window():
+    # a series known to be zero only through z^2 is not the ring zero: the
+    # determinant must not claim validity beyond that truncation
+    t = BiLaurent({}, (0, 2, 0, 0), (True, False, True, True))
+    one = BiLaurent.scalar(ONE)
+    direct = t * one - one * one
+    det = exact_det([[t, one], [one, one]])
+    assert not direct.valid_at(10, 0)
+    assert det.valid_at(10, 0) == direct.valid_at(10, 0)
+    assert det == direct
+
+
+def test_exactly_zero_laurent_entries_are_skipped():
+    zero = BiLaurent({}, (-1, 0, 0, 0))
+    one = BiLaurent.scalar(ONE)
+    assert exact_det([[zero, one], [one, one]]) == -one

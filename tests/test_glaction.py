@@ -227,6 +227,21 @@ def test_finite_action_window_and_validity():
                      BiLaurent.from_z_series([ONE], 0), {}).coords_at(5, 0)
 
 
+def test_finite_action_is_adapted_form_cut_at_w_nonpositive():
+    for (r, n) in ((2, 4), (3, 5)):
+        for lam in partitions_in_rectangle(r, n - r):
+            adapted = generating_action_adapted(lam, r, n, zmax=n - 1, wmax=0)
+            want = {}
+            for (z, w), coords in adapted.schur_form.items():
+                rect = {mu: v for mu, v in coords.items()
+                        if mu.part(1) <= n - r}
+                if rect and w >= -(n - 1):
+                    want[(z, w)] = rect
+            res = generating_action_finite(lam, r, n)
+            assert res.schur_form == want, (r, n, lam)
+            assert not res.positive_w
+
+
 def test_finite_action_oracle_equivalence_small():
     for lam in partitions_in_rectangle(2, 2):
         res = generating_action_finite(lam, 2, 4)
@@ -241,6 +256,7 @@ def test_window_guard_fires_on_corrupted_series(monkeypatch):
     # series factors (the determinant never enters it); corrupting one sign
     # of the c(z) factor must trip the margin check
     import uda.glaction as gl
+    from uda import clear_caches
     real = gl.c_series_coeffs
 
     def corrupted(order, n):
@@ -248,13 +264,13 @@ def test_window_guard_fires_on_corrupted_series(monkeypatch):
         return out[:-1] + [-out[-1]] if len(out) > 1 else out
 
     monkeypatch.setattr(gl, "c_series_coeffs", corrupted)
-    gl._finite_action_cached.cache_clear()
+    clear_caches()
     try:
         with pytest.raises(WindowViolation):
             generating_action_finite(Partition((2, 1)), 2, 4)
     finally:
         monkeypatch.undo()
-        gl._finite_action_cached.cache_clear()
+        clear_caches()
 
 
 def test_finite_action_identity_component():
