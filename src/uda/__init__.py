@@ -22,9 +22,9 @@ from .exterior import (BasisTag, DeltaForm, DualDeltaForm, ExtElement,
                        wedge_coords, x_in_xc, xc_expand)
 from .glaction import (ActionResult, RepMatrix, StarOperator, bracket_check,
                        generating_action, generating_action_adapted,
-                       generating_action_finite, mixed_schur_det, rep_matrix,
-                       star_oracle, star_oracle_coords,
-                       universal_factorization)
+                       generating_action_finite, mixed_schur_det,
+                       quotient_action, rep_matrix, star_oracle,
+                       star_oracle_coords, universal_factorization)
 from .module_iso import (poly_to_wedge, quotient_project, schur_map_of_poly,
                          schur_map_to_poly, sigma_monomial_wedge,
                          wedge_to_poly)

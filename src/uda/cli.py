@@ -21,8 +21,8 @@ from .errors import AlgebraError
 from .exterior import BasisTag, DualDeltaForm, ExtElement, contract, convert_basis
 from .glaction import (StarOperator, bracket_check, generating_action,
                        generating_action_adapted, generating_action_finite,
-                       rep_matrix, star_oracle, star_oracle_coords,
-                       universal_factorization)
+                       quotient_action, rep_matrix, star_oracle,
+                       star_oracle_coords, universal_factorization)
 from .module_iso import schur_map_to_poly
 from .partitions import Partition, partitions_in_rectangle
 from .poly import ONE, ZERO, c_, h_
@@ -224,13 +224,16 @@ def _suite_golden(report) -> bool:
 
 
 def _suite_oracle(report, r: int, n: int) -> bool:
+    """The closed form, the oracle and the index substitution agree."""
     ok = True
     for lam in partitions_in_rectangle(r, n - r):
         res = generating_action_finite(lam, r, n)
         for i in range(n):
             for j in range(n):
+                image = quotient_action(i, j, lam, r, n)
+                combinatorial = {} if image is None else dict([image])
                 same = res.coords_at(i, j) == star_oracle_coords(
-                    StarOperator.adapted(i, j), lam, r, n)
+                    StarOperator.adapted(i, j), lam, r, n) == combinatorial
                 ok &= report(same, f"lambda={lam} (i,j)=({i},{j})")
     return ok
 

@@ -22,6 +22,14 @@ r-1+lam_1+max(wmax, 0) makes every coefficient at w <= wmax exact.  The
 finite quotient form is the adapted product cut at w <= 0, with every
 coefficient pushed through the rectangle normal form.
 
+On the rank-n quotient the adapted operators are far simpler than either
+route suggests: X^i(c) (x) del^j(s) is the matrix unit E_ij acting on the
+r-th exterior power of the deformed basis, so every image is a signed basis
+element or zero.  ``quotient_action`` computes it by signed index
+substitution on the wedge indices of lam, with integers and tuples only;
+``rep_matrix`` and ``bracket_check`` are served from it, and the oracle and
+the closed form stay as the routes it is checked against.
+
 Positive powers of w in the scaled forms do not correspond to any operator
 of the family (the dual forms are indexed by j >= 0) and they do not vanish
 under projection; when a window with wmax > 0 asks for them they are
@@ -33,8 +41,10 @@ survivor raises ``WindowViolation``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from types import MappingProxyType
 
 from .bilaurent import BiLaurent
 from .determinant import exact_det
@@ -43,7 +53,8 @@ from .exterior import (BasisTag, DeltaForm, DualDeltaForm, ExtElement,
                        LinearForm, contract, convert_basis, reduce_mod_n,
                        w_value, wedge, wedge_coords)
 from .module_iso import quotient_project, schur_map_of_poly, schur_map_to_poly
-from .partitions import Partition, partitions_in_rectangle, wedge_indices
+from .partitions import (Partition, partition_of_indices,
+                         partitions_in_rectangle, wedge_indices)
 from .poly import MvPolynomial, ONE, ZERO
 from .schubert import sigma_bar_minus_h
 from .symfunc import (c_series_coeffs, generic_factor_poly,
@@ -132,7 +143,7 @@ def mixed_schur_det(lam: Partition, r: int, n: int | None) -> BiLaurent:
     return exact_det(rows)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ActionResult:
     """A generating function of star-action images on one basis element.
 
@@ -141,18 +152,19 @@ class ActionResult:
     coefficient.  For the adapted form read with wmax > 0, nonzero
     coefficients at positive powers of w (which correspond to no operator of
     the family) are collected in ``positive_w`` instead of ``schur_form``;
-    the finite form cuts them off before projection.
+    the finite form cuts them off before projection.  The finite result is
+    cached and shared, so its maps are read-only ``MappingProxyType`` views.
     """
     lam: Partition
     r: int
     n: int | None
     dual: str                       # "plain" or "adapted"
     series: BiLaurent
-    schur_form: dict[tuple[int, int], dict[Partition, MvPolynomial]]
-    positive_w: dict[tuple[int, int], dict[Partition, MvPolynomial]] = field(
+    schur_form: Mapping[tuple[int, int], Mapping[Partition, MvPolynomial]]
+    positive_w: Mapping[tuple[int, int], Mapping[Partition, MvPolynomial]] = field(
         default_factory=dict)
 
-    def coords_at(self, i: int, j: int) -> dict[Partition, MvPolynomial]:
+    def coords_at(self, i: int, j: int) -> Mapping[Partition, MvPolynomial]:
         """Schur coordinates of the image under the (z^i, w^-j) operator."""
         if not self.series.valid_at(i, -j):
             raise WindowViolation(
@@ -229,8 +241,12 @@ def _project(series: BiLaurent, lam: Partition, r: int, ambient: int | None,
 
 def _cut_w(series: BiLaurent, wmin: int | None, wmax: int) -> BiLaurent:
     zlo, zhi, wlo, whi = series.window
-    return series.restrict((zlo, zhi, wlo if wmin is None else max(wlo, wmin),
-                            min(whi, wmax)))
+    lo, hi = wlo if wmin is None else max(wlo, wmin), min(whi, wmax)
+    if lo > hi:
+        asked = wlo if wmin is None else wmin
+        raise ValueError(f"wmin/wmax ask for the w-window [{asked}, {wmax}], "
+                         f"which misses the product's w-range [{wlo}, {whi}]")
+    return series.restrict((zlo, zhi, lo, hi))
 
 
 def generating_action(lam: Partition, r: int, zmax: int,
@@ -239,7 +255,8 @@ def generating_action(lam: Partition, r: int, zmax: int,
     """Images of all X^i (x) del^j on one basis element, packaged at z^i w^-j.
 
     The result window is z in [0, zmax], w in [-(r-1+lam_1), 0]; ``wmin``
-    narrows the w side if requested.  ``n`` bounds the c-variables only.
+    narrows the w side if requested, and one that leaves no w-exponent
+    raises ``ValueError``.  ``n`` bounds the c-variables only.
     """
     if zmax < 0:
         raise ValueError("zmax must be nonnegative")
@@ -256,7 +273,8 @@ def generating_action_adapted(lam: Partition, r: int, n: int, zmax: int,
 
     The 1/c(w) expansion is carried far enough that every coefficient with
     w-exponent at most ``wmax`` is exact.  Nonzero coefficients at positive
-    powers of w are split off into ``positive_w``.
+    powers of w are split off into ``positive_w``.  A ``wmin``/``wmax``
+    window that misses the product's w-range raises ``ValueError``.
     """
     if zmax < 0:
         raise ValueError("zmax must be nonnegative")
@@ -276,7 +294,10 @@ def _finite_action_cached(lam_parts: tuple[int, ...], r: int, n: int,
     legal = {key: schur_map_to_poly(coords, r, ambient)
              for key, coords in schur.items()}
     series = BiLaurent(legal, (0, n - 1, -(n - 1), 0))
-    return ActionResult(lam, r, n, "adapted", series, schur)
+    # every caller shares this result, so its maps are read-only views
+    frozen = {key: MappingProxyType(coords) for key, coords in schur.items()}
+    return ActionResult(lam, r, n, "adapted", series,
+                        MappingProxyType(frozen), MappingProxyType({}))
 
 
 def generating_action_finite(lam: Partition, r: int, n: int,
@@ -299,15 +320,22 @@ def generating_action_finite(lam: Partition, r: int, n: int,
 # -- representation matrices -------------------------------------------------------
 
 
-@dataclass
+_MINUS_ONE = MvPolynomial.const(-1)
+
+
+@dataclass(frozen=True)
 class RepMatrix:
-    """The matrix of one adapted basis operator on the rectangle Schur basis."""
+    """The matrix of one adapted basis operator on the rectangle Schur basis.
+
+    Matrices served from the cache behind ``bracket_check`` have read-only
+    ``entries``.
+    """
     i: int
     j: int
     r: int
     n: int
     basis: tuple[Partition, ...]
-    entries: dict[tuple[Partition, Partition], MvPolynomial]
+    entries: Mapping[tuple[Partition, Partition], MvPolynomial]
 
     def entry(self, mu: Partition, lam: Partition) -> MvPolynomial:
         return self.entries.get((mu, lam), ZERO)
@@ -327,16 +355,47 @@ class RepMatrix:
                 "entries": cells}
 
 
-def rep_matrix(i: int, j: int, r: int, n: int, zero_c: bool = False) -> RepMatrix:
-    """Representation matrix of X^i(c) (x) del^j(s) on the quotient basis."""
+def quotient_action(i: int, j: int, lam: Partition, r: int, n: int
+                    ) -> tuple[Partition, MvPolynomial] | None:
+    """The image of X^i(c) (x) del^j(s) on the quotient basis element of lam.
+
+    On the rank-n quotient the adapted operator is the matrix unit E_ij on
+    the r-th exterior power of the deformed basis, so the image is a signed
+    basis element or zero: del^j(s) removes the index j from its slot s
+    (sign (-1)^s), X^i(c) is wedged in front, and sorting it into place
+    flips the sign once per remaining index above i.  Only integers and
+    tuples are involved; the answer is (mu, ONE), (mu, -ONE) or None.
+    """
     if not (0 <= i <= n - 1 and 0 <= j <= n - 1):
         raise ValueError(f"operator indices must lie in [0, {n - 1}]")
+    if not (1 <= r <= n):
+        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
+    if not lam.fits_rectangle(r, n - r):
+        raise ValueError(f"partition {lam} does not fit {r}x{n - r}")
+    idx = wedge_indices(lam, r)
+    if j not in idx or (i != j and i in idx):
+        return None
+    slot = idx.index(j)
+    rest = idx[:slot] + idx[slot + 1:]
+    flips = slot + sum(1 for k in rest if k > i)
+    mu = partition_of_indices(tuple(sorted(rest + (i,), reverse=True)))
+    return mu, _MINUS_ONE if flips % 2 else ONE
+
+
+def rep_matrix(i: int, j: int, r: int, n: int) -> RepMatrix:
+    """Representation matrix of X^i(c) (x) del^j(s) on the quotient basis.
+
+    Each column is one signed index substitution (``quotient_action``), so
+    every entry is 1 or -1 and no polynomial arithmetic is done; the closed
+    form and the oracle remain as cross-checks in the tests and suites.
+    """
     basis = tuple(partitions_in_rectangle(r, n - r))
     entries: dict[tuple[Partition, Partition], MvPolynomial] = {}
     for lam in basis:
-        res = generating_action_finite(lam, r, n, zero_c=zero_c)
-        for mu, coeff in res.coords_at(i, j).items():
-            entries[(mu, lam)] = coeff
+        image = quotient_action(i, j, lam, r, n)
+        if image is not None:
+            mu, sign = image
+            entries[(mu, lam)] = sign
     return RepMatrix(i, j, r, n, basis, entries)
 
 
@@ -378,7 +437,8 @@ def _mat_diff(x: dict, y: dict) -> dict:
 
 @lru_cache(maxsize=None)
 def _rep_cached(i: int, j: int, r: int, n: int) -> RepMatrix:
-    return rep_matrix(i, j, r, n)
+    mat = rep_matrix(i, j, r, n)
+    return replace(mat, entries=MappingProxyType(mat.entries))
 
 
 def bracket_check(a: int, b: int, c: int, d: int, r: int, n: int) -> bool:

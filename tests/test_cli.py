@@ -3,7 +3,8 @@ import json
 import pytest
 
 from uda.cli import main, parse_partition, UsageError
-from uda.glaction import generating_action_finite
+from uda.glaction import (StarOperator, generating_action_finite,
+                          star_oracle_coords)
 from uda.partitions import Partition
 
 
@@ -118,6 +119,34 @@ def test_matrix_document(capsys):
     cells = {(tuple(c["row"]), tuple(c["col"])): c["coeff"]
              for c in doc["entries"]}
     assert cells[((2, 2), (2, 1))] == "1"
+
+
+def test_matrix_document_at_rank_five_matches_oracle(capsys):
+    code, out, _ = run_cli(capsys, "matrix", "--r", "5", "--n", "10",
+                           "--i", "7", "--j", "2", "--output", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["dimension"] == 252
+    columns = {tuple(lam): {} for lam in doc["basis"]}
+    for cell in doc["entries"]:
+        columns[tuple(cell["col"])][tuple(cell["row"])] = cell["coeff"]
+    op = StarOperator.adapted(7, 2)
+    for lam, col in columns.items():
+        want = star_oracle_coords(op, Partition(lam), 5, 10)
+        assert col == {mu.parts: str(v) for mu, v in want.items()}, lam
+
+
+@pytest.mark.parametrize("args, bound, w_range", [
+    (("--r", "2", "--lambda", "1", "--zmax", "2", "--wmin", "3"), "wmin", "[-2, 0]"),
+    (("--r", "1", "--lambda", "0", "--zmax", "0", "--wmax", "-1"), "wmax", "[0, 0]"),
+])
+def test_missed_window_is_a_usage_error(capsys, args, bound, w_range):
+    code, out, err = run_cli(capsys, "genfun", "--n", "4", "--no-project",
+                             "--dual", "s", *args)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert bound in err and w_range in err
 
 
 def test_factorize_document(capsys):

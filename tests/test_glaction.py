@@ -2,14 +2,15 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uda.bilaurent import BiLaurent
 from uda.errors import WindowViolation
 from uda.glaction import (ActionResult, StarOperator, bracket_check,
                           generating_action, generating_action_adapted,
                           generating_action_finite, mixed_schur_det,
-                          rep_matrix, star_oracle, star_oracle_coords,
-                          universal_factorization)
+                          quotient_action, rep_matrix, star_oracle,
+                          star_oracle_coords, universal_factorization)
 from uda.module_iso import quotient_project, schur_map_of_poly
 from uda.partitions import EMPTY, Partition, partitions_in_rectangle
 from uda.poly import FAM_C, ONE, ZERO, c_, e_, h_
@@ -351,14 +352,64 @@ def test_bracket_rank_one():
 
 
 def test_rep_matrix_zero_c_is_specialised_symbolic_matrix():
-    sym = rep_matrix(1, 2, 2, 4)
-    plain = rep_matrix(1, 2, 2, 4, zero_c=True)
-    specialised = {}
-    for key, p in sym.entries.items():
-        q = p.specialize_family_zero(FAM_C)
-        if q:
-            specialised[key] = q
-    assert specialised == plain.entries
+    # the index-substitution entries are c-free, so they equal the matrix
+    # read from the closed form with every c specialised to zero
+    basis = partitions_in_rectangle(2, 2)
+    zc = {lam: generating_action_finite(lam, 2, 4, zero_c=True) for lam in basis}
+    for i in range(4):
+        for j in range(4):
+            want = {(mu, lam): coeff for lam in basis
+                    for mu, coeff in zc[lam].coords_at(i, j).items()}
+            assert rep_matrix(i, j, 2, 4).entries == want, (i, j)
+
+
+@st.composite
+def rectangle_cases(draw):
+    n = draw(st.integers(1, 12))
+    r = draw(st.integers(1, min(n, 6)))
+    parts = sorted(draw(st.lists(st.integers(0, n - r), min_size=r, max_size=r)),
+                   reverse=True)
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    return i, j, Partition(parts), r, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(rectangle_cases())
+def test_quotient_action_matches_oracle(case):
+    i, j, lam, r, n = case
+    image = quotient_action(i, j, lam, r, n)
+    got = {} if image is None else dict([image])
+    assert got == star_oracle_coords(StarOperator.adapted(i, j), lam, r, n)
+
+
+def test_quotient_action_rejects_bad_input():
+    for args in ((4, 0, EMPTY, 2, 4), (0, -1, EMPTY, 2, 4),
+                 (0, 0, Partition((3,)), 2, 4), (0, 0, Partition((1, 1, 1)), 2, 4),
+                 (0, 0, EMPTY, 3, 2)):
+        with pytest.raises(ValueError):
+            quotient_action(*args)
+
+
+def test_cached_results_are_read_only():
+    import uda.glaction as gl
+    res = generating_action_finite(Partition((1,)), 2, 4)
+    for clobber in (lambda: res.schur_form.clear(),
+                    lambda: res.positive_w.clear(),
+                    lambda: res.schur_form[(0, 0)].clear(),
+                    lambda: res.schur_form.__setitem__((9, 9), {}),
+                    lambda: setattr(res, "schur_form", {})):
+        with pytest.raises((TypeError, AttributeError)):
+            clobber()
+    again = generating_action_finite(Partition((1,)), 2, 4)
+    assert sorted(again.schur_form) == [(0, 0), (1, -2), (1, 0), (2, -2),
+                                        (3, -2), (3, 0)]
+    assert bracket_check(1, 0, 0, 1, 2, 4)
+    mat = gl._rep_cached(1, 0, 2, 4)
+    for clobber in (lambda: mat.entries.clear(),
+                    lambda: setattr(mat, "entries", {})):
+        with pytest.raises((TypeError, AttributeError)):
+            clobber()
+    assert gl._rep_cached(1, 0, 2, 4).entries == rep_matrix(1, 0, 2, 4).entries
 
 
 # -- universal factorisation ---------------------------------------------------------
