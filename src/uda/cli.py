@@ -16,6 +16,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .errors import AlgebraError
 from .exterior import BasisTag, DualDeltaForm, ExtElement, contract, convert_basis
@@ -92,7 +93,51 @@ def _emit(doc: str, out_path: str | None):
 
 
 def _json_doc(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """``json.dumps(payload, indent=2) + "\\n"``, byte for byte, in one pass.
+
+    The standard encoder drops to its pure-Python path whenever ``indent``
+    is set.  This writer renders what the documents are made of (dicts with
+    str keys, lists, str, int, bool and None) itself and hands any other
+    value to ``json.dumps``, re-indented to its depth.
+    """
+    out: list[str] = []
+    _write_json(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(obj, newline: str, out: list[str]) -> None:
+    kind = type(obj)
+    if kind is str:
+        out.append(_encode_str(obj))
+    elif kind is int:
+        out.append(int.__repr__(obj))
+    elif obj is None or kind is bool:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif kind is list:
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif kind is dict and all(type(k) is str for k in obj):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, val in obj.items():
+            out.append(sep + _encode_str(key) + ": ")
+            _write_json(val, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:  # floats, tuples, subclasses, non-str keys, unserialisable values
+        out.append(json.dumps(obj, indent=2).replace("\n", newline))
 
 
 def cmd_giambelli(cfg: RunConfig) -> str:
@@ -379,10 +424,15 @@ _HANDLERS = {
 }
 
 
+_PARSER: argparse.ArgumentParser | None = None  # built by the first main call
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:

@@ -153,7 +153,8 @@ class ActionResult:
     coefficients at positive powers of w (which correspond to no operator of
     the family) are collected in ``positive_w`` instead of ``schur_form``;
     the finite form cuts them off before projection.  The finite result is
-    cached and shared, so its maps are read-only ``MappingProxyType`` views.
+    cached and shared, so its maps and its ``series.coeffs`` are read-only
+    ``MappingProxyType`` views.
     """
     lam: Partition
     r: int
@@ -295,6 +296,7 @@ def _finite_action_cached(lam_parts: tuple[int, ...], r: int, n: int,
              for key, coords in schur.items()}
     series = BiLaurent(legal, (0, n - 1, -(n - 1), 0))
     # every caller shares this result, so its maps are read-only views
+    series.coeffs = MappingProxyType(series.coeffs)
     frozen = {key: MappingProxyType(coords) for key, coords in schur.items()}
     return ActionResult(lam, r, n, "adapted", series,
                         MappingProxyType(frozen), MappingProxyType({}))
@@ -399,40 +401,27 @@ def rep_matrix(i: int, j: int, r: int, n: int) -> RepMatrix:
     return RepMatrix(i, j, r, n, basis, entries)
 
 
-def _mat_mul(a: RepMatrix, b: RepMatrix) -> dict[tuple[Partition, Partition], MvPolynomial]:
-    by_col: dict[Partition, list[tuple[Partition, MvPolynomial]]] = {}
-    for (mu, nu), coeff in a.entries.items():
-        by_col.setdefault(nu, []).append((mu, coeff))
-    out: dict[tuple[Partition, Partition], MvPolynomial] = {}
-    for (nu, lam), bcoeff in b.entries.items():
-        for mu, acoeff in by_col.get(nu, ()):  # a(mu,nu) * b(nu,lam)
-            term = acoeff * bcoeff
-            key = (mu, lam)
-            s = out.get(key)
-            if s is None:
-                out[key] = term
-            else:
-                s = s + term
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-    return out
+def _signs(mat: RepMatrix) -> dict[tuple[Partition, Partition], int]:
+    """The +-1 entries of a quotient matrix as plain ints."""
+    return {key: coeff.constant_term() for key, coeff in mat.entries.items()}
+
+
+def _mat_mul(a: dict, b: dict) -> dict:
+    by_col: dict[Partition, list[tuple[Partition, int]]] = {}
+    for (mu, nu), x in a.items():
+        by_col.setdefault(nu, []).append((mu, x))
+    out: dict[tuple[Partition, Partition], int] = {}
+    for (nu, lam), y in b.items():
+        for mu, x in by_col.get(nu, ()):  # a(mu,nu) * b(nu,lam)
+            out[(mu, lam)] = out.get((mu, lam), 0) + x * y
+    return {key: v for key, v in out.items() if v}
 
 
 def _mat_diff(x: dict, y: dict) -> dict:
     out = dict(x)
-    for k, v in y.items():
-        s = out.get(k)
-        if s is None:
-            out[k] = -v
-        else:
-            s = s - v
-            if s:
-                out[k] = s
-            else:
-                del out[k]
-    return out
+    for key, v in y.items():
+        out[key] = out.get(key, 0) - v
+    return {key: v for key, v in out.items() if v}
 
 
 @lru_cache(maxsize=None)
@@ -442,14 +431,18 @@ def _rep_cached(i: int, j: int, r: int, n: int) -> RepMatrix:
 
 
 def bracket_check(a: int, b: int, c: int, d: int, r: int, n: int) -> bool:
-    """Verify [E_ab, E_cd] = delta_bc E_ad - delta_da E_cb on the quotient."""
-    A, B = _rep_cached(a, b, r, n), _rep_cached(c, d, r, n)
+    """Verify [E_ab, E_cd] = delta_bc E_ad - delta_da E_cb on the quotient.
+
+    The matrices hold only the constants 1 and -1, so the check multiplies
+    and adds their entries as ints.
+    """
+    A, B = _signs(_rep_cached(a, b, r, n)), _signs(_rep_cached(c, d, r, n))
     lhs = _mat_diff(_mat_mul(A, B), _mat_mul(B, A))
     rhs: dict = {}
     if b == c:
-        rhs = dict(_rep_cached(a, d, r, n).entries)
+        rhs = _signs(_rep_cached(a, d, r, n))
     if d == a:
-        rhs = _mat_diff(rhs, _rep_cached(c, b, r, n).entries)
+        rhs = _mat_diff(rhs, _signs(_rep_cached(c, b, r, n)))
     return lhs == rhs
 
 

@@ -284,12 +284,14 @@ class MvPolynomial:
 
     def sorted_terms(self) -> list[tuple[Mono, Coeff]]:
         """Terms in the canonical graded-lex order (leading term first)."""
-        universe = sorted(self.variables(), reverse=True)
-        def key(item):
-            m, _ = item
-            exps = dict(m)
-            return (-_mono_degree(m), tuple(-exps.get(v, 0) for v in universe))
-        return sorted(self.terms.items(), key=key)
+        # Descending (degree, reversed monomial).  A monomial lists its
+        # (var, exp) pairs by ascending variable, so reversals compare the
+        # largest variable first (present beats absent, i.e. exponent 0),
+        # then its exponent, and so on downwards: the graded-lex order of
+        # the module docstring.  Distinct monomials never tie.
+        return sorted(self.terms.items(),
+                      key=lambda t: (_mono_degree(t[0]), t[0][::-1]),
+                      reverse=True)
 
     def __str__(self) -> str:
         if not self.terms:

@@ -1,7 +1,11 @@
 import json
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import uda.cli as cli
 from uda.cli import main, parse_partition, UsageError
 from uda.glaction import (StarOperator, generating_action_finite,
                           star_oracle_coords)
@@ -201,3 +205,48 @@ def test_positive_w_note_only_in_windowed_adapted_text(capsys):
                            "--lambda", "2,1")
     assert code == 0
     assert comment not in out
+
+
+# strings that exercise every escape: quotes, backslashes, control and
+# non-ASCII characters (astral ones become surrogate pairs)
+_json_str = st.text() | st.text(alphabet='"\\/\x00\x08\x1f\n\t\x7fé€\U0001f600 a')
+_json_leaf = (_json_str | st.integers() | st.integers(min_value=-2**200)
+              | st.booleans() | st.none())
+_json_payload = st.recursive(
+    _json_leaf,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_json_str, kids, max_size=4),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_payload)
+def test_json_writer_matches_json_dumps(payload):
+    assert cli._json_doc(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+def test_json_writer_hands_other_values_to_json_dumps():
+    payload = {"a": [1.5, (1, [2, {}]), {1: None, "k": ()}], "b": [[], {}]}
+    assert cli._json_doc(payload) == json.dumps(payload, indent=2) + "\n"
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli._json_doc({"x": [object()]})
+
+
+def test_parser_is_reused_across_calls(capsys, monkeypatch):
+    # argparse wraps usage lines to the terminal width; pin it for both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [
+        ("genfun", "--r", "2", "--n", "4", "--lambda", "2,1"),  # --dual s
+        ("genfun", "--r", "2", "--bogus"),
+        ("act", "--r", "2", "--lambda", "2,1", "--i", "3", "--j", "2"),  # --dual none
+        ("verify", "--suite", "duality", "--r", "2", "--n", "4"),
+    ]
+    codes, parsers = [], set()
+    for args in calls:
+        got = run_cli(capsys, *args)
+        codes.append(got[0])
+        parsers.add(id(cli._PARSER))
+        fresh = subprocess.run([sys.executable, "-m", "uda.cli", *args],
+                               capture_output=True, text=True)
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), args
+    assert codes == [0, 1, 0, 0]
+    assert len(parsers) == 1

@@ -412,6 +412,19 @@ def test_cached_results_are_read_only():
     assert gl._rep_cached(1, 0, 2, 4).entries == rep_matrix(1, 0, 2, 4).entries
 
 
+def test_cached_finite_series_is_read_only():
+    res = generating_action_finite(Partition((1,)), 2, 4)
+    want = dict(res.series.coeffs)
+    assert want and res.series.coeff(1, 0)
+    for clobber in (lambda: res.series.coeffs.clear(),
+                    lambda: res.series.coeffs.__setitem__((0, 0), ZERO)):
+        with pytest.raises((TypeError, AttributeError)):
+            clobber()
+    again = generating_action_finite(Partition((1,)), 2, 4)
+    assert again.series.coeffs == want
+    assert again.series.coeff(1, 0) == res.series.coeff(1, 0) != ZERO
+
+
 # -- universal factorisation ---------------------------------------------------------
 
 

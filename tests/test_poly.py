@@ -106,6 +106,24 @@ def test_json_round_trip_and_determinism():
     assert MvPolynomial.from_json(doc) == p
 
 
+def _universe_key_order(p):
+    """The first rendering order: exponent vectors over every variable of p,
+    largest variable first, sorted by (-degree, -exponents)."""
+    universe = sorted(p.variables(), reverse=True)
+
+    def key(item):
+        exps = dict(item[0])
+        return (-sum(exps.values()), tuple(-exps.get(v, 0) for v in universe))
+    return sorted(p.terms.items(), key=key)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_mono, _coeff), max_size=12))
+def test_sorted_terms_matches_universe_key(terms):
+    p = MvPolynomial({tuple(sorted(mono.items())): q for mono, q in terms})
+    assert p.sorted_terms() == _universe_key_order(p)
+
+
 def test_series_inverse_geometric():
     # (1 - c1 z)^-1 = 1 + c1 z + c1^2 z^2 + c1^3 z^3
     inv = series_inverse([ONE, -c_(1)], 3)
