@@ -43,12 +43,10 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Empty every memo table of the package: each ``lru_cache`` and the
-    sigma-wedge and Schur-map dictionaries of ``module_iso``."""
+    """Empty every memo table of the package, each an ``lru_cache``."""
     for fn in (exterior.xc_expand, exterior.x_in_xc,
                glaction._finite_action_cached, glaction._rep_cached,
+               module_iso.sigma_monomial_wedge, module_iso._schur_map_of_monomial,
                symfunc.h_deformed, symfunc._s_coeffs_cached,
                symfunc._giambelli_cached, symfunc._e_in_h):
         fn.cache_clear()
-    module_iso._sigma_wedge_cache.clear()
-    module_iso._schur_map_cache.clear()

@@ -3,7 +3,7 @@
 Subcommands: ``giambelli`` (Schur determinants), ``act`` (a single star
 action), ``genfun`` (generating functions, projected or windowed),
 ``matrix`` (representation matrices), ``factorize`` (the universal
-factorisation) and ``verify`` (the built-in verification suites).
+factorisation) and ``verify`` (the suites of ``uda.verify``).
 
 Output is deterministic: identical configurations produce byte-identical
 documents.  Exit codes: 0 success, 1 invalid configuration (the message
@@ -15,19 +15,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from .errors import AlgebraError
-from .exterior import BasisTag, DualDeltaForm, ExtElement, contract, convert_basis
-from .glaction import (StarOperator, bracket_check, generating_action,
+from .glaction import (StarOperator, generating_action,
                        generating_action_adapted, generating_action_finite,
-                       quotient_action, rep_matrix, star_oracle,
-                       star_oracle_coords, universal_factorization)
+                       rep_matrix, star_oracle_coords, universal_factorization)
 from .module_iso import schur_map_to_poly
-from .partitions import Partition, partitions_in_rectangle
-from .poly import ONE, ZERO, c_, h_
+from .partitions import Partition
 from .symfunc import giambelli
+from .verify import SUITES
 
 
 class UsageError(Exception):
@@ -47,41 +44,24 @@ def parse_partition(text: str | None) -> Partition:
         raise UsageError(str(exc))
 
 
-@dataclass
-class RunConfig:
-    command: str
-    r: int
-    n: int | None
-    lam: Partition
-    i: int | None
-    j: int | None
-    dual: str
-    zmax: int | None
-    wmin: int | None
-    wmax: int
-    project: bool
-    suite: str | None
-    output: str
-    out_path: str | None
-
-    def validate(self):
-        if self.r < 1:
-            raise UsageError(f"--r must be at least 1, got {self.r}")
-        if self.n is not None and not (1 <= self.r <= self.n):
-            raise UsageError(f"need 1 <= r <= n, got r={self.r}, n={self.n}")
-        if len(self.lam) > self.r:
-            raise UsageError(f"--lambda {self.lam} is longer than r={self.r}")
-        if self.n is not None and self.project and not self.lam.fits_rectangle(
-                self.r, self.n - self.r):
-            raise UsageError(
-                f"--lambda {self.lam} does not fit the {self.r}x{self.n - self.r} rectangle")
-        for name, val in (("--i", self.i), ("--j", self.j)):
-            if val is None:
-                continue
-            if val < 0:
-                raise UsageError(f"{name} must be nonnegative, got {val}")
-            if self.n is not None and self.project and val > self.n - 1:
-                raise UsageError(f"{name} must lie in [0, {self.n - 1}], got {val}")
+def _validate(args: argparse.Namespace):
+    if args.r < 1:
+        raise UsageError(f"--r must be at least 1, got {args.r}")
+    if args.n is not None and not (1 <= args.r <= args.n):
+        raise UsageError(f"need 1 <= r <= n, got r={args.r}, n={args.n}")
+    if len(args.lam) > args.r:
+        raise UsageError(f"--lambda {args.lam} is longer than r={args.r}")
+    if args.n is not None and args.project and not args.lam.fits_rectangle(
+            args.r, args.n - args.r):
+        raise UsageError(
+            f"--lambda {args.lam} does not fit the {args.r}x{args.n - args.r} rectangle")
+    for name, val in (("--i", args.i), ("--j", args.j)):
+        if val is None:
+            continue
+        if val < 0:
+            raise UsageError(f"{name} must be nonnegative, got {val}")
+        if args.n is not None and args.project and val > args.n - 1:
+            raise UsageError(f"{name} must lie in [0, {args.n - 1}], got {val}")
 
 
 def _emit(doc: str, out_path: str | None):
@@ -140,27 +120,27 @@ def _write_json(obj, newline: str, out: list[str]) -> None:
         out.append(json.dumps(obj, indent=2).replace("\n", newline))
 
 
-def cmd_giambelli(cfg: RunConfig) -> str:
-    delta = giambelli(cfg.lam, cfg.r, cfg.n)
-    if cfg.output == "json":
+def cmd_giambelli(args: argparse.Namespace) -> str:
+    delta = giambelli(args.lam, args.r, args.n)
+    if args.output == "json":
         return _json_doc(delta.to_json())
-    return f"Delta_{cfg.lam} (r={cfg.r}, n={cfg.n}) = {delta.value}\n"
+    return f"Delta_{args.lam} (r={args.r}, n={args.n}) = {delta.value}\n"
 
 
-def cmd_act(cfg: RunConfig) -> str:
-    if cfg.i is None or cfg.j is None:
+def cmd_act(args: argparse.Namespace) -> str:
+    if args.i is None or args.j is None:
         raise UsageError("act needs --i and --j")
-    op = (StarOperator.adapted(cfg.i, cfg.j) if cfg.dual == "s"
-          else StarOperator.plain(cfg.i, cfg.j))
-    quotient = cfg.n is not None and cfg.project
-    coords = star_oracle_coords(op, cfg.lam, cfg.r, cfg.n, quotient=quotient)
-    value = schur_map_to_poly(coords, cfg.r, cfg.n)
-    if cfg.output == "json":
+    op = (StarOperator.adapted(args.i, args.j) if args.dual == "s"
+          else StarOperator.plain(args.i, args.j))
+    quotient = args.n is not None and args.project
+    coords = star_oracle_coords(op, args.lam, args.r, args.n, quotient=quotient)
+    value = schur_map_to_poly(coords, args.r, args.n)
+    if args.output == "json":
         schur = [{"partition": mu.to_json(), "coeff": str(coords[mu])}
                  for mu in sorted(coords)]
-        return _json_doc({"command": "act", "r": cfg.r, "n": cfg.n,
-                          "lambda": cfg.lam.to_json(), "i": cfg.i, "j": cfg.j,
-                          "dual": cfg.dual, "projected": quotient,
+        return _json_doc({"command": "act", "r": args.r, "n": args.n,
+                          "lambda": args.lam.to_json(), "i": args.i, "j": args.j,
+                          "dual": args.dual, "projected": quotient,
                           "value": value.to_json(), "schur": schur})
     return f"{value}\n"
 
@@ -176,40 +156,40 @@ def _action_text(res) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_genfun(cfg: RunConfig) -> str:
-    if cfg.project:
-        if cfg.n is None:
+def cmd_genfun(args: argparse.Namespace) -> str:
+    if args.project:
+        if args.n is None:
             raise UsageError("projected genfun needs --n (use --no-project otherwise)")
-        if cfg.dual != "s":
+        if args.dual != "s":
             raise UsageError("the projected generating function lives on the "
                              "adapted dual basis; use --dual s or --no-project")
-        res = generating_action_finite(cfg.lam, cfg.r, cfg.n)
+        res = generating_action_finite(args.lam, args.r, args.n)
     else:
-        if cfg.zmax is None:
+        if args.zmax is None:
             raise UsageError("--no-project genfun needs --zmax")
-        if cfg.dual == "s":
-            if cfg.n is None:
+        if args.dual == "s":
+            if args.n is None:
                 raise UsageError("--dual s needs --n (the number of c variables)")
-            res = generating_action_adapted(cfg.lam, cfg.r, cfg.n, cfg.zmax,
-                                            wmin=cfg.wmin, wmax=cfg.wmax)
+            res = generating_action_adapted(args.lam, args.r, args.n, args.zmax,
+                                            wmin=args.wmin, wmax=args.wmax)
         else:
-            res = generating_action(cfg.lam, cfg.r, cfg.zmax,
-                                    wmin=cfg.wmin, n=cfg.n)
-    if cfg.output == "json":
+            res = generating_action(args.lam, args.r, args.zmax,
+                                    wmin=args.wmin, n=args.n)
+    if args.output == "json":
         return _json_doc(res.to_json())
     return _action_text(res)
 
 
-def cmd_matrix(cfg: RunConfig) -> str:
-    if cfg.n is None:
+def cmd_matrix(args: argparse.Namespace) -> str:
+    if args.n is None:
         raise UsageError("matrix needs --n")
-    if cfg.i is None or cfg.j is None:
+    if args.i is None or args.j is None:
         raise UsageError("matrix needs --i and --j")
-    mat = rep_matrix(cfg.i, cfg.j, cfg.r, cfg.n)
-    if cfg.output == "json":
+    mat = rep_matrix(args.i, args.j, args.r, args.n)
+    if args.output == "json":
         return _json_doc(mat.to_json())
-    lines = [f"operator (i={cfg.i}, j={cfg.j}) on the {mat.dimension}-dimensional "
-             f"basis of the (r={cfg.r}, n={cfg.n}) quotient"]
+    lines = [f"operator (i={args.i}, j={args.j}) on the {mat.dimension}-dimensional "
+             f"basis of the (r={args.r}, n={args.n}) quotient"]
     for lam in mat.basis:
         images = [f"{mat.entries[(mu, lam)]}*D{mu}" for mu in mat.basis
                   if (mu, lam) in mat.entries]
@@ -227,12 +207,12 @@ def _xpoly_text(coeffs) -> str:
     return " + ".join(bits) if bits else "0"
 
 
-def cmd_factorize(cfg: RunConfig) -> str:
-    if cfg.n is None:
+def cmd_factorize(args: argparse.Namespace) -> str:
+    if args.n is None:
         raise UsageError("factorize needs --n")
-    p, q, ok = universal_factorization(cfg.r, cfg.n)
-    if cfg.output == "json":
-        return _json_doc({"command": "factorize", "r": cfg.r, "n": cfg.n,
+    p, q, ok = universal_factorization(args.r, args.n)
+    if args.output == "json":
+        return _json_doc({"command": "factorize", "r": args.r, "n": args.n,
                           "p": [co.to_json() for co in p],
                           "q": [co.to_json() for co in q],
                           "verified": ok})
@@ -241,123 +221,16 @@ def cmd_factorize(cfg: RunConfig) -> str:
             f"verified: {ok}\n")
 
 
-# -- verification suites ----------------------------------------------------------
-
-
-def _suite_golden(report) -> bool:
-    ok = True
-    res = star_oracle(StarOperator.plain(3, 2), Partition((2, 1)), 2)
-    want = -c_(1) * (h_(1) * h_(2) - h_(3)) + c_(1) ** 2 * h_(2)
-    ok &= report(res == want, "star action of X^3 (x) del^2 on (2,1), r=2")
-
-    act = generating_action(Partition(()), 3, zmax=6)
-    ok &= report(act.series.coeff(5, -1) == h_(4) - h_(1) * h_(3),
-                 "z^5 w^-1 coefficient of the r=3 generating action")
-
-    fin = generating_action_finite(Partition((2, 1)), 2, 4)
-    want_terms = {
-        (0, -1): {Partition((2,)): ONE},
-        (1, -1): {Partition((2, 1)): ONE},
-        (2, -1): {Partition((2, 2)): ONE},
-        (0, -3): {Partition(()): -ONE},
-        (2, -3): {Partition((1, 1)): ONE},
-        (3, -3): {Partition((2, 1)): ONE},
-    }
-    ok &= report(fin.schur_form == want_terms,
-                 "six-term Schur form of the (2,1) quotient action, r=2 n=4")
-    return ok
-
-
-def _suite_oracle(report, r: int, n: int) -> bool:
-    """The closed form, the oracle and the index substitution agree."""
-    ok = True
-    for lam in partitions_in_rectangle(r, n - r):
-        res = generating_action_finite(lam, r, n)
-        for i in range(n):
-            for j in range(n):
-                image = quotient_action(i, j, lam, r, n)
-                combinatorial = {} if image is None else dict([image])
-                same = res.coords_at(i, j) == star_oracle_coords(
-                    StarOperator.adapted(i, j), lam, r, n) == combinatorial
-                ok &= report(same, f"lambda={lam} (i,j)=({i},{j})")
-    return ok
-
-
-def _suite_bracket(report, r: int, n: int) -> bool:
-    ok = True
-    top = min(n, 4)  # full quadruple sweep over [0, top-1]^4
-    for a in range(top):
-        for b in range(top):
-            for c in range(top):
-                for d in range(top):
-                    ok &= report(bracket_check(a, b, c, d, r, n),
-                                 f"bracket ({a},{b};{c},{d})")
-    return ok
-
-
-def _suite_factorize(report, n: int) -> bool:
-    ok = True
-    for nn in range(1, n + 1):
-        for r in range(1, nn + 1):
-            _, _, good = universal_factorization(r, nn)
-            ok &= report(good, f"universal factorization r={r} n={nn}")
-    return ok
-
-
-def _suite_duality(report) -> bool:
-    ok = True
-    for i in range(9):
-        u = convert_basis(ExtElement.vector(i, BasisTag.DEFORMED_XC),
-                          BasisTag.PLAIN_X, None)
-        for j in range(9):
-            val = contract(DualDeltaForm(j), u, None).terms.get((), ZERO)
-            want = ONE if i == j else ZERO
-            ok &= report(val == want, f"dual form del^{j}(s) on X^{i}(c)")
-    return ok
-
-
-def _suite_ideal(report) -> bool:
-    ok = True
-    for (r, n) in ((2, 4), (3, 5)):
-        for k in range(1, r + 1):
-            gen = Partition((n - r + k,))
-            dead = all(
-                not star_oracle_coords(StarOperator.adapted(i, j), gen, r, n)
-                for i in range(n) for j in range(n))
-            ok &= report(dead, f"ideal generator index {n - r + k} dies, r={r} n={n}")
-    return ok
-
-
-def cmd_verify(cfg: RunConfig) -> str:
-    lines: list[str] = []
-    failures = 0
-
-    def report(passed: bool, label: str) -> bool:
-        nonlocal failures
-        lines.append(("PASS " if passed else "FAIL ") + label)
-        if not passed:
-            failures += 1
-        return passed
-
-    suite = cfg.suite or "all"
-    r = cfg.r
-    n = cfg.n if cfg.n is not None else 4
-    if not (1 <= r <= n):
-        raise UsageError(f"verify needs 1 <= r <= n, got r={r}, n={n}")
-    if suite in ("golden", "all"):
-        _suite_golden(report)
-    if suite in ("duality", "all"):
-        _suite_duality(report)
-    if suite in ("ideal", "all"):
-        _suite_ideal(report)
-    if suite in ("factorize", "all"):
-        _suite_factorize(report, n)
-    if suite in ("oracle", "all"):
-        _suite_oracle(report, r, n)
-    if suite in ("bracket", "all"):
-        _suite_bracket(report, r, n)
+def cmd_verify(args: argparse.Namespace) -> str:
+    n = 4 if args.n is None else args.n
+    if not (1 <= args.r <= n):
+        raise UsageError(f"verify needs 1 <= r <= n, got r={args.r}, n={n}")
+    names = SUITES if args.suite == "all" else (args.suite,)
+    checks = [check for name in names for check in SUITES[name](args.r, n)]
+    failures = sum(not passed for passed, _ in checks)
+    lines = [("PASS " if passed else "FAIL ") + label for passed, label in checks]
     lines.append(f"{'OK' if not failures else 'FAILED'}: "
-                 f"{len(lines) - failures}/{len(lines)} checks passed")
+                 f"{len(checks) - failures}/{len(checks)} checks passed")
     doc = "\n".join(lines) + "\n"
     if failures:
         raise AlgebraError(doc)
@@ -368,6 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uda",
         description="Exact gl-module structure of universal decomposition algebras")
+    # what main reads for every subcommand but only some define; a
+    # subcommand's own default wins over these
+    parser.set_defaults(lam=None, i=None, j=None, project=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, need_lambda=True):
@@ -436,24 +312,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:
-        cfg = RunConfig(
-            command=args.command,
-            r=getattr(args, "r", 1),
-            n=getattr(args, "n", None),
-            lam=parse_partition(getattr(args, "lam", None)),
-            i=getattr(args, "i", None),
-            j=getattr(args, "j", None),
-            dual=getattr(args, "dual", "none"),
-            zmax=getattr(args, "zmax", None),
-            wmin=getattr(args, "wmin", None),
-            wmax=getattr(args, "wmax", 0),
-            project=getattr(args, "project", True),
-            suite=getattr(args, "suite", None),
-            output=args.output,
-            out_path=args.out_path,
-        )
-        cfg.validate()
-        doc = _HANDLERS[cfg.command](cfg)
+        args.lam = parse_partition(args.lam)
+        _validate(args)
+        doc = _HANDLERS[args.command](args)
     except (UsageError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
@@ -461,9 +322,9 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"invariant violation: {exc}\n")
         return 2
     try:
-        _emit(doc, cfg.out_path)
+        _emit(doc, args.out_path)
     except OSError as exc:
-        sys.stderr.write(f"error: cannot write {cfg.out_path or 'stdout'}: "
+        sys.stderr.write(f"error: cannot write {args.out_path or 'stdout'}: "
                          f"{exc.strerror or exc}\n")
         return 1
     return 0

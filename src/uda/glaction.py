@@ -55,7 +55,7 @@ from .exterior import (BasisTag, DeltaForm, DualDeltaForm, ExtElement,
 from .module_iso import quotient_project, schur_map_of_poly, schur_map_to_poly
 from .partitions import (Partition, partition_of_indices,
                          partitions_in_rectangle, wedge_indices)
-from .poly import MvPolynomial, ONE, ZERO
+from .poly import MvPolynomial, ONE, ZERO, series_mul
 from .schubert import sigma_bar_minus_h
 from .symfunc import (c_series_coeffs, generic_factor_poly,
                       generic_monic_coeffs, h_deformed, h_symbol_series,
@@ -449,17 +449,6 @@ def bracket_check(a: int, b: int, c: int, d: int, r: int, n: int) -> bool:
 # -- universal factorisation ---------------------------------------------------------
 
 
-def _xpoly_mul(f: list[MvPolynomial], g: list[MvPolynomial]) -> list[MvPolynomial]:
-    out = [ZERO] * (len(f) + len(g) - 1)
-    for i, fi in enumerate(f):
-        if not fi:
-            continue
-        for j, gj in enumerate(g):
-            if gj:
-                out[i + j] = out[i + j] + fi * gj
-    return out
-
-
 def universal_factorization(r: int, n: int
                             ) -> tuple[list[MvPolynomial], list[MvPolynomial], bool]:
     """The generic monic polynomial splits over the quotient algebra.
@@ -473,7 +462,7 @@ def universal_factorization(r: int, n: int
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
     p = generic_factor_poly(r)
     q = [h_deformed(n - r - m, n) for m in range(n - r)] + [ONE]
-    diff = _xpoly_mul(p, q)
+    diff = series_mul(p, q, n)
     target = generic_monic_coeffs(n)
     ok = True
     for m in range(n + 1):

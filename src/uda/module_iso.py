@@ -23,40 +23,26 @@ tests cheap.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .exterior import BasisTag, ExtElement, unit_wedge, wedge_coords
 from .partitions import Partition
 from .poly import FAM_C, FAM_H, MvPolynomial, Mono
 from .schubert import sigma_coefficient
 from .symfunc import e_to_h_rewrite, giambelli
 
-_sigma_wedge_cache: dict[tuple[int, tuple[int, ...]], ExtElement] = {}
-_schur_map_cache: dict[tuple[int, int | None, tuple[int, ...]],
-                       dict[Partition, MvPolynomial]] = {}
-
-
+@lru_cache(maxsize=None)
 def sigma_monomial_wedge(r: int, h_indices: tuple[int, ...]) -> ExtElement:
     """Apply sigma_{i1} ... sigma_{ik} to the unit wedge (plain basis)."""
-    key = (r, h_indices)
-    got = _sigma_wedge_cache.get(key)
-    if got is not None:
-        return got
     if not h_indices:
-        out = unit_wedge(r)
-    else:
-        out = sigma_coefficient(h_indices[0],
-                                sigma_monomial_wedge(r, h_indices[1:]))
-    _sigma_wedge_cache[key] = out
-    return out
+        return unit_wedge(r)
+    return sigma_coefficient(h_indices[0], sigma_monomial_wedge(r, h_indices[1:]))
 
 
+@lru_cache(maxsize=None)
 def _schur_map_of_monomial(r: int, n: int | None,
                            h_indices: tuple[int, ...]) -> dict[Partition, MvPolynomial]:
-    key = (r, n, h_indices)
-    got = _schur_map_cache.get(key)
-    if got is None:
-        got = wedge_coords(sigma_monomial_wedge(r, h_indices), n)
-        _schur_map_cache[key] = got
-    return got
+    return wedge_coords(sigma_monomial_wedge(r, h_indices), n)
 
 
 def split_h_monomial(mono: Mono) -> tuple[tuple[int, ...], Mono]:
@@ -90,11 +76,7 @@ def poly_to_wedge(p: MvPolynomial, r: int, n: int | None = None) -> ExtElement:
 
 def wedge_to_poly(u: ExtElement, n: int | None = None) -> MvPolynomial:
     """Schur normal form of the coordinate of u over the unit wedge."""
-    coords = wedge_coords(u, n)
-    acc = MvPolynomial.zero()
-    for lam, coeff in coords.items():
-        acc = acc + coeff * giambelli(lam, u.r, n).value
-    return acc
+    return schur_map_to_poly(wedge_coords(u, n), u.r, n)
 
 
 def schur_map_of_poly(p: MvPolynomial, r: int,

@@ -235,18 +235,12 @@ class MvPolynomial:
     def constant_term(self) -> Coeff:
         return self.terms.get(_EMPTY_MONO, 0)
 
-    def total_degree(self) -> int:
-        return max((_mono_degree(m) for m in self.terms), default=0)
-
     def variables(self) -> set[Var]:
         out: set[Var] = set()
         for m in self.terms:
             for v, _ in m:
                 out.add(v)
         return out
-
-    def has_family(self, fam: int) -> bool:
-        return any(v[0] == fam for m in self.terms for v, _ in m)
 
     # -- substitutions -------------------------------------------------------
 

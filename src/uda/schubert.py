@@ -22,7 +22,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .bilaurent import BiLaurent
-from .exterior import BasisTag, ExtElement, sort_indices
+from .exterior import ExtElement, sort_indices
 from .poly import MvPolynomial
 from .symfunc import h_deformed
 
@@ -100,13 +100,12 @@ def sigma_bar_plus(u: ExtElement) -> list[ExtElement]:
     return [ExtElement(u.r, u.tag, terms) for terms in out]
 
 
-def sigma_bar_minus_vector(m: int, tag: BasisTag = BasisTag.DEFORMED_XC
-                           ) -> list[tuple[int, int, int]]:
+def sigma_bar_minus_vector(m: int) -> list[tuple[int, int, int]]:
     """The two-term shift on a basis vector X^m(c) - X^{m-1}(c) z^{-1}.
 
     Returns (z-exponent, vector index, sign) triples; the shifted term is
-    omitted for m = 0 where it dies.  The tag only documents which basis the
-    indices refer to; the rule is the same in both.
+    omitted for m = 0 where it dies.  The rule is the same in the plain and
+    the deformed basis.
     """
     if m < 0:
         raise ValueError("vector index must be nonnegative")

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import uda.cli as cli
+import uda.verify
 from uda.cli import main, parse_partition, UsageError
 from uda.glaction import (StarOperator, generating_action_finite,
                           star_oracle_coords)
@@ -171,6 +172,20 @@ def test_verify_suites(capsys):
                            "--n", "4")
     assert code == 0
     assert out.strip().endswith("checks passed")
+
+
+def test_failed_check_is_an_invariant_violation(capsys, monkeypatch):
+    def broken(r, n):
+        yield True, "holds"
+        yield False, "broken identity"
+
+    monkeypatch.setitem(uda.verify.SUITES, "golden", broken)
+    code, out, err = run_cli(capsys, "verify", "--suite", "golden", "--r", "2",
+                             "--n", "4")
+    assert code == 2 and out == ""
+    assert err.startswith("invariant violation:")
+    assert "\nFAIL broken identity\n" in err
+    assert "FAILED: 1/2 checks passed" in err
 
 
 def test_out_path_writes_file(tmp_path, capsys):

@@ -450,12 +450,12 @@ def test_universal_factorization_sweep():
 
 def test_universal_factorization_detects_wrong_product():
     # sanity: the checker is not a tautology; a broken complement fails
-    from uda.glaction import _xpoly_mul
+    from uda.poly import series_mul
     from uda.symfunc import generic_factor_poly, generic_monic_coeffs
     r, n = 2, 4
     p = generic_factor_poly(r)
     bad_q = [h_deformed(n - r - m, n) + ONE for m in range(n - r)] + [ONE]
-    diff = _xpoly_mul(p, bad_q)
+    diff = series_mul(p, bad_q, n)
     target = generic_monic_coeffs(n)
     assert any(quotient_project(diff[m] - target[m], r, n) for m in range(n + 1))
 

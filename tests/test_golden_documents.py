@@ -31,6 +31,12 @@ def test_star_action_text_bytes():
     assert proc.stdout == (GOLDEN / "star_action_r2_21_32.txt").read_text()
 
 
+def test_verify_all_document_bytes():
+    proc = run_uda("verify", "--suite", "all", "--r", "2", "--n", "4")
+    assert proc.returncode == 0
+    assert proc.stdout == (GOLDEN / "verify_all_r2_n4.txt").read_text()
+
+
 def test_subprocess_exit_codes():
     assert run_uda("verify", "--suite", "golden", "--r", "2", "--n", "4").returncode == 0
     assert run_uda("act", "--r", "2", "--lambda", "9", "--i", "0", "--j", "0",
