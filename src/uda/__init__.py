@@ -4,8 +4,10 @@ The package computes, in exact rational arithmetic, how the Lie algebra of
 matrices over the coefficient ring acts on the universal decomposition
 algebra of the generic monic polynomial: Schur determinants in deformed
 complete functions, the exterior-module star action (the brute-force
-oracle), and the closed-form generating functions that package every
-operator image at once.  All values are immutable and all operations pure.
+oracle), the closed-form generating functions that package every operator
+image at once, and the signed index substitution that serves the quotient.
+All operations are pure, but polynomial and wedge ``terms`` are plain dicts,
+and some caches hand out the object they keep: do not mutate results.
 """
 
 from . import exterior, glaction, module_iso, symfunc
@@ -45,7 +47,7 @@ __version__ = "0.1.0"
 def clear_caches() -> None:
     """Empty every memo table of the package, each an ``lru_cache``."""
     for fn in (exterior.xc_expand, exterior.x_in_xc,
-               glaction._finite_action_cached, glaction._rep_cached,
+               glaction._signs,
                module_iso.sigma_monomial_wedge, module_iso._schur_map_of_monomial,
                symfunc.h_deformed, symfunc._s_coeffs_cached,
                symfunc._giambelli_cached, symfunc._e_in_h):

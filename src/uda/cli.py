@@ -20,7 +20,8 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from .errors import AlgebraError
 from .glaction import (StarOperator, generating_action,
                        generating_action_adapted, generating_action_finite,
-                       rep_matrix, star_oracle_coords, universal_factorization)
+                       quotient_action, rep_matrix, star_oracle_coords,
+                       universal_factorization)
 from .module_iso import schur_map_to_poly
 from .partitions import Partition
 from .symfunc import giambelli
@@ -130,10 +131,14 @@ def cmd_giambelli(args: argparse.Namespace) -> str:
 def cmd_act(args: argparse.Namespace) -> str:
     if args.i is None or args.j is None:
         raise UsageError("act needs --i and --j")
-    op = (StarOperator.adapted(args.i, args.j) if args.dual == "s"
-          else StarOperator.plain(args.i, args.j))
     quotient = args.n is not None and args.project
-    coords = star_oracle_coords(op, args.lam, args.r, args.n, quotient=quotient)
+    if quotient and args.dual == "s":
+        image = quotient_action(args.i, args.j, args.lam, args.r, args.n)
+        coords = {} if image is None else dict([image])
+    else:
+        op = StarOperator.adapted if args.dual == "s" else StarOperator.plain
+        coords = star_oracle_coords(op(args.i, args.j), args.lam, args.r,
+                                    args.n, quotient=quotient)
     value = schur_map_to_poly(coords, args.r, args.n)
     if args.output == "json":
         schur = [{"partition": mu.to_json(), "coeff": str(coords[mu])}

@@ -28,6 +28,6 @@ class EmptyWindow(AlgebraError):
 class WindowViolation(AlgebraError):
     """A nonzero coefficient survived outside the window guaranteed by the theory.
 
-    Raised by the finite quotient generating function; on correct input this
+    Raised by the quotient closed form; on correct input this
     signals an implementation bug, never a data error.
     """

@@ -19,30 +19,30 @@ switches to the adapted operators X^i(c) (x) del^j(s).  One builder,
 ``_closed_form``, makes every version of this product: the determinant's
 w-exponents lie in [-(r-1+lam_1), 0], so carrying 1/c(w) to depth
 r-1+lam_1+max(wmax, 0) makes every coefficient at w <= wmax exact.  The
-finite quotient form is the adapted product cut at w <= 0, with every
-coefficient pushed through the rectangle normal form.
+quotient closed form ``_finite_closed_form``, a cross-check, is the adapted
+product cut at w <= 0 and pushed through the rectangle normal form.
 
 On the rank-n quotient the adapted operators are far simpler than either
 route suggests: X^i(c) (x) del^j(s) is the matrix unit E_ij acting on the
 r-th exterior power of the deformed basis, so every image is a signed basis
 element or zero.  ``quotient_action`` computes it by signed index
 substitution on the wedge indices of lam, with integers and tuples only;
-``rep_matrix`` and ``bracket_check`` are served from it, and the oracle and
-the closed form stay as the routes it is checked against.
+``generating_action_finite``, ``rep_matrix`` and ``bracket_check`` are
+served from it, and the oracle and the closed form check it.
 
 Positive powers of w in the scaled forms do not correspond to any operator
 of the family (the dual forms are indexed by j >= 0) and they do not vanish
 under projection; when a window with wmax > 0 asks for them they are
 reported on the result object and excluded from the Schur form and from
 the JSON document.  Coefficients at z^i with i > n-1 must project to zero
-in the finite case and are checked up to an explicit margin; a nonzero
-survivor raises ``WindowViolation``.
+in the quotient closed form and are checked up to an explicit margin; a
+nonzero survivor raises ``WindowViolation``.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -152,9 +152,8 @@ class ActionResult:
     coefficient.  For the adapted form read with wmax > 0, nonzero
     coefficients at positive powers of w (which correspond to no operator of
     the family) are collected in ``positive_w`` instead of ``schur_form``;
-    the finite form cuts them off before projection.  The finite result is
-    cached and shared, so its maps and its ``series.coeffs`` are read-only
-    ``MappingProxyType`` views.
+    the finite form has none.  The fields cannot be reassigned; the maps in
+    them are built per call and belong to the caller.
     """
     lam: Partition
     r: int
@@ -285,38 +284,37 @@ def generating_action_adapted(lam: Partition, r: int, n: int, zmax: int,
     return ActionResult(lam, r, n, "adapted", series, schur, positive)
 
 
-@lru_cache(maxsize=None)
-def _finite_action_cached(lam_parts: tuple[int, ...], r: int, n: int,
-                          zero_c: bool) -> ActionResult:
-    lam = Partition(lam_parts)
+def _finite_closed_form(lam: Partition, r: int, n: int, zero_c: bool = False
+                        ) -> dict[tuple[int, int], dict[Partition, MvPolynomial]]:
+    """The Schur form of ``generating_action_finite`` from the closed form.
+
+    The adapted product is cut at w <= 0 and projected to the rectangle; the
+    vanishing beyond z^{n-1} is checked up to max(2, r) extra orders.
+    """
     ambient = 0 if zero_c else n
     prod = _closed_form(lam, r, ambient, n - 1 + max(2, r), wmax=0)
-    schur, _ = _project(prod, lam, r, ambient, n)
-    legal = {key: schur_map_to_poly(coords, r, ambient)
-             for key, coords in schur.items()}
-    series = BiLaurent(legal, (0, n - 1, -(n - 1), 0))
-    # every caller shares this result, so its maps are read-only views
-    series.coeffs = MappingProxyType(series.coeffs)
-    frozen = {key: MappingProxyType(coords) for key, coords in schur.items()}
-    return ActionResult(lam, r, n, "adapted", series,
-                        MappingProxyType(frozen), MappingProxyType({}))
+    return _project(prod, lam, r, ambient, n)[0]
 
 
-def generating_action_finite(lam: Partition, r: int, n: int,
-                             zero_c: bool = False) -> ActionResult:
+def generating_action_finite(lam: Partition, r: int, n: int) -> ActionResult:
     """The full quotient-module structure on one rectangle basis element.
 
-    This is the adapted form cut at w <= 0, with every coefficient pushed
-    through the rectangle normal form; the result is a genuine Laurent
-    polynomial with z-exponents in [0, n-1] and w-exponents in [-(n-1), 0].
-    The vanishing of projected coefficients beyond z^{n-1} is checked up to
-    max(2, r) extra orders.
+    The coefficient at z^i w^-j is the image of X^i(c) (x) del^j(s), read off
+    by ``quotient_action`` for every i, j in [0, n-1]; the result is a genuine
+    Laurent polynomial with z-exponents in [0, n-1] and w-exponents in
+    [-(n-1), 0], and it equals the closed form ``_finite_closed_form``.
     """
     if not (1 <= r <= n):
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
     if not lam.fits_rectangle(r, n - r):
         raise ValueError(f"partition {lam} does not fit {r}x{n - r}")
-    return _finite_action_cached(lam.parts, r, n, zero_c)
+    images = {(i, -j): quotient_action(i, j, lam, r, n)
+              for i in range(n) for j in range(n - 1, -1, -1)}
+    schur = {key: dict([image]) for key, image in images.items() if image}
+    series = BiLaurent({key: schur_map_to_poly(coords, r, n)
+                        for key, coords in schur.items()},
+                       (0, n - 1, -(n - 1), 0))
+    return ActionResult(lam, r, n, "adapted", series, schur)
 
 
 # -- representation matrices -------------------------------------------------------
@@ -327,11 +325,7 @@ _MINUS_ONE = MvPolynomial.const(-1)
 
 @dataclass(frozen=True)
 class RepMatrix:
-    """The matrix of one adapted basis operator on the rectangle Schur basis.
-
-    Matrices served from the cache behind ``bracket_check`` have read-only
-    ``entries``.
-    """
+    """The matrix of one adapted basis operator on the rectangle Schur basis."""
     i: int
     j: int
     r: int
@@ -401,9 +395,12 @@ def rep_matrix(i: int, j: int, r: int, n: int) -> RepMatrix:
     return RepMatrix(i, j, r, n, basis, entries)
 
 
-def _signs(mat: RepMatrix) -> dict[tuple[Partition, Partition], int]:
-    """The +-1 entries of a quotient matrix as plain ints."""
-    return {key: coeff.constant_term() for key, coeff in mat.entries.items()}
+@lru_cache(maxsize=None)
+def _signs(i: int, j: int, r: int, n: int
+           ) -> Mapping[tuple[Partition, Partition], int]:
+    """The +-1 entries of ``rep_matrix(i, j, r, n)`` as plain ints, read-only."""
+    return MappingProxyType({key: coeff.constant_term() for key, coeff
+                             in rep_matrix(i, j, r, n).entries.items()})
 
 
 def _mat_mul(a: dict, b: dict) -> dict:
@@ -424,25 +421,19 @@ def _mat_diff(x: dict, y: dict) -> dict:
     return {key: v for key, v in out.items() if v}
 
 
-@lru_cache(maxsize=None)
-def _rep_cached(i: int, j: int, r: int, n: int) -> RepMatrix:
-    mat = rep_matrix(i, j, r, n)
-    return replace(mat, entries=MappingProxyType(mat.entries))
-
-
 def bracket_check(a: int, b: int, c: int, d: int, r: int, n: int) -> bool:
     """Verify [E_ab, E_cd] = delta_bc E_ad - delta_da E_cb on the quotient.
 
     The matrices hold only the constants 1 and -1, so the check multiplies
     and adds their entries as ints.
     """
-    A, B = _signs(_rep_cached(a, b, r, n)), _signs(_rep_cached(c, d, r, n))
+    A, B = _signs(a, b, r, n), _signs(c, d, r, n)
     lhs = _mat_diff(_mat_mul(A, B), _mat_mul(B, A))
-    rhs: dict = {}
+    rhs: Mapping = {}
     if b == c:
-        rhs = _signs(_rep_cached(a, d, r, n))
+        rhs = _signs(a, d, r, n)
     if d == a:
-        rhs = _mat_diff(rhs, _signs(_rep_cached(c, b, r, n)))
+        rhs = _mat_diff(rhs, _signs(c, b, r, n))
     return lhs == rhs
 
 

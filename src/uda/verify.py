@@ -14,9 +14,10 @@ from __future__ import annotations
 from collections.abc import Callable, Iterator
 
 from .exterior import BasisTag, DualDeltaForm, ExtElement, contract, convert_basis
-from .glaction import (StarOperator, bracket_check, generating_action,
-                       generating_action_finite, quotient_action, star_oracle,
-                       star_oracle_coords, universal_factorization)
+from .glaction import (StarOperator, _finite_closed_form, bracket_check,
+                       generating_action, generating_action_finite,
+                       quotient_action, star_oracle, star_oracle_coords,
+                       universal_factorization)
 from .partitions import Partition, partitions_in_rectangle
 from .poly import ONE, ZERO, c_, h_
 
@@ -74,12 +75,12 @@ def factorize(r: int, n: int) -> Checks:
 def oracle(r: int, n: int) -> Checks:
     """The closed form, the oracle and the index substitution agree."""
     for lam in partitions_in_rectangle(r, n - r):
-        res = generating_action_finite(lam, r, n)
+        closed = _finite_closed_form(lam, r, n)
         for i in range(n):
             for j in range(n):
                 image = quotient_action(i, j, lam, r, n)
                 combinatorial = {} if image is None else dict([image])
-                same = res.coords_at(i, j) == star_oracle_coords(
+                same = closed.get((i, -j), {}) == star_oracle_coords(
                     StarOperator.adapted(i, j), lam, r, n) == combinatorial
                 yield same, f"lambda={lam} (i,j)=({i},{j})"
 

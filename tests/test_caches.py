@@ -2,7 +2,7 @@ import sys
 
 import uda
 import uda.cli  # noqa: F401  (the CLI module is not imported by uda)
-from uda.glaction import bracket_check, generating_action_finite
+from uda.glaction import bracket_check, generating_action_adapted
 from uda.module_iso import poly_to_wedge, wedge_to_poly
 from uda.partitions import Partition
 from uda.poly import e_
@@ -25,7 +25,7 @@ def _memo_tables():
 
 
 def test_clear_caches_empties_every_memo_table():
-    generating_action_finite(Partition((1,)), 2, 4)
+    generating_action_adapted(Partition((1,)), 2, 4, zmax=3)  # closed form
     assert bracket_check(1, 0, 0, 1, 2, 4)
     wedge_to_poly(poly_to_wedge(e_(2), 2, 4), 4)   # e2 -> h's via _e_in_h
     before = _memo_tables()

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -139,6 +140,28 @@ def test_matrix_document_at_rank_five_matches_oracle(capsys):
     for lam, col in columns.items():
         want = star_oracle_coords(op, Partition(lam), 5, 10)
         assert col == {mu.parts: str(v) for mu, v in want.items()}, lam
+
+
+def test_genfun_full_rectangle_at_rank_four_matches_oracle(capsys):
+    # the projected document is one signed index substitution per operator,
+    # so even the largest lambda of the (4,8) rectangle answers at once
+    t0 = time.monotonic()
+    code, out, _ = run_cli(capsys, "genfun", "--r", "4", "--n", "8",
+                           "--lambda", "4,4,4,4", "--output", "json")
+    elapsed = time.monotonic() - t0
+    assert code == 0
+    lam = Partition((4, 4, 4, 4))
+    got = {(t["z"], t["w"]): {tuple(s["partition"]): s["coeff"]
+                              for s in t["schur"]}
+           for t in json.loads(out)["terms"]}
+    want = {}
+    for i in range(8):
+        for j in range(8):
+            coords = star_oracle_coords(StarOperator.adapted(i, j), lam, 4, 8)
+            if coords:
+                want[(i, -j)] = {mu.parts: str(v) for mu, v in coords.items()}
+    assert got and got == want
+    assert elapsed < 5.0, f"genfun at (4,8) took {elapsed:.2f}s, budget 5s"
 
 
 @pytest.mark.parametrize("args, bound, w_range", [

@@ -6,12 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from uda.bilaurent import BiLaurent
 from uda.errors import WindowViolation
-from uda.glaction import (ActionResult, StarOperator, bracket_check,
-                          generating_action, generating_action_adapted,
-                          generating_action_finite, mixed_schur_det,
-                          quotient_action, rep_matrix, star_oracle,
-                          star_oracle_coords, universal_factorization)
-from uda.module_iso import quotient_project, schur_map_of_poly
+from uda.glaction import (ActionResult, StarOperator, _finite_closed_form,
+                          bracket_check, generating_action,
+                          generating_action_adapted, generating_action_finite,
+                          mixed_schur_det, quotient_action, rep_matrix,
+                          star_oracle, star_oracle_coords,
+                          universal_factorization)
+from uda.module_iso import (quotient_project, schur_map_of_poly,
+                            schur_map_to_poly)
 from uda.partitions import EMPTY, Partition, partitions_in_rectangle
 from uda.poly import FAM_C, ONE, ZERO, c_, e_, h_
 from uda.symfunc import e_series_coeffs, e_to_h_rewrite, h_deformed
@@ -238,6 +240,7 @@ def test_finite_action_is_adapted_form_cut_at_w_nonpositive():
                         if mu.part(1) <= n - r}
                 if rect and w >= -(n - 1):
                     want[(z, w)] = rect
+            assert _finite_closed_form(lam, r, n) == want, (r, n, lam)
             res = generating_action_finite(lam, r, n)
             assert res.schur_form == want, (r, n, lam)
             assert not res.positive_w
@@ -268,7 +271,7 @@ def test_window_guard_fires_on_corrupted_series(monkeypatch):
     clear_caches()
     try:
         with pytest.raises(WindowViolation):
-            generating_action_finite(Partition((2, 1)), 2, 4)
+            _finite_closed_form(Partition((2, 1)), 2, 4)
     finally:
         monkeypatch.undo()
         clear_caches()
@@ -277,7 +280,7 @@ def test_window_guard_fires_on_corrupted_series(monkeypatch):
 def test_finite_action_identity_component():
     # the (z^0, w^0) coefficient on the empty partition is 1 in every rank
     for (r, n) in ((1, 2), (2, 3), (3, 4)):
-        res = generating_action_finite(EMPTY, r, n, zero_c=True)
+        res = generating_action_finite(EMPTY, r, n)
         assert res.coords_at(0, 0) == {EMPTY: ONE}
 
 
@@ -301,15 +304,15 @@ def test_ideal_generators_die():
 
 def test_specialization_matches_zero_c_pipeline():
     for lam in partitions_in_rectangle(2, 2):
-        full = generating_action_finite(lam, 2, 4)
-        zc = generating_action_finite(lam, 2, 4, zero_c=True)
-        for key in set(full.schur_form) | set(zc.schur_form):
+        full = _finite_closed_form(lam, 2, 4)
+        zc = _finite_closed_form(lam, 2, 4, zero_c=True)
+        for key in set(full) | set(zc):
             reduced = {}
-            for mu, p in full.schur_form.get(key, {}).items():
+            for mu, p in full.get(key, {}).items():
                 q = p.specialize_family_zero(FAM_C)
                 if q:
                     reduced[mu] = q
-            assert reduced == zc.schur_form.get(key, {}), (lam, key)
+            assert reduced == zc.get(key, {}), (lam, key)
 
 
 # -- representation matrices -----------------------------------------------------------
@@ -355,11 +358,11 @@ def test_rep_matrix_zero_c_is_specialised_symbolic_matrix():
     # the index-substitution entries are c-free, so they equal the matrix
     # read from the closed form with every c specialised to zero
     basis = partitions_in_rectangle(2, 2)
-    zc = {lam: generating_action_finite(lam, 2, 4, zero_c=True) for lam in basis}
+    zc = {lam: _finite_closed_form(lam, 2, 4, zero_c=True) for lam in basis}
     for i in range(4):
         for j in range(4):
             want = {(mu, lam): coeff for lam in basis
-                    for mu, coeff in zc[lam].coords_at(i, j).items()}
+                    for mu, coeff in zc[lam].get((i, -j), {}).items()}
             assert rep_matrix(i, j, 2, 4).entries == want, (i, j)
 
 
@@ -391,38 +394,64 @@ def test_quotient_action_rejects_bad_input():
 
 
 def test_cached_results_are_read_only():
+    # the finite result is built fresh on every call, so clearing its maps
+    # cannot reach a later call; its fields cannot be reassigned
     import uda.glaction as gl
     res = generating_action_finite(Partition((1,)), 2, 4)
-    for clobber in (lambda: res.schur_form.clear(),
-                    lambda: res.positive_w.clear(),
-                    lambda: res.schur_form[(0, 0)].clear(),
-                    lambda: res.schur_form.__setitem__((9, 9), {}),
-                    lambda: setattr(res, "schur_form", {})):
-        with pytest.raises((TypeError, AttributeError)):
+    for clobber in (lambda: setattr(res, "schur_form", {}),
+                    lambda: setattr(res, "positive_w", {})):
+        with pytest.raises(AttributeError):
             clobber()
+    res.schur_form[(0, 0)].clear()
+    res.schur_form.clear()
+    res.positive_w[(9, 9)] = {}
     again = generating_action_finite(Partition((1,)), 2, 4)
     assert sorted(again.schur_form) == [(0, 0), (1, -2), (1, 0), (2, -2),
                                         (3, -2), (3, 0)]
+    assert again.schur_form[(0, 0)] == {Partition((1,)): ONE}
+    assert not again.positive_w
+    # the sign tables behind bracket_check are cached and shared
     assert bracket_check(1, 0, 0, 1, 2, 4)
-    mat = gl._rep_cached(1, 0, 2, 4)
-    for clobber in (lambda: mat.entries.clear(),
-                    lambda: setattr(mat, "entries", {})):
+    signs = gl._signs(1, 0, 2, 4)
+    for clobber in (lambda: signs.clear(),
+                    lambda: signs.__setitem__((EMPTY, EMPTY), 1)):
         with pytest.raises((TypeError, AttributeError)):
             clobber()
-    assert gl._rep_cached(1, 0, 2, 4).entries == rep_matrix(1, 0, 2, 4).entries
+    assert gl._signs(1, 0, 2, 4) == {
+        key: coeff.constant_term()
+        for key, coeff in rep_matrix(1, 0, 2, 4).entries.items()}
 
 
 def test_cached_finite_series_is_read_only():
     res = generating_action_finite(Partition((1,)), 2, 4)
     want = dict(res.series.coeffs)
     assert want and res.series.coeff(1, 0)
-    for clobber in (lambda: res.series.coeffs.clear(),
-                    lambda: res.series.coeffs.__setitem__((0, 0), ZERO)):
-        with pytest.raises((TypeError, AttributeError)):
-            clobber()
+    with pytest.raises(AttributeError):
+        res.series = BiLaurent.zero()
+    res.series.coeffs.clear()
     again = generating_action_finite(Partition((1,)), 2, 4)
     assert again.series.coeffs == want
-    assert again.series.coeff(1, 0) == res.series.coeff(1, 0) != ZERO
+    assert again.series.coeff(1, 0) == want[(1, 0)] != ZERO
+
+
+@st.composite
+def finite_cases(draw):
+    n = draw(st.integers(1, 6))
+    r = draw(st.integers(1, min(n, 3)))
+    parts = sorted(draw(st.lists(st.integers(0, n - r), min_size=r, max_size=r)),
+                   reverse=True)
+    return Partition(parts), r, n
+
+
+@settings(max_examples=40, deadline=None)
+@given(finite_cases())
+def test_finite_action_matches_closed_form(case):
+    lam, r, n = case
+    res = generating_action_finite(lam, r, n)
+    closed = _finite_closed_form(lam, r, n)
+    assert res.schur_form == closed
+    assert res.series.coeffs == {key: schur_map_to_poly(coords, r, n)
+                                 for key, coords in closed.items()}
 
 
 # -- universal factorisation ---------------------------------------------------------

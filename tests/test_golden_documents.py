@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -17,24 +19,26 @@ def run_uda(*args):
                           capture_output=True, text=True)
 
 
-def test_quotient_action_document_bytes():
-    proc = run_uda("genfun", "--r", "2", "--n", "4", "--lambda", "2,1",
-                   "--output", "json")
+# golden file -> the command that renders it; the projected genfun and
+# act --dual s documents were recorded while the closed form and the oracle
+# still served them
+DOCUMENTS = {
+    "quotient_action_r2_n4_21.json": "genfun --r 2 --n 4 --lambda 2,1 --output json",
+    "star_action_r2_21_32.txt": "act --r 2 --lambda 2,1 --i 3 --j 2 --dual none",
+    "verify_all_r2_n4.txt": "verify --suite all --r 2 --n 4",
+    "genfun_r3_n6_21.txt": "genfun --r 3 --n 6 --lambda 2,1",
+    "act_dual_s_r3_n6_21_41.json":
+        "act --r 3 --n 6 --lambda 2,1 --i 4 --j 1 --dual s --output json",
+    "act_dual_s_r3_n6_21_14.json":
+        "act --r 3 --n 6 --lambda 2,1 --i 1 --j 4 --dual s --output json",
+}
+
+
+@pytest.mark.parametrize("golden", DOCUMENTS, ids=lambda g: g.split(".")[0])
+def test_document_bytes(golden):
+    proc = run_uda(*DOCUMENTS[golden].split())
     assert proc.returncode == 0
-    assert proc.stdout == (GOLDEN / "quotient_action_r2_n4_21.json").read_text()
-
-
-def test_star_action_text_bytes():
-    proc = run_uda("act", "--r", "2", "--lambda", "2,1", "--i", "3",
-                   "--j", "2", "--dual", "none")
-    assert proc.returncode == 0
-    assert proc.stdout == (GOLDEN / "star_action_r2_21_32.txt").read_text()
-
-
-def test_verify_all_document_bytes():
-    proc = run_uda("verify", "--suite", "all", "--r", "2", "--n", "4")
-    assert proc.returncode == 0
-    assert proc.stdout == (GOLDEN / "verify_all_r2_n4.txt").read_text()
+    assert proc.stdout == (GOLDEN / golden).read_text()
 
 
 def test_subprocess_exit_codes():
