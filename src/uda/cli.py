@@ -24,6 +24,7 @@ from .glaction import (StarOperator, generating_action,
                        universal_factorization)
 from .module_iso import schur_map_to_poly
 from .partitions import Partition
+from .poly import MvPolynomial, var_name
 from .symfunc import giambelli
 from .verify import SUITES
 
@@ -79,7 +80,8 @@ def _json_doc(payload) -> str:
     The standard encoder drops to its pure-Python path whenever ``indent``
     is set.  This writer renders what the documents are made of (dicts with
     str keys, lists, str, int, bool and None) itself and hands any other
-    value to ``json.dumps``, re-indented to its depth.
+    value to ``json.dumps``, re-indented to its depth.  An ``MvPolynomial``
+    is written as its ``to_json()`` would be, straight from its terms.
     """
     out: list[str] = []
     _write_json(payload, "\n", out)
@@ -95,6 +97,8 @@ def _write_json(obj, newline: str, out: list[str]) -> None:
         out.append(int.__repr__(obj))
     elif obj is None or kind is bool:
         out.append("null" if obj is None else "true" if obj else "false")
+    elif kind is MvPolynomial:
+        _write_poly(obj, newline, out)
     elif kind is list:
         if not obj:
             out.append("[]")
@@ -121,10 +125,53 @@ def _write_json(obj, newline: str, out: list[str]) -> None:
         out.append(json.dumps(obj, indent=2).replace("\n", newline))
 
 
+class _PowerText(dict):
+    """``((family, index), exp) -> '"c1": exp'``, filled on first use."""
+
+    def __missing__(self, power):
+        var, exp = power
+        text = self[power] = _encode_str(var_name(var)) + ": " + int.__repr__(exp)
+        return text
+
+
+_POWER_TEXT = _PowerText()
+
+
+def _write_poly(p: MvPolynomial, newline: str, out: list[str]) -> None:
+    """``p.to_json()`` through ``_write_json``, without building it."""
+    i1 = newline + "  "
+    terms = p.sorted_terms()
+    if not terms:
+        out.append("{" + i1 + '"terms": []' + newline + "}")
+        return
+    i2 = i1 + "  "
+    i3 = i2 + "  "
+    i4 = i3 + "  "
+    exps_open = "{" + i3 + '"exps": {' + i4
+    exps_sep = "," + i4
+    exps_close = i3 + "}"
+    num = "," + i3 + '"num": "'
+    den = '",' + i3 + '"den": "'
+    close = '"' + i2 + "}"
+    power_text = _POWER_TEXT.__getitem__
+    out.append("{" + i1 + '"terms": [' + i2)
+    sep = ""
+    for m, q in terms:
+        if m:
+            exps = exps_open + exps_sep.join(map(power_text, m)) + exps_close
+        else:
+            exps = "{" + i3 + '"exps": {}'
+        out.append(sep + exps + num + str(q.numerator) + den
+                   + str(q.denominator) + close)
+        sep = "," + i2
+    out.append(i1 + "]" + newline + "}")
+
+
 def cmd_giambelli(args: argparse.Namespace) -> str:
     delta = giambelli(args.lam, args.r, args.n)
     if args.output == "json":
-        return _json_doc(delta.to_json())
+        return _json_doc({"partition": delta.partition.to_json(),
+                          "value": delta.value})
     return f"Delta_{args.lam} (r={args.r}, n={args.n}) = {delta.value}\n"
 
 
@@ -146,7 +193,7 @@ def cmd_act(args: argparse.Namespace) -> str:
         return _json_doc({"command": "act", "r": args.r, "n": args.n,
                           "lambda": args.lam.to_json(), "i": args.i, "j": args.j,
                           "dual": args.dual, "projected": quotient,
-                          "value": value.to_json(), "schur": schur})
+                          "value": value, "schur": schur})
     return f"{value}\n"
 
 
@@ -218,8 +265,7 @@ def cmd_factorize(args: argparse.Namespace) -> str:
     p, q, ok = universal_factorization(args.r, args.n)
     if args.output == "json":
         return _json_doc({"command": "factorize", "r": args.r, "n": args.n,
-                          "p": [co.to_json() for co in p],
-                          "q": [co.to_json() for co in q],
+                          "p": p, "q": q,
                           "verified": ok})
     return (f"p(X) = {_xpoly_text(p)}\n"
             f"q(X) = {_xpoly_text(q)}\n"

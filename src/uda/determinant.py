@@ -7,6 +7,11 @@ a truncated Laurent series with no stored coefficient is not the ring zero,
 and skipping it would drop the window its truncation imposes on the product.
 Fraction-free elimination is deliberately avoided: the matrices here are
 tiny and their entries live in rings that are not fields.
+
+Two callers remain: ``glaction.mixed_schur_det`` (truncated-Laurent entries)
+and ``exterior.residue_tuple`` (polynomial entries).  Schur determinants do
+not come here; ``symfunc._giambelli_cached`` expands them through its own
+cache.
 """
 
 from __future__ import annotations

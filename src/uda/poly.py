@@ -21,8 +21,10 @@ expose the same ``numerator``/``denominator`` interface and compare and hash
 consistently with ``Fraction``, while their arithmetic is an order of
 magnitude faster on the all-integer computations that dominate here).
 Polynomial equality is plain structural equality of the term dictionaries.
-Values are immutable after construction and every operation is a pure
-function, so polynomials can be shared freely across threads.
+Every operation is a pure function and returns a new polynomial, but
+``terms`` itself is a plain dict that the caller can change, and some caches
+hand out the polynomial they keep: do not mutate a polynomial you did not
+build.
 
 Canonical renderings (text and JSON) list terms in graded-lexicographic
 order: higher total degree first, ties broken by comparing exponents on the

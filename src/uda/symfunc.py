@@ -16,7 +16,9 @@ bound n makes c_j vanish for j > n; passing ``n=None`` keeps every c_j, and
 
 Schur determinants are r x r with entry h_{lam_j - j + k}(c) in row k and
 column j.  With lam empty this is the identity pattern, and a single-part
-partition (m) gives back h_m(c).
+partition (m) gives back h_m(c).  They are expanded along the first row, each
+minor being the Schur determinant of a smaller partition taken from the same
+cache (see ``_giambelli_cached``).
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .determinant import exact_det
 from .partitions import Partition
 from .poly import FAM_E, MvPolynomial, ONE, ZERO, c_, e_, h_, series_inverse
 
@@ -142,21 +143,39 @@ class SchurDelta:
     partition: Partition
     value: MvPolynomial
 
-    def to_json(self) -> dict:
-        return {"partition": self.partition.to_json(),
-                "value": self.value.to_json()}
-
 
 @lru_cache(maxsize=None)
 def _giambelli_cached(parts: tuple[int, ...], r: int, n: int | None) -> MvPolynomial:
-    lam = Partition(parts)
+    """det( h_{lam_j - j + k}(c) ) of size r x r, expanded through this cache.
+
+    Expanding along the first row gives
+
+      Delta_lam^(r) = sum_j (-1)^(j-1) h_{lam_j - j + 1}(c) * Delta_mu(j)^(r-1),
+      mu(j) = (lam_1 + 1, ..., lam_{j-1} + 1, lam_{j+1}, ..., lam_r),
+
+    because deleting row 1 and column j leaves the matrix of mu(j).  The
+    minors are themselves entries of this cache, shared across partitions
+    and calls.  For r > len(lam) the matrix is block lower triangular with
+    a unitriangular lower corner, so Delta_lam^(r) = Delta_lam^(len(lam)).
+    """
     if r == 0:
-        if len(lam) > 0:
+        if parts:
             raise ValueError("nonempty partition with r = 0")
         return ONE
-    rows = [[h_deformed(lam.part(j) - j + k, n) for j in range(1, r + 1)]
-            for k in range(1, r + 1)]
-    return exact_det(rows)
+    if r > len(parts):
+        return _giambelli_cached(parts, len(parts), n)
+    acc = None
+    for j in range(r):
+        entry = h_deformed(parts[j] - j, n)
+        if not entry:
+            continue
+        minor = _giambelli_cached(
+            tuple(p + 1 for p in parts[:j]) + parts[j + 1:r], r - 1, n)
+        term = entry * minor
+        if j & 1:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc
 
 
 def giambelli(lam: Partition, r: int, n: int | None) -> SchurDelta:

@@ -2,9 +2,10 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import uda.cli as cli
 import uda.verify
@@ -12,6 +13,7 @@ from uda.cli import main, parse_partition, UsageError
 from uda.glaction import (StarOperator, generating_action_finite,
                           star_oracle_coords)
 from uda.partitions import Partition
+from uda.poly import FAM_C, FAM_E, FAM_H, MvPolynomial, ONE, ZERO
 
 
 def run_cli(capsys, *args):
@@ -260,6 +262,37 @@ _json_payload = st.recursive(
 @given(_json_payload)
 def test_json_writer_matches_json_dumps(payload):
     assert cli._json_doc(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+_monomial = st.dictionaries(
+    st.tuples(st.sampled_from((FAM_C, FAM_E, FAM_H)), st.integers(1, 12)),
+    st.integers(1, 4), max_size=4).map(lambda exps: tuple(sorted(exps.items())))
+_coeff = st.integers(-10**30, 10**30) | st.fractions(max_denominator=12)
+_poly = st.dictionaries(_monomial, _coeff, max_size=6).map(MvPolynomial)
+_poly_payload = st.recursive(
+    _poly | _json_leaf,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_json_str, kids, max_size=4),
+    max_leaves=12)
+
+
+def _to_json_payload(obj):
+    if isinstance(obj, MvPolynomial):
+        return obj.to_json()
+    if isinstance(obj, list):
+        return [_to_json_payload(item) for item in obj]
+    if isinstance(obj, dict):
+        return {key: _to_json_payload(val) for key, val in obj.items()}
+    return obj
+
+
+@settings(max_examples=200, deadline=None)
+@given(_poly_payload)
+@example(ZERO)
+@example({"p": [ONE, ZERO, MvPolynomial.const(Fraction(-3, 7))], "verified": True})
+@example({"a": {"b": [{"c": MvPolynomial({(((FAM_E, 2), 3),): Fraction(-5, 2)})}]}})
+def test_json_writer_renders_polynomials_as_their_to_json(payload):
+    expected = json.dumps(_to_json_payload(payload), indent=2) + "\n"
+    assert cli._json_doc(payload) == expected
 
 
 def test_json_writer_hands_other_values_to_json_dumps():

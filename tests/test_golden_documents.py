@@ -21,7 +21,8 @@ def run_uda(*args):
 
 # golden file -> the command that renders it; the projected genfun and
 # act --dual s documents were recorded while the closed form and the oracle
-# still served them
+# still served them, and the polynomial documents (giambelli, act --dual
+# none, factorize) while they were still rendered from MvPolynomial.to_json
 DOCUMENTS = {
     "quotient_action_r2_n4_21.json": "genfun --r 2 --n 4 --lambda 2,1 --output json",
     "star_action_r2_21_32.txt": "act --r 2 --lambda 2,1 --i 3 --j 2 --dual none",
@@ -31,6 +32,10 @@ DOCUMENTS = {
         "act --r 3 --n 6 --lambda 2,1 --i 4 --j 1 --dual s --output json",
     "act_dual_s_r3_n6_21_14.json":
         "act --r 3 --n 6 --lambda 2,1 --i 1 --j 4 --dual s --output json",
+    "giambelli_r3_n6_21.json": "giambelli --r 3 --n 6 --lambda 2,1 --output json",
+    "act_dual_none_r2_n4_21_32.json":
+        "act --r 2 --n 4 --lambda 2,1 --i 3 --j 2 --dual none --output json",
+    "factorize_r2_n4.json": "factorize --r 2 --n 4 --output json",
 }
 
 

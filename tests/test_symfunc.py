@@ -1,10 +1,14 @@
 import random
 
-from uda.partitions import EMPTY, Partition
+import pytest
+
+from uda.determinant import exact_det
+from uda.partitions import EMPTY, Partition, partitions_in_rectangle
 from uda.poly import (FAM_C, MvPolynomial, ONE, ZERO, c_, e_, h_, series_mul)
 from uda.symfunc import (SeriesKind, build_series, e_to_h_rewrite,
                          generic_factor_poly, generic_monic_coeffs, giambelli,
                          h_deformed, s_coefficient)
+from uda.symfunc import _giambelli_cached
 
 
 def test_deformed_complete_functions_golden():
@@ -81,6 +85,35 @@ def test_giambelli_padding_invariance():
         lam = Partition((2, 1))
         padded = Partition(tuple(list(lam.parts) + [0] * (r - len(lam))))
         assert giambelli(lam, r, 4).value == giambelli(padded, r, 4).value
+
+
+def _jacobi_trudi_det(lam, r, n):
+    rows = [[h_deformed(lam.part(j) - j + k, n) for j in range(1, r + 1)]
+            for k in range(1, r + 1)]
+    return exact_det(rows)
+
+
+def test_giambelli_recursion_matches_jacobi_trudi_determinant():
+    # every lambda in the r x (n-r) rectangle up to (4,8), also asked for
+    # with r beyond its length, and the stable case n = None
+    cases = [(r, n, lam) for n in range(1, 9) for r in range(1, min(n, 4) + 1)
+             for lam in partitions_in_rectangle(r, n - r)]
+    cases += [(r, None, lam) for r in range(1, 5)
+              for lam in partitions_in_rectangle(r, 3)]
+    for r, n, lam in cases:
+        for size in (r, r + 1, r + 2):
+            assert _giambelli_cached(lam.parts, size, n) == \
+                _jacobi_trudi_det(lam, size, n), (lam, size, n)
+
+
+def test_giambelli_with_r_zero():
+    for n in (None, 0, 4):
+        assert _giambelli_cached((), 0, n) == ONE
+        assert giambelli(EMPTY, 0, n).value == ONE
+        with pytest.raises(ValueError):
+            _giambelli_cached((1,), 0, n)
+        with pytest.raises(ValueError):
+            giambelli(Partition((1,)), 0, n)
 
 
 def test_e_to_h_rewrite_golden():
