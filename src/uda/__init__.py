@@ -18,10 +18,9 @@ from .errors import (AlgebraError, DegreeZeroError, EmptyWindow,
                      WindowViolation)
 from .exterior import (BasisTag, DeltaForm, DualDeltaForm, ExtElement,
                        LinearForm, contract, convert_basis,
-                       expand_over_factor, generating_contraction,
-                       merge_indices, reduce_mod_n, residue, residue_tuple,
-                       sort_indices, unit_wedge, w_value, wedge,
-                       wedge_coords, x_in_xc, xc_expand)
+                       expand_over_factor, merge_indices, reduce_mod_n,
+                       residue, residue_tuple, sort_indices, unit_wedge,
+                       w_value, wedge, wedge_coords, x_in_xc, xc_expand)
 from .glaction import (ActionResult, RepMatrix, StarOperator, bracket_check,
                        generating_action, generating_action_adapted,
                        generating_action_finite, mixed_schur_det,
@@ -34,10 +33,9 @@ from .partitions import (Partition, partition_of_indices,
                          partitions_in_rectangle, wedge_indices)
 from .poly import (MvPolynomial, ONE, ZERO, c_, e_, h_, series_inverse,
                    series_mul)
-from .schubert import (sigma_bar_minus_h, sigma_bar_minus_vector,
-                       sigma_bar_plus, sigma_coefficient, sigma_plus)
-from .symfunc import (SchurDelta, SeriesKind, StructSeries, build_series,
-                      e_to_h_rewrite, generic_factor_poly,
+from .schubert import (sigma_bar_minus_h, sigma_bar_plus, sigma_coefficient,
+                       sigma_plus)
+from .symfunc import (SchurDelta, e_to_h_rewrite, generic_factor_poly,
                       generic_monic_coeffs, giambelli, h_deformed,
                       h_symbol_series, s_coefficient)
 

@@ -254,10 +254,6 @@ class BiLaurent:
     def __hash__(self):
         raise TypeError("BiLaurent is not hashable")
 
-    def same_coeffs(self, other: "BiLaurent") -> bool:
-        """Equality of stored coefficients, ignoring window metadata."""
-        return self.coeffs == other.coeffs
-
     def __repr__(self) -> str:
         parts = []
         for (z, w) in sorted(self.coeffs):

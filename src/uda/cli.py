@@ -202,7 +202,7 @@ def _action_text(res) -> str:
     for (z, w) in sorted(res.schur_form, key=lambda k: (-k[1], k[0])):
         poly = schur_map_to_poly(res.schur_form[(z, w)], res.r, res.n)
         lines.append(f"z^{z} w^{w}: {poly}")
-    if res.has_positive_w_terms():
+    if res.positive_w:
         lines.append(f"# {len(res.positive_w)} nonzero coefficients at positive "
                      "powers of w (no operator of the family); excluded above")
     return "\n".join(lines) + "\n"

@@ -15,8 +15,10 @@ once an element is expressed in the deformed basis.
 
 Contraction of a linear form against a wedge expands as the alternating sum
 over slots, slot i carrying sign (-1)^(i-1); the slot removed contributes
-the form's value on that factor.  The generating contraction collects the
-values of all coordinate forms at once into a Laurent polynomial in w.
+the form's value on that factor.  ``w_value`` collects the values of all
+coordinate forms on one deformed basis vector into a Laurent polynomial in
+w; those Laurent polynomials make up the first row of the closed-form
+determinant (``glaction.mixed_schur_det``).
 
 The residue calculus expands a fraction f(X)/p_r(X) as a Laurent series in
 1/X (the denominator contributes X^-r times the complete-function series)
@@ -188,18 +190,6 @@ class ExtElement:
             mono = "^".join(f"X{k}" for k in idx) or "1"
             bits.append(f"({self.terms[idx]})*{mono}")
         return f"ExtElement<{self.tag.value}>(" + " + ".join(bits) + ")"
-
-    def to_json(self) -> dict:
-        terms = [{"indices": list(idx), "coeff": self.terms[idx].to_json()}
-                 for idx in sorted(self.terms, reverse=True)]
-        return {"r": self.r, "tag": self.tag.value, "terms": terms}
-
-    @staticmethod
-    def from_json(doc: dict) -> "ExtElement":
-        tag = BasisTag(doc["tag"])
-        terms = {tuple(t["indices"]): MvPolynomial.from_json(t["coeff"])
-                 for t in doc["terms"]}
-        return ExtElement(doc["r"], tag, terms)
 
 
 def wedge(u: ExtElement, v: ExtElement) -> ExtElement:
@@ -390,67 +380,14 @@ def contract(form: LinearForm, u: ExtElement, n: int | None = None) -> ExtElemen
 
 
 def w_value(j: int, n: int | None) -> BiLaurent:
-    """The generating contraction's value on X^j(c): X^j(c) at X = 1/w.
+    """All coordinate forms on X^j(c) at once: X^j(c) at X = 1/w.
 
-    A Laurent polynomial w^-j - c1 w^(1-j) + ... with exponents in [-j, 0].
+    A Laurent polynomial w^-j - c1 w^(1-j) + ... with exponents in [-j, 0];
+    its coefficient at w^-m is the value of ``DeltaForm(m)`` on X^j(c).
     """
     vec = xc_expand(j, n)
     return BiLaurent({(0, -m): p for m, p in enumerate(vec) if p},
                      (0, 0, -j, 0))
-
-
-def generating_contraction(u: ExtElement, n: int | None,
-                           adapted: bool = False,
-                           w_order: int = 0) -> dict[int, ExtElement]:
-    """Contract against all coordinate forms at once, graded by w-exponent.
-
-    Returns a map w-exponent -> exterior element of degree r-1.  For a plain
-    basis element X^i the plain generating form contributes w^-i; on the
-    deformed basis it contributes the Laurent polynomial of :func:`w_value`.
-    With ``adapted`` the whole answer is multiplied by s(w) = 1/c(w),
-    expanded through w^``w_order``.
-    """
-    if u.r < 1:
-        raise DegreeZeroError("cannot contract a degree-zero element")
-    out: dict[int, dict[Indices, MvPolynomial]] = {}
-
-    def put(wexp: int, idx: Indices, coeff: MvPolynomial):
-        bucket = out.setdefault(wexp, {})
-        s = bucket.get(idx)
-        bucket[idx] = coeff if s is None else s + coeff
-
-    for idx, coeff in u.terms.items():
-        for slot in range(u.r):
-            rest = idx[:slot] + idx[slot + 1:]
-            sign = -1 if slot % 2 else 1
-            i = idx[slot]
-            if u.tag is BasisTag.PLAIN_X:
-                put(-i, rest, coeff if sign > 0 else -coeff)
-            else:
-                for (_, wexp), val in w_value(i, n).coeffs.items():
-                    term = coeff * val
-                    put(wexp, rest, term if sign > 0 else -term)
-
-    graded = {w: ExtElement(u.r - 1, u.tag, terms) for w, terms in out.items()}
-    graded = {w: e for w, e in graded.items() if e}
-    if not adapted:
-        return graded
-    scaled: dict[int, dict[Indices, MvPolynomial]] = {}
-    lowest = min(graded, default=0)
-    for k in range(0, w_order - lowest + 1):
-        sk = s_coefficient(k, n)
-        if not sk:
-            continue
-        for wexp, elem in graded.items():
-            if wexp + k > w_order:
-                continue
-            bucket = scaled.setdefault(wexp + k, {})
-            for idx, coeff in elem.terms.items():
-                term = coeff * sk
-                s = bucket.get(idx)
-                bucket[idx] = term if s is None else s + term
-    result = {w: ExtElement(u.r - 1, u.tag, terms) for w, terms in scaled.items()}
-    return {w: e for w, e in result.items() if e}
 
 
 # -- residues -----------------------------------------------------------------

@@ -152,7 +152,9 @@ class ActionResult:
     coefficient.  For the adapted form read with wmax > 0, nonzero
     coefficients at positive powers of w (which correspond to no operator of
     the family) are collected in ``positive_w`` instead of ``schur_form``;
-    the finite form has none.  The fields cannot be reassigned; the maps in
+    the finite form has none.  The Schur coordinates are polynomials in the
+    closed forms and the ints 1 and -1 in the finite form, which is read off
+    by ``quotient_action``.  The fields cannot be reassigned; the maps in
     them are built per call and belong to the caller.
     """
     lam: Partition
@@ -160,19 +162,22 @@ class ActionResult:
     n: int | None
     dual: str                       # "plain" or "adapted"
     series: BiLaurent
-    schur_form: Mapping[tuple[int, int], Mapping[Partition, MvPolynomial]]
+    schur_form: Mapping[tuple[int, int], Mapping[Partition, int | MvPolynomial]]
     positive_w: Mapping[tuple[int, int], Mapping[Partition, MvPolynomial]] = field(
         default_factory=dict)
 
-    def coords_at(self, i: int, j: int) -> Mapping[Partition, MvPolynomial]:
-        """Schur coordinates of the image under the (z^i, w^-j) operator."""
+    def coords_at(self, i: int, j: int) -> Mapping[Partition, int | MvPolynomial]:
+        """Schur coordinates of the image under the (z^i, w^-j) operator.
+
+        Operators are indexed by i, j >= 0; a negative index names none of
+        them and raises ``ValueError``.
+        """
+        if i < 0 or j < 0:
+            raise ValueError(f"operator indices must be nonnegative, got ({i}, {j})")
         if not self.series.valid_at(i, -j):
             raise WindowViolation(
                 f"(z^{i}, w^-{j}) outside computed window {self.series.window}")
         return self.schur_form.get((i, -j), {})
-
-    def has_positive_w_terms(self) -> bool:
-        return bool(self.positive_w)
 
     def to_json(self) -> dict:
         terms = []
@@ -320,21 +325,21 @@ def generating_action_finite(lam: Partition, r: int, n: int) -> ActionResult:
 # -- representation matrices -------------------------------------------------------
 
 
-_MINUS_ONE = MvPolynomial.const(-1)
-
-
 @dataclass(frozen=True)
 class RepMatrix:
-    """The matrix of one adapted basis operator on the rectangle Schur basis."""
+    """The matrix of one adapted basis operator on the rectangle Schur basis.
+
+    Every entry is the int 1 or -1; missing entries are zero.
+    """
     i: int
     j: int
     r: int
     n: int
     basis: tuple[Partition, ...]
-    entries: Mapping[tuple[Partition, Partition], MvPolynomial]
+    entries: Mapping[tuple[Partition, Partition], int]
 
-    def entry(self, mu: Partition, lam: Partition) -> MvPolynomial:
-        return self.entries.get((mu, lam), ZERO)
+    def entry(self, mu: Partition, lam: Partition) -> int:
+        return self.entries.get((mu, lam), 0)
 
     @property
     def dimension(self) -> int:
@@ -352,7 +357,7 @@ class RepMatrix:
 
 
 def quotient_action(i: int, j: int, lam: Partition, r: int, n: int
-                    ) -> tuple[Partition, MvPolynomial] | None:
+                    ) -> tuple[Partition, int] | None:
     """The image of X^i(c) (x) del^j(s) on the quotient basis element of lam.
 
     On the rank-n quotient the adapted operator is the matrix unit E_ij on
@@ -360,7 +365,7 @@ def quotient_action(i: int, j: int, lam: Partition, r: int, n: int
     basis element or zero: del^j(s) removes the index j from its slot s
     (sign (-1)^s), X^i(c) is wedged in front, and sorting it into place
     flips the sign once per remaining index above i.  Only integers and
-    tuples are involved; the answer is (mu, ONE), (mu, -ONE) or None.
+    tuples are involved; the answer is (mu, 1), (mu, -1) or None.
     """
     if not (0 <= i <= n - 1 and 0 <= j <= n - 1):
         raise ValueError(f"operator indices must lie in [0, {n - 1}]")
@@ -375,7 +380,7 @@ def quotient_action(i: int, j: int, lam: Partition, r: int, n: int
     rest = idx[:slot] + idx[slot + 1:]
     flips = slot + sum(1 for k in rest if k > i)
     mu = partition_of_indices(tuple(sorted(rest + (i,), reverse=True)))
-    return mu, _MINUS_ONE if flips % 2 else ONE
+    return mu, -1 if flips % 2 else 1
 
 
 def rep_matrix(i: int, j: int, r: int, n: int) -> RepMatrix:
@@ -386,7 +391,7 @@ def rep_matrix(i: int, j: int, r: int, n: int) -> RepMatrix:
     form and the oracle remain as cross-checks in the tests and suites.
     """
     basis = tuple(partitions_in_rectangle(r, n - r))
-    entries: dict[tuple[Partition, Partition], MvPolynomial] = {}
+    entries: dict[tuple[Partition, Partition], int] = {}
     for lam in basis:
         image = quotient_action(i, j, lam, r, n)
         if image is not None:
@@ -398,9 +403,8 @@ def rep_matrix(i: int, j: int, r: int, n: int) -> RepMatrix:
 @lru_cache(maxsize=None)
 def _signs(i: int, j: int, r: int, n: int
            ) -> Mapping[tuple[Partition, Partition], int]:
-    """The +-1 entries of ``rep_matrix(i, j, r, n)`` as plain ints, read-only."""
-    return MappingProxyType({key: coeff.constant_term() for key, coeff
-                             in rep_matrix(i, j, r, n).entries.items()})
+    """The +-1 entries of ``rep_matrix(i, j, r, n)``, read-only."""
+    return MappingProxyType(rep_matrix(i, j, r, n).entries)
 
 
 def _mat_mul(a: dict, b: dict) -> dict:

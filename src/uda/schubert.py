@@ -100,21 +100,6 @@ def sigma_bar_plus(u: ExtElement) -> list[ExtElement]:
     return [ExtElement(u.r, u.tag, terms) for terms in out]
 
 
-def sigma_bar_minus_vector(m: int) -> list[tuple[int, int, int]]:
-    """The two-term shift on a basis vector X^m(c) - X^{m-1}(c) z^{-1}.
-
-    Returns (z-exponent, vector index, sign) triples; the shifted term is
-    omitted for m = 0 where it dies.  The rule is the same in the plain and
-    the deformed basis.
-    """
-    if m < 0:
-        raise ValueError("vector index must be nonnegative")
-    out = [(0, m, 1)]
-    if m >= 1:
-        out.append((-1, m - 1, -1))
-    return out
-
-
 def sigma_bar_minus_h(j: int, n: int | None) -> BiLaurent:
     """h_j(c) - h_{j-1}(c) z^{-1}, an exact two-term Laurent polynomial."""
     terms = {}

@@ -23,7 +23,6 @@ cache (see ``_giambelli_cached``).
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -83,59 +82,6 @@ def s_coefficient(k: int, n: int | None) -> MvPolynomial:
     if k < 0:
         return ZERO
     return _s_coeffs_cached(max(k, 8), n)[k]
-
-
-class SeriesKind(enum.Enum):
-    C_OF_Z = "c_of_z"
-    E_R = "E_r"
-    H_R = "H_r"
-    HC = "HC"
-    S = "S"
-
-
-@dataclass(frozen=True)
-class StructSeries:
-    kind: SeriesKind
-    r: int | None
-    n: int | None
-    order: int
-    coeffs: tuple[MvPolynomial, ...]
-
-    def coeff(self, j: int) -> MvPolynomial:
-        if j < 0:
-            return ZERO
-        if j > self.order:
-            raise IndexError(f"series only computed through order {self.order}")
-        return self.coeffs[j]
-
-
-def build_series(kind: SeriesKind, r: int | None, n: int | None,
-                 order: int) -> StructSeries:
-    """Build one of the structural series to the requested order.
-
-    H_r is the genuine inverse of E_r, so its coefficients are polynomials in
-    e1..er and the defining identity E_r * H_r = 1 holds degreewise.  The HC
-    and S kinds need the ambient n (the number of c variables).
-    """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    if kind is SeriesKind.C_OF_Z:
-        coeffs = c_series_coeffs(order, n)
-    elif kind is SeriesKind.E_R:
-        if r is None:
-            raise ValueError("E_r needs r")
-        coeffs = e_series_coeffs(r, order)
-    elif kind is SeriesKind.H_R:
-        if r is None:
-            raise ValueError("H_r needs r")
-        coeffs = series_inverse(e_series_coeffs(r, order), order)
-    elif kind is SeriesKind.HC:
-        coeffs = [h_deformed(j, n) for j in range(order + 1)]
-    elif kind is SeriesKind.S:
-        coeffs = list(_s_coeffs_cached(order, n)[:order + 1])
-    else:
-        raise ValueError(f"unknown series kind {kind}")
-    return StructSeries(kind, r, n, order, tuple(coeffs))
 
 
 @dataclass(frozen=True)

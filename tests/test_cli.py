@@ -1,8 +1,10 @@
 import json
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -311,13 +313,17 @@ def test_parser_is_reused_across_calls(capsys, monkeypatch):
         ("act", "--r", "2", "--lambda", "2,1", "--i", "3", "--j", "2"),  # --dual none
         ("verify", "--suite", "duality", "--r", "2", "--n", "4"),
     ]
+    # the child imports uda from this checkout, installed or not
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     codes, parsers = [], set()
     for args in calls:
         got = run_cli(capsys, *args)
         codes.append(got[0])
         parsers.add(id(cli._PARSER))
         fresh = subprocess.run([sys.executable, "-m", "uda.cli", *args],
-                               capture_output=True, text=True)
+                               capture_output=True, text=True,
+                               env={**os.environ, "PYTHONPATH": path})
         assert got == (fresh.returncode, fresh.stdout, fresh.stderr), args
     assert codes == [0, 1, 0, 0]
     assert len(parsers) == 1

@@ -7,9 +7,9 @@ from uda.bilaurent import BiLaurent
 from uda.errors import (DegreeZeroError, TagMismatch, WindowExcludesMinusOne)
 from uda.exterior import (BasisTag, DeltaForm, DualDeltaForm, ExtElement,
                           contract, convert_basis, expand_over_factor,
-                          generating_contraction, merge_indices, reduce_mod_n,
-                          residue, residue_tuple, sort_indices, unit_wedge,
-                          w_value, wedge, wedge_coords, x_in_xc, xc_expand)
+                          merge_indices, reduce_mod_n, residue, residue_tuple,
+                          sort_indices, unit_wedge, w_value, wedge,
+                          wedge_coords, x_in_xc, xc_expand)
 from uda.partitions import Partition
 from uda.poly import MvPolynomial, ONE, ZERO, c_, h_
 from uda.symfunc import giambelli
@@ -153,7 +153,7 @@ def test_duality_of_adapted_forms():
             assert val == (ONE if i == j else ZERO)
 
 
-# -- the generating contraction ---------------------------------------------------
+# -- the generating form -----------------------------------------------------------
 
 
 def test_w_value_golden():
@@ -162,33 +162,14 @@ def test_w_value_golden():
     assert w_value(3, 0).coeffs == {(0, -3): ONE}
 
 
-def test_generating_contraction_evaluates_polynomials():
-    # on a single vector f(X), the graded values are the coefficients of f(1/w)
-    f = ExtElement(1, X, {(0,): c_(1), (2,): ONE, (3,): -c_(2)})
-    graded = generating_contraction(f, None)
-    got = {w: e.terms[()] for w, e in graded.items()}
-    assert got == {0: c_(1), -2: ONE, -3: -c_(2)}
-
-
-def test_generating_contraction_deformed_uses_w_value():
-    graded = generating_contraction(ExtElement.vector(2, XC), 4)
-    got = {w: e.terms[()] for w, e in graded.items()}
-    assert got == {-2: ONE, -1: -c_(1), 0: c_(2)}
-
-
-def test_generating_contraction_matches_slotwise_forms():
-    rng = random.Random(31)
-    for _ in range(6):
-        r = rng.choice([2, 3])
-        idx = sort_indices(rng.sample(range(7), r))[0]
-        u = mono(idx, XC, c_(1) + rng.randrange(3))
-        graded = generating_contraction(u, 4)
-        for j in range(8):
-            direct = contract(DeltaForm(j), convert_basis(u, X, 4), 4)
-            collected = ExtElement.zero(r - 1, X)
-            if -j in graded:
-                collected = convert_basis(graded[-j], X, 4)
-            assert collected == direct
+def test_w_value_collects_the_coordinate_forms():
+    # the coefficient of w^-m is DeltaForm(m) evaluated on X^j(c)
+    for n in (None, 0, 2, 4):
+        for j in range(6):
+            got = w_value(j, n)
+            for m in range(8):
+                want = DeltaForm(m).value(j, XC, n)
+                assert got.coeff(0, -m) == want, (n, j, m)
 
 
 def formal_contraction(values, vectors):
@@ -286,24 +267,3 @@ def test_wedge_coords_golden():
     coords = wedge_coords(mono((3, 1), X), 4)
     assert coords[Partition((2, 1))] == ONE
     assert all(lam.size() < 3 for lam in coords if lam != Partition((2, 1)))
-
-
-def test_adapted_generating_contraction_grades_dual_forms():
-    # the scaled generating contraction collects the dual coordinate forms:
-    # its w^-j piece is del^j(s) contracted against u, for every j >= 0
-    rng = random.Random(47)
-    for _ in range(5):
-        r = rng.choice([2, 3])
-        idx = sort_indices(rng.sample(range(7), r))[0]
-        u = mono(idx, X, ONE + c_(2) * rng.randrange(2))
-        graded = generating_contraction(u, 4, adapted=True, w_order=0)
-        for j in range(8):
-            want = contract(DualDeltaForm(j), u, 4)
-            assert graded.get(-j, ExtElement.zero(r - 1, X)) == want
-
-
-def test_ext_element_json_round_trip():
-    u = ExtElement(2, XC, {(3, 1): c_(1) + 1, (2, 0): -c_(2)})
-    doc = u.to_json()
-    assert doc["tag"] == "Xc" and doc["r"] == 2
-    assert ExtElement.from_json(doc) == u

@@ -90,7 +90,7 @@ def test_mixed_det_rank_two_quotient_case():
     wm1 = BiLaurent({(0, -1): ONE, (0, 0): -c_(1)})
     expected = wm3 * (BiLaurent.scalar(h1c) - BiLaurent.monomial(-1, 0)) - \
         wm1 * (BiLaurent.scalar(h3c) - BiLaurent.monomial(-1, 0) * h2c)
-    assert det.same_coeffs(expected)
+    assert det.coeffs == expected.coeffs
 
 
 def test_mixed_det_rank_three_matches_worked_matrix():
@@ -103,7 +103,7 @@ def test_mixed_det_rank_three_matches_worked_matrix():
     wm1 = BiLaurent({(0, -1): ONE, (0, 0): -c_(1)})
     expected = wm2 - wm1 * shift1 + shift1 * shift1 - \
         (BiLaurent.scalar(h2c) - BiLaurent.monomial(-1, 0) * h1c)
-    assert det.same_coeffs(expected)
+    assert det.coeffs == expected.coeffs
 
 
 # -- generating functions ---------------------------------------------------------------
@@ -186,9 +186,21 @@ def test_generating_action_adapted_specialises_to_plain():
 
 def test_adapted_positive_w_terms_are_flagged_not_dropped():
     res = generating_action_adapted(Partition((2, 1)), 2, 4, zmax=2, wmax=2)
-    assert res.has_positive_w_terms()
+    assert res.positive_w
     assert all(w <= 0 for (_, w) in res.schur_form)
     assert all(w > 0 for (_, w) in res.positive_w)
+
+
+def test_coords_at_rejects_negative_indices():
+    # (0, -1) is inside the window, at w^1, where no operator of the family
+    # lives; the coefficient there is nonzero, so {} would be a false zero
+    res = generating_action_adapted(Partition((2, 1)), 2, 4, zmax=2, wmax=2)
+    assert res.series.coeff(0, 1) and (0, 1) in res.positive_w
+    fin = generating_action_finite(Partition((2, 1)), 2, 4)
+    for result in (res, fin):
+        for i, j in ((0, -1), (-1, 0), (-2, -3)):
+            with pytest.raises(ValueError):
+                result.coords_at(i, j)
 
 
 def test_finite_action_golden_schur_form():
@@ -393,6 +405,27 @@ def test_quotient_action_rejects_bad_input():
             quotient_action(*args)
 
 
+def test_quotient_signs_are_plain_ints():
+    # the substitution, the matrices and the finite Schur form carry the
+    # signs as the ints 1 and -1, and the sign tables are the matrices' own
+    import uda.glaction as gl
+    for r, n in ((2, 4), (3, 5)):
+        basis = partitions_in_rectangle(r, n - r)
+        for lam in basis:
+            for i in range(n):
+                for j in range(n):
+                    image = quotient_action(i, j, lam, r, n)
+                    if image is not None:
+                        assert type(image[1]) is int and image[1] in (1, -1)
+            for coords in generating_action_finite(lam, r, n).schur_form.values():
+                assert all(type(v) is int for v in coords.values())
+        for i in range(n):
+            for j in range(n):
+                entries = rep_matrix(i, j, r, n).entries
+                assert all(type(v) is int for v in entries.values())
+                assert gl._signs(i, j, r, n) == entries
+
+
 def test_cached_results_are_read_only():
     # the finite result is built fresh on every call, so clearing its maps
     # cannot reach a later call; its fields cannot be reassigned
@@ -417,9 +450,7 @@ def test_cached_results_are_read_only():
                     lambda: signs.__setitem__((EMPTY, EMPTY), 1)):
         with pytest.raises((TypeError, AttributeError)):
             clobber()
-    assert gl._signs(1, 0, 2, 4) == {
-        key: coeff.constant_term()
-        for key, coeff in rep_matrix(1, 0, 2, 4).entries.items()}
+    assert gl._signs(1, 0, 2, 4) == rep_matrix(1, 0, 2, 4).entries
 
 
 def test_cached_finite_series_is_read_only():

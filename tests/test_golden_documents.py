@@ -5,6 +5,7 @@ over unsorted sets or hash-ordered dicts reaches any document), so frozen
 files must match byte for byte.
 """
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,11 +13,15 @@ from pathlib import Path
 import pytest
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_uda(*args):
+    # the child imports uda from this checkout, installed or not
+    path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
     return subprocess.run([sys.executable, "-m", "uda.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
 
 
 # golden file -> the command that renders it; the projected genfun and

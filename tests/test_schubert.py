@@ -3,8 +3,8 @@ import random
 from uda.exterior import BasisTag, ExtElement, sort_indices, wedge
 from uda.module_iso import poly_to_wedge, schur_map_of_poly, wedge_to_poly
 from uda.poly import ONE, c_, h_
-from uda.schubert import (sigma_bar_minus_h, sigma_bar_minus_vector,
-                          sigma_bar_plus, sigma_coefficient, sigma_plus)
+from uda.schubert import (sigma_bar_minus_h, sigma_bar_plus, sigma_coefficient,
+                          sigma_plus)
 from uda.symfunc import h_deformed
 
 X = BasisTag.PLAIN_X
@@ -75,11 +75,6 @@ def test_sigma_bar_plus_inverts_sigma_plus():
             for k in range(min(m, u.r) + 1):
                 acc = acc + sigma_coefficient(m - k, bar[k])
             assert acc == (u if m == 0 else ExtElement.zero(u.r, X))
-
-
-def test_sigma_bar_minus_vector_rule():
-    assert sigma_bar_minus_vector(0) == [(0, 0, 1)]
-    assert sigma_bar_minus_vector(3) == [(0, 3, 1), (-1, 2, -1)]
 
 
 def test_sigma_bar_minus_h_golden():

@@ -4,8 +4,9 @@ import pytest
 
 from uda.determinant import exact_det
 from uda.partitions import EMPTY, Partition, partitions_in_rectangle
-from uda.poly import (FAM_C, MvPolynomial, ONE, ZERO, c_, e_, h_, series_mul)
-from uda.symfunc import (SeriesKind, build_series, e_to_h_rewrite,
+from uda.poly import (FAM_C, MvPolynomial, ONE, ZERO, c_, e_, h_, series_inverse,
+                      series_mul)
+from uda.symfunc import (c_series_coeffs, e_series_coeffs, e_to_h_rewrite,
                          generic_factor_poly, generic_monic_coeffs, giambelli,
                          h_deformed, s_coefficient)
 from uda.symfunc import _giambelli_cached
@@ -26,30 +27,31 @@ def test_deformed_complete_respects_ambient_bound():
 
 
 def test_series_defining_identities():
+    # E_r(z) * H_r(z) = 1 and c(z) * s(z) = 1, degreewise
     for r in (1, 2, 3):
         for order in (3, 5):
-            E = build_series(SeriesKind.E_R, r, None, order)
-            H = build_series(SeriesKind.H_R, r, None, order)
-            prod = series_mul(E.coeffs, H.coeffs, order)
+            E = e_series_coeffs(r, order)
+            H = series_inverse(E, order)
+            prod = series_mul(E, H, order)
             assert prod[0] == ONE and all(p.is_zero() for p in prod[1:])
     for n in (2, 4):
         order = 6
-        C = build_series(SeriesKind.C_OF_Z, None, n, order)
-        S = build_series(SeriesKind.S, None, n, order)
-        prod = series_mul(C.coeffs, S.coeffs, order)
+        C = c_series_coeffs(order, n)
+        S = [s_coefficient(k, n) for k in range(order + 1)]
+        prod = series_mul(C, S, order)
         assert prod[0] == ONE and all(p.is_zero() for p in prod[1:])
 
 
 def test_hc_series_matches_product_identity():
     # sum h_j(c) z^j = c(z) * (free-symbol h series)
     n, order = 4, 6
-    HC = build_series(SeriesKind.HC, None, n, order)
-    C = build_series(SeriesKind.C_OF_Z, None, n, order)
+    HC = [h_deformed(j, n) for j in range(order + 1)]
+    C = c_series_coeffs(order, n)
     hfree = [ONE] + [h_(j) for j in range(1, order + 1)]
-    prod = series_mul(C.coeffs, hfree, order)
-    assert list(HC.coeffs) == prod
-    assert HC.coeff(0) == ONE
-    assert HC.coeff(-1) == ZERO
+    prod = series_mul(C, hfree, order)
+    assert HC == prod
+    assert HC[0] == ONE
+    assert h_deformed(-1, n) == ZERO
 
 
 def test_specialising_c_to_zero():
@@ -140,8 +142,7 @@ def test_e_to_h_consistent_with_series_inverse():
     # rewriting the coefficients of E_r must invert the free h series
     for r in (1, 2, 3):
         order = 5
-        E = build_series(SeriesKind.E_R, r, None, order)
-        rewritten = [e_to_h_rewrite(p) for p in E.coeffs]
+        rewritten = [e_to_h_rewrite(p) for p in e_series_coeffs(r, order)]
         hfree = [ONE] + [h_(j) for j in range(1, order + 1)]
         prod = series_mul(rewritten, hfree, r)
         assert prod[0] == ONE and all(p.is_zero() for p in prod[1:r + 1])
