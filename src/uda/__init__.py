@@ -35,7 +35,7 @@ from .poly import (MvPolynomial, ONE, ZERO, c_, e_, h_, series_inverse,
                    series_mul)
 from .schubert import (sigma_bar_minus_h, sigma_bar_plus, sigma_coefficient,
                        sigma_plus)
-from .symfunc import (SchurDelta, e_to_h_rewrite, generic_factor_poly,
+from .symfunc import (e_to_h_rewrite, generic_factor_poly,
                       generic_monic_coeffs, giambelli, h_deformed,
                       h_symbol_series, s_coefficient)
 

@@ -170,9 +170,8 @@ def _write_poly(p: MvPolynomial, newline: str, out: list[str]) -> None:
 def cmd_giambelli(args: argparse.Namespace) -> str:
     delta = giambelli(args.lam, args.r, args.n)
     if args.output == "json":
-        return _json_doc({"partition": delta.partition.to_json(),
-                          "value": delta.value})
-    return f"Delta_{args.lam} (r={args.r}, n={args.n}) = {delta.value}\n"
+        return _json_doc({"partition": args.lam.to_json(), "value": delta})
+    return f"Delta_{args.lam} (r={args.r}, n={args.n}) = {delta}\n"
 
 
 def cmd_act(args: argparse.Namespace) -> str:
@@ -308,7 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", dest="out_path", default=None,
                        help="write the document to this path instead of stdout")
 
-    common(sub.add_parser("giambelli", help="Schur determinant of a partition"))
+    p_gia = sub.add_parser("giambelli", help="Schur determinant of a partition")
+    common(p_gia)
+    p_gia.set_defaults(project=False)  # no quotient element: any lambda fits
 
     p_act = sub.add_parser("act", help="one star-action image")
     common(p_act)

@@ -27,8 +27,9 @@ route suggests: X^i(c) (x) del^j(s) is the matrix unit E_ij acting on the
 r-th exterior power of the deformed basis, so every image is a signed basis
 element or zero.  ``quotient_action`` computes it by signed index
 substitution on the wedge indices of lam, with integers and tuples only;
-``generating_action_finite``, ``rep_matrix`` and ``bracket_check`` are
-served from it, and the oracle and the closed form check it.
+``generating_action_finite`` (a table of signed basis elements with no
+polynomial series), ``rep_matrix`` and ``bracket_check`` are served from it,
+and the oracle and the closed form check it.
 
 Positive powers of w in the scaled forms do not correspond to any operator
 of the family (the dual forms are indexed by j >= 0) and they do not vanish
@@ -87,24 +88,23 @@ def _vector_element(op: StarOperator, ambient: int | None) -> ExtElement:
 
 
 def star_oracle_coords(op: StarOperator, lam: Partition, r: int,
-                       n: int | None = None, *, quotient: bool = True,
-                       zero_c: bool = False) -> dict[Partition, MvPolynomial]:
+                       n: int | None = None, *, quotient: bool = True
+                       ) -> dict[Partition, MvPolynomial]:
     """Schur coordinates of (f (x) g) acting on the basis element of lam.
 
     With ``n`` set and ``quotient`` true, the computation happens in the rank
     n quotient module: wedge factors with exponent >= n are dropped and the
     answer lives on rectangle partitions.  With ``quotient`` false, n only
-    bounds the c-variables.  ``zero_c`` specialises every c to zero.
+    bounds the c-variables.
     """
     if len(lam) > r:
         raise ValueError(f"partition {lam} longer than r={r}")
-    ambient: int | None = 0 if zero_c else n
     u = ExtElement.basis_monomial(wedge_indices(lam, r), BasisTag.DEFORMED_XC)
-    v = contract(op.form, u, ambient)
-    w = wedge(_vector_element(op, ambient), v)
+    v = contract(op.form, u, n)
+    w = wedge(_vector_element(op, n), v)
     if n is not None and quotient:
         w = reduce_mod_n(w, n)
-    coords = wedge_coords(w, ambient)
+    coords = wedge_coords(w, n)
     if n is not None and quotient:
         for mu in coords:
             if mu.part(1) > n - r:
@@ -114,12 +114,10 @@ def star_oracle_coords(op: StarOperator, lam: Partition, r: int,
 
 
 def star_oracle(op: StarOperator, lam: Partition, r: int,
-                n: int | None = None, *, quotient: bool = True,
-                zero_c: bool = False) -> MvPolynomial:
+                n: int | None = None, *, quotient: bool = True) -> MvPolynomial:
     """The brute-force star action, returned in Schur normal form."""
-    ambient: int | None = 0 if zero_c else n
-    coords = star_oracle_coords(op, lam, r, n, quotient=quotient, zero_c=zero_c)
-    return schur_map_to_poly(coords, r, ambient)
+    coords = star_oracle_coords(op, lam, r, n, quotient=quotient)
+    return schur_map_to_poly(coords, r, n)
 
 
 # -- the closed forms ------------------------------------------------------------
@@ -147,21 +145,21 @@ def mixed_schur_det(lam: Partition, r: int, n: int | None) -> BiLaurent:
 class ActionResult:
     """A generating function of star-action images on one basis element.
 
-    ``series`` holds the normal-form coefficients on the declared window;
     ``schur_form`` maps (z-exp, w-exp) to the Schur coordinates of that
-    coefficient.  For the adapted form read with wmax > 0, nonzero
-    coefficients at positive powers of w (which correspond to no operator of
-    the family) are collected in ``positive_w`` instead of ``schur_form``;
-    the finite form has none.  The Schur coordinates are polynomials in the
-    closed forms and the ints 1 and -1 in the finite form, which is read off
-    by ``quotient_action``.  The fields cannot be reassigned; the maps in
-    them are built per call and belong to the caller.
+    coefficient.  The closed forms keep in ``series`` the normal-form
+    coefficients on the window where they are valid.  The finite form,
+    read off by ``quotient_action``, holds the ints 1 and -1, exact at every
+    (i, j), and its ``series`` is None.  For the adapted form read with
+    wmax > 0, nonzero coefficients at positive powers of w (which correspond
+    to no operator of the family) are collected in ``positive_w`` instead of
+    ``schur_form``.  The fields cannot be reassigned; the maps in them are
+    built per call and belong to the caller.
     """
     lam: Partition
     r: int
     n: int | None
     dual: str                       # "plain" or "adapted"
-    series: BiLaurent
+    series: BiLaurent | None        # None: exact at every (i, j)
     schur_form: Mapping[tuple[int, int], Mapping[Partition, int | MvPolynomial]]
     positive_w: Mapping[tuple[int, int], Mapping[Partition, MvPolynomial]] = field(
         default_factory=dict)
@@ -170,11 +168,12 @@ class ActionResult:
         """Schur coordinates of the image under the (z^i, w^-j) operator.
 
         Operators are indexed by i, j >= 0; a negative index names none of
-        them and raises ``ValueError``.
+        them and raises ``ValueError``; one outside ``series``'s window
+        raises ``WindowViolation``.
         """
         if i < 0 or j < 0:
             raise ValueError(f"operator indices must be nonnegative, got ({i}, {j})")
-        if not self.series.valid_at(i, -j):
+        if self.series is not None and not self.series.valid_at(i, -j):
             raise WindowViolation(
                 f"(z^{i}, w^-{j}) outside computed window {self.series.window}")
         return self.schur_form.get((i, -j), {})
@@ -254,26 +253,24 @@ def _cut_w(series: BiLaurent, wmin: int | None, wmax: int) -> BiLaurent:
     return series.restrict((zlo, zhi, lo, hi))
 
 
-def generating_action(lam: Partition, r: int, zmax: int,
-                      wmin: int | None = None, n: int | None = None,
-                      zero_c: bool = False) -> ActionResult:
+def generating_action(lam: Partition, r: int, zmax: int, wmin: int | None = None,
+                      n: int | None = None) -> ActionResult:
     """Images of all X^i (x) del^j on one basis element, packaged at z^i w^-j.
 
     The result window is z in [0, zmax], w in [-(r-1+lam_1), 0]; ``wmin``
     narrows the w side if requested, and one that leaves no w-exponent
-    raises ``ValueError``.  ``n`` bounds the c-variables only.
+    raises ``ValueError``.  ``n`` bounds the c-variables only; ``n=0``
+    specialises every c to zero.
     """
     if zmax < 0:
         raise ValueError("zmax must be nonnegative")
-    ambient: int | None = 0 if zero_c else n
-    series = _cut_w(_closed_form(lam, r, ambient, zmax), wmin, 0)
-    schur, _ = _project(series, lam, r, ambient)
+    series = _cut_w(_closed_form(lam, r, n, zmax), wmin, 0)
+    schur, _ = _project(series, lam, r, n)
     return ActionResult(lam, r, n, "plain", series, schur)
 
 
 def generating_action_adapted(lam: Partition, r: int, n: int, zmax: int,
-                              wmin: int | None = None, wmax: int = 0,
-                              zero_c: bool = False) -> ActionResult:
+                              wmin: int | None = None, wmax: int = 0) -> ActionResult:
     """The scaled form c(z)/c(w) for the adapted operators X^i(c) (x) del^j(s).
 
     The 1/c(w) expansion is carried far enough that every coefficient with
@@ -283,9 +280,8 @@ def generating_action_adapted(lam: Partition, r: int, n: int, zmax: int,
     """
     if zmax < 0:
         raise ValueError("zmax must be nonnegative")
-    ambient = 0 if zero_c else n
-    series = _cut_w(_closed_form(lam, r, ambient, zmax, wmax), wmin, wmax)
-    schur, positive = _project(series, lam, r, ambient)
+    series = _cut_w(_closed_form(lam, r, n, zmax, wmax), wmin, wmax)
+    schur, positive = _project(series, lam, r, n)
     return ActionResult(lam, r, n, "adapted", series, schur, positive)
 
 
@@ -305,9 +301,9 @@ def generating_action_finite(lam: Partition, r: int, n: int) -> ActionResult:
     """The full quotient-module structure on one rectangle basis element.
 
     The coefficient at z^i w^-j is the image of X^i(c) (x) del^j(s), read off
-    by ``quotient_action`` for every i, j in [0, n-1]; the result is a genuine
-    Laurent polynomial with z-exponents in [0, n-1] and w-exponents in
-    [-(n-1), 0], and it equals the closed form ``_finite_closed_form``.
+    by ``quotient_action`` for every i, j in [0, n-1]; the Schur form equals
+    the closed form ``_finite_closed_form``.  Every coefficient is an exact
+    signed basis element, so the result carries no ``series``.
     """
     if not (1 <= r <= n):
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
@@ -316,10 +312,7 @@ def generating_action_finite(lam: Partition, r: int, n: int) -> ActionResult:
     images = {(i, -j): quotient_action(i, j, lam, r, n)
               for i in range(n) for j in range(n - 1, -1, -1)}
     schur = {key: dict([image]) for key, image in images.items() if image}
-    series = BiLaurent({key: schur_map_to_poly(coords, r, n)
-                        for key, coords in schur.items()},
-                       (0, n - 1, -(n - 1), 0))
-    return ActionResult(lam, r, n, "adapted", series, schur)
+    return ActionResult(lam, r, n, "adapted", None, schur)
 
 
 # -- representation matrices -------------------------------------------------------
@@ -337,9 +330,6 @@ class RepMatrix:
     n: int
     basis: tuple[Partition, ...]
     entries: Mapping[tuple[Partition, Partition], int]
-
-    def entry(self, mu: Partition, lam: Partition) -> int:
-        return self.entries.get((mu, lam), 0)
 
     @property
     def dimension(self) -> int:

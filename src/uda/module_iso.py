@@ -109,5 +109,5 @@ def schur_map_to_poly(coords: dict[Partition, MvPolynomial], r: int,
     """Assemble a Schur coordinate map back into a canonical polynomial."""
     acc = MvPolynomial.zero()
     for lam in sorted(coords):
-        acc = acc + coords[lam] * giambelli(lam, r, n).value
+        acc = acc + coords[lam] * giambelli(lam, r, n)
     return acc

@@ -23,7 +23,6 @@ cache (see ``_giambelli_cached``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .partitions import Partition
@@ -84,12 +83,6 @@ def s_coefficient(k: int, n: int | None) -> MvPolynomial:
     return _s_coeffs_cached(max(k, 8), n)[k]
 
 
-@dataclass(frozen=True)
-class SchurDelta:
-    partition: Partition
-    value: MvPolynomial
-
-
 @lru_cache(maxsize=None)
 def _giambelli_cached(parts: tuple[int, ...], r: int, n: int | None) -> MvPolynomial:
     """det( h_{lam_j - j + k}(c) ) of size r x r, expanded through this cache.
@@ -124,11 +117,11 @@ def _giambelli_cached(parts: tuple[int, ...], r: int, n: int | None) -> MvPolyno
     return acc
 
 
-def giambelli(lam: Partition, r: int, n: int | None) -> SchurDelta:
-    """The Schur determinant det( h_{lam_j - j + k}(c) ) of size r x r."""
+def giambelli(lam: Partition, r: int, n: int | None) -> MvPolynomial:
+    """The Schur determinant det( h_{lam_j - j + k}(c) ) of size r x r, as cached."""
     if len(lam) > r:
         raise ValueError(f"partition {lam} longer than r={r}")
-    return SchurDelta(lam, _giambelli_cached(lam.parts, r, n))
+    return _giambelli_cached(lam.parts, r, n)
 
 
 @lru_cache(maxsize=None)

@@ -56,7 +56,10 @@ def test_criterion_1_golden_quotient_action():
     }
     assert {k: quotient_project(p, 2, 4) for k, p in display_h.items()} == \
         res.schur_form
-    assert res.series.window == (0, 3, -3, 0)
+    # every coefficient is an exact signed basis element: no series, and
+    # the operators live on z in [0, n-1], w in [-(n-1), 0]
+    assert res.series is None
+    assert all(0 <= z <= 3 and -3 <= w <= 0 for z, w in res.schur_form)
     _report(1, "quotient generating function on (2,1), r=2, n=4 "
                "matches both displays exactly", t0, 1.0)
 
@@ -146,7 +149,7 @@ def test_criterion_5_residue_triangle():
         # route 1: plain wedge-sort expansion with undeformed determinants
         route1 = ZERO
         for idx, coeff in u.terms.items():
-            route1 = route1 + coeff * giambelli(partition_of_indices(idx), r, 0).value
+            route1 = route1 + coeff * giambelli(partition_of_indices(idx), r, 0)
         # route 2: the residue determinant
         route2 = residue_tuple([expand_over_factor(f, r) for f in fs])
         # route 3: deformed-basis expansion with deformed determinants
@@ -217,7 +220,7 @@ def test_criterion_9_specialization_recovers_undeformed_case():
                         (r, n, lam, key)
                 # and the stable generating function, projected to the
                 # rectangle, gives the same answer
-                stable = generating_action(lam, r, zmax=n - 1, zero_c=True)
+                stable = generating_action(lam, r, zmax=n - 1, n=0)
                 projected = {}
                 for key, coords in stable.schur_form.items():
                     cut = {mu: v for mu, v in coords.items()

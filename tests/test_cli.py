@@ -16,6 +16,7 @@ from uda.glaction import (StarOperator, generating_action_finite,
                           star_oracle_coords)
 from uda.partitions import Partition
 from uda.poly import FAM_C, FAM_E, FAM_H, MvPolynomial, ONE, ZERO
+from uda.symfunc import giambelli
 
 
 def run_cli(capsys, *args):
@@ -213,6 +214,20 @@ def test_failed_check_is_an_invariant_violation(capsys, monkeypatch):
     assert err.startswith("invariant violation:")
     assert "\nFAIL broken identity\n" in err
     assert "FAILED: 1/2 checks passed" in err
+
+
+def test_giambelli_takes_partitions_outside_the_rectangle(capsys):
+    # a Schur determinant is not a quotient element, so --n bounds the c's
+    # and does not confine lambda to the r x (n-r) rectangle
+    lam = Partition((5,))
+    code, out, _ = run_cli(capsys, "giambelli", "--r", "2", "--n", "4",
+                           "--lambda", "5")
+    assert code == 0
+    assert out == f"Delta_{lam} (r=2, n=4) = {giambelli(lam, 2, 4)}\n"
+    code, _, err = run_cli(capsys, "giambelli", "--r", "5", "--n", "4",
+                           "--lambda", "5")
+    assert code == 1
+    assert "1 <= r <= n" in err
 
 
 def test_out_path_writes_file(tmp_path, capsys):

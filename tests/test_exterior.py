@@ -244,7 +244,7 @@ def test_residue_tuple_matches_giambelli():
         for j in range(1, r + 1):
             vec = list(xc_expand(r - j + lam.part(j), None))
             gs.append(expand_over_factor(vec, r))
-        assert residue_tuple(gs) == giambelli(lam, r, None).value
+        assert residue_tuple(gs) == giambelli(lam, r, None)
 
 
 # -- quotient reduction and coordinates ----------------------------------------------

@@ -12,8 +12,7 @@ from uda.glaction import (ActionResult, StarOperator, _finite_closed_form,
                           mixed_schur_det, quotient_action, rep_matrix,
                           star_oracle, star_oracle_coords,
                           universal_factorization)
-from uda.module_iso import (quotient_project, schur_map_of_poly,
-                            schur_map_to_poly)
+from uda.module_iso import quotient_project, schur_map_of_poly
 from uda.partitions import EMPTY, Partition, partitions_in_rectangle
 from uda.poly import FAM_C, ONE, ZERO, c_, e_, h_
 from uda.symfunc import e_series_coeffs, e_to_h_rewrite, h_deformed
@@ -178,8 +177,8 @@ def test_generating_action_adapted_matches_oracle():
 def test_generating_action_adapted_specialises_to_plain():
     # with every c killed, the scaling factors collapse to 1
     lam = Partition((1, 1))
-    plain = generating_action(lam, 2, zmax=3, zero_c=True)
-    adapted = generating_action_adapted(lam, 2, 4, zmax=3, zero_c=True)
+    plain = generating_action(lam, 2, zmax=3, n=0)
+    adapted = generating_action_adapted(lam, 2, 0, zmax=3)
     for key, val in plain.series.coeffs.items():
         assert adapted.series.coeffs.get(key, ZERO) == val
 
@@ -213,7 +212,8 @@ def test_finite_action_golden_schur_form():
         (2, -3): {Partition((1, 1)): ONE},
         (3, -3): {Partition((2, 1)): ONE},
     }
-    assert res.series.window == (0, 3, -3, 0)
+    assert res.series is None
+    assert all(0 <= z <= 3 and -3 <= w <= 0 for z, w in res.schur_form)
 
 
 def test_finite_action_golden_h_form():
@@ -233,13 +233,34 @@ def test_finite_action_golden_h_form():
 
 
 def test_finite_action_window_and_validity():
+    # the finite result is exact everywhere, so it carries no window
     res = generating_action_finite(Partition((1,)), 2, 4)
-    assert res.series.window == (0, 3, -3, 0)
-    assert res.series.exact == (True, True, True, True)
+    assert res.series is None
+    assert all(0 <= z <= 3 and -3 <= w <= 0 for z, w in res.schur_form)
     with pytest.raises(WindowViolation):
         # outside any computed window claim
         ActionResult(EMPTY, 1, None, "plain",
                      BiLaurent.from_z_series([ONE], 0), {}).coords_at(5, 0)
+
+
+def test_finite_action_does_no_polynomial_work(monkeypatch):
+    # the finite result is read off by index substitution alone: it fills
+    # no Schur determinant or h_j(c) cache and builds no Laurent series
+    import uda
+    import uda.symfunc as sf
+
+    def no_series(*args, **kwargs):
+        raise AssertionError("BiLaurent built")
+
+    uda.clear_caches()
+    monkeypatch.setattr(BiLaurent, "__init__", no_series)
+    res = generating_action_finite(Partition((2, 1)), 2, 4)
+    assert sf._giambelli_cached.cache_info().currsize == 0
+    assert sf.h_deformed.cache_info().currsize == 0
+    assert res.series is None
+    # exact everywhere: beyond the operator range the coordinates are zero
+    assert res.coords_at(6, 6) == {}
+    assert res.coords_at(2, 1) == {Partition((2, 2)): 1}
 
 
 def test_finite_action_is_adapted_form_cut_at_w_nonpositive():
@@ -432,7 +453,8 @@ def test_cached_results_are_read_only():
     import uda.glaction as gl
     res = generating_action_finite(Partition((1,)), 2, 4)
     for clobber in (lambda: setattr(res, "schur_form", {}),
-                    lambda: setattr(res, "positive_w", {})):
+                    lambda: setattr(res, "positive_w", {}),
+                    lambda: setattr(res, "series", BiLaurent.zero())):
         with pytest.raises(AttributeError):
             clobber()
     res.schur_form[(0, 0)].clear()
@@ -453,18 +475,6 @@ def test_cached_results_are_read_only():
     assert gl._signs(1, 0, 2, 4) == rep_matrix(1, 0, 2, 4).entries
 
 
-def test_cached_finite_series_is_read_only():
-    res = generating_action_finite(Partition((1,)), 2, 4)
-    want = dict(res.series.coeffs)
-    assert want and res.series.coeff(1, 0)
-    with pytest.raises(AttributeError):
-        res.series = BiLaurent.zero()
-    res.series.coeffs.clear()
-    again = generating_action_finite(Partition((1,)), 2, 4)
-    assert again.series.coeffs == want
-    assert again.series.coeff(1, 0) == want[(1, 0)] != ZERO
-
-
 @st.composite
 def finite_cases(draw):
     n = draw(st.integers(1, 6))
@@ -481,8 +491,6 @@ def test_finite_action_matches_closed_form(case):
     res = generating_action_finite(lam, r, n)
     closed = _finite_closed_form(lam, r, n)
     assert res.schur_form == closed
-    assert res.series.coeffs == {key: schur_map_to_poly(coords, r, n)
-                                 for key, coords in closed.items()}
 
 
 # -- universal factorisation ---------------------------------------------------------

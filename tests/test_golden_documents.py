@@ -26,8 +26,10 @@ def run_uda(*args):
 
 # golden file -> the command that renders it; the projected genfun and
 # act --dual s documents were recorded while the closed form and the oracle
-# still served them, and the polynomial documents (giambelli, act --dual
-# none, factorize) while they were still rendered from MvPolynomial.to_json
+# still served them, the polynomial documents (giambelli, act --dual none,
+# factorize) while they were still rendered from MvPolynomial.to_json, and
+# the (5,10) genfun document while the finite result still built a
+# polynomial series beside its Schur form
 DOCUMENTS = {
     "quotient_action_r2_n4_21.json": "genfun --r 2 --n 4 --lambda 2,1 --output json",
     "star_action_r2_21_32.txt": "act --r 2 --lambda 2,1 --i 3 --j 2 --dual none",
@@ -41,6 +43,8 @@ DOCUMENTS = {
     "act_dual_none_r2_n4_21_32.json":
         "act --r 2 --n 4 --lambda 2,1 --i 3 --j 2 --dual none --output json",
     "factorize_r2_n4.json": "factorize --r 2 --n 4 --output json",
+    "genfun_r5_n10_55555.json":
+        "genfun --r 5 --n 10 --lambda 5,5,5,5,5 --output json",
 }
 
 
