@@ -10,7 +10,7 @@ All operations are pure, but polynomial and wedge ``terms`` are plain dicts,
 and some caches hand out the object they keep: do not mutate results.
 """
 
-from . import exterior, glaction, module_iso, symfunc
+from . import exterior, glaction, module_iso, partitions, symfunc
 from .bilaurent import BiLaurent
 from .determinant import exact_det
 from .errors import (AlgebraError, DegreeZeroError, EmptyWindow,
@@ -44,8 +44,8 @@ __version__ = "0.1.0"
 
 def clear_caches() -> None:
     """Empty every memo table of the package, each an ``lru_cache``."""
-    for fn in (exterior.xc_expand, exterior.x_in_xc,
-               glaction._signs,
+    for fn in (exterior.xc_expand, exterior.x_in_xc, glaction._signs,
+               partitions.wedge_indices, partitions.partition_of_indices,
                module_iso.sigma_monomial_wedge, module_iso._schur_map_of_monomial,
                symfunc.h_deformed, symfunc._s_coeffs_cached,
                symfunc._giambelli_cached, symfunc._e_in_h):

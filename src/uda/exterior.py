@@ -7,7 +7,8 @@ carries a basis tag: PLAIN_X for the monomial basis (X^i) and DEFORMED_XC
 for the deformed basis X^i(c) = X^i - c1 X^{i-1} + c2 X^{i-2} - ...
 Mixing tags without an explicit conversion raises ``TagMismatch``; sign
 errors from silent reinterpretation are the dominant bug source in this kind
-of code, so the tag is checked everywhere.
+of code, so the tag is checked everywhere.  Terms are checked only by the
+public constructors, which keeps re-validation off the oracle's hot path.
 
 A wedge monomial with indices (i1 > ... > ir) corresponds to the partition
 (i1-(r-1), i2-(r-2), ..., ir), which is how Schur coordinates are read off
@@ -89,7 +90,13 @@ def merge_indices(a: Indices, b: Indices) -> tuple[Indices, int] | None:
 
 
 class ExtElement:
-    """A homogeneous exterior element: finite sum of tagged wedge monomials."""
+    """A homogeneous exterior element: finite sum of tagged wedge monomials.
+
+    ``ExtElement(...)``, ``zero``, ``basis_monomial`` and ``vector`` check
+    every term (degree r, indices strictly decreasing and >= 0) and drop
+    zeros.  ``_of`` keeps terms valid by construction unchecked; a future
+    read-only term store goes there.
+    """
 
     __slots__ = ("r", "tag", "terms")
 
@@ -111,6 +118,12 @@ class ExtElement:
         self.terms = clean
 
     # -- constructors --------------------------------------------------------
+
+    @staticmethod
+    def _of(r: int, tag: BasisTag, terms: dict) -> "ExtElement":
+        e = ExtElement.__new__(ExtElement)
+        e.r, e.tag, e.terms = r, tag, terms
+        return e
 
     @staticmethod
     def zero(r: int, tag: BasisTag) -> "ExtElement":
@@ -145,27 +158,18 @@ class ExtElement:
                     out[idx] = s
                 else:
                     del out[idx]
-        e = ExtElement.__new__(ExtElement)
-        e.r, e.tag, e.terms = self.r, self.tag, out
-        return e
+        return ExtElement._of(self.r, self.tag, out)
 
     def __neg__(self) -> "ExtElement":
-        e = ExtElement.__new__(ExtElement)
-        e.r, e.tag = self.r, self.tag
-        e.terms = {idx: -coeff for idx, coeff in self.terms.items()}
-        return e
+        return ExtElement._of(self.r, self.tag,
+                              {idx: -coeff for idx, coeff in self.terms.items()})
 
     def __sub__(self, other: "ExtElement") -> "ExtElement":
         return self + (-other)
 
     def scale(self, q) -> "ExtElement":
-        if isinstance(q, int):
-            q = MvPolynomial.const(q)
-        e = ExtElement.__new__(ExtElement)
-        e.r, e.tag = self.r, self.tag
-        e.terms = {} if not q else {idx: coeff * q
-                                    for idx, coeff in self.terms.items()}
-        return e
+        return ExtElement._of(self.r, self.tag, {} if not q else {
+            idx: coeff * q for idx, coeff in self.terms.items()})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -178,9 +182,6 @@ class ExtElement:
             return NotImplemented
         return (self.r == other.r and self.tag is other.tag
                 and self.terms == other.terms)
-
-    def __hash__(self):
-        raise TypeError("ExtElement is not hashable")
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -215,9 +216,7 @@ def wedge(u: ExtElement, v: ExtElement) -> ExtElement:
                     out[idx] = s
                 else:
                     del out[idx]
-    e = ExtElement.__new__(ExtElement)
-    e.r, e.tag, e.terms = u.r + v.r, u.tag, out
-    return e
+    return ExtElement._of(u.r + v.r, u.tag, out)
 
 
 def unit_wedge(r: int, tag: BasisTag = BasisTag.PLAIN_X) -> ExtElement:
@@ -280,7 +279,7 @@ def convert_basis(u: ExtElement, tag: BasisTag, n: int | None) -> ExtElement:
         for k, v in partial.items():
             s = acc.get(k)
             acc[k] = v if s is None else s + v
-    return ExtElement(u.r, tag, {k: v for k, v in acc.items() if v})
+    return ExtElement._of(u.r, tag, {k: v for k, v in acc.items() if v})
 
 
 def reduce_mod_n(u: ExtElement, n: int) -> ExtElement:
@@ -292,7 +291,7 @@ def reduce_mod_n(u: ExtElement, n: int) -> ExtElement:
     if u.tag is not BasisTag.DEFORMED_XC:
         raise TagMismatch("reduction is defined on the deformed basis")
     kept = {idx: c for idx, c in u.terms.items() if idx[0] < n} if u.r else dict(u.terms)
-    return ExtElement(u.r, u.tag, kept)
+    return ExtElement._of(u.r, u.tag, kept)
 
 
 # -- linear forms and contraction ----------------------------------------------
@@ -374,9 +373,7 @@ def contract(form: LinearForm, u: ExtElement, n: int | None = None) -> ExtElemen
                     out[rest] = s
                 else:
                     del out[rest]
-    e = ExtElement.__new__(ExtElement)
-    e.r, e.tag, e.terms = u.r - 1, u.tag, out
-    return e
+    return ExtElement._of(u.r - 1, u.tag, out)
 
 
 def w_value(j: int, n: int | None) -> BiLaurent:

@@ -82,8 +82,8 @@ class StarOperator:
 
 
 def _vector_element(op: StarOperator, ambient: int | None) -> ExtElement:
-    e = ExtElement(1, op.vector_tag,
-                   {(k,): coeff for k, coeff in enumerate(op.vector) if coeff})
+    e = ExtElement._of(1, op.vector_tag,
+                       {(k,): coeff for k, coeff in enumerate(op.vector) if coeff})
     return convert_basis(e, BasisTag.DEFORMED_XC, ambient)
 
 
@@ -99,7 +99,7 @@ def star_oracle_coords(op: StarOperator, lam: Partition, r: int,
     """
     if len(lam) > r:
         raise ValueError(f"partition {lam} longer than r={r}")
-    u = ExtElement.basis_monomial(wedge_indices(lam, r), BasisTag.DEFORMED_XC)
+    u = ExtElement._of(r, BasisTag.DEFORMED_XC, {wedge_indices(lam, r): ONE})
     v = contract(op.form, u, n)
     w = wedge(_vector_element(op, n), v)
     if n is not None and quotient:

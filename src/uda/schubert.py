@@ -62,7 +62,7 @@ def sigma_coefficient(i: int, u: ExtElement) -> ExtElement:
                     out[sidx] = s
                 else:
                     del out[sidx]
-    return ExtElement(u.r, u.tag, out)
+    return ExtElement._of(u.r, u.tag, out)
 
 
 def sigma_plus(u: ExtElement, order: int) -> list[ExtElement]:
@@ -97,7 +97,7 @@ def sigma_bar_plus(u: ExtElement) -> list[ExtElement]:
                         bucket[sidx] = s
                     else:
                         del bucket[sidx]
-    return [ExtElement(u.r, u.tag, terms) for terms in out]
+    return [ExtElement._of(u.r, u.tag, terms) for terms in out]
 
 
 def sigma_bar_minus_h(j: int, n: int | None) -> BiLaurent:

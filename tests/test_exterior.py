@@ -22,6 +22,26 @@ def mono(indices, tag=X, coeff=ONE):
     return ExtElement(len(indices), tag, {tuple(indices): coeff})
 
 
+# -- construction ----------------------------------------------------------
+
+
+def test_public_constructors_validate_terms():
+    for bad in ({(1,): ONE},            # wrong degree
+                {(1, 2): ONE},          # increasing
+                {(1, 1): c_(1)},        # repeated
+                {(1, -1): ONE}):        # negative
+        with pytest.raises(ValueError):
+            ExtElement(2, X, bad)
+    for bad in ((1, 2), (1, 1), (1, -1)):
+        with pytest.raises(ValueError):
+            ExtElement.basis_monomial(bad, XC)
+    with pytest.raises(ValueError):
+        ExtElement.vector(-1, X)
+    u = ExtElement(2, X, {(3, 1): ZERO, (2, 0): c_(1), (4, 3): c_(1) - c_(1)})
+    assert u.terms == {(2, 0): c_(1)}
+    assert ExtElement(1, XC, {(0,): ZERO}) == ExtElement.zero(1, XC)
+
+
 # -- wedge ------------------------------------------------------------------
 
 

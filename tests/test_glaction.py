@@ -13,8 +13,9 @@ from uda.glaction import (ActionResult, StarOperator, _finite_closed_form,
                           star_oracle, star_oracle_coords,
                           universal_factorization)
 from uda.module_iso import quotient_project, schur_map_of_poly
-from uda.partitions import EMPTY, Partition, partitions_in_rectangle
-from uda.poly import FAM_C, ONE, ZERO, c_, e_, h_
+from uda.partitions import (EMPTY, Partition, partition_of_indices,
+                            partitions_in_rectangle, wedge_indices)
+from uda.poly import FAM_C, MvPolynomial, ONE, ZERO, c_, e_, h_
 from uda.symfunc import e_series_coeffs, e_to_h_rewrite, h_deformed
 
 
@@ -473,6 +474,24 @@ def test_cached_results_are_read_only():
         with pytest.raises((TypeError, AttributeError)):
             clobber()
     assert gl._signs(1, 0, 2, 4) == rep_matrix(1, 0, 2, 4).entries
+
+
+def test_oracle_result_belongs_to_the_caller():
+    # clearing a returned coefficient or the returned map reaches neither a
+    # second call nor ONE nor the memoised index maps
+    lam = Partition((2, 1))
+    for op in (StarOperator.adapted(2, 1), StarOperator.adapted(2, 3),
+               StarOperator.plain(3, 1)):
+        first = star_oracle_coords(op, lam, 2, 4)
+        expected = {mu: MvPolynomial(dict(p.terms)) for mu, p in first.items()}
+        assert first
+        for coeff in first.values():
+            coeff.terms.clear()
+        first.clear()
+        assert star_oracle_coords(op, lam, 2, 4) == expected
+    assert ONE == MvPolynomial.const(1)
+    assert wedge_indices(lam, 2) == (3, 1)
+    assert partition_of_indices((3, 1)) == lam
 
 
 @st.composite

@@ -56,6 +56,18 @@ def test_wedge_indices_round_trip():
     assert wedge_indices(EMPTY, 3) == (2, 1, 0)
 
 
+def test_index_map_failures_are_not_memoised():
+    sizes = (partition_of_indices.cache_info().currsize,
+             wedge_indices.cache_info().currsize)
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            partition_of_indices((1, 2))
+        with pytest.raises(ValueError):
+            wedge_indices(Partition((1, 1, 1)), 2)
+    assert sizes == (partition_of_indices.cache_info().currsize,
+                     wedge_indices.cache_info().currsize)
+
+
 def test_json():
     lam = Partition((2, 1))
     assert lam.to_json() == [2, 1]
