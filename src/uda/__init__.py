@@ -6,11 +6,10 @@ algebra of the generic monic polynomial: Schur determinants in deformed
 complete functions, the exterior-module star action (the brute-force
 oracle), the closed-form generating functions that package every operator
 image at once, and the signed index substitution that serves the quotient.
-All operations are pure, but polynomial and wedge ``terms`` are plain dicts,
-and some caches hand out the object they keep: do not mutate results.
+All operations are pure.  A value a call builds belongs to the caller; a
+value a cache hands out is read-only (see ``poly.memo``).
 """
 
-from . import exterior, glaction, module_iso, partitions, symfunc
 from .bilaurent import BiLaurent
 from .determinant import exact_det
 from .errors import (AlgebraError, DegreeZeroError, EmptyWindow,
@@ -31,8 +30,8 @@ from .module_iso import (poly_to_wedge, quotient_project, schur_map_of_poly,
                          wedge_to_poly)
 from .partitions import (Partition, partition_of_indices,
                          partitions_in_rectangle, wedge_indices)
-from .poly import (MvPolynomial, ONE, ZERO, c_, e_, h_, series_inverse,
-                   series_mul)
+from .poly import (MvPolynomial, ONE, ZERO, c_, clear_caches, e_, h_,
+                   series_inverse, series_mul)
 from .schubert import (sigma_bar_minus_h, sigma_bar_plus, sigma_coefficient,
                        sigma_plus)
 from .symfunc import (e_to_h_rewrite, generic_factor_poly,
@@ -41,12 +40,3 @@ from .symfunc import (e_to_h_rewrite, generic_factor_poly,
 
 __version__ = "0.1.0"
 
-
-def clear_caches() -> None:
-    """Empty every memo table of the package, each an ``lru_cache``."""
-    for fn in (exterior.xc_expand, exterior.x_in_xc, glaction._signs,
-               partitions.wedge_indices, partitions.partition_of_indices,
-               module_iso.sigma_monomial_wedge, module_iso._schur_map_of_monomial,
-               symfunc.h_deformed, symfunc._s_coeffs_cached,
-               symfunc._giambelli_cached, symfunc._e_in_h):
-        fn.cache_clear()

@@ -16,7 +16,8 @@ explicit data rather than conventions: the formulas downstream mix genuinely
 finite Laurent polynomials with truncated power series, and an implicit
 truncation is exactly how wrong coefficients would slip through silently.
 
-Instances are immutable after construction; all operations are pure.
+All operations are pure and return new instances, whose ``coeffs`` is a plain
+dict that belongs to the caller; no cache holds a ``BiLaurent``.
 """
 
 from __future__ import annotations

@@ -31,14 +31,13 @@ cross-checks in the test suite meaningful.
 from __future__ import annotations
 
 import enum
-from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .bilaurent import BiLaurent
 from .determinant import exact_det
 from .errors import DegreeZeroError, TagMismatch, WindowExcludesMinusOne
 from .partitions import Partition, partition_of_indices
-from .poly import MvPolynomial, ONE, ZERO, c_
+from .poly import MvPolynomial, ONE, ZERO, _frozen, c_, memo
 from .symfunc import h_symbol_series, s_coefficient
 
 Indices = tuple[int, ...]
@@ -94,8 +93,8 @@ class ExtElement:
 
     ``ExtElement(...)``, ``zero``, ``basis_monomial`` and ``vector`` check
     every term (degree r, indices strictly decreasing and >= 0) and drop
-    zeros.  ``_of`` keeps terms valid by construction unchecked; a future
-    read-only term store goes there.
+    zeros.  ``_of`` keeps terms valid by construction unchecked, and
+    ``_freeze`` makes them and their coefficients read-only in place.
     """
 
     __slots__ = ("r", "tag", "terms")
@@ -125,6 +124,9 @@ class ExtElement:
         e.r, e.tag, e.terms = r, tag, terms
         return e
 
+    def _freeze(self) -> None:
+        self.terms = _frozen(self.terms)
+
     @staticmethod
     def zero(r: int, tag: BasisTag) -> "ExtElement":
         return ExtElement(r, tag, {})
@@ -147,7 +149,7 @@ class ExtElement:
 
     def __add__(self, other: "ExtElement") -> "ExtElement":
         self._check(other)
-        out = dict(self.terms)
+        out = self.terms.copy()
         for idx, coeff in other.terms.items():
             s = out.get(idx)
             if s is None:
@@ -226,7 +228,7 @@ def unit_wedge(r: int, tag: BasisTag = BasisTag.PLAIN_X) -> ExtElement:
 
 # -- basis conversion ---------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@memo
 def xc_expand(j: int, n: int | None) -> tuple[MvPolynomial, ...]:
     """Coefficient vector of X^j(c) in the plain basis (entries for X^0..X^j).
 
@@ -242,7 +244,7 @@ def xc_expand(j: int, n: int | None) -> tuple[MvPolynomial, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@memo
 def x_in_xc(j: int, n: int | None) -> tuple[MvPolynomial, ...]:
     """Coefficient vector of X^j in the deformed basis: X^j = sum_k s_k X^{j-k}(c)."""
     if j < 0:
@@ -290,7 +292,7 @@ def reduce_mod_n(u: ExtElement, n: int) -> ExtElement:
     """
     if u.tag is not BasisTag.DEFORMED_XC:
         raise TagMismatch("reduction is defined on the deformed basis")
-    kept = {idx: c for idx, c in u.terms.items() if idx[0] < n} if u.r else dict(u.terms)
+    kept = {idx: c for idx, c in u.terms.items() if idx[0] < n} if u.r else u.terms.copy()
     return ExtElement._of(u.r, u.tag, kept)
 
 

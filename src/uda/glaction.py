@@ -44,8 +44,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import lru_cache
-from types import MappingProxyType
 
 from .bilaurent import BiLaurent
 from .determinant import exact_det
@@ -56,7 +54,7 @@ from .exterior import (BasisTag, DeltaForm, DualDeltaForm, ExtElement,
 from .module_iso import quotient_project, schur_map_of_poly, schur_map_to_poly
 from .partitions import (Partition, partition_of_indices,
                          partitions_in_rectangle, wedge_indices)
-from .poly import MvPolynomial, ONE, ZERO, series_mul
+from .poly import MvPolynomial, ONE, ZERO, memo, series_mul
 from .schubert import sigma_bar_minus_h
 from .symfunc import (c_series_coeffs, generic_factor_poly,
                       generic_monic_coeffs, h_deformed, h_symbol_series,
@@ -390,11 +388,11 @@ def rep_matrix(i: int, j: int, r: int, n: int) -> RepMatrix:
     return RepMatrix(i, j, r, n, basis, entries)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _signs(i: int, j: int, r: int, n: int
            ) -> Mapping[tuple[Partition, Partition], int]:
-    """The +-1 entries of ``rep_matrix(i, j, r, n)``, read-only."""
-    return MappingProxyType(rep_matrix(i, j, r, n).entries)
+    """The +-1 entries of ``rep_matrix(i, j, r, n)``."""
+    return rep_matrix(i, j, r, n).entries
 
 
 def _mat_mul(a: dict, b: dict) -> dict:

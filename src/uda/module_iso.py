@@ -23,15 +23,13 @@ tests cheap.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .exterior import BasisTag, ExtElement, unit_wedge, wedge_coords
 from .partitions import Partition
-from .poly import FAM_C, FAM_H, MvPolynomial, Mono
+from .poly import FAM_C, FAM_H, MvPolynomial, Mono, memo
 from .schubert import sigma_coefficient
 from .symfunc import e_to_h_rewrite, giambelli
 
-@lru_cache(maxsize=None)
+@memo
 def sigma_monomial_wedge(r: int, h_indices: tuple[int, ...]) -> ExtElement:
     """Apply sigma_{i1} ... sigma_{ik} to the unit wedge (plain basis)."""
     if not h_indices:
@@ -39,7 +37,7 @@ def sigma_monomial_wedge(r: int, h_indices: tuple[int, ...]) -> ExtElement:
     return sigma_coefficient(h_indices[0], sigma_monomial_wedge(r, h_indices[1:]))
 
 
-@lru_cache(maxsize=None)
+@memo
 def _schur_map_of_monomial(r: int, n: int | None,
                            h_indices: tuple[int, ...]) -> dict[Partition, MvPolynomial]:
     return wedge_coords(sigma_monomial_wedge(r, h_indices), n)

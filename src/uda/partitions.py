@@ -7,8 +7,9 @@ Schur determinant and a wedge basis element of the same degree.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, Iterator
+
+from .poly import memo
 
 
 class Partition:
@@ -84,7 +85,7 @@ def partitions_in_rectangle(rows: int, cols: int) -> list[Partition]:
     return sorted(out)
 
 
-@lru_cache(maxsize=None)
+@memo
 def wedge_indices(lam: Partition, r: int) -> tuple[int, ...]:
     """Strictly decreasing exponent sequence (r-1+l1, r-2+l2, ..., lr)."""
     if len(lam) > r:
@@ -92,7 +93,7 @@ def wedge_indices(lam: Partition, r: int) -> tuple[int, ...]:
     return tuple(r - j + lam.part(j) for j in range(1, r + 1))
 
 
-@lru_cache(maxsize=None)
+@memo
 def partition_of_indices(indices: tuple[int, ...]) -> Partition:
     """Inverse of :func:`wedge_indices`; takes a strictly decreasing tuple."""
     r = len(indices)

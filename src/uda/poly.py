@@ -21,10 +21,9 @@ expose the same ``numerator``/``denominator`` interface and compare and hash
 consistently with ``Fraction``, while their arithmetic is an order of
 magnitude faster on the all-integer computations that dominate here).
 Polynomial equality is plain structural equality of the term dictionaries.
-Every operation is a pure function and returns a new polynomial, but
-``terms`` itself is a plain dict that the caller can change, and some caches
-hand out the polynomial they keep: do not mutate a polynomial you did not
-build.
+Every operation is a pure function and returns a new polynomial whose
+``terms`` dict belongs to the caller.  Every cache of the package is a
+``memo`` table, which hands out values frozen to read-only views.
 
 Canonical renderings (text and JSON) list terms in graded-lexicographic
 order: higher total degree first, ties broken by comparing exponents on the
@@ -35,6 +34,8 @@ renderings are deterministic byte-for-byte.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache, wraps
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 FAM_C, FAM_E, FAM_H = 0, 1, 2
@@ -112,6 +113,18 @@ class MvPolynomial:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
+    def _of(terms: dict) -> "MvPolynomial":
+        """Trusted constructor: ``terms`` is already canonical and is kept."""
+        p = MvPolynomial.__new__(MvPolynomial)
+        p.terms = terms
+        return p
+
+    def _freeze(self) -> None:
+        """Make ``terms`` a read-only view of the same dict, in place."""
+        if type(self.terms) is dict:
+            self.terms = MappingProxyType(self.terms)
+
+    @staticmethod
     def zero() -> "MvPolynomial":
         return MvPolynomial()
 
@@ -144,7 +157,7 @@ class MvPolynomial:
         other = MvPolynomial._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
+        out = self.terms.copy()
         for m, q in other.terms.items():
             s = out.get(m)
             if s is None:
@@ -155,16 +168,12 @@ class MvPolynomial:
                     out[m] = s
                 else:
                     del out[m]
-        p = MvPolynomial.__new__(MvPolynomial)
-        p.terms = out
-        return p
+        return MvPolynomial._of(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MvPolynomial":
-        p = MvPolynomial.__new__(MvPolynomial)
-        p.terms = {m: -q for m, q in self.terms.items()}
-        return p
+        return MvPolynomial._of({m: -q for m, q in self.terms.items()})
 
     def __sub__(self, other) -> "MvPolynomial":
         other = MvPolynomial._coerce(other)
@@ -180,9 +189,7 @@ class MvPolynomial:
             if not other:
                 return MvPolynomial()
             q0 = _ratio(other)
-            p = MvPolynomial.__new__(MvPolynomial)
-            p.terms = {m: q * q0 for m, q in self.terms.items()}
-            return p
+            return MvPolynomial._of({m: q * q0 for m, q in self.terms.items()})
         if not isinstance(other, MvPolynomial):
             return NotImplemented
         out: dict[Mono, Coeff] = {}
@@ -199,9 +206,7 @@ class MvPolynomial:
                         out[m] = s
                     else:
                         del out[m]
-        p = MvPolynomial.__new__(MvPolynomial)
-        p.terms = out
-        return p
+        return MvPolynomial._of(out)
 
     __rmul__ = __mul__
 
@@ -248,11 +253,8 @@ class MvPolynomial:
 
     def specialize_family_zero(self, fam: int) -> "MvPolynomial":
         """Set every variable of the given family to zero."""
-        out = {m: q for m, q in self.terms.items()
-               if all(v[0] != fam for v, _ in m)}
-        p = MvPolynomial.__new__(MvPolynomial)
-        p.terms = out
-        return p
+        return MvPolynomial._of({m: q for m, q in self.terms.items()
+                                 if all(v[0] != fam for v, _ in m)})
 
     def substitute(self, images: Mapping[Var, "MvPolynomial"]) -> "MvPolynomial":
         """Replace each mapped variable by its image polynomial."""
@@ -330,8 +332,37 @@ class MvPolynomial:
         return MvPolynomial(out)
 
 
-ZERO = MvPolynomial.zero()
-ONE = MvPolynomial.one()
+_MEMO_TABLES: list = []
+
+
+def _frozen(value):
+    """``value`` made read-only: dicts become views and tuples stay tuples,
+    of frozen items; ``_freeze`` runs in place; ints and partitions pass."""
+    if isinstance(value, dict):
+        return MappingProxyType({k: _frozen(v) for k, v in value.items()})
+    if isinstance(value, tuple):
+        return tuple(map(_frozen, value))
+    if hasattr(value, "_freeze"):
+        value._freeze()
+    return value
+
+
+def memo(fn):
+    """Memoise ``fn`` without bound: each value is frozen once, as it enters
+    the ``lru_cache`` returned, which ``clear_caches`` empties."""
+    table = lru_cache(maxsize=None)(wraps(fn)(lambda *args: _frozen(fn(*args))))
+    _MEMO_TABLES.append(table)
+    return table
+
+
+def clear_caches() -> None:
+    """Empty every ``memo`` table of the package."""
+    for table in _MEMO_TABLES:
+        table.cache_clear()
+
+
+ZERO = _frozen(MvPolynomial.zero())
+ONE = _frozen(MvPolynomial.one())
 
 
 def c_(i: int) -> MvPolynomial:

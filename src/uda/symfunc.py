@@ -23,10 +23,8 @@ cache (see ``_giambelli_cached``).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .partitions import Partition
-from .poly import FAM_E, MvPolynomial, ONE, ZERO, c_, e_, h_, series_inverse
+from .poly import FAM_E, MvPolynomial, ONE, ZERO, c_, e_, h_, memo, series_inverse
 
 
 def c_series_coeffs(order: int, n: int | None) -> list[MvPolynomial]:
@@ -56,7 +54,7 @@ def h_symbol_series(order: int) -> list[MvPolynomial]:
     return [ONE] + [h_(j) for j in range(1, order + 1)]
 
 
-@lru_cache(maxsize=None)
+@memo
 def h_deformed(j: int, n: int | None) -> MvPolynomial:
     """The deformed complete function h_j(c) = sum_i (-1)^i c_i h_{j-i}."""
     if j < 0:
@@ -71,7 +69,7 @@ def h_deformed(j: int, n: int | None) -> MvPolynomial:
     return acc
 
 
-@lru_cache(maxsize=None)
+@memo
 def _s_coeffs_cached(order: int, n: int | None) -> tuple[MvPolynomial, ...]:
     return tuple(series_inverse(c_series_coeffs(order, n), order))
 
@@ -83,7 +81,7 @@ def s_coefficient(k: int, n: int | None) -> MvPolynomial:
     return _s_coeffs_cached(max(k, 8), n)[k]
 
 
-@lru_cache(maxsize=None)
+@memo
 def _giambelli_cached(parts: tuple[int, ...], r: int, n: int | None) -> MvPolynomial:
     """det( h_{lam_j - j + k}(c) ) of size r x r, expanded through this cache.
 
@@ -124,7 +122,7 @@ def giambelli(lam: Partition, r: int, n: int | None) -> MvPolynomial:
     return _giambelli_cached(lam.parts, r, n)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _e_in_h(i: int) -> MvPolynomial:
     # e_m = e_{m-1} h_1 - e_{m-2} h_2 + ... + (-1)^{m-1} e_0 h_m, from E*H = 1
     if i == 0:
