@@ -13,8 +13,8 @@ value a cache hands out is read-only (see ``poly.memo``).
 from .bilaurent import BiLaurent
 from .determinant import exact_det
 from .errors import (AlgebraError, DegreeZeroError, EmptyWindow,
-                     NonUnitConstantTerm, TagMismatch, WindowExcludesMinusOne,
-                     WindowViolation)
+                     ExponentOverflow, NonUnitConstantTerm, TagMismatch,
+                     WindowExcludesMinusOne, WindowViolation)
 from .exterior import (BasisTag, DeltaForm, DualDeltaForm, ExtElement,
                        LinearForm, contract, convert_basis,
                        expand_over_factor, merge_indices, reduce_mod_n,

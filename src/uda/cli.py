@@ -24,7 +24,7 @@ from .glaction import (StarOperator, generating_action,
                        universal_factorization)
 from .module_iso import schur_map_to_poly
 from .partitions import Partition
-from .poly import MvPolynomial, var_name
+from .poly import MvPolynomial, _PerMonomial, var_name
 from .symfunc import giambelli
 from .verify import SUITES
 
@@ -135,12 +135,13 @@ class _PowerText(dict):
 
 
 _POWER_TEXT = _PowerText()
+_MONO_TEXT = _PerMonomial(_POWER_TEXT.__getitem__)   # packed monomial -> texts
 
 
 def _write_poly(p: MvPolynomial, newline: str, out: list[str]) -> None:
     """``p.to_json()`` through ``_write_json``, without building it."""
     i1 = newline + "  "
-    terms = p.sorted_terms()
+    terms = p._sorted()
     if not terms:
         out.append("{" + i1 + '"terms": []' + newline + "}")
         return
@@ -153,12 +154,12 @@ def _write_poly(p: MvPolynomial, newline: str, out: list[str]) -> None:
     num = "," + i3 + '"num": "'
     den = '",' + i3 + '"den": "'
     close = '"' + i2 + "}"
-    power_text = _POWER_TEXT.__getitem__
+    mono_text = _MONO_TEXT.__getitem__
     out.append("{" + i1 + '"terms": [' + i2)
     sep = ""
     for m, q in terms:
         if m:
-            exps = exps_open + exps_sep.join(map(power_text, m)) + exps_close
+            exps = exps_open + exps_sep.join(mono_text(m)) + exps_close
         else:
             exps = "{" + i3 + '"exps": {}'
         out.append(sep + exps + num + str(q.numerator) + den

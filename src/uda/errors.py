@@ -31,3 +31,7 @@ class WindowViolation(AlgebraError):
     Raised by the quotient closed form; on correct input this
     signals an implementation bug, never a data error.
     """
+
+
+class ExponentOverflow(AlgebraError, ValueError):
+    """An exponent or degree outgrew its packed-monomial field: the input is too large."""

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from .exterior import BasisTag, ExtElement, unit_wedge, wedge_coords
 from .partitions import Partition
-from .poly import FAM_C, FAM_H, MvPolynomial, Mono, memo
+from .poly import FAM_C, FAM_H, MvPolynomial, memo
 from .schubert import sigma_coefficient
 from .symfunc import e_to_h_rewrite, giambelli
 
@@ -43,19 +43,14 @@ def _schur_map_of_monomial(r: int, n: int | None,
     return wedge_coords(sigma_monomial_wedge(r, h_indices), n)
 
 
-def split_h_monomial(mono: Mono) -> tuple[tuple[int, ...], Mono]:
-    """Split a monomial into its h-index multiset and the residual c-part."""
-    h_indices: list[int] = []
-    c_part: list = []
-    for (fam, idx), exp in mono:
-        if fam == FAM_H:
-            h_indices.extend([idx] * exp)
-        elif fam == FAM_C:
-            c_part.append(((fam, idx), exp))
-        else:
-            raise ValueError("rewrite e-variables before splitting")
-    h_indices.sort(reverse=True)
-    return tuple(h_indices), tuple(c_part)
+def split_h_terms(p: MvPolynomial):
+    """Each term of p, its e-variables rewritten to h's, split into its
+    h-index multiset (descending) and its c-part, a polynomial."""
+    for mono, q in e_to_h_rewrite(p).terms.items():
+        h_indices = [idx for (fam, idx), exp in mono if fam == FAM_H
+                     for _ in range(exp)]
+        c_part = tuple(power for power in mono if power[0][0] == FAM_C)
+        yield tuple(h_indices[::-1]), MvPolynomial({c_part: q})
 
 
 def poly_to_wedge(p: MvPolynomial, r: int, n: int | None = None) -> ExtElement:
@@ -63,11 +58,8 @@ def poly_to_wedge(p: MvPolynomial, r: int, n: int | None = None) -> ExtElement:
 
     e-variables are rewritten to h's first, c-variables stay scalars.
     """
-    p = e_to_h_rewrite(p)
     acc = ExtElement.zero(r, BasisTag.PLAIN_X)
-    for mono, q in p.terms.items():
-        h_indices, c_part = split_h_monomial(mono)
-        scalar = MvPolynomial({c_part: q})
+    for h_indices, scalar in split_h_terms(p):
         acc = acc + sigma_monomial_wedge(r, h_indices).scale(scalar)
     return acc
 
@@ -80,11 +72,8 @@ def wedge_to_poly(u: ExtElement, n: int | None = None) -> MvPolynomial:
 def schur_map_of_poly(p: MvPolynomial, r: int,
                       n: int | None = None) -> dict[Partition, MvPolynomial]:
     """Schur coordinates of p as an element of the degree-r module."""
-    p = e_to_h_rewrite(p)
     acc: dict[Partition, MvPolynomial] = {}
-    for mono, q in p.terms.items():
-        h_indices, c_part = split_h_monomial(mono)
-        scalar = MvPolynomial({c_part: q})
+    for h_indices, scalar in split_h_terms(p):
         for lam, coeff in _schur_map_of_monomial(r, n, h_indices).items():
             term = scalar * coeff
             s = acc.get(lam)

@@ -10,9 +10,12 @@ three families of variables:
 A variable is a pair ``(family, index)`` with integer family codes
 C(0) < E(1) < H(2); a monomial is a tuple of ``(variable, exponent)`` pairs
 sorted by variable, and a polynomial maps monomials to nonzero rational
-coefficients:
-
-  h1*h2 - c1  ->  {(((2,1),1), ((2,2),1)): 1, (((0,1),1),): -1}
+coefficients.  Inside, a monomial is one int of 16-bit fields: field 0
+holds the degree, and each variable gets the next field on first use, so
+multiplying monomials adds their ints.  A field's top bit is a guard: an
+exponent or degree above 32767 raises ``ExponentOverflow`` and never
+carries into the next field.  ``terms`` reads this packed dict with tuple
+keys: a ``Mapping`` whose ``len`` is O(1) and whose one write is ``clear``.
 
 The zero polynomial stores no terms.  Coefficients are exact rationals in
 lowest terms: ``fractions.Fraction`` when the denominator is nontrivial and
@@ -20,10 +23,9 @@ plain ``int`` otherwise (ints are canonical denominator-1 rationals; they
 expose the same ``numerator``/``denominator`` interface and compare and hash
 consistently with ``Fraction``, while their arithmetic is an order of
 magnitude faster on the all-integer computations that dominate here).
-Polynomial equality is plain structural equality of the term dictionaries.
-Every operation is a pure function and returns a new polynomial whose
-``terms`` dict belongs to the caller.  Every cache of the package is a
-``memo`` table, which hands out values frozen to read-only views.
+Every operation is a pure function and returns a new polynomial that
+belongs to the caller.  Every cache of the package is a ``memo`` table,
+which freezes the packed dicts of the values it hands out.
 
 Canonical renderings (text and JSON) list terms in graded-lexicographic
 order: higher total degree first, ties broken by comparing exponents on the
@@ -33,10 +35,15 @@ renderings are deterministic byte-for-byte.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import lru_cache, reduce, wraps
+from itertools import repeat, starmap
+from operator import itemgetter, or_
+from struct import Struct
 from types import MappingProxyType
-from typing import Iterable, Mapping
+
+from .errors import ExponentOverflow, NonUnitConstantTerm
 
 FAM_C, FAM_E, FAM_H = 0, 1, 2
 _FAM_NAMES = ("c", "e", "h")
@@ -45,7 +52,10 @@ Var = tuple[int, int]          # (family, index), index >= 1
 Mono = tuple[tuple[Var, int], ...]  # ((var, exp), ...), var-sorted, exp > 0
 Coeff = int | Fraction         # always in lowest terms; int when denominator 1
 
-_EMPTY_MONO: Mono = ()
+_FIELD = 16                          # bits per field, the "H" of _layout
+_MAX_EXP = (1 << (_FIELD - 1)) - 1   # the top bit of a field is its guard
+_SHIFTS: dict[Var, int] = {}         # variable -> bit offset of its field
+_VARS: list[Var] = []                # the variable of field k + 1
 
 
 def _ratio(q) -> Coeff:
@@ -70,78 +80,137 @@ def parse_var(name: str) -> Var:
     return (_FAM_NAMES.index(fam), idx)
 
 
-def _mul_mono(a: Mono, b: Mono) -> Mono:
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        va, ea = a[i]
-        vb, eb = b[j]
-        if va == vb:
-            out.append((va, ea + eb))
-            i += 1
-            j += 1
-        elif va < vb:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out)
+def _layout() -> None:
+    """Recompute the tables that read the fields of a packed monomial."""
+    global _GUARDS, _FIELDS, _KEY, _ASC, _DESC
+    n = len(_VARS) + 1                   # field 0 holds the degree
+    _GUARDS = sum(1 << (_FIELD * k + _FIELD - 1) for k in range(n))
+    _FIELDS = Struct(f"<{n}H")           # little-endian bytes -> fields
+    _KEY = Struct(f">{n}H")              # fields -> big-endian bytes
+    _ASC = sorted((v, k) for k, v in enumerate(_VARS, 1))
+    # fields -> (degree, exponents by descending variable): graded-lex keys
+    _DESC = itemgetter(0, *[k for _, k in reversed(_ASC)]) if _ASC else tuple
 
 
-def _mono_degree(m: Mono) -> int:
-    return sum(e for _, e in m)
+_layout()
+
+
+def _shift(v: Var) -> int:
+    """Bit offset of v's exponent field; the first use of v appends one."""
+    s = _SHIFTS.get(v)
+    if s is None:
+        if v[0] not in (FAM_C, FAM_E, FAM_H) or v[1] < 1:
+            raise ValueError(f"not a (family, positive index) variable: {v!r}")
+        _VARS.append(v)
+        s = _SHIFTS[v] = _FIELD * len(_VARS)
+        _layout()
+    return s
+
+
+def _pack(mono) -> int:
+    """The packed monomial of ``(var, exp)`` pairs given in any order."""
+    m = 0
+    for v, e in mono:
+        if e < 0:
+            raise ValueError(f"negative exponent in monomial {mono!r}")
+        m += (e << _shift(v)) + e
+        if e > _MAX_EXP or m & _GUARDS:
+            raise ExponentOverflow(f"exponent or degree above {_MAX_EXP}")
+    return m
+
+
+def _unpack(m: int) -> Mono:
+    """The canonical ``((var, exp), ...)`` tuple of a packed monomial."""
+    f = _FIELDS.unpack(m.to_bytes(_FIELDS.size, "little"))
+    return tuple([(v, f[k]) for v, k in _ASC if f[k]])
+
+
+class _PerMonomial(dict):
+    """``packed monomial -> tuple of f(var, exp)``, filled on first use."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __missing__(self, m):
+        value = self[m] = tuple(map(self.f, _unpack(m)))
+        return value
+
+
+_MONO_STR = _PerMonomial(lambda p: var_name(p[0]) if p[1] == 1
+                          else f"{var_name(p[0])}^{p[1]}")
+
+
+class _Terms(Mapping):
+    """``MvPolynomial.terms``: the packed store read with ``Mono`` keys."""
+
+    __slots__ = ("_t",)
+
+    def __init__(self, packed):
+        self._t = packed
+
+    def __len__(self):
+        return len(self._t)
+
+    def __iter__(self):
+        return map(_unpack, self._t)
+
+    def __getitem__(self, mono):
+        return self._t[_pack(mono)]
+
+    def clear(self):   # the one write: it fails on a frozen polynomial
+        self._t.clear()
 
 
 class MvPolynomial:
     """A sparse exact-rational polynomial in the c/e/h variables."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_t",)   # packed monomial -> coefficient
 
     def __init__(self, terms: Mapping[Mono, Coeff] | None = None):
-        if terms is None:
-            self.terms: dict[Mono, Coeff] = {}
-        else:
-            self.terms = {m: _ratio(q) for m, q in terms.items() if q != 0}
+        out: dict[int, Coeff] = {}
+        for mono, q in (terms or {}).items():   # equal monomials are summed
+            m = _pack(mono)
+            out[m] = out.get(m, 0) + _ratio(q)
+        self._t = {m: _ratio(q) for m, q in out.items() if q}
+
+    @property
+    def terms(self) -> _Terms:
+        """``Mono -> Coeff``: a view of the packed terms."""
+        return _Terms(self._t)
+
+    def __reduce__(self):   # packed ints mean nothing in another process
+        return MvPolynomial, (dict(self.terms),)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def _of(terms: dict) -> "MvPolynomial":
-        """Trusted constructor: ``terms`` is already canonical and is kept."""
+        """Trusted constructor: packed canonical ``terms``, kept as given."""
         p = MvPolynomial.__new__(MvPolynomial)
-        p.terms = terms
+        p._t = terms
         return p
 
     def _freeze(self) -> None:
-        """Make ``terms`` a read-only view of the same dict, in place."""
-        if type(self.terms) is dict:
-            self.terms = MappingProxyType(self.terms)
+        """Make the packed store a read-only view of the same dict, in place."""
+        if type(self._t) is dict:
+            self._t = MappingProxyType(self._t)
 
     @staticmethod
     def zero() -> "MvPolynomial":
-        return MvPolynomial()
+        return MvPolynomial._of({})
 
     @staticmethod
     def one() -> "MvPolynomial":
-        return MvPolynomial({_EMPTY_MONO: 1})
+        return MvPolynomial._of({0: 1})
 
     @staticmethod
     def const(q) -> "MvPolynomial":
         q = _ratio(q)
-        return MvPolynomial({_EMPTY_MONO: q}) if q else MvPolynomial()
+        return MvPolynomial._of({0: q} if q else {})
 
     @staticmethod
     def variable(fam: int, idx: int) -> "MvPolynomial":
-        if idx < 1:
-            raise ValueError("variable index must be positive")
-        return MvPolynomial({(((fam, idx), 1),): 1})
+        return MvPolynomial._of({(1 << _shift((fam, idx))) + 1: 1})
 
     # -- ring operations ---------------------------------------------------
 
@@ -157,8 +226,8 @@ class MvPolynomial:
         other = MvPolynomial._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = self.terms.copy()
-        for m, q in other.terms.items():
+        out = self._t.copy()
+        for m, q in other._t.items():
             s = out.get(m)
             if s is None:
                 out[m] = q
@@ -173,7 +242,7 @@ class MvPolynomial:
     __radd__ = __add__
 
     def __neg__(self) -> "MvPolynomial":
-        return MvPolynomial._of({m: -q for m, q in self.terms.items()})
+        return MvPolynomial._of({m: -q for m, q in self._t.items()})
 
     def __sub__(self, other) -> "MvPolynomial":
         other = MvPolynomial._coerce(other)
@@ -189,14 +258,15 @@ class MvPolynomial:
             if not other:
                 return MvPolynomial()
             q0 = _ratio(other)
-            return MvPolynomial._of({m: q * q0 for m, q in self.terms.items()})
+            return MvPolynomial._of({m: q * q0 for m, q in self._t.items()})
         if not isinstance(other, MvPolynomial):
             return NotImplemented
-        out: dict[Mono, Coeff] = {}
+        out: dict[int, Coeff] = {}
         get = out.get
-        for ma, qa in self.terms.items():
-            for mb, qb in other.terms.items():
-                m = _mul_mono(ma, mb)
+        b_items = other._t.items()
+        for ma, qa in self._t.items():
+            for mb, qb in b_items:
+                m = ma + mb
                 s = get(m)
                 if s is None:
                     out[m] = qa * qb
@@ -206,6 +276,8 @@ class MvPolynomial:
                         out[m] = s
                     else:
                         del out[m]
+        if out and reduce(or_, out) & _GUARDS:   # fields <= 2 * _MAX_EXP
+            raise ExponentOverflow(f"exponent or degree above {_MAX_EXP}")
         return MvPolynomial._of(out)
 
     __rmul__ = __mul__
@@ -225,111 +297,87 @@ class MvPolynomial:
     # -- predicates and views ----------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._t
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self._t)
 
     def __eq__(self, other) -> bool:
         other = MvPolynomial._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.terms == other.terms
+        return self._t == other._t
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self._t.items()))
 
     def constant_term(self) -> Coeff:
-        return self.terms.get(_EMPTY_MONO, 0)
+        return self._t.get(0, 0)
 
     def variables(self) -> set[Var]:
-        out: set[Var] = set()
-        for m in self.terms:
-            for v, _ in m:
-                out.add(v)
-        return out
+        return {v for v, _ in _unpack(reduce(or_, self._t, 0))}
 
     # -- substitutions -------------------------------------------------------
 
     def specialize_family_zero(self, fam: int) -> "MvPolynomial":
         """Set every variable of the given family to zero."""
-        return MvPolynomial._of({m: q for m, q in self.terms.items()
-                                 if all(v[0] != fam for v, _ in m)})
+        mask = sum(((1 << _FIELD) - 1) << s for v, s in _SHIFTS.items()
+                   if v[0] == fam)
+        return MvPolynomial._of({m: q for m, q in self._t.items()
+                                 if not m & mask})
 
     def substitute(self, images: Mapping[Var, "MvPolynomial"]) -> "MvPolynomial":
         """Replace each mapped variable by its image polynomial."""
-        pow_cache: dict[tuple[Var, int], MvPolynomial] = {}
+        powers: dict[tuple[Var, int], MvPolynomial] = {}
         total = MvPolynomial.zero()
-        for m, q in self.terms.items():
-            kept = []
-            factor = None
-            for v, e in m:
-                img = images.get(v)
-                if img is None:
-                    kept.append((v, e))
-                    continue
-                key = (v, e)
-                powed = pow_cache.get(key)
+        for m, q in self._t.items():
+            term = MvPolynomial.const(q)
+            for v, e in _unpack(m):
+                powed = powers.get((v, e))
                 if powed is None:
-                    powed = img ** e
-                    pow_cache[key] = powed
-                factor = powed if factor is None else factor * powed
-            base = MvPolynomial({tuple(kept): q})
-            total = total + (base if factor is None else base * factor)
+                    img = images.get(v)
+                    powed = powers[v, e] = (
+                        MvPolynomial.variable(*v) if img is None else img) ** e
+                term = term * powed
+            total = total + term
         return total
 
     # -- canonical renderings ----------------------------------------------
 
+    def _sorted(self) -> list[tuple[int, Coeff]]:
+        """Packed terms in the canonical graded-lex order (leading first)."""
+        # every key is built by C-level maps; distinct monomials never tie
+        fields = map(_FIELDS.unpack, map(int.to_bytes, self._t,
+                                         repeat(_FIELDS.size), repeat("little")))
+        keys = starmap(_KEY.pack, map(_DESC, fields))
+        return [t for _, t in sorted(zip(keys, self._t.items()), reverse=True)]
+
     def sorted_terms(self) -> list[tuple[Mono, Coeff]]:
         """Terms in the canonical graded-lex order (leading term first)."""
-        # Descending (degree, reversed monomial).  A monomial lists its
-        # (var, exp) pairs by ascending variable, so reversals compare the
-        # largest variable first (present beats absent, i.e. exponent 0),
-        # then its exponent, and so on downwards: the graded-lex order of
-        # the module docstring.  Distinct monomials never tie.
-        return sorted(self.terms.items(),
-                      key=lambda t: (_mono_degree(t[0]), t[0][::-1]),
-                      reverse=True)
+        return [(_unpack(m), q) for m, q in self._sorted()]
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         pieces = []
-        for m, q in self.sorted_terms():
-            mono = "*".join(
-                var_name(v) if e == 1 else f"{var_name(v)}^{e}" for v, e in m
-            )
-            if not mono:
-                body = str(abs(q))
-            elif abs(q) == 1:
-                body = mono
-            else:
-                body = f"{abs(q)}*{mono}"
+        for m, q in self._sorted():
+            mono, a = "*".join(_MONO_STR[m]), abs(q)
+            body = (mono if a == 1 else f"{a}*{mono}") if mono else str(a)
             pieces.append(("- " if q < 0 else "+ ") + body)
-        first = pieces[0]
-        head = ("-" + first[2:]) if first.startswith("- ") else first[2:]
-        return " ".join([head] + pieces[1:])
+        text = " ".join(pieces)
+        return "-" + text[2:] if text.startswith("-") else text[2:] or "0"
 
     def __repr__(self) -> str:
         return f"MvPolynomial({self})"
 
     def to_json(self) -> dict:
-        terms = []
-        for m, q in self.sorted_terms():
-            terms.append({
-                "exps": {var_name(v): e for v, e in m},
-                "num": str(q.numerator),
-                "den": str(q.denominator),
-            })
-        return {"terms": terms}
+        return {"terms": [{"exps": {var_name(v): e for v, e in _unpack(m)},
+                           "num": str(q.numerator), "den": str(q.denominator)}
+                          for m, q in self._sorted()]}
 
     @staticmethod
     def from_json(doc: dict) -> "MvPolynomial":
-        out: dict[Mono, Coeff] = {}
-        for t in doc["terms"]:
-            mono = tuple(sorted((parse_var(name), e) for name, e in t["exps"].items()))
-            out[mono] = _ratio(Fraction(int(t["num"]), int(t["den"])))
-        return MvPolynomial(out)
+        return MvPolynomial({
+            tuple((parse_var(name), e) for name, e in t["exps"].items()):
+            Fraction(int(t["num"]), int(t["den"])) for t in doc["terms"]})
 
 
 _MEMO_TABLES: list = []
@@ -384,8 +432,6 @@ def series_inverse(coeffs: list[MvPolynomial], order: int) -> list[MvPolynomial]
     zero).  The constant term must be 1.  Returns the coefficients of the
     inverse through ``z^order``, so that the product is 1 modulo z^(order+1).
     """
-    from .errors import NonUnitConstantTerm
-
     if order < 0:
         raise ValueError("order must be nonnegative")
     if not coeffs or coeffs[0] != ONE:

@@ -128,3 +128,11 @@ def test_the_empty_determinant_cannot_change_one():
     assert str(giambelli(Partition((2, 1)), 2, 4)) != "0"
     assert star_oracle_coords(StarOperator.adapted(1, 0), Partition((1,)),
                               2, 4)
+
+
+def test_replacing_the_terms_of_a_schur_determinant_is_refused():
+    uda.clear_caches()
+    with pytest.raises(AttributeError):
+        giambelli(Partition((1,)), 2, 4).terms = {}
+    assert (str(giambelli(Partition((2, 1)), 2, 4))
+            == "-c1*h1^2 + c1^2*h1 + h1*h2 - c1*c2 - h3 + c3")

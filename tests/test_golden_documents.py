@@ -16,10 +16,12 @@ GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_uda(*args):
-    # the child imports uda from this checkout, installed or not
+def run_uda(*args, script=None):
+    # the child imports uda from this checkout, installed or not; a script
+    # given runs in place of ``-m uda.cli`` and sees the same arguments
     path = os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))
-    return subprocess.run([sys.executable, "-m", "uda.cli", *args],
+    entry = ["-m", "uda.cli"] if script is None else ["-c", script]
+    return subprocess.run([sys.executable, *entry, *args],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
 
@@ -59,3 +61,23 @@ def test_subprocess_exit_codes():
     assert run_uda("verify", "--suite", "golden", "--r", "2", "--n", "4").returncode == 0
     assert run_uda("act", "--r", "2", "--lambda", "9", "--i", "0", "--j", "0",
                    "--n", "4").returncode == 1
+
+
+# Packed monomials give each variable a field in the order variables first
+# appear; the documents must not depend on that order.
+_REVERSED_LAYOUT = """\
+import sys
+import uda.cli
+from uda import poly
+poly.h_(12), poly.e_(5), poly.c_(11)   # reverse canonical order
+assert poly._VARS[:3] == [(2, 12), (1, 5), (0, 11)], poly._VARS
+sys.exit(uda.cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("golden", ["giambelli_r3_n6_21.json",
+                                    "genfun_r3_n6_21.txt"])
+def test_documents_do_not_depend_on_variable_arrival_order(golden):
+    proc = run_uda(*DOCUMENTS[golden].split(), script=_REVERSED_LAYOUT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / golden).read_text()
