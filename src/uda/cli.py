@@ -24,7 +24,7 @@ from .glaction import (StarOperator, generating_action,
                        universal_factorization)
 from .module_iso import schur_map_to_poly
 from .partitions import Partition
-from .poly import MvPolynomial, _PerMonomial, var_name
+from .poly import MvPolynomial, _PerMonomial, _TextTable, var_name
 from .symfunc import giambelli
 from .verify import SUITES
 
@@ -125,16 +125,9 @@ def _write_json(obj, newline: str, out: list[str]) -> None:
         out.append(json.dumps(obj, indent=2).replace("\n", newline))
 
 
-class _PowerText(dict):
-    """``((family, index), exp) -> '"c1": exp'``, filled on first use."""
-
-    def __missing__(self, power):
-        var, exp = power
-        text = self[power] = _encode_str(var_name(var)) + ": " + int.__repr__(exp)
-        return text
-
-
-_POWER_TEXT = _PowerText()
+# ((family, index), exp) -> '"c1": exp'
+_POWER_TEXT = _TextTable(lambda power: _encode_str(var_name(power[0])) + ": "
+                        + int.__repr__(power[1]))
 _MONO_TEXT = _PerMonomial(_POWER_TEXT.__getitem__)   # packed monomial -> texts
 
 

@@ -95,9 +95,10 @@ class ExtElement:
     every term (degree r, indices strictly decreasing and >= 0) and drop
     zeros.  ``_of`` keeps terms valid by construction unchecked, and
     ``_freeze`` makes them and their coefficients read-only in place.
+    ``terms`` cannot be reassigned.
     """
 
-    __slots__ = ("r", "tag", "terms")
+    __slots__ = ("r", "tag", "_terms")
 
     def __init__(self, r: int, tag: BasisTag,
                  terms: Mapping[Indices, MvPolynomial] | None = None):
@@ -114,18 +115,23 @@ class ExtElement:
             if idx and idx[-1] < 0:
                 raise ValueError(f"negative exponent in {idx}")
             clean[idx] = coeff
-        self.terms = clean
+        self._terms = clean
+
+    @property
+    def terms(self) -> Mapping[Indices, MvPolynomial]:
+        """``indices -> coefficient``, one entry per nonzero wedge monomial."""
+        return self._terms
 
     # -- constructors --------------------------------------------------------
 
     @staticmethod
     def _of(r: int, tag: BasisTag, terms: dict) -> "ExtElement":
         e = ExtElement.__new__(ExtElement)
-        e.r, e.tag, e.terms = r, tag, terms
+        e.r, e.tag, e._terms = r, tag, terms
         return e
 
     def _freeze(self) -> None:
-        self.terms = _frozen(self.terms)
+        self._terms = _frozen(self._terms)
 
     @staticmethod
     def zero(r: int, tag: BasisTag) -> "ExtElement":
@@ -305,6 +311,17 @@ class LinearForm:
     def value(self, i: int, tag: BasisTag, n: int | None) -> MvPolynomial:
         raise NotImplementedError
 
+    def slots(self, idx: Indices, tag: BasisTag, n: int | None
+              ) -> list[tuple[int, MvPolynomial]]:
+        """``(slot, value)`` for each factor of the wedge ``idx`` on which
+        the form is nonzero, in slot order."""
+        out = []
+        for slot, i in enumerate(idx):
+            val = self.value(i, tag, n)
+            if val:
+                out.append((slot, val))
+        return out
+
 
 class DeltaForm(LinearForm):
     """The form reading off the coefficient of X^j (dual to the plain basis)."""
@@ -327,6 +344,12 @@ class DeltaForm(LinearForm):
             return ONE
         return -c_(d) if d % 2 else c_(d)
 
+    def slots(self, idx: Indices, tag: BasisTag, n: int | None
+              ) -> list[tuple[int, MvPolynomial]]:
+        if tag is BasisTag.PLAIN_X:   # one factor at most, valued 1
+            return [(idx.index(self.j), ONE)] if self.j in idx else []
+        return super().slots(idx, tag, n)
+
     def __repr__(self):
         return f"DeltaForm({self.j})"
 
@@ -348,6 +371,12 @@ class DualDeltaForm(LinearForm):
             return ZERO
         return s_coefficient(i - self.j, n)
 
+    def slots(self, idx: Indices, tag: BasisTag, n: int | None
+              ) -> list[tuple[int, MvPolynomial]]:
+        if tag is BasisTag.DEFORMED_XC:   # one factor at most, valued 1
+            return [(idx.index(self.j), ONE)] if self.j in idx else []
+        return super().slots(idx, tag, n)
+
     def __repr__(self):
         return f"DualDeltaForm({self.j})"
 
@@ -358,10 +387,7 @@ def contract(form: LinearForm, u: ExtElement, n: int | None = None) -> ExtElemen
         raise DegreeZeroError("cannot contract a degree-zero element")
     out: dict[Indices, MvPolynomial] = {}
     for idx, coeff in u.terms.items():
-        for slot in range(u.r):
-            val = form.value(idx[slot], u.tag, n)
-            if not val:
-                continue
+        for slot, val in form.slots(idx, u.tag, n):
             rest = idx[:slot] + idx[slot + 1:]
             term = coeff * val
             if slot % 2:

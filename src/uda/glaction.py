@@ -47,10 +47,9 @@ from dataclasses import dataclass, field
 
 from .bilaurent import BiLaurent
 from .determinant import exact_det
-from .errors import WindowViolation
+from .errors import DegreeZeroError, WindowViolation
 from .exterior import (BasisTag, DeltaForm, DualDeltaForm, ExtElement,
-                       LinearForm, contract, convert_basis, reduce_mod_n,
-                       w_value, wedge, wedge_coords)
+                       LinearForm, convert_basis, merge_indices, w_value)
 from .module_iso import quotient_project, schur_map_of_poly, schur_map_to_poly
 from .partitions import (Partition, partition_of_indices,
                          partitions_in_rectangle, wedge_indices)
@@ -67,6 +66,13 @@ class StarOperator:
     vector: tuple[MvPolynomial, ...]   # coefficients of X^0, X^1, ...
     vector_tag: BasisTag
     form: LinearForm
+    # the nonzero (k, coefficient of X^k) pairs of ``vector``
+    _terms: tuple[tuple[int, MvPolynomial], ...] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_terms", tuple(
+            (k, coeff) for k, coeff in enumerate(self.vector) if coeff))
 
     @staticmethod
     def plain(i: int, j: int) -> "StarOperator":
@@ -79,10 +85,14 @@ class StarOperator:
         return StarOperator(vec, BasisTag.DEFORMED_XC, DualDeltaForm(j))
 
 
-def _vector_element(op: StarOperator, ambient: int | None) -> ExtElement:
-    e = ExtElement._of(1, op.vector_tag,
-                       {(k,): coeff for k, coeff in enumerate(op.vector) if coeff})
-    return convert_basis(e, BasisTag.DEFORMED_XC, ambient)
+def _deformed_vector(op: StarOperator, ambient: int | None
+                     ) -> tuple[tuple[int, MvPolynomial], ...]:
+    """The (k, coefficient of X^k(c)) pairs of the operator's vector."""
+    if op.vector_tag is BasisTag.DEFORMED_XC:
+        return op._terms
+    e = ExtElement._of(1, op.vector_tag, {(k,): coeff for k, coeff in op._terms})
+    e = convert_basis(e, BasisTag.DEFORMED_XC, ambient)
+    return tuple((idx[0], coeff) for idx, coeff in e.terms.items())
 
 
 def star_oracle_coords(op: StarOperator, lam: Partition, r: int,
@@ -90,20 +100,48 @@ def star_oracle_coords(op: StarOperator, lam: Partition, r: int,
                        ) -> dict[Partition, MvPolynomial]:
     """Schur coordinates of (f (x) g) acting on the basis element of lam.
 
+    One pass over the deformed wedge indices of lam: for each slot on which
+    the form is nonzero (sign (-1)^slot), the remaining indices are merged
+    with each index k of the deformed vector, the merge sign included; this
+    is the contraction, wedge and coordinate read-off of the exterior layer
+    done on indices alone.
+
     With ``n`` set and ``quotient`` true, the computation happens in the rank
-    n quotient module: wedge factors with exponent >= n are dropped and the
-    answer lives on rectangle partitions.  With ``quotient`` false, n only
-    bounds the c-variables.
+    n quotient module: wedge monomials with a factor of exponent >= n are
+    dropped and the answer lives on rectangle partitions.  With ``quotient``
+    false, n only bounds the c-variables.
     """
     if len(lam) > r:
         raise ValueError(f"partition {lam} longer than r={r}")
-    u = ExtElement._of(r, BasisTag.DEFORMED_XC, {wedge_indices(lam, r): ONE})
-    v = contract(op.form, u, n)
-    w = wedge(_vector_element(op, n), v)
-    if n is not None and quotient:
-        w = reduce_mod_n(w, n)
-    coords = wedge_coords(w, n)
-    if n is not None and quotient:
+    if r < 1:
+        raise DegreeZeroError("cannot contract a degree-zero element")
+    idx = wedge_indices(lam, r)
+    cut = n if n is not None and quotient else None
+    contracted = [(idx[:slot] + idx[slot + 1:], val, -1 if slot % 2 else 1)
+                  for slot, val in op.form.slots(idx, BasisTag.DEFORMED_XC, n)]
+    out: dict[tuple[int, ...], MvPolynomial] = {}
+    for k, a in _deformed_vector(op, n):
+        for rest, val, sign in contracted:
+            merged = merge_indices((k,), rest)
+            if merged is None:
+                continue
+            midx, flip = merged
+            if cut is not None and midx[0] >= cut:
+                continue
+            coeff = a * val
+            if sign != flip:
+                coeff = -coeff
+            s = out.get(midx)
+            if s is None:
+                out[midx] = coeff
+            else:
+                s = s + coeff
+                if s:
+                    out[midx] = s
+                else:
+                    del out[midx]
+    coords = {partition_of_indices(midx): coeff for midx, coeff in out.items()}
+    if cut is not None:
         for mu in coords:
             if mu.part(1) > n - r:
                 raise WindowViolation(

@@ -25,7 +25,8 @@ consistently with ``Fraction``, while their arithmetic is an order of
 magnitude faster on the all-integer computations that dominate here).
 Every operation is a pure function and returns a new polynomial that
 belongs to the caller.  Every cache of the package is a ``memo`` table,
-which freezes the packed dicts of the values it hands out.
+which freezes the packed dicts of the values it hands out, or a text
+table of rendered monomials; ``clear_caches`` empties both kinds.
 
 Canonical renderings (text and JSON) list terms in graded-lexicographic
 order: higher total degree first, ties broken by comparing exponents on the
@@ -107,13 +108,21 @@ def _shift(v: Var) -> int:
     return s
 
 
-def _pack(mono) -> int:
+def _known_shift(v: Var) -> int:
+    """Bit offset of v's exponent field; ``KeyError`` if v has none yet."""
+    s = _SHIFTS.get(v)
+    if s is None:
+        raise KeyError(v)
+    return s
+
+
+def _pack(mono, shift=_shift) -> int:
     """The packed monomial of ``(var, exp)`` pairs given in any order."""
     m = 0
     for v, e in mono:
         if e < 0:
             raise ValueError(f"negative exponent in monomial {mono!r}")
-        m += (e << _shift(v)) + e
+        m += (e << shift(v)) + e
         if e > _MAX_EXP or m & _GUARDS:
             raise ExponentOverflow(f"exponent or degree above {_MAX_EXP}")
     return m
@@ -125,11 +134,23 @@ def _unpack(m: int) -> Mono:
     return tuple([(v, f[k]) for v, k in _ASC if f[k]])
 
 
-class _PerMonomial(dict):
-    """``packed monomial -> tuple of f(var, exp)``, filled on first use."""
+_TEXT_TABLES: list[dict] = []
+
+
+class _TextTable(dict):
+    """``key -> f(key)``, filled on first use and emptied by ``clear_caches``."""
 
     def __init__(self, f):
         self.f = f
+        _TEXT_TABLES.append(self)
+
+    def __missing__(self, key):
+        value = self[key] = self.f(key)
+        return value
+
+
+class _PerMonomial(_TextTable):
+    """``packed monomial -> tuple of f(var, exp)``, filled on first use."""
 
     def __missing__(self, m):
         value = self[m] = tuple(map(self.f, _unpack(m)))
@@ -154,8 +175,8 @@ class _Terms(Mapping):
     def __iter__(self):
         return map(_unpack, self._t)
 
-    def __getitem__(self, mono):
-        return self._t[_pack(mono)]
+    def __getitem__(self, mono):   # a variable with no field is in no key
+        return self._t[_pack(mono, _known_shift)]
 
     def clear(self):   # the one write: it fails on a frozen polynomial
         self._t.clear()
@@ -404,9 +425,15 @@ def memo(fn):
 
 
 def clear_caches() -> None:
-    """Empty every ``memo`` table of the package."""
+    """Empty every ``memo`` table and every per-monomial text table.
+
+    The field layout (``_VARS``, ``_SHIFTS``) stays: the packed monomials
+    of every live polynomial are read through it.
+    """
     for table in _MEMO_TABLES:
         table.cache_clear()
+    for text in _TEXT_TABLES:
+        text.clear()
 
 
 ZERO = _frozen(MvPolynomial.zero())

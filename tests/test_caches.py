@@ -136,3 +136,32 @@ def test_replacing_the_terms_of_a_schur_determinant_is_refused():
         giambelli(Partition((1,)), 2, 4).terms = {}
     assert (str(giambelli(Partition((2, 1)), 2, 4))
             == "-c1*h1^2 + c1^2*h1 + h1*h2 - c1*c2 - h3 + c3")
+
+
+def test_replacing_the_terms_of_a_sigma_monomial_wedge_is_refused():
+    want = uda.schur_map_of_poly(h_(1) * h_(2), 2, None)
+    assert want
+    uda.clear_caches()
+    with pytest.raises(AttributeError):
+        uda.sigma_monomial_wedge(2, (1,)).terms = {}
+    with pytest.raises(AttributeError):
+        ExtElement.vector(1, BasisTag.PLAIN_X).terms = {}
+    assert uda.schur_map_of_poly(h_(1) * h_(2), 2, None) == want
+
+
+def test_clear_caches_empties_the_text_tables():
+    from uda.cli import _MONO_TEXT, _POWER_TEXT, _json_doc
+    from uda.poly import _MONO_STR, _SHIFTS, _VARS
+
+    p = giambelli(Partition((2, 1)), 3, 6) * e_(2)
+
+    def render():
+        return str(p) + _json_doc({"value": p})
+
+    first = render()
+    assert _MONO_STR and _MONO_TEXT and _POWER_TEXT
+    layout = dict(_SHIFTS), list(_VARS)
+    uda.clear_caches()
+    assert not _MONO_STR and not _MONO_TEXT and not _POWER_TEXT
+    assert (dict(_SHIFTS), list(_VARS)) == layout   # live polynomials read it
+    assert render() == first

@@ -2,11 +2,12 @@ import random
 from functools import reduce
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from uda.bilaurent import BiLaurent
 from uda.errors import (DegreeZeroError, TagMismatch, WindowExcludesMinusOne)
 from uda.exterior import (BasisTag, DeltaForm, DualDeltaForm, ExtElement,
-                          contract, convert_basis, expand_over_factor,
+                          LinearForm, contract, convert_basis, expand_over_factor,
                           merge_indices, reduce_mod_n, residue, residue_tuple,
                           sort_indices, unit_wedge, w_value, wedge,
                           wedge_coords, x_in_xc, xc_expand)
@@ -162,6 +163,15 @@ def test_contract_is_antiderivation_on_disjoint_monomials():
         sign = -1 if u.r % 2 else 1
         rhs = wedge(contract(form, u, None), v) + wedge(u, contract(form, v, None)).scale(sign)
         assert lhs == rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([DeltaForm, DualDeltaForm]), st.integers(0, 9),
+       st.sets(st.integers(0, 12), max_size=5), st.sampled_from([X, XC]),
+       st.sampled_from([None, *range(1, 9)]))
+def test_slots_overrides_match_the_generic_value_loop(kind, j, pool, tag, n):
+    form, idx = kind(j), tuple(sorted(pool, reverse=True))
+    assert form.slots(idx, tag, n) == LinearForm.slots(form, idx, tag, n)
 
 
 def test_duality_of_adapted_forms():

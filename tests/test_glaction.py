@@ -4,8 +4,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import uda.glaction as gl
 from uda.bilaurent import BiLaurent
-from uda.errors import WindowViolation
+from uda.errors import DegreeZeroError, WindowViolation
+from uda.exterior import (BasisTag, DeltaForm, DualDeltaForm, ExtElement,
+                          contract, convert_basis, reduce_mod_n, wedge,
+                          wedge_coords)
 from uda.glaction import (ActionResult, StarOperator, _finite_closed_form,
                           bracket_check, generating_action,
                           generating_action_adapted, generating_action_finite,
@@ -48,7 +52,6 @@ def test_star_is_linear_over_scalars():
 
 def test_star_operator_with_general_vector_part():
     # the action is linear in the vector polynomial f(X)
-    from uda.exterior import BasisTag, DeltaForm
     f = (ZERO, c_(1), ONE + c_(2))            # f(X) = c1 X + (1 + c2) X^2
     op = StarOperator(f, BasisTag.PLAIN_X, DeltaForm(1))
     lam = Partition((2, 1))
@@ -293,7 +296,6 @@ def test_window_guard_fires_on_corrupted_series(monkeypatch):
     # the vanishing of projected coefficients beyond z^{n-1} rests on the
     # series factors (the determinant never enters it); corrupting one sign
     # of the c(z) factor must trip the margin check
-    import uda.glaction as gl
     from uda import clear_caches
     real = gl.c_series_coeffs
 
@@ -430,7 +432,6 @@ def test_quotient_action_rejects_bad_input():
 def test_quotient_signs_are_plain_ints():
     # the substitution, the matrices and the finite Schur form carry the
     # signs as the ints 1 and -1, and the sign tables are the matrices' own
-    import uda.glaction as gl
     for r, n in ((2, 4), (3, 5)):
         basis = partitions_in_rectangle(r, n - r)
         for lam in basis:
@@ -451,7 +452,6 @@ def test_quotient_signs_are_plain_ints():
 def test_cached_results_are_read_only():
     # the finite result is built fresh on every call, so clearing its maps
     # cannot reach a later call; its fields cannot be reassigned
-    import uda.glaction as gl
     res = generating_action_finite(Partition((1,)), 2, 4)
     for clobber in (lambda: setattr(res, "schur_form", {}),
                     lambda: setattr(res, "positive_w", {}),
@@ -492,6 +492,86 @@ def test_oracle_result_belongs_to_the_caller():
     assert ONE == MvPolynomial.const(1)
     assert wedge_indices(lam, 2) == (3, 1)
     assert partition_of_indices((3, 1)) == lam
+
+
+def _layered_coords(op, lam, r, n, quotient):
+    """The oracle step by step through the exterior layer's public API."""
+    vec = convert_basis(ExtElement(1, op.vector_tag, dict(
+        ((k,), coeff) for k, coeff in enumerate(op.vector))),
+        BasisTag.DEFORMED_XC, n)
+    u = ExtElement.basis_monomial(wedge_indices(lam, r), BasisTag.DEFORMED_XC)
+    w = wedge(vec, contract(op.form, u, n))
+    if n is not None and quotient:
+        w = reduce_mod_n(w, n)
+    return wedge_coords(w, n)
+
+
+def test_one_pass_oracle_matches_the_exterior_layer():
+    # every i, j <= n on every lambda up to one column past the rectangle,
+    # for r <= 3 and n <= 6: unreduced with n and projected; stable once
+    for n in range(1, 7):
+        for r in range(1, min(n, 3) + 1):
+            cases = ((n, False), (n, True)) + (((None, True),) if n == 6 else ())
+            for lam in partitions_in_rectangle(r, n - r + 1):
+                for i in range(n + 1):
+                    for j in range(n + 1):
+                        for op in (StarOperator.adapted(i, j),
+                                   StarOperator.plain(i, j)):
+                            for ambient, quotient in cases:
+                                want = _layered_coords(op, lam, r, ambient,
+                                                       quotient)
+                                got = star_oracle_coords(op, lam, r, ambient,
+                                                         quotient=quotient)
+                                assert got == want, (op, lam, r, ambient,
+                                                     quotient)
+
+
+def test_one_pass_oracle_with_a_general_vector():
+    f = (c_(2), ZERO, ONE + c_(1), -c_(1) * c_(3))
+    for tag, form in ((BasisTag.PLAIN_X, DeltaForm(1)),
+                      (BasisTag.DEFORMED_XC, DualDeltaForm(1)),
+                      (BasisTag.PLAIN_X, DualDeltaForm(0))):
+        op = StarOperator(f, tag, form)
+        for lam in partitions_in_rectangle(3, 3):
+            for n, quotient in ((None, True), (6, False), (6, True)):
+                assert star_oracle_coords(op, lam, 3, n, quotient=quotient) \
+                    == _layered_coords(op, lam, 3, n, quotient)
+
+
+def test_oracle_keeps_the_exceptions_of_the_exterior_layer(monkeypatch):
+    op = StarOperator.adapted(0, 0)
+    for n in (None, 4):
+        with pytest.raises(DegreeZeroError):
+            star_oracle_coords(op, EMPTY, 0, n)
+    with pytest.raises(ValueError, match="longer than r=1"):
+        star_oracle_coords(op, Partition((1, 1)), 1, 4)
+    with pytest.raises(ValueError, match="longer than r=0"):
+        star_oracle_coords(op, Partition((1,)), 0)
+    # indices below n always read back inside the rectangle; the check
+    # stands guard over the index map
+    monkeypatch.setattr(gl, "partition_of_indices", lambda idx: Partition((9,)))
+    adapted = StarOperator.adapted(2, 1)
+    with pytest.raises(WindowViolation, match="outside the 2x2 rectangle"):
+        star_oracle_coords(adapted, Partition((2, 1)), 2, 4)
+    assert star_oracle_coords(adapted, Partition((2, 1)), 2, 4,
+                              quotient=False) == {Partition((9,)): ONE}
+
+
+def test_the_oracle_uses_no_other_route(monkeypatch):
+    ops = [StarOperator.adapted(i, j) for i in range(4) for j in range(4)]
+    ops.append(StarOperator.plain(3, 1))
+    lams = partitions_in_rectangle(2, 2)
+    want = [star_oracle_coords(op, lam, 2, 4) for op in ops for lam in lams]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called another route")
+
+    for name in ("quotient_action", "rep_matrix", "_signs", "_closed_form",
+                 "_finite_closed_form", "generating_action",
+                 "generating_action_adapted", "generating_action_finite"):
+        monkeypatch.setattr(gl, name, refuse)
+    assert [star_oracle_coords(op, lam, 2, 4)
+            for op in ops for lam in lams] == want
 
 
 @st.composite

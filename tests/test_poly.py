@@ -332,3 +332,19 @@ def test_terms_is_a_read_only_tuple_keyed_view():
     with pytest.raises(TypeError):
         view[()] = 5
     assert p == h_(2) * c_(1) - 3
+
+
+def test_a_lookup_gives_no_variable_a_field():
+    import uda.poly as poly
+    fresh = (FAM_E, 9973)
+    assert fresh not in poly._SHIFTS
+    vars_before, shifts_before = list(poly._VARS), dict(poly._SHIFTS)
+    key = ((fresh, 1),)
+    assert ONE.terms.get(key) is None
+    assert key not in ONE.terms
+    assert ((fresh, 1), ((FAM_C, 1), 1)) not in (c_(1) + ONE).terms
+    with pytest.raises(KeyError):
+        ONE.terms[key]
+    assert poly._VARS == vars_before and poly._SHIFTS == shifts_before
+    # a known variable is still found
+    assert (c_(1) + ONE).terms[(((FAM_C, 1), 1),)] == 1
