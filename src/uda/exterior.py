@@ -88,6 +88,19 @@ def merge_indices(a: Indices, b: Indices) -> tuple[Indices, int] | None:
     return tuple(out), sign
 
 
+def _insert_index(k: int, rest: Indices) -> tuple[Indices, int] | None:
+    """``merge_indices((k,), rest)`` by counting: the merged indices and the
+    number of entries of ``rest`` above k, the sign being (-1) to that count."""
+    if k in rest:
+        return None
+    above = 0
+    for i in rest:
+        if i < k:
+            break
+        above += 1
+    return rest[:above] + (k,) + rest[above:], above
+
+
 class ExtElement:
     """A homogeneous exterior element: finite sum of tagged wedge monomials.
 
@@ -95,15 +108,15 @@ class ExtElement:
     every term (degree r, indices strictly decreasing and >= 0) and drop
     zeros.  ``_of`` keeps terms valid by construction unchecked, and
     ``_freeze`` makes them and their coefficients read-only in place.
-    ``terms`` cannot be reassigned.
+    ``r``, ``tag`` and ``terms`` cannot be reassigned.
     """
 
-    __slots__ = ("r", "tag", "_terms")
+    __slots__ = ("_r", "_tag", "_terms")
 
     def __init__(self, r: int, tag: BasisTag,
                  terms: Mapping[Indices, MvPolynomial] | None = None):
-        self.r = r
-        self.tag = tag
+        self._r = r
+        self._tag = tag
         clean: dict[Indices, MvPolynomial] = {}
         for idx, coeff in (terms or {}).items():
             if not coeff:
@@ -118,6 +131,16 @@ class ExtElement:
         self._terms = clean
 
     @property
+    def r(self) -> int:
+        """The degree: every wedge monomial has r factors."""
+        return self._r
+
+    @property
+    def tag(self) -> BasisTag:
+        """The basis the wedge monomials are written in."""
+        return self._tag
+
+    @property
     def terms(self) -> Mapping[Indices, MvPolynomial]:
         """``indices -> coefficient``, one entry per nonzero wedge monomial."""
         return self._terms
@@ -127,7 +150,7 @@ class ExtElement:
     @staticmethod
     def _of(r: int, tag: BasisTag, terms: dict) -> "ExtElement":
         e = ExtElement.__new__(ExtElement)
-        e.r, e.tag, e._terms = r, tag, terms
+        e._r, e._tag, e._terms = r, tag, terms
         return e
 
     def _freeze(self) -> None:

@@ -49,7 +49,7 @@ from .bilaurent import BiLaurent
 from .determinant import exact_det
 from .errors import DegreeZeroError, WindowViolation
 from .exterior import (BasisTag, DeltaForm, DualDeltaForm, ExtElement,
-                       LinearForm, convert_basis, merge_indices, w_value)
+                       LinearForm, _insert_index, convert_basis, w_value)
 from .module_iso import quotient_project, schur_map_of_poly, schur_map_to_poly
 from .partitions import (Partition, partition_of_indices,
                          partitions_in_rectangle, wedge_indices)
@@ -101,35 +101,37 @@ def star_oracle_coords(op: StarOperator, lam: Partition, r: int,
     """Schur coordinates of (f (x) g) acting on the basis element of lam.
 
     One pass over the deformed wedge indices of lam: for each slot on which
-    the form is nonzero (sign (-1)^slot), the remaining indices are merged
-    with each index k of the deformed vector, the merge sign included; this
-    is the contraction, wedge and coordinate read-off of the exterior layer
-    done on indices alone.
+    the form is nonzero, each index k of the deformed vector is inserted
+    into the remaining indices, with the sign (-1)^(slot + the number of
+    them above k); this is the contraction, wedge and coordinate read-off of
+    the exterior layer done on indices alone.
 
     With ``n`` set and ``quotient`` true, the computation happens in the rank
     n quotient module: wedge monomials with a factor of exponent >= n are
     dropped and the answer lives on rectangle partitions.  With ``quotient``
     false, n only bounds the c-variables.
     """
-    if len(lam) > r:
+    if len(lam.parts) > r:
         raise ValueError(f"partition {lam} longer than r={r}")
     if r < 1:
         raise DegreeZeroError("cannot contract a degree-zero element")
     idx = wedge_indices(lam, r)
     cut = n if n is not None and quotient else None
-    contracted = [(idx[:slot] + idx[slot + 1:], val, -1 if slot % 2 else 1)
-                  for slot, val in op.form.slots(idx, BasisTag.DEFORMED_XC, n)]
+    slots = op.form.slots(idx, BasisTag.DEFORMED_XC, n)
+    vector = _deformed_vector(op, n)   # first, so its errors still surface
+    if not slots:
+        return {}
     out: dict[tuple[int, ...], MvPolynomial] = {}
-    for k, a in _deformed_vector(op, n):
-        for rest, val, sign in contracted:
-            merged = merge_indices((k,), rest)
+    for k, a in vector:
+        for slot, val in slots:
+            merged = _insert_index(k, idx[:slot] + idx[slot + 1:])
             if merged is None:
                 continue
-            midx, flip = merged
+            midx, above = merged
             if cut is not None and midx[0] >= cut:
                 continue
             coeff = a * val
-            if sign != flip:
+            if (slot + above) % 2:   # contraction sign times insertion sign
                 coeff = -coeff
             s = out.get(midx)
             if s is None:
@@ -143,7 +145,7 @@ def star_oracle_coords(op: StarOperator, lam: Partition, r: int,
     coords = {partition_of_indices(midx): coeff for midx, coeff in out.items()}
     if cut is not None:
         for mu in coords:
-            if mu.part(1) > n - r:
+            if mu.parts and mu.parts[0] > n - r:
                 raise WindowViolation(
                     f"coordinate outside the {r}x{n - r} rectangle: {mu}")
     return coords

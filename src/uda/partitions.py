@@ -13,7 +13,7 @@ from .poly import memo
 
 
 class Partition:
-    __slots__ = ("parts",)
+    __slots__ = ("parts", "_hash")   # the hash is taken once, in __init__
 
     def __init__(self, parts: Iterable[int] = ()):
         cleaned = list(parts)
@@ -23,10 +23,15 @@ class Partition:
             raise ValueError(f"parts must be weakly decreasing: {cleaned}")
         while cleaned and cleaned[-1] == 0:
             cleaned.pop()
-        object.__setattr__(self, "parts", tuple(cleaned))
+        parts = tuple(cleaned)
+        object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "_hash", hash(parts))
 
     def __setattr__(self, *a):
         raise AttributeError("Partition is immutable")
+
+    def __reduce__(self):   # copies and pickles rebuild through __init__
+        return Partition, (self.parts,)
 
     def __len__(self) -> int:
         return len(self.parts)
@@ -48,7 +53,7 @@ class Partition:
         return isinstance(other, Partition) and self.parts == other.parts
 
     def __hash__(self):
-        return hash(self.parts)
+        return self._hash
 
     def __lt__(self, other: "Partition") -> bool:
         return (self.size(), self.parts) < (other.size(), other.parts)

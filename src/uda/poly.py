@@ -275,17 +275,25 @@ class MvPolynomial:
         return MvPolynomial._coerce(other) + (-self)
 
     def __mul__(self, other) -> "MvPolynomial":
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return MvPolynomial()
-            q0 = _ratio(other)
-            return MvPolynomial._of({m: q * q0 for m, q in self._t.items()})
-        if not isinstance(other, MvPolynomial):
-            return NotImplemented
+        if type(other) is not MvPolynomial:
+            if isinstance(other, (int, Fraction)):
+                if not other:
+                    return MvPolynomial()
+                q0 = _ratio(other)
+                return MvPolynomial._of({m: q * q0 for m, q in self._t.items()})
+            if not isinstance(other, MvPolynomial):
+                return NotImplemented
+        a, b = self._t, other._t
+        if len(b) == 1 and 0 in b:   # a nonzero constant scales, in order
+            q0 = b[0]
+            return MvPolynomial._of({m: q * q0 for m, q in a.items()})
+        if len(a) == 1 and 0 in a:
+            q0 = a[0]
+            return MvPolynomial._of({m: q0 * q for m, q in b.items()})
         out: dict[int, Coeff] = {}
         get = out.get
-        b_items = other._t.items()
-        for ma, qa in self._t.items():
+        b_items = b.items()
+        for ma, qa in a.items():
             for mb, qb in b_items:
                 m = ma + mb
                 s = get(m)

@@ -149,6 +149,19 @@ def test_replacing_the_terms_of_a_sigma_monomial_wedge_is_refused():
     assert uda.schur_map_of_poly(h_(1) * h_(2), 2, None) == want
 
 
+def test_retagging_a_sigma_monomial_wedge_is_refused():
+    want = uda.schur_map_of_poly(h_(1) * h_(2), 2, None)
+    assert len(want) == 6
+    uda.clear_caches()
+    cached = uda.sigma_monomial_wedge(2, (1,))
+    with pytest.raises(AttributeError):
+        cached.tag = BasisTag.DEFORMED_XC
+    with pytest.raises(AttributeError):
+        cached.r = 3
+    assert cached.tag is BasisTag.PLAIN_X and cached.r == 2
+    assert uda.schur_map_of_poly(h_(1) * h_(2), 2, None) == want
+
+
 def test_clear_caches_empties_the_text_tables():
     from uda.cli import _MONO_TEXT, _POWER_TEXT, _json_doc
     from uda.poly import _MONO_STR, _SHIFTS, _VARS

@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from uda.bilaurent import BiLaurent
 from uda.errors import (DegreeZeroError, TagMismatch, WindowExcludesMinusOne)
 from uda.exterior import (BasisTag, DeltaForm, DualDeltaForm, ExtElement,
-                          LinearForm, contract, convert_basis, expand_over_factor,
-                          merge_indices, reduce_mod_n, residue, residue_tuple,
-                          sort_indices, unit_wedge, w_value, wedge,
-                          wedge_coords, x_in_xc, xc_expand)
+                          LinearForm, _insert_index, contract, convert_basis,
+                          expand_over_factor, merge_indices, reduce_mod_n,
+                          residue, residue_tuple, sort_indices, unit_wedge,
+                          w_value, wedge, wedge_coords, x_in_xc, xc_expand)
 from uda.partitions import Partition
 from uda.poly import MvPolynomial, ONE, ZERO, c_, h_
 from uda.symfunc import giambelli
@@ -53,6 +53,20 @@ def test_sort_and_merge_signs():
     assert merge_indices((3, 1), (2,)) == ((3, 2, 1), -1)
     assert merge_indices((3, 1), (1,)) is None
     assert merge_indices((), (5,)) == ((5,), 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 14), st.sets(st.integers(0, 12), max_size=6))
+def test_inserting_one_index_matches_the_merge(k, pool):
+    rest = tuple(sorted(pool, reverse=True))   # k in rest is a collision
+    got = _insert_index(k, rest)
+    want = merge_indices((k,), rest)
+    assert want == sort_indices((k,) + rest)
+    if want is None:
+        assert got is None and k in rest
+    else:
+        merged, above = got
+        assert (merged, (-1) ** above) == want
 
 
 def test_wedge_alternating():

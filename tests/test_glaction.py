@@ -557,6 +557,18 @@ def test_oracle_keeps_the_exceptions_of_the_exterior_layer(monkeypatch):
                               quotient=False) == {Partition((9,)): ONE}
 
 
+def test_a_form_with_no_slots_still_converts_the_vector(monkeypatch):
+    op = StarOperator.plain(1, 9)   # del^9 is zero on every factor of (1, 0)
+    assert star_oracle_coords(op, EMPTY, 2, 4) == {}
+
+    def broken(*args):
+        raise ArithmeticError("conversion failed")
+
+    monkeypatch.setattr(gl, "convert_basis", broken)
+    with pytest.raises(ArithmeticError, match="conversion failed"):
+        star_oracle_coords(op, EMPTY, 2, 4)
+
+
 def test_the_oracle_uses_no_other_route(monkeypatch):
     ops = [StarOperator.adapted(i, j) for i in range(4) for j in range(4)]
     ops.append(StarOperator.plain(3, 1))

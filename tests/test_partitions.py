@@ -1,3 +1,5 @@
+import copy
+import pickle
 from math import comb
 
 import pytest
@@ -73,3 +75,22 @@ def test_json():
     assert lam.to_json() == [2, 1]
     assert Partition.from_json([2, 1]) == lam
     assert Partition.from_json([]) == EMPTY
+
+
+def test_hash_is_taken_once_and_ignores_trailing_zeros():
+    assert hash(Partition((2, 1, 0))) == hash(Partition((2, 1)))
+    assert hash(EMPTY) == hash(Partition((0,))) == hash(())
+
+
+def test_copies_and_pickles_rebuild_the_partition():
+    lam = Partition((3, 1, 1))
+    for copied in (copy.copy(lam), copy.deepcopy(lam),
+                   pickle.loads(pickle.dumps(lam))):
+        assert copied == lam and hash(copied) == hash(lam)
+        assert copied.parts == (3, 1, 1)
+        with pytest.raises(AttributeError):
+            copied._hash = 0
+        with pytest.raises(AttributeError):
+            copied.parts = ()
+    table = {(lam, EMPTY): 1}
+    assert copy.deepcopy(table) == table

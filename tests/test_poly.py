@@ -348,3 +348,26 @@ def test_a_lookup_gives_no_variable_a_field():
     assert poly._VARS == vars_before and poly._SHIFTS == shifts_before
     # a known variable is still found
     assert (c_(1) + ONE).terms[(((FAM_C, 1), 1),)] == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(model_polys(), st.sampled_from([1, -1, 3, Fraction(2, 3), Fraction(-5, 2)]))
+def test_a_constant_factor_scales_like_the_general_product(ab, q):
+    a, pa = ab
+    const = MvPolynomial.const(q)
+    for prod in (pa * const, const * pa):
+        assert _model(prod) == _m_mul(a, {(): Fraction(q)})
+        assert list(prod.terms) == list(pa.terms)   # pa's order, as the loop
+        assert prod._t is not pa._t and prod._t is not const._t
+
+
+def test_a_product_with_a_constant_belongs_to_the_caller():
+    p = c_(1) - 2 * h_(3)
+    half = MvPolynomial.const(Fraction(1, 2))
+    for a, b in ((ONE, ONE), (ONE, p), (p, ONE), (half, p), (p, half),
+                 (ONE, half), (ZERO, ONE), (ONE, ZERO), (ZERO, p), (p, ZERO)):
+        prod = a * b
+        assert _model(prod) == _m_mul(_model(a), _model(b))
+        prod.terms.clear()
+    assert ONE.terms == {(): 1} and ZERO.terms == {}
+    assert p == c_(1) - 2 * h_(3) and half.terms == {(): Fraction(1, 2)}
