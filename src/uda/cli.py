@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from .errors import AlgebraError
@@ -125,39 +126,38 @@ def _write_json(obj, newline: str, out: list[str]) -> None:
         out.append(json.dumps(obj, indent=2).replace("\n", newline))
 
 
-# ((family, index), exp) -> '"c1": exp'
-_POWER_TEXT = _TextTable(lambda power: _encode_str(var_name(power[0])) + ": "
-                        + int.__repr__(power[1]))
-_MONO_TEXT = _PerMonomial(_POWER_TEXT.__getitem__)   # packed monomial -> texts
+# power code of c1^exp -> '"c1": exp'; packed monomial -> (key, *power texts)
+_POWER_TEXT = _TextTable(lambda v, e: _encode_str(var_name(v)) + ": "
+                         + int.__repr__(e))
+_MONO_TEXT = _PerMonomial(partial(map, _POWER_TEXT.__getitem__))
 
 
 def _write_poly(p: MvPolynomial, newline: str, out: list[str]) -> None:
     """``p.to_json()`` through ``_write_json``, without building it."""
     i1 = newline + "  "
-    terms = p._sorted()
+    terms = p._sorted(_MONO_TEXT)
     if not terms:
         out.append("{" + i1 + '"terms": []' + newline + "}")
         return
     i2 = i1 + "  "
     i3 = i2 + "  "
     i4 = i3 + "  "
+    num = "," + i3 + '"num": "'
     exps_open = "{" + i3 + '"exps": {' + i4
     exps_sep = "," + i4
-    exps_close = i3 + "}"
-    num = "," + i3 + '"num": "'
+    exps_close = i3 + "}" + num
+    no_exps = "{" + i3 + '"exps": {}' + num
     den = '",' + i3 + '"den": "'
-    close = '"' + i2 + "}"
-    mono_text = _MONO_TEXT.__getitem__
+    close = '"' + i2 + "}," + i2   # the comma after the last term is cut
+    int_close = den + "1" + close
+    texts = [(exps_open + exps_sep.join(entry[1:]) + exps_close
+              if len(entry) > 1 else no_exps)
+             + (int.__repr__(q) + int_close if type(q) is int
+                else str(q.numerator) + den + str(q.denominator) + close)
+             for entry, q in terms]
+    texts[-1] = texts[-1][:-len(i2) - 1]
     out.append("{" + i1 + '"terms": [' + i2)
-    sep = ""
-    for m, q in terms:
-        if m:
-            exps = exps_open + exps_sep.join(mono_text(m)) + exps_close
-        else:
-            exps = "{" + i3 + '"exps": {}'
-        out.append(sep + exps + num + str(q.numerator) + den
-                   + str(q.denominator) + close)
-        sep = "," + i2
+    out += texts
     out.append(i1 + "]" + newline + "}")
 
 

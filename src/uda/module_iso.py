@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from .exterior import BasisTag, ExtElement, unit_wedge, wedge_coords
 from .partitions import Partition
-from .poly import FAM_C, FAM_H, MvPolynomial, memo
+from .poly import FAM_C, FAM_H, MvPolynomial, _sum_of_products, memo
 from .schubert import sigma_coefficient
 from .symfunc import e_to_h_rewrite, giambelli
 
@@ -94,7 +94,5 @@ def quotient_project(p: MvPolynomial, r: int, n: int) -> dict[Partition, MvPolyn
 def schur_map_to_poly(coords: dict[Partition, MvPolynomial], r: int,
                       n: int | None) -> MvPolynomial:
     """Assemble a Schur coordinate map back into a canonical polynomial."""
-    acc = MvPolynomial.zero()
-    for lam in sorted(coords):
-        acc = acc + coords[lam] * giambelli(lam, r, n)
-    return acc
+    return _sum_of_products((MvPolynomial._coerce(coords[lam]), giambelli(lam, r, n))
+                            for lam in sorted(coords))

@@ -16,6 +16,9 @@ multiplying monomials adds their ints.  A field's top bit is a guard: an
 exponent or degree above 32767 raises ``ExponentOverflow`` and never
 carries into the next field.  ``terms`` reads this packed dict with tuple
 keys: a ``Mapping`` whose ``len`` is O(1) and whose one write is ``clear``.
+A product of two non-constant polynomials runs the one term loop,
+``_sum_of_products``, which adds every term product of a whole sum of
+products into a single dict; the Schur determinants are built with it.
 
 The zero polynomial stores no terms.  Coefficients are exact rationals in
 lowest terms: ``fractions.Fraction`` when the denominator is nontrivial and
@@ -31,7 +34,11 @@ table of rendered monomials; ``clear_caches`` empties both kinds.
 Canonical renderings (text and JSON) list terms in graded-lexicographic
 order: higher total degree first, ties broken by comparing exponents on the
 largest variable downwards (family order c < e < h, index ascending).  Both
-renderings are deterministic byte-for-byte.
+renderings are deterministic byte-for-byte.  Each decodes a monomial once,
+into a per-monomial text table whose entry holds the monomial's sort key
+beside its texts, so a rendering sorts its terms by the keys it finds.  A
+key follows the field layout, so these keyed tables are emptied whenever a
+variable gets a field; the per-power text tables stay.
 """
 
 from __future__ import annotations
@@ -39,8 +46,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache, reduce, wraps
-from itertools import repeat, starmap
-from operator import itemgetter, or_
+from itertools import compress
+from operator import add, itemgetter, or_
 from struct import Struct
 from types import MappingProxyType
 
@@ -81,16 +88,25 @@ def parse_var(name: str) -> Var:
     return (_FAM_NAMES.index(fam), idx)
 
 
+_KEYED_TABLES: list[dict] = []       # text tables whose entries hold a key
+
+
 def _layout() -> None:
-    """Recompute the tables that read the fields of a packed monomial."""
-    global _GUARDS, _FIELDS, _KEY, _ASC, _DESC
+    """Recompute the tables that read the fields of a packed monomial, and
+    empty the text tables whose sort keys were built from the old ones."""
+    global _GUARDS, _FIELDS, _KEY, _WIDE_KEY, _ASC_VARS, _ASC_CODES, _DESC
     n = len(_VARS) + 1                   # field 0 holds the degree
     _GUARDS = sum(1 << (_FIELD * k + _FIELD - 1) for k in range(n))
     _FIELDS = Struct(f"<{n}H")           # little-endian bytes -> fields
-    _KEY = Struct(f">{n}H")              # fields -> big-endian bytes
-    _ASC = sorted((v, k) for k, v in enumerate(_VARS, 1))
+    _KEY = Struct(f">{n}B")              # fields below 255 -> sort key
+    _WIDE_KEY = Struct(f">{n}H")         # any fields -> big-endian bytes
+    asc = sorted((v, k) for k, v in enumerate(_VARS, 1))
+    _ASC_VARS = [v for v, _ in asc]
+    _ASC_CODES = [k << _FIELD for _, k in asc]   # plus exp: a power's code
     # fields -> (degree, exponents by descending variable): graded-lex keys
-    _DESC = itemgetter(0, *[k for _, k in reversed(_ASC)]) if _ASC else tuple
+    _DESC = itemgetter(0, *[k for _, k in reversed(asc)]) if asc else tuple
+    for table in _KEYED_TABLES:
+        table.clear()
 
 
 _layout()
@@ -130,35 +146,58 @@ def _pack(mono, shift=_shift) -> int:
 
 def _unpack(m: int) -> Mono:
     """The canonical ``((var, exp), ...)`` tuple of a packed monomial."""
-    f = _FIELDS.unpack(m.to_bytes(_FIELDS.size, "little"))
-    return tuple([(v, f[k]) for v, k in _ASC if f[k]])
+    exps = _DESC(_FIELDS.unpack(m.to_bytes(_FIELDS.size, "little")))[:0:-1]
+    return tuple(zip(compress(_ASC_VARS, exps), filter(None, exps)))
 
 
 _TEXT_TABLES: list[dict] = []
 
 
 class _TextTable(dict):
-    """``key -> f(key)``, filled on first use and emptied by ``clear_caches``."""
+    """``power code -> f(var, exp)``, filled on first use and emptied by
+    ``clear_caches``.  The code of var^exp is ``(k << _FIELD) + exp`` for
+    var's field k; it stays valid when the layout grows."""
 
     def __init__(self, f):
         self.f = f
         _TEXT_TABLES.append(self)
 
-    def __missing__(self, key):
-        value = self[key] = self.f(key)
+    def __missing__(self, code):
+        value = self[code] = self.f(_VARS[(code >> _FIELD) - 1],
+                                    code & (1 << _FIELD) - 1)
         return value
 
 
 class _PerMonomial(_TextTable):
-    """``packed monomial -> tuple of f(var, exp)``, filled on first use."""
+    """``packed monomial -> (graded-lex key, *f(codes))``, from one decode
+    of its fields, where ``codes`` iterates over the codes of its powers by
+    ascending variable.  Distinct monomials have distinct keys, so entries
+    sort by their keys alone.  A key's length and order follow the field
+    layout, so ``_layout`` empties these tables whenever a variable gets a
+    field."""
+
+    def __init__(self, f):
+        super().__init__(f)
+        _KEYED_TABLES.append(self)
 
     def __missing__(self, m):
-        value = self[m] = tuple(map(self.f, _unpack(m)))
+        fields = _DESC(_FIELDS.unpack(m.to_bytes(_FIELDS.size, "little")))
+        # one byte a field while the degree, which bounds them all, is below
+        # 255; a wider key starts with 255, so it sorts above those
+        key = (_KEY.pack(*fields) if fields[0] < 255
+               else b"\xff" + _WIDE_KEY.pack(*fields))
+        exps = fields[:0:-1]   # as in _unpack
+        value = self[m] = (key, *self.f(
+            map(add, compress(_ASC_CODES, exps), filter(None, exps))))
         return value
 
 
-_MONO_STR = _PerMonomial(lambda p: var_name(p[0]) if p[1] == 1
-                          else f"{var_name(p[0])}^{p[1]}")
+# power code -> "c1" or "c1^2"; packed monomial -> (key, "c1^2*h3"), where
+# the constant monomial's text is ""
+_POWER_STR = _TextTable(lambda v, e: var_name(v) if e == 1
+                        else f"{var_name(v)}^{e}")
+_MONO_STR = _PerMonomial(
+    lambda codes: ("*".join(map(_POWER_STR.__getitem__, codes)),))
 
 
 class _Terms(Mapping):
@@ -258,6 +297,8 @@ class MvPolynomial:
                     out[m] = s
                 else:
                     del out[m]
+        if Fraction in map(type, other._t.values()):   # 1/2 + 1/2 is 1
+            _lowest(out)
         return MvPolynomial._of(out)
 
     __radd__ = __add__
@@ -276,37 +317,19 @@ class MvPolynomial:
 
     def __mul__(self, other) -> "MvPolynomial":
         if type(other) is not MvPolynomial:
-            if isinstance(other, (int, Fraction)):
-                if not other:
-                    return MvPolynomial()
-                q0 = _ratio(other)
-                return MvPolynomial._of({m: q * q0 for m, q in self._t.items()})
-            if not isinstance(other, MvPolynomial):
+            other = MvPolynomial._coerce(other)
+            if other is NotImplemented:
                 return NotImplemented
         a, b = self._t, other._t
         if len(b) == 1 and 0 in b:   # a nonzero constant scales, in order
             q0 = b[0]
-            return MvPolynomial._of({m: q * q0 for m, q in a.items()})
-        if len(a) == 1 and 0 in a:
-            q0 = a[0]
-            return MvPolynomial._of({m: q0 * q for m, q in b.items()})
-        out: dict[int, Coeff] = {}
-        get = out.get
-        b_items = b.items()
-        for ma, qa in a.items():
-            for mb, qb in b_items:
-                m = ma + mb
-                s = get(m)
-                if s is None:
-                    out[m] = qa * qb
-                else:
-                    s = s + qa * qb
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
-        if out and reduce(or_, out) & _GUARDS:   # fields <= 2 * _MAX_EXP
-            raise ExponentOverflow(f"exponent or degree above {_MAX_EXP}")
+        elif len(a) == 1 and 0 in a:
+            q0, a = a[0], b
+        else:
+            return _sum_of_products(((self, other),))
+        out = {m: q * q0 for m, q in a.items()}
+        if q0 != 1 and q0 != -1:   # 2 * 1/2 is 1
+            _lowest(out)
         return MvPolynomial._of(out)
 
     __rmul__ = __mul__
@@ -373,40 +396,89 @@ class MvPolynomial:
 
     # -- canonical renderings ----------------------------------------------
 
-    def _sorted(self) -> list[tuple[int, Coeff]]:
-        """Packed terms in the canonical graded-lex order (leading first)."""
-        # every key is built by C-level maps; distinct monomials never tie
-        fields = map(_FIELDS.unpack, map(int.to_bytes, self._t,
-                                         repeat(_FIELDS.size), repeat("little")))
-        keys = starmap(_KEY.pack, map(_DESC, fields))
-        return [t for _, t in sorted(zip(keys, self._t.items()), reverse=True)]
+    def _sorted(self, table) -> list[tuple[tuple, Coeff]]:
+        """``(table[m], coeff)`` for each term ``m``, in the canonical
+        graded-lex order (leading term first): sorted by the key each entry
+        starts with, which no other monomial shares."""
+        pairs = list(zip(map(table.__getitem__, self._t), self._t.values()))
+        pairs.sort(key=lambda pair: pair[0][0], reverse=True)
+        return pairs
 
     def sorted_terms(self) -> list[tuple[Mono, Coeff]]:
         """Terms in the canonical graded-lex order (leading term first)."""
-        return [(_unpack(m), q) for m, q in self._sorted()]
+        entry = _MONO_STR.__getitem__
+        return [(_unpack(m), q) for m, q in sorted(
+            self._t.items(), key=lambda t: entry(t[0])[0], reverse=True)]
 
     def __str__(self) -> str:
-        pieces = []
-        for m, q in self._sorted():
-            mono, a = "*".join(_MONO_STR[m]), abs(q)
-            body = (mono if a == 1 else f"{a}*{mono}") if mono else str(a)
-            pieces.append(("- " if q < 0 else "+ ") + body)
-        text = " ".join(pieces)
+        text = " ".join([
+            ("- " if q < 0 else "+ ")
+            + (f"{abs(q)}*{mono}" if mono and q != 1 and q != -1
+               else mono or str(abs(q)))
+            for (_, mono), q in self._sorted(_MONO_STR)])
         return "-" + text[2:] if text.startswith("-") else text[2:] or "0"
 
     def __repr__(self) -> str:
         return f"MvPolynomial({self})"
 
     def to_json(self) -> dict:
-        return {"terms": [{"exps": {var_name(v): e for v, e in _unpack(m)},
+        return {"terms": [{"exps": {var_name(v): e for v, e in mono},
                            "num": str(q.numerator), "den": str(q.denominator)}
-                          for m, q in self._sorted()]}
+                          for mono, q in self.sorted_terms()]}
 
     @staticmethod
     def from_json(doc: dict) -> "MvPolynomial":
         return MvPolynomial({
             tuple((parse_var(name), e) for name, e in t["exps"].items()):
             Fraction(int(t["num"]), int(t["den"])) for t in doc["terms"]})
+
+
+def _lowest(out: dict) -> dict:
+    """``out`` with each denominator-1 ``Fraction`` made an int, in place;
+    one C-level pass over the values when they are all ints already."""
+    if Fraction in map(type, out.values()):
+        for m, q in out.items():
+            if type(q) is Fraction and q.denominator == 1:
+                out[m] = q.numerator
+    return out
+
+
+def _sum_of_products(pairs: Iterable[tuple[MvPolynomial, MvPolynomial]]
+                     ) -> MvPolynomial:
+    """``sum(a * b for a, b in pairs)``, every term added into one new dict.
+
+    This is the module's one pairwise term loop.  It makes no product
+    polynomial and no copy of the running sum; the guard bits are checked
+    on each monomial whose coefficient cancels and, at the end, on those
+    left, so ``ExponentOverflow`` is raised exactly when some ``a * b``
+    would raise it (a product's leading terms never cancel, so ``__mul__``
+    raises on any overflowing term product).
+    """
+    out: dict[int, Coeff] = {}
+    get = out.get
+    cancelled = False
+    for a, b in pairs:
+        b_items = b._t.items()
+        for ma, qa in a._t.items():
+            for mb, qb in b_items:
+                m = ma + mb
+                s = get(m)
+                if s is None:
+                    out[m] = qa * qb
+                else:
+                    s = s + qa * qb
+                    if s:
+                        out[m] = s
+                    else:
+                        del out[m]
+                        if m & _GUARDS:
+                            raise ExponentOverflow(
+                                f"exponent or degree above {_MAX_EXP}")
+                        cancelled = True
+    if out and reduce(or_, out) & _GUARDS:   # fields <= 2 * _MAX_EXP
+        raise ExponentOverflow(f"exponent or degree above {_MAX_EXP}")
+    # a dict keeps the room of its deleted entries; a copy gives it back
+    return MvPolynomial._of(_lowest(dict(out) if cancelled else out))
 
 
 _MEMO_TABLES: list = []
@@ -473,11 +545,8 @@ def series_inverse(coeffs: list[MvPolynomial], order: int) -> list[MvPolynomial]
         raise NonUnitConstantTerm("series inversion needs constant term 1")
     inv = [ONE]
     for m in range(1, order + 1):
-        acc = MvPolynomial.zero()
-        for k in range(1, min(m, len(coeffs) - 1) + 1):
-            if coeffs[k]:
-                acc = acc + coeffs[k] * inv[m - k]
-        inv.append(-acc)
+        inv.append(-_sum_of_products((coeffs[k], inv[m - k]) for k in
+                                     range(1, min(m, len(coeffs) - 1) + 1)))
     return inv
 
 
@@ -486,13 +555,6 @@ def series_mul(a: Iterable[MvPolynomial], b: Iterable[MvPolynomial],
     """Product of two univariate series, truncated at ``z^order``."""
     a = list(a)
     b = list(b)
-    out = [MvPolynomial.zero() for _ in range(order + 1)]
-    for i, ai in enumerate(a):
-        if i > order or not ai:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > order:
-                break
-            if bj:
-                out[i + j] = out[i + j] + ai * bj
-    return out
+    return [_sum_of_products((a[i], b[d - i]) for i in
+                             range(max(0, d - len(b) + 1), min(d, len(a) - 1) + 1))
+            for d in range(order + 1)]

@@ -24,7 +24,8 @@ cache (see ``_giambelli_cached``).
 from __future__ import annotations
 
 from .partitions import Partition
-from .poly import FAM_E, MvPolynomial, ONE, ZERO, c_, e_, h_, memo, series_inverse
+from .poly import (FAM_E, MvPolynomial, ONE, ZERO, _sum_of_products, c_, e_, h_,
+                   memo, series_inverse)
 
 
 def c_series_coeffs(order: int, n: int | None) -> list[MvPolynomial]:
@@ -92,7 +93,7 @@ def _giambelli_cached(parts: tuple[int, ...], r: int, n: int | None) -> MvPolyno
 
     because deleting row 1 and column j leaves the matrix of mu(j).  The
     minors are themselves entries of this cache, shared across partitions
-    and calls.  For r > len(lam) the matrix is block lower triangular with
+    and calls, and the r products are summed by one ``_sum_of_products``.  For r > len(lam) the matrix is block lower triangular with
     a unitriangular lower corner, so Delta_lam^(r) = Delta_lam^(len(lam)).
     """
     if r == 0:
@@ -101,18 +102,13 @@ def _giambelli_cached(parts: tuple[int, ...], r: int, n: int | None) -> MvPolyno
         return ONE
     if r > len(parts):
         return _giambelli_cached(parts, len(parts), n)
-    acc = None
+    pairs = []
     for j in range(r):
         entry = h_deformed(parts[j] - j, n)
-        if not entry:
-            continue
-        minor = _giambelli_cached(
-            tuple(p + 1 for p in parts[:j]) + parts[j + 1:r], r - 1, n)
-        term = entry * minor
-        if j & 1:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
+        if entry:   # the sign goes on the small entry, not on the minor
+            pairs.append((-entry if j & 1 else entry, _giambelli_cached(
+                tuple(p + 1 for p in parts[:j]) + parts[j + 1:r], r - 1, n)))
+    return _sum_of_products(pairs)
 
 
 def giambelli(lam: Partition, r: int, n: int | None) -> MvPolynomial:
@@ -127,11 +123,8 @@ def _e_in_h(i: int) -> MvPolynomial:
     # e_m = e_{m-1} h_1 - e_{m-2} h_2 + ... + (-1)^{m-1} e_0 h_m, from E*H = 1
     if i == 0:
         return ONE
-    acc = ZERO
-    for k in range(1, i + 1):
-        term = _e_in_h(i - k) * h_(k)
-        acc = acc + (-term if k % 2 == 0 else term)
-    return acc
+    return _sum_of_products((_e_in_h(i - k), -h_(k) if k % 2 == 0 else h_(k))
+                            for k in range(1, i + 1))
 
 
 def e_to_h_rewrite(p: MvPolynomial) -> MvPolynomial:

@@ -164,7 +164,8 @@ def test_retagging_a_sigma_monomial_wedge_is_refused():
 
 def test_clear_caches_empties_the_text_tables():
     from uda.cli import _MONO_TEXT, _POWER_TEXT, _json_doc
-    from uda.poly import _MONO_STR, _SHIFTS, _VARS
+    from uda.poly import (_KEYED_TABLES, _MONO_STR, _POWER_STR, _SHIFTS,
+                          _TEXT_TABLES, _VARS)
 
     p = giambelli(Partition((2, 1)), 3, 6) * e_(2)
 
@@ -172,9 +173,13 @@ def test_clear_caches_empties_the_text_tables():
         return str(p) + _json_doc({"value": p})
 
     first = render()
-    assert _MONO_STR and _MONO_TEXT and _POWER_TEXT
+    tables = (_MONO_STR, _POWER_STR, _MONO_TEXT, _POWER_TEXT)
+    assert all(tables)
+    # every render table is registered; the per-monomial ones hold sort keys
+    assert {id(t) for t in tables} == {id(t) for t in _TEXT_TABLES}
+    assert {id(t) for t in _KEYED_TABLES} == {id(_MONO_STR), id(_MONO_TEXT)}
     layout = dict(_SHIFTS), list(_VARS)
     uda.clear_caches()
-    assert not _MONO_STR and not _MONO_TEXT and not _POWER_TEXT
+    assert not any(tables)
     assert (dict(_SHIFTS), list(_VARS)) == layout   # live polynomials read it
     assert render() == first

@@ -1,13 +1,17 @@
 import json
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import uda.poly as poly
+from uda import clear_caches
 from uda.errors import ExponentOverflow, NonUnitConstantTerm
-from uda.poly import (FAM_C, FAM_E, FAM_H, MvPolynomial, ONE, ZERO, c_, e_,
-                      h_, series_inverse, series_mul)
+from uda.poly import (FAM_C, FAM_E, FAM_H, MvPolynomial, ONE, ZERO,
+                      _sum_of_products, c_, e_, h_, series_inverse, series_mul)
 
 # small random polynomials over the three variable families
 _vars = st.tuples(st.integers(min_value=0, max_value=2),
@@ -335,7 +339,6 @@ def test_terms_is_a_read_only_tuple_keyed_view():
 
 
 def test_a_lookup_gives_no_variable_a_field():
-    import uda.poly as poly
     fresh = (FAM_E, 9973)
     assert fresh not in poly._SHIFTS
     vars_before, shifts_before = list(poly._VARS), dict(poly._SHIFTS)
@@ -371,3 +374,137 @@ def test_a_product_with_a_constant_belongs_to_the_caller():
         prod.terms.clear()
     assert ONE.terms == {(): 1} and ZERO.terms == {}
     assert p == c_(1) - 2 * h_(3) and half.terms == {(): Fraction(1, 2)}
+
+
+def test_denominator_one_results_are_ints():
+    half = MvPolynomial.const(Fraction(1, 2))
+    for p, want in ((MvPolynomial.const(Fraction(1, 2)) * 2, {0: 1}),
+                    (half * MvPolynomial.const(2), {0: 1}),
+                    (c_(1) * half + c_(1) * half, (c_(1))._t),
+                    (_sum_of_products([(half, c_(1)), (c_(1), half)]), c_(1)._t),
+                    ((half * c_(1) + half) * (c_(1) * 2), (c_(1) ** 2 + c_(1))._t)):
+        assert p._t == want
+        assert all(type(q) is int for q in p._t.values()), p._t
+    assert (half * 3)._t == {0: Fraction(3, 2)}
+
+
+def _pair_lists(polys_):
+    """Lists of (a, b) pairs, with an optional mirror of every pair so that
+    the sum cancels to zero, and the constants ONE, ZERO and 1/2 mixed in."""
+    consts = st.sampled_from([ONE, ZERO, MvPolynomial.const(Fraction(1, 2)),
+                              MvPolynomial.const(-3)])
+    poly_ = st.one_of(polys_, consts)
+    return st.tuples(st.lists(st.tuples(poly_, poly_), max_size=4), st.booleans())
+
+
+_model_poly = model_polys().map(lambda ab: ab[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pair_lists(_model_poly))
+def test_sum_of_products_matches_the_sum_of_products(drawn):
+    pairs, mirror = drawn
+    if mirror:
+        pairs = pairs + [(-a, b) for a, b in pairs]
+    models = [(_model(a), _model(b)) for a, b in pairs]
+    want = reduce(add, (a * b for a, b in pairs), ZERO)
+    got = _sum_of_products(iter(pairs))
+    assert got == want
+    assert _model(got) == reduce(_m_add, (_m_mul(a, b) for a, b in models), {})
+    assert all(type(q) is int or q.denominator > 1 for q in got._t.values())
+    if mirror:
+        assert got == ZERO
+    # the result is a new dict: clearing it changes no input
+    assert all(got._t is not p._t for pair in pairs for p in pair)
+    got.terms.clear()
+    assert [(_model(a), _model(b)) for a, b in pairs] == models
+
+
+_big = st.dictionaries(st.sampled_from([(FAM_C, 1), (FAM_C, 2), (FAM_H, 7)]),
+                       st.sampled_from([1, 2, 16383, 16384, 20000]), max_size=2
+                       ).filter(lambda m: sum(m.values()) <= 32767)
+
+
+@st.composite
+def _big_polys(draw):
+    return MvPolynomial({tuple(sorted(m.items())): draw(st.sampled_from([1, -1, 2]))
+                         for m in draw(st.lists(_big, max_size=3))})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_pair_lists(_big_polys()))
+def test_sum_of_products_overflows_where_the_products_do(drawn):
+    pairs, mirror = drawn
+    if mirror:
+        pairs = pairs + [(-a, b) for a, b in pairs]
+    try:
+        want = reduce(add, (a * b for a, b in pairs), ZERO)
+    except ExponentOverflow:
+        with pytest.raises(ExponentOverflow, match="above 32767"):
+            _sum_of_products(pairs)
+    else:
+        assert _sum_of_products(pairs) == want
+
+
+def test_an_overflow_that_cancels_still_raises():
+    big = c_(1) ** 20000
+    for pairs in ([(big, big), (-big, big)],
+                  [(big, big + ONE), (-big, big)],
+                  [(c_(2) ** 20000, big), (-big, c_(2) ** 20000)]):   # degree
+        with pytest.raises(ExponentOverflow):
+            pairs[0][0] * pairs[0][1]
+        with pytest.raises(ExponentOverflow, match="above 32767"):
+            _sum_of_products(pairs)
+    assert _sum_of_products([]) == ZERO
+
+
+# exponents on both sides of the one-byte sort keys (degree below 255)
+_wide_exps = st.sampled_from([1, 2, 120, 254, 255, 300])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.dictionaries(_mvars, _wide_exps, max_size=2),
+                          st.integers(-3, 3).filter(bool)), max_size=6))
+def test_rendering_orders_terms_across_the_one_byte_key_limit(terms):
+    from uda.cli import _json_doc
+    p = MvPolynomial({tuple(sorted(m.items())): q for m, q in terms})
+    a = _model(p)
+    assert p.sorted_terms() == _m_sorted(a)
+    assert str(p) == _m_str(a)
+    assert _json_doc({"value": p}) == json.dumps(
+        {"value": {"terms": [
+            {"exps": {f"{'ceh'[f]}{i}": e for (f, i), e in m},
+             "num": str(q.numerator), "den": str(q.denominator)}
+            for m, q in _m_sorted(a)]}}, indent=2) + "\n"
+
+
+def test_sort_keys_are_rebuilt_when_a_variable_arrives_between_others():
+    from uda.cli import _MONO_TEXT, _json_doc
+    low, mid, high = ((FAM_E, 7001), (FAM_E, 7002), (FAM_E, 7003))
+    assert mid not in poly._SHIFTS
+    var = lambda v: MvPolynomial.variable(*v)   # noqa: E731
+    p = var(low) ** 2 + var(low) * var(high) + var(high) + 3
+
+    def check(*ps):
+        for q in ps:
+            a = _model(q)
+            assert q.sorted_terms() == _m_sorted(a)
+            assert str(q) == _m_str(a)
+            doc = json.loads(_json_doc({"value": q}))["value"]
+            assert [(tuple(sorted((poly.parse_var(n), e)
+                                  for n, e in t["exps"].items())),
+                     Fraction(int(t["num"]), int(t["den"])))
+                     for t in doc["terms"]] == _m_sorted(a)
+
+    check(p)   # fills the keyed tables under the old layout
+    assert _MONO_TEXT and poly._MONO_STR
+    new = var(mid)   # sorts between low and high: every key changes
+    assert poly._VARS[-1] == mid
+    assert not _MONO_TEXT and not poly._MONO_STR
+    # p * (new + 1) mixes monomials rendered before with ones that are not
+    check(p, p * new, p * (new + ONE))
+    assert str(p * (new + ONE)) == (
+        "e1*e2*e3 + e1^2*e2 + e2*e3 + e1*e3 + e1^2 + e3 + 3*e2 + 3"
+        .replace("e1", "e7001").replace("e2", "e7002").replace("e3", "e7003"))
+    clear_caches()
+    check(p, p * new, p * (new + ONE))
