@@ -17,9 +17,9 @@ from .errors import (AlgebraError, DegreeZeroError, EmptyWindow,
                      WindowExcludesMinusOne, WindowViolation)
 from .exterior import (BasisTag, DeltaForm, DualDeltaForm, ExtElement,
                        LinearForm, contract, convert_basis,
-                       expand_over_factor, merge_indices, reduce_mod_n,
-                       residue, residue_tuple, sort_indices, unit_wedge,
-                       w_value, wedge, wedge_coords, x_in_xc, xc_expand)
+                       expand_over_factor, reduce_mod_n, residue,
+                       residue_tuple, sort_indices, unit_wedge, w_value,
+                       wedge, wedge_coords, x_in_xc, xc_expand)
 from .glaction import (ActionResult, RepMatrix, StarOperator, bracket_check,
                        generating_action, generating_action_adapted,
                        generating_action_finite, mixed_schur_det,

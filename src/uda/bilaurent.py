@@ -22,10 +22,11 @@ dict that belongs to the caller; no cache holds a ``BiLaurent``.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Mapping
 
 from .errors import EmptyWindow
-from .poly import MvPolynomial
+from .poly import MvPolynomial, ONE, _sum_by_key
 
 Window = tuple[int, int, int, int]          # zlo, zhi, wlo, whi (inclusive)
 Exact = tuple[bool, bool, bool, bool]       # z below, z above, w below, w above
@@ -153,20 +154,10 @@ class BiLaurent:
                                        bzlo, bzhi, other.exact[0], other.exact[1])
         wlo, whi, wxl, wxh = _add_axis(awlo, awhi, self.exact[2], self.exact[3],
                                        bwlo, bwhi, other.exact[2], other.exact[3])
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            s = out.get(k)
-            if s is None:
-                out[k] = v
-            else:
-                s = s + v
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
         window = (zlo, zhi, wlo, whi)
-        out = {k: v for k, v in out.items()
-               if zlo <= k[0] <= zhi and wlo <= k[1] <= whi}
+        out = _sum_by_key((k, v, ONE) for k, v in chain(self.coeffs.items(),
+                                                         other.coeffs.items())
+                          if zlo <= k[0] <= zhi and wlo <= k[1] <= whi)
         return BiLaurent(out, window, (zxl, zxh, wxl, wxh))
 
     def __sub__(self, other: "BiLaurent") -> "BiLaurent":
@@ -186,25 +177,14 @@ class BiLaurent:
                                        bzlo, bzhi, other.exact[0], other.exact[1])
         wlo, whi, wxl, wxh = _mul_axis(awlo, awhi, self.exact[2], self.exact[3],
                                        bwlo, bwhi, other.exact[2], other.exact[3])
-        out: dict[tuple[int, int], MvPolynomial] = {}
+        products = []
         for (za, wa), pa in self.coeffs.items():
             for (zb, wb), pb in other.coeffs.items():
                 z, w = za + zb, wa + wb
-                if not (zlo <= z <= zhi and wlo <= w <= whi):
-                    continue
-                prod = pa * pb
-                if not prod:
-                    continue
-                s = out.get((z, w))
-                if s is None:
-                    out[(z, w)] = prod
-                else:
-                    s = s + prod
-                    if s:
-                        out[(z, w)] = s
-                    else:
-                        del out[(z, w)]
-        return BiLaurent(out, (zlo, zhi, wlo, whi), (zxl, zxh, wxl, wxh))
+                if zlo <= z <= zhi and wlo <= w <= whi:
+                    products.append(((z, w), pa, pb))
+        return BiLaurent(_sum_by_key(products), (zlo, zhi, wlo, whi),
+                         (zxl, zxh, wxl, wxh))
 
     __rmul__ = __mul__
 

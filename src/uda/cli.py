@@ -208,6 +208,11 @@ def cmd_genfun(args: argparse.Namespace) -> str:
         if args.dual != "s":
             raise UsageError("the projected generating function lives on the "
                              "adapted dual basis; use --dual s or --no-project")
+        for flag in ("zmax", "wmin", "wmax"):
+            if getattr(args, flag) is not None:
+                raise UsageError(f"projected genfun is exact at every operator "
+                                 f"and takes no --{flag}; use --no-project "
+                                 f"for a window")
         res = generating_action_finite(args.lam, args.r, args.n)
     else:
         if args.zmax is None:
@@ -215,9 +220,13 @@ def cmd_genfun(args: argparse.Namespace) -> str:
         if args.dual == "s":
             if args.n is None:
                 raise UsageError("--dual s needs --n (the number of c variables)")
-            res = generating_action_adapted(args.lam, args.r, args.n, args.zmax,
-                                            wmin=args.wmin, wmax=args.wmax)
+            res = generating_action_adapted(
+                args.lam, args.r, args.n, args.zmax, wmin=args.wmin,
+                wmax=0 if args.wmax is None else args.wmax)
         else:
+            if args.wmax is not None:
+                raise UsageError("--wmax applies to --dual s only; the plain "
+                                 "generating function ends at w^0")
             res = generating_action(args.lam, args.r, args.zmax,
                                     wmin=args.wmin, n=args.n)
     if args.output == "json":
@@ -318,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--no-project", dest="project", action="store_false")
     p_gen.add_argument("--zmax", type=int, default=None)
     p_gen.add_argument("--wmin", type=int, default=None)
-    p_gen.add_argument("--wmax", type=int, default=0)
+    p_gen.add_argument("--wmax", type=int, default=None)
 
     p_mat = sub.add_parser("matrix", help="representation matrix of one operator")
     common(p_mat, need_lambda=False)

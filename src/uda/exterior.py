@@ -14,6 +14,15 @@ A wedge monomial with indices (i1 > ... > ir) corresponds to the partition
 (i1-(r-1), i2-(r-2), ..., ir), which is how Schur coordinates are read off
 once an element is expressed in the deformed basis.
 
+Every sum over wedge monomials (``+``, ``wedge``, ``contract``,
+``convert_basis``) lists ``(indices, a, b)`` triples and leaves the summing
+to ``poly._sum_by_key``, the one term loop; only the oracle
+(``glaction.star_oracle_coords``) sums inline, because its requests are too
+small to pay for a call.  ``convert_basis`` expands the factors from last
+to first, inserting each in front of the ones converted so far
+(``_insert_index``), so that terms with the same factors left are summed
+once.
+
 Contraction of a linear form against a wedge expands as the alternating sum
 over slots, slot i carrying sign (-1)^(i-1); the slot removed contributes
 the form's value on that factor.  ``w_value`` collects the values of all
@@ -31,13 +40,14 @@ cross-checks in the test suite meaningful.
 from __future__ import annotations
 
 import enum
+from itertools import chain
 from typing import Iterable, Mapping
 
 from .bilaurent import BiLaurent
 from .determinant import exact_det
 from .errors import DegreeZeroError, TagMismatch, WindowExcludesMinusOne
 from .partitions import Partition, partition_of_indices
-from .poly import MvPolynomial, ONE, ZERO, _frozen, c_, memo
+from .poly import MvPolynomial, ONE, ZERO, _frozen, _sum_by_key, c_, memo
 from .symfunc import h_symbol_series, s_coefficient
 
 Indices = tuple[int, ...]
@@ -66,31 +76,10 @@ def sort_indices(seq: Iterable[int]) -> tuple[Indices, int] | None:
     return tuple(items), sign
 
 
-def merge_indices(a: Indices, b: Indices) -> tuple[Indices, int] | None:
-    """Merge two strictly decreasing tuples, with the concatenation sign."""
-    out: list[int] = []
-    sign = 1
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            return None
-        if a[i] > b[j]:
-            out.append(a[i])
-            i += 1
-        else:
-            # b[j] jumps left past the remaining len(a)-i factors of a
-            if (len(a) - i) % 2:
-                sign = -sign
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return tuple(out), sign
-
-
 def _insert_index(k: int, rest: Indices) -> tuple[Indices, int] | None:
-    """``merge_indices((k,), rest)`` by counting: the merged indices and the
-    number of entries of ``rest`` above k, the sign being (-1) to that count."""
+    """The indices of X^k ^ ``rest`` sorted, and the number of entries of
+    ``rest`` above k, the sign being (-1) to that count; None if k is in
+    ``rest``."""
     if k in rest:
         return None
     above = 0
@@ -178,18 +167,9 @@ class ExtElement:
 
     def __add__(self, other: "ExtElement") -> "ExtElement":
         self._check(other)
-        out = self.terms.copy()
-        for idx, coeff in other.terms.items():
-            s = out.get(idx)
-            if s is None:
-                out[idx] = coeff
-            else:
-                s = s + coeff
-                if s:
-                    out[idx] = s
-                else:
-                    del out[idx]
-        return ExtElement._of(self.r, self.tag, out)
+        return ExtElement._of(self.r, self.tag, _sum_by_key(
+            (idx, coeff, ONE)
+            for idx, coeff in chain(self.terms.items(), other.terms.items())))
 
     def __neg__(self) -> "ExtElement":
         return ExtElement._of(self.r, self.tag,
@@ -228,26 +208,14 @@ def wedge(u: ExtElement, v: ExtElement) -> ExtElement:
     """Exterior product; degrees add, equal tags required."""
     if u.tag is not v.tag:
         raise TagMismatch(f"{u.tag.value} vs {v.tag.value}")
-    out: dict[Indices, MvPolynomial] = {}
+    products = []
     for ia, ca in u.terms.items():
         for ib, cb in v.terms.items():
-            merged = merge_indices(ia, ib)
-            if merged is None:
-                continue
-            idx, sign = merged
-            coeff = ca * cb
-            if sign < 0:
-                coeff = -coeff
-            s = out.get(idx)
-            if s is None:
-                out[idx] = coeff
-            else:
-                s = s + coeff
-                if s:
-                    out[idx] = s
-                else:
-                    del out[idx]
-    return ExtElement._of(u.r + v.r, u.tag, out)
+            merged = sort_indices(ia + ib)
+            if merged is not None:
+                idx, sign = merged
+                products.append((idx, ca, cb if sign > 0 else -cb))
+    return ExtElement._of(u.r + v.r, u.tag, _sum_by_key(products))
 
 
 def unit_wedge(r: int, tag: BasisTag = BasisTag.PLAIN_X) -> ExtElement:
@@ -286,31 +254,21 @@ def convert_basis(u: ExtElement, tag: BasisTag, n: int | None) -> ExtElement:
     if u.tag is tag:
         return u
     expand = x_in_xc if tag is BasisTag.DEFORMED_XC else xc_expand
-    acc: dict[Indices, MvPolynomial] = {}
-    for idx, coeff in u.terms.items():
-        # fold the factors one at a time, keeping partial wedges sorted
-        partial: dict[Indices, MvPolynomial] = {(): coeff}
-        for i in idx:
-            vec = expand(i, n)
-            nxt: dict[Indices, MvPolynomial] = {}
-            for pidx, pc in partial.items():
-                for m, entry in enumerate(vec):
-                    if not entry:
-                        continue
-                    merged = merge_indices(pidx, (m,))
-                    if merged is None:
-                        continue
-                    midx, sign = merged
-                    term = pc * entry
-                    if sign < 0:
-                        term = -term
-                    s = nxt.get(midx)
-                    nxt[midx] = term if s is None else s + term
-            partial = {k: v for k, v in nxt.items() if v}
-        for k, v in partial.items():
-            s = acc.get(k)
-            acc[k] = v if s is None else s + v
-    return ExtElement._of(u.r, tag, {k: v for k, v in acc.items() if v})
+    # (factors still to convert, converted wedge) -> coefficient; the last
+    # factor left is expanded and inserted in front, and terms that reach
+    # the same key are summed once
+    partial = {(idx, ()): coeff for idx, coeff in u.terms.items()}
+    for _ in range(u.r):
+        products = []
+        for (rest, pidx), pc in partial.items():
+            for m, entry in enumerate(expand(rest[-1], n)):
+                merged = _insert_index(m, pidx) if entry else None
+                if merged is not None:
+                    midx, above = merged
+                    products.append(((rest[:-1], midx),
+                                     -pc if above % 2 else pc, entry))
+        partial = _sum_by_key(products)
+    return ExtElement._of(u.r, tag, {pidx: c for (_, pidx), c in partial.items()})
 
 
 def reduce_mod_n(u: ExtElement, n: int) -> ExtElement:
@@ -408,23 +366,10 @@ def contract(form: LinearForm, u: ExtElement, n: int | None = None) -> ExtElemen
     """Interior product: alternating sum over slots, slot i signed (-1)^(i-1)."""
     if u.r < 1:
         raise DegreeZeroError("cannot contract a degree-zero element")
-    out: dict[Indices, MvPolynomial] = {}
-    for idx, coeff in u.terms.items():
-        for slot, val in form.slots(idx, u.tag, n):
-            rest = idx[:slot] + idx[slot + 1:]
-            term = coeff * val
-            if slot % 2:
-                term = -term
-            s = out.get(rest)
-            if s is None:
-                out[rest] = term
-            else:
-                s = s + term
-                if s:
-                    out[rest] = s
-                else:
-                    del out[rest]
-    return ExtElement._of(u.r - 1, u.tag, out)
+    return ExtElement._of(u.r - 1, u.tag, _sum_by_key(
+        (idx[:slot] + idx[slot + 1:], coeff, -val if slot % 2 else val)
+        for idx, coeff in u.terms.items()
+        for slot, val in form.slots(idx, u.tag, n)))
 
 
 def w_value(j: int, n: int | None) -> BiLaurent:
@@ -477,7 +422,7 @@ def expand_over_factor(f: list[MvPolynomial], r: int,
         order = deg + r + 1
     hs = h_symbol_series(order)
     low = deg - r - order  # below this the truncated sums are incomplete
-    terms: dict[tuple[int, int], MvPolynomial] = {}
+    products = []
     for i, p in enumerate(f):
         if not p:
             continue
@@ -485,11 +430,9 @@ def expand_over_factor(f: list[MvPolynomial], r: int,
             zexp = i - r - j
             if zexp < low:
                 break
-            s = terms.get((zexp, 0))
-            prod = p * hj
-            terms[(zexp, 0)] = prod if s is None else s + prod
-    return BiLaurent({k: v for k, v in terms.items() if v},
-                     (low, deg - r, 0, 0), (False, True, True, True))
+            products.append(((zexp, 0), p, hj))
+    return BiLaurent(_sum_by_key(products), (low, deg - r, 0, 0),
+                     (False, True, True, True))
 
 
 # -- Schur coordinates ----------------------------------------------------------

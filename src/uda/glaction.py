@@ -121,6 +121,8 @@ def star_oracle_coords(op: StarOperator, lam: Partition, r: int,
     vector = _deformed_vector(op, n)   # first, so its errors still surface
     if not slots:
         return {}
+    # summed inline, not through poly._sum_by_key: a request takes a few
+    # microseconds, so one more call or generator per request would show
     out: dict[tuple[int, ...], MvPolynomial] = {}
     for k, a in vector:
         for slot, val in slots:
@@ -405,10 +407,8 @@ def quotient_action(i: int, j: int, lam: Partition, r: int, n: int
     if j not in idx or (i != j and i in idx):
         return None
     slot = idx.index(j)
-    rest = idx[:slot] + idx[slot + 1:]
-    flips = slot + sum(1 for k in rest if k > i)
-    mu = partition_of_indices(tuple(sorted(rest + (i,), reverse=True)))
-    return mu, -1 if flips % 2 else 1
+    merged, above = _insert_index(i, idx[:slot] + idx[slot + 1:])
+    return partition_of_indices(merged), -1 if (slot + above) % 2 else 1
 
 
 def rep_matrix(i: int, j: int, r: int, n: int) -> RepMatrix:

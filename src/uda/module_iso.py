@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from .exterior import BasisTag, ExtElement, unit_wedge, wedge_coords
 from .partitions import Partition
-from .poly import FAM_C, FAM_H, MvPolynomial, _sum_of_products, memo
+from .poly import (FAM_C, FAM_H, MvPolynomial, _sum_by_key, _sum_of_products,
+                   memo)
 from .schubert import sigma_coefficient
 from .symfunc import e_to_h_rewrite, giambelli
 
@@ -58,10 +59,9 @@ def poly_to_wedge(p: MvPolynomial, r: int, n: int | None = None) -> ExtElement:
 
     e-variables are rewritten to h's first, c-variables stay scalars.
     """
-    acc = ExtElement.zero(r, BasisTag.PLAIN_X)
-    for h_indices, scalar in split_h_terms(p):
-        acc = acc + sigma_monomial_wedge(r, h_indices).scale(scalar)
-    return acc
+    return ExtElement._of(r, BasisTag.PLAIN_X, _sum_by_key(
+        (idx, coeff, scalar) for h_indices, scalar in split_h_terms(p)
+        for idx, coeff in sigma_monomial_wedge(r, h_indices).terms.items()))
 
 
 def wedge_to_poly(u: ExtElement, n: int | None = None) -> MvPolynomial:
@@ -72,13 +72,9 @@ def wedge_to_poly(u: ExtElement, n: int | None = None) -> MvPolynomial:
 def schur_map_of_poly(p: MvPolynomial, r: int,
                       n: int | None = None) -> dict[Partition, MvPolynomial]:
     """Schur coordinates of p as an element of the degree-r module."""
-    acc: dict[Partition, MvPolynomial] = {}
-    for h_indices, scalar in split_h_terms(p):
-        for lam, coeff in _schur_map_of_monomial(r, n, h_indices).items():
-            term = scalar * coeff
-            s = acc.get(lam)
-            acc[lam] = term if s is None else s + term
-    return {lam: v for lam, v in acc.items() if v}
+    return _sum_by_key(
+        (lam, scalar, coeff) for h_indices, scalar in split_h_terms(p)
+        for lam, coeff in _schur_map_of_monomial(r, n, h_indices).items())
 
 
 def quotient_project(p: MvPolynomial, r: int, n: int) -> dict[Partition, MvPolynomial]:

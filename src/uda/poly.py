@@ -19,6 +19,10 @@ keys: a ``Mapping`` whose ``len`` is O(1) and whose one write is ``clear``.
 A product of two non-constant polynomials runs the one term loop,
 ``_sum_of_products``, which adds every term product of a whole sum of
 products into a single dict; the Schur determinants are built with it.
+Every coefficient map of the package (wedge elements, Laurent series,
+Schur coordinates) is summed by ``_sum_by_key``, which runs that loop once
+per key.  The one exception is the oracle, ``glaction.star_oracle_coords``:
+a request takes a few microseconds, so it sums its few terms inline.
 
 The zero polynomial stores no terms.  Coefficients are exact rationals in
 lowest terms: ``fractions.Fraction`` when the denominator is nontrivial and
@@ -479,6 +483,30 @@ def _sum_of_products(pairs: Iterable[tuple[MvPolynomial, MvPolynomial]]
         raise ExponentOverflow(f"exponent or degree above {_MAX_EXP}")
     # a dict keeps the room of its deleted entries; a copy gives it back
     return MvPolynomial._of(_lowest(dict(out) if cancelled else out))
+
+
+def _sum_by_key(items: Iterable[tuple[object, MvPolynomial, MvPolynomial]]
+                ) -> dict:
+    """``{key: sum(a * b)}`` over the ``(key, a, b)`` triples, zeros dropped.
+
+    The coefficient map of every other module (wedge elements, Laurent
+    series, Schur coordinates) is summed here: the pairs of a key go
+    through one ``_sum_of_products``, and a key with a single pair costs
+    one ``a * b``.  Every value is a new polynomial.
+    """
+    groups: dict = {}
+    for key, a, b in items:
+        pairs = groups.get(key)
+        if pairs is None:
+            groups[key] = [(a, b)]
+        else:
+            pairs.append((a, b))
+    out = {}
+    for key, pairs in groups.items():
+        s = pairs[0][0] * pairs[0][1] if len(pairs) == 1 else _sum_of_products(pairs)
+        if s:
+            out[key] = s
+    return out
 
 
 _MEMO_TABLES: list = []

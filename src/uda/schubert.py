@@ -23,8 +23,10 @@ from itertools import combinations
 
 from .bilaurent import BiLaurent
 from .exterior import ExtElement, sort_indices
-from .poly import MvPolynomial
+from .poly import ONE, _frozen, _sum_by_key
 from .symfunc import h_deformed
+
+_UNIT = {1: ONE, -1: _frozen(-ONE)}   # a sign as a polynomial factor
 
 
 def _compositions(total: int, slots: int):
@@ -45,24 +47,14 @@ def sigma_coefficient(i: int, u: ExtElement) -> ExtElement:
     """The z^i coefficient of the multiplicative shift series on u."""
     if i == 0:
         return u
-    out: dict[tuple[int, ...], MvPolynomial] = {}
+    products = []
     for idx, coeff in u.terms.items():
         for comp in _compositions(i, u.r):
             shifted = sort_indices(tuple(a + d for a, d in zip(idx, comp)))
-            if shifted is None:
-                continue
-            sidx, sign = shifted
-            term = coeff if sign > 0 else -coeff
-            s = out.get(sidx)
-            if s is None:
-                out[sidx] = term
-            else:
-                s = s + term
-                if s:
-                    out[sidx] = s
-                else:
-                    del out[sidx]
-    return ExtElement._of(u.r, u.tag, out)
+            if shifted is not None:
+                sidx, sign = shifted
+                products.append((sidx, coeff, _UNIT[sign]))
+    return ExtElement._of(u.r, u.tag, _sum_by_key(products))
 
 
 def sigma_plus(u: ExtElement, order: int) -> list[ExtElement]:
@@ -75,29 +67,18 @@ def sigma_bar_plus(u: ExtElement) -> list[ExtElement]:
 
     Returns the z-polynomial coefficients, an exact list of length r+1.
     """
-    out: list[dict[tuple[int, ...], MvPolynomial]] = [dict() for _ in range(u.r + 1)]
-    for idx, coeff in u.terms.items():
-        for k in range(u.r + 1):
+    out = []
+    for k in range(u.r + 1):
+        products = []
+        for idx, coeff in u.terms.items():
             for subset in combinations(range(u.r), k):
                 bumped = sort_indices(tuple(
                     a + (1 if slot in subset else 0) for slot, a in enumerate(idx)))
-                if bumped is None:
-                    continue
-                sidx, sign = bumped
-                if k % 2:
-                    sign = -sign
-                term = coeff if sign > 0 else -coeff
-                bucket = out[k]
-                s = bucket.get(sidx)
-                if s is None:
-                    bucket[sidx] = term
-                else:
-                    s = s + term
-                    if s:
-                        bucket[sidx] = s
-                    else:
-                        del bucket[sidx]
-    return [ExtElement._of(u.r, u.tag, terms) for terms in out]
+                if bumped is not None:
+                    sidx, sign = bumped
+                    products.append((sidx, coeff, _UNIT[-sign if k % 2 else sign]))
+        out.append(ExtElement._of(u.r, u.tag, _sum_by_key(products)))
+    return out
 
 
 def sigma_bar_minus_h(j: int, n: int | None) -> BiLaurent:

@@ -104,6 +104,21 @@ def test_genfun_rejects_plain_dual_with_projection(capsys):
     assert "adapted dual basis" in err
 
 
+# window flags that a genfun form does not read are refused, not ignored
+@pytest.mark.parametrize("args, flag", [
+    (("--zmax", "1"), "--zmax"),
+    (("--wmin", "-1"), "--wmin"),
+    (("--wmax", "3"), "--wmax"),
+    (("--no-project", "--dual", "none", "--zmax", "3", "--wmax", "5"), "--wmax"),
+], ids=["projected-zmax", "projected-wmin", "projected-wmax", "plain-wmax"])
+def test_genfun_refuses_an_unused_window_flag(capsys, args, flag):
+    code, out, err = run_cli(capsys, "genfun", "--r", "2", "--n", "4",
+                             "--lambda", "2,1", *args)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and flag in err
+
+
 def test_usage_errors_exit_one(capsys):
     code, _, err = run_cli(capsys, "act", "--r", "2", "--lambda", "3,1,1",
                            "--i", "0", "--j", "0")

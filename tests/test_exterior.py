@@ -8,7 +8,7 @@ from uda.bilaurent import BiLaurent
 from uda.errors import (DegreeZeroError, TagMismatch, WindowExcludesMinusOne)
 from uda.exterior import (BasisTag, DeltaForm, DualDeltaForm, ExtElement,
                           LinearForm, _insert_index, contract, convert_basis,
-                          expand_over_factor, merge_indices, reduce_mod_n,
+                          expand_over_factor, reduce_mod_n,
                           residue, residue_tuple, sort_indices, unit_wedge,
                           w_value, wedge, wedge_coords, x_in_xc, xc_expand)
 from uda.partitions import Partition
@@ -50,9 +50,9 @@ def test_sort_and_merge_signs():
     assert sort_indices((1, 3, 0)) == ((3, 1, 0), -1)
     assert sort_indices((3, 1)) == ((3, 1), 1)
     assert sort_indices((2, 2)) is None
-    assert merge_indices((3, 1), (2,)) == ((3, 2, 1), -1)
-    assert merge_indices((3, 1), (1,)) is None
-    assert merge_indices((), (5,)) == ((5,), 1)
+    assert sort_indices((3, 1) + (2,)) == ((3, 2, 1), -1)
+    assert sort_indices((3, 1) + (1,)) is None
+    assert sort_indices(() + (5,)) == ((5,), 1)
 
 
 @settings(max_examples=300, deadline=None)
@@ -60,8 +60,7 @@ def test_sort_and_merge_signs():
 def test_inserting_one_index_matches_the_merge(k, pool):
     rest = tuple(sorted(pool, reverse=True))   # k in rest is a collision
     got = _insert_index(k, rest)
-    want = merge_indices((k,), rest)
-    assert want == sort_indices((k,) + rest)
+    want = sort_indices((k,) + rest)
     if want is None:
         assert got is None and k in rest
     else:

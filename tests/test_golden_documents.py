@@ -31,7 +31,9 @@ def run_uda(*args, script=None):
 # still served them, the polynomial documents (giambelli, act --dual none,
 # factorize) while they were still rendered from MvPolynomial.to_json, and
 # the (5,10) genfun document while the finite result still built a
-# polynomial series beside its Schur form
+# polynomial series beside its Schur form, and the unprojected genfun
+# documents while the wedge, Laurent and Schur-coordinate sums each had
+# their own accumulation loop
 DOCUMENTS = {
     "quotient_action_r2_n4_21.json": "genfun --r 2 --n 4 --lambda 2,1 --output json",
     "star_action_r2_21_32.txt": "act --r 2 --lambda 2,1 --i 3 --j 2 --dual none",
@@ -47,6 +49,11 @@ DOCUMENTS = {
     "factorize_r2_n4.json": "factorize --r 2 --n 4 --output json",
     "genfun_r5_n10_55555.json":
         "genfun --r 5 --n 10 --lambda 5,5,5,5,5 --output json",
+    "genfun_unprojected_dual_s_r2_n5_21.json":
+        "genfun --r 2 --n 5 --no-project --zmax 4 --lambda 2,1 --dual s "
+        "--output json",
+    "genfun_unprojected_dual_none_r3_21.txt":
+        "genfun --r 3 --lambda 2,1 --no-project --zmax 6 --dual none",
 }
 
 

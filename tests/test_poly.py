@@ -388,12 +388,16 @@ def test_denominator_one_results_are_ints():
     assert (half * 3)._t == {0: Fraction(3, 2)}
 
 
+def _with_consts(polys_):
+    """``polys_`` with the constants ONE, ZERO, 1/2 and -3 mixed in."""
+    return st.one_of(polys_, st.sampled_from([
+        ONE, ZERO, MvPolynomial.const(Fraction(1, 2)), MvPolynomial.const(-3)]))
+
+
 def _pair_lists(polys_):
     """Lists of (a, b) pairs, with an optional mirror of every pair so that
-    the sum cancels to zero, and the constants ONE, ZERO and 1/2 mixed in."""
-    consts = st.sampled_from([ONE, ZERO, MvPolynomial.const(Fraction(1, 2)),
-                              MvPolynomial.const(-3)])
-    poly_ = st.one_of(polys_, consts)
+    the sum cancels to zero, and the constants mixed in."""
+    poly_ = _with_consts(polys_)
     return st.tuples(st.lists(st.tuples(poly_, poly_), max_size=4), st.booleans())
 
 
@@ -456,6 +460,92 @@ def test_an_overflow_that_cancels_still_raises():
         with pytest.raises(ExponentOverflow, match="above 32767"):
             _sum_of_products(pairs)
     assert _sum_of_products([]) == ZERO
+
+
+def _triple_lists(polys_):
+    """Lists of (key, a, b) triples over a few keys, with an optional mirror
+    of every triple so that each key's sum cancels to zero."""
+    poly_ = _with_consts(polys_)
+    triple = st.tuples(st.sampled_from(["k", (1, 2), 3]), poly_, poly_)
+    return st.tuples(st.lists(triple, max_size=5), st.booleans())
+
+
+def _per_key_sums(triples):
+    """The reference: ``reduce(add, (a * b ...))`` for each key, zeros
+    dropped."""
+    sums = {key: reduce(add, (a * b for k, a, b in triples if k == key), ZERO)
+            for key, _, _ in triples}
+    return {key: s for key, s in sums.items() if s}
+
+
+@settings(max_examples=100, deadline=None)
+@given(_triple_lists(_model_poly), st.booleans())
+def test_sum_by_key_matches_the_per_key_sums(drawn, freeze):
+    triples, mirror = drawn
+    if mirror:
+        triples = triples + [(k, -a, b) for k, a, b in triples]
+    if freeze:   # as a memo table hands them out
+        triples = [(k, poly._frozen(a), poly._frozen(b)) for k, a, b in triples]
+    models = [(_model(a), _model(b)) for _, a, b in triples]
+    got = poly._sum_by_key(iter(triples))
+    assert got == _per_key_sums(triples)
+    assert all(type(q) is int or q.denominator > 1
+               for p in got.values() for q in p._t.values())
+    if mirror:
+        assert got == {}
+    # every value is a new dict: clearing it changes no input
+    inputs = [p._t for _, a, b in triples for p in (a, b)]
+    assert not any(p._t is t for p in got.values() for t in inputs)
+    for p in got.values():
+        p.terms.clear()
+    assert [(_model(a), _model(b)) for _, a, b in triples] == models
+
+
+@settings(max_examples=100, deadline=None)
+@given(_triple_lists(_big_polys()))
+def test_sum_by_key_overflows_where_the_products_do(drawn):
+    triples, mirror = drawn
+    if mirror:
+        triples = triples + [(k, -a, b) for k, a, b in triples]
+    try:
+        want = _per_key_sums(triples)
+    except ExponentOverflow:
+        with pytest.raises(ExponentOverflow, match="above 32767"):
+            poly._sum_by_key(triples)
+    else:
+        assert poly._sum_by_key(triples) == want
+
+
+def test_sum_by_key_cases():
+    half = MvPolynomial.const(Fraction(1, 2))
+    assert poly._sum_by_key([]) == {}
+    # halves that sum to an int coefficient come back as an int
+    got = poly._sum_by_key([("k", half, c_(1)), ("k", c_(1), half)])
+    assert got == {"k": c_(1)}
+    assert [type(q) for q in got["k"]._t.values()] == [int]
+    # a key with one pair is its product, in a new dict
+    a, b = c_(1) + 2, h_(2) - c_(1)
+    got = poly._sum_by_key([("x", a, b), ("y", a, ONE), ("z", ONE, b)])
+    assert got == {"x": a * b, "y": a, "z": b}
+    assert got["y"]._t is not a._t and got["z"]._t is not b._t
+    # an overflow raises even when the key's sum cancels
+    big = c_(1) ** 20000
+    with pytest.raises(ExponentOverflow, match="above 32767"):
+        poly._sum_by_key([(0, big, big), (0, -big, big)])
+
+
+def test_sum_by_key_leaves_memo_values_alone():
+    from uda.partitions import Partition
+    from uda.symfunc import giambelli
+    clear_caches()
+    cached = giambelli(Partition((2, 1)), 2, None)
+    before = _model(cached)
+    got = poly._sum_by_key([(0, cached, ONE), (1, ONE, cached),
+                            (2, cached, c_(1)), (2, ONE, cached)])
+    for p in got.values():
+        p.terms.clear()
+    assert giambelli(Partition((2, 1)), 2, None) is cached
+    assert _model(cached) == before and before
 
 
 # exponents on both sides of the one-byte sort keys (degree below 255)
