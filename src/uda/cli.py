@@ -19,12 +19,11 @@ from functools import partial
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from .errors import AlgebraError
-from .glaction import (StarOperator, generating_action,
+from .glaction import (StarOperator, _matrix_unit, generating_action,
                        generating_action_adapted, generating_action_finite,
-                       quotient_action, rep_matrix, star_oracle_coords,
-                       universal_factorization)
+                       rep_matrix, star_oracle_coords, universal_factorization)
 from .module_iso import schur_map_to_poly
-from .partitions import Partition
+from .partitions import Partition, wedge_indices
 from .poly import MvPolynomial, _PerMonomial, _TextTable, var_name
 from .symfunc import giambelli
 from .verify import SUITES
@@ -169,16 +168,13 @@ def cmd_giambelli(args: argparse.Namespace) -> str:
 
 
 def cmd_act(args: argparse.Namespace) -> str:
-    if args.i is None or args.j is None:
-        raise UsageError("act needs --i and --j")
     quotient = args.n is not None and args.project
-    if quotient and args.dual == "s":
-        image = quotient_action(args.i, args.j, args.lam, args.r, args.n)
+    if args.dual == "s":   # the matrix unit E_ij, in and out of the quotient
+        image = _matrix_unit(args.i, args.j, wedge_indices(args.lam, args.r))
         coords = {} if image is None else dict([image])
     else:
-        op = StarOperator.adapted if args.dual == "s" else StarOperator.plain
-        coords = star_oracle_coords(op(args.i, args.j), args.lam, args.r,
-                                    args.n, quotient=quotient)
+        coords = star_oracle_coords(StarOperator.plain(args.i, args.j), args.lam,
+                                    args.r, args.n, quotient=quotient)
     value = schur_map_to_poly(coords, args.r, args.n)
     if args.output == "json":
         schur = [{"partition": mu.to_json(), "coeff": str(coords[mu])}
@@ -237,8 +233,6 @@ def cmd_genfun(args: argparse.Namespace) -> str:
 def cmd_matrix(args: argparse.Namespace) -> str:
     if args.n is None:
         raise UsageError("matrix needs --n")
-    if args.i is None or args.j is None:
-        raise UsageError("matrix needs --i and --j")
     mat = rep_matrix(args.i, args.j, args.r, args.n)
     if args.output == "json":
         return _json_doc(mat.to_json())
@@ -327,7 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--no-project", dest="project", action="store_false")
     p_gen.add_argument("--zmax", type=int, default=None)
     p_gen.add_argument("--wmin", type=int, default=None)
-    p_gen.add_argument("--wmax", type=int, default=None)
+    p_gen.add_argument("--wmax", type=int, default=None,
+                       help="top w-exponent of --dual s (default 0); K > 0 reads "
+                            "w^1..w^K, which no operator owns, off the closed form")
 
     p_mat = sub.add_parser("matrix", help="representation matrix of one operator")
     common(p_mat, need_lambda=False)

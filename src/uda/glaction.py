@@ -5,12 +5,21 @@ exterior module: wedge f against the contraction of g with the corresponding
 deformed wedge monomial, then read the result back through the rank-one
 module isomorphism.  ``star_oracle`` does exactly that, slot by slot; it is
 deliberately brute force and serves as the independent reference for the
-generating functions below.
+closed forms below.
 
-The closed forms package all operator images at once.  The kernel is an
-r x r determinant: first row the deformed evaluations w^{-(r-j+lam_j)}(c),
-the remaining rows the two-term shifts h_{lam_j-j+k}(c) - h_{...-1}(c)/z.
-The series
+Every generating function is served as a table of operator images.  The
+adapted operator X^i(c) (x) del^j(s) is the matrix unit E_ij acting on the
+r-th exterior power of the deformed basis, so its image is a signed basis
+element or zero; ``_matrix_unit`` computes it by signed index substitution
+on the wedge indices of lam, with integers and tuples only, and serves
+``quotient_action``, ``rep_matrix``, ``bracket_check`` and the adapted
+tables.  The plain operator X^i (x) del^j is a Z[c]-combination of matrix
+units, and its table reads each image off the oracle.
+
+The closed forms package all operator images at once and check those
+tables.  The kernel is an r x r determinant: first row the deformed
+evaluations w^{-(r-j+lam_j)}(c), the remaining rows the two-term shifts
+h_{lam_j-j+k}(c) - h_{...-1}(c)/z.  The series
 
     z^{r-1} * (sum_j h_j z^j) * det(...)
 
@@ -19,25 +28,13 @@ switches to the adapted operators X^i(c) (x) del^j(s).  One builder,
 ``_closed_form``, makes every version of this product: the determinant's
 w-exponents lie in [-(r-1+lam_1), 0], so carrying 1/c(w) to depth
 r-1+lam_1+max(wmax, 0) makes every coefficient at w <= wmax exact.  The
-quotient closed form ``_finite_closed_form``, a cross-check, is the adapted
-product cut at w <= 0 and pushed through the rectangle normal form.
-
-On the rank-n quotient the adapted operators are far simpler than either
-route suggests: X^i(c) (x) del^j(s) is the matrix unit E_ij acting on the
-r-th exterior power of the deformed basis, so every image is a signed basis
-element or zero.  ``quotient_action`` computes it by signed index
-substitution on the wedge indices of lam, with integers and tuples only;
-``generating_action_finite`` (a table of signed basis elements with no
-polynomial series), ``rep_matrix`` and ``bracket_check`` are served from it,
-and the oracle and the closed form check it.
-
-Positive powers of w in the scaled forms do not correspond to any operator
-of the family (the dual forms are indexed by j >= 0) and they do not vanish
-under projection; when a window with wmax > 0 asks for them they are
-reported on the result object and excluded from the Schur form and from
-the JSON document.  Coefficients at z^i with i > n-1 must project to zero
-in the quotient closed form and are checked up to an explicit margin; a
-nonzero survivor raises ``WindowViolation``.
+quotient closed form ``_finite_closed_form`` is the adapted product cut at
+w <= 0 and pushed through the rectangle normal form; a nonzero survivor
+beyond z^{n-1}, checked up to an explicit margin, raises
+``WindowViolation``.  Positive powers of w in the scaled form correspond to
+no operator of the family and do not vanish under projection; a window
+with wmax > 0, the one serving use of the product, reads them off
+``_closed_form`` into ``positive_w``.
 """
 
 from __future__ import annotations
@@ -186,20 +183,20 @@ class ActionResult:
     """A generating function of star-action images on one basis element.
 
     ``schur_form`` maps (z-exp, w-exp) to the Schur coordinates of that
-    coefficient.  The closed forms keep in ``series`` the normal-form
-    coefficients on the window where they are valid.  The finite form,
-    read off by ``quotient_action``, holds the ints 1 and -1, exact at every
-    (i, j), and its ``series`` is None.  For the adapted form read with
-    wmax > 0, nonzero coefficients at positive powers of w (which correspond
-    to no operator of the family) are collected in ``positive_w`` instead of
-    ``schur_form``.  The fields cannot be reassigned; the maps in them are
-    built per call and belong to the caller.
+    coefficient.  ``window`` is the asked (zmax, wmin, wmax): z in [0, zmax],
+    w in [wmin, wmax], a wmin of None bounding nothing.  The finite form
+    holds the ints 1 and -1, exact at every (i, j), and its ``window`` is
+    None.  For the adapted form read with wmax > 0, nonzero coefficients at
+    positive powers of w (which correspond to no operator of the family) are
+    collected in ``positive_w`` instead of ``schur_form``.  The fields cannot
+    be reassigned; the maps in them are built per call and belong to the
+    caller.
     """
     lam: Partition
     r: int
     n: int | None
     dual: str                       # "plain" or "adapted"
-    series: BiLaurent | None        # None: exact at every (i, j)
+    window: tuple[int, int | None, int] | None   # None: exact at every (i, j)
     schur_form: Mapping[tuple[int, int], Mapping[Partition, int | MvPolynomial]]
     positive_w: Mapping[tuple[int, int], Mapping[Partition, MvPolynomial]] = field(
         default_factory=dict)
@@ -208,14 +205,16 @@ class ActionResult:
         """Schur coordinates of the image under the (z^i, w^-j) operator.
 
         Operators are indexed by i, j >= 0; a negative index names none of
-        them and raises ``ValueError``; one outside ``series``'s window
-        raises ``WindowViolation``.
+        them and raises ``ValueError``; one outside ``window`` raises
+        ``WindowViolation``.
         """
         if i < 0 or j < 0:
             raise ValueError(f"operator indices must be nonnegative, got ({i}, {j})")
-        if self.series is not None and not self.series.valid_at(i, -j):
-            raise WindowViolation(
-                f"(z^{i}, w^-{j}) outside computed window {self.series.window}")
+        if self.window is not None:
+            zmax, wmin, wmax = self.window
+            if i > zmax or -j > wmax or (wmin is not None and -j < wmin):
+                raise WindowViolation(
+                    f"(z^{i}, w^-{j}) outside computed window {self.window}")
         return self.schur_form.get((i, -j), {})
 
     def to_json(self) -> dict:
@@ -251,108 +250,110 @@ def _closed_form(lam: Partition, r: int, ambient: int | None, ztop: int,
     return prod.restrict((0, ztop) + prod.window[2:])
 
 
-def _project(series: BiLaurent, lam: Partition, r: int, ambient: int | None,
-             n: int | None = None):
-    """Schur coordinates of every coefficient, split into w <= 0 and w > 0.
-
-    With the quotient rank ``n`` set, only coordinates inside the r x (n-r)
-    rectangle are kept, and a survivor beyond z^{n-1} or below w^{-(n-1)}
-    raises ``WindowViolation``.
-    """
-    schur: dict[tuple[int, int], dict[Partition, MvPolynomial]] = {}
-    positive: dict[tuple[int, int], dict[Partition, MvPolynomial]] = {}
-    for key in sorted(series.coeffs):
-        coords = schur_map_of_poly(series.coeffs[key], r, ambient)
-        if n is not None:
-            coords = {mu: v for mu, v in coords.items() if mu.part(1) <= n - r}
-        if not coords:
-            continue
-        z, w = key
-        if w > 0:
-            positive[key] = coords
-            continue
-        if n is not None and z > n - 1:
-            raise WindowViolation(
-                f"nonzero projected coefficient at z^{z} (> n-1 = {n - 1}) "
-                f"for lambda={lam}, r={r}, n={n}")
-        if n is not None and w < -(n - 1):
-            raise WindowViolation(
-                f"nonzero projected coefficient at w^{w} (< -(n-1)) "
-                f"for lambda={lam}, r={r}, n={n}")
-        schur[key] = coords
-    return schur, positive
-
-
-def _cut_w(series: BiLaurent, wmin: int | None, wmax: int) -> BiLaurent:
-    zlo, zhi, wlo, whi = series.window
-    lo, hi = wlo if wmin is None else max(wlo, wmin), min(whi, wmax)
-    if lo > hi:
-        asked = wlo if wmin is None else wmin
-        raise ValueError(f"wmin/wmax ask for the w-window [{asked}, {wmax}], "
-                         f"which misses the product's w-range [{wlo}, {whi}]")
-    return series.restrict((zlo, zhi, lo, hi))
+def _image_table(lam: Partition, r: int, n: int | None, dual: str,
+                 window: tuple[int, int | None, int]
+                 ) -> dict[tuple[int, int], dict[Partition, int | MvPolynomial]]:
+    """The nonzero images of the operators in ``window``, keyed (i, -j): one
+    matrix unit each when adapted, read off the oracle when plain.  Every
+    image below w^-(r-1+lam_1) is zero; a window that misses the closed
+    form's w-range [-(r-1+lam_1), max(wmax, 0)] raises ``ValueError``."""
+    zmax, wmin, wmax = window
+    if zmax < 0:
+        raise ValueError("zmax must be nonnegative")
+    idx = wedge_indices(lam, r)
+    wlo = -(r - 1 + lam.part(1))
+    asked = wlo if wmin is None else wmin
+    if max(wlo, asked) > wmax:
+        raise ValueError(f"wmin/wmax ask for the w-window [{asked}, {wmax}], which "
+                         f"misses the product's w-range [{wlo}, {max(wmax, 0)}]")
+    table = {}
+    for i in range(zmax + 1):
+        for j in range(max(-wmax, 0), -max(wlo, asked) + 1):
+            if dual == "adapted":
+                image = _matrix_unit(i, j, idx)
+                coords = {} if image is None else dict([image])
+            else:
+                coords = star_oracle_coords(StarOperator.plain(i, j), lam, r, n,
+                                            quotient=False)
+            if coords:
+                table[(i, -j)] = coords
+    return table
 
 
 def generating_action(lam: Partition, r: int, zmax: int, wmin: int | None = None,
                       n: int | None = None) -> ActionResult:
     """Images of all X^i (x) del^j on one basis element, packaged at z^i w^-j.
 
-    The result window is z in [0, zmax], w in [-(r-1+lam_1), 0]; ``wmin``
-    narrows the w side if requested, and one that leaves no w-exponent
+    The result window is z in [0, zmax], w in [wmin, 0], and every image
+    below w^-(r-1+lam_1) is zero; a ``wmin`` above 0 leaves no w-exponent and
     raises ``ValueError``.  ``n`` bounds the c-variables only; ``n=0``
     specialises every c to zero.
     """
-    if zmax < 0:
-        raise ValueError("zmax must be nonnegative")
-    series = _cut_w(_closed_form(lam, r, n, zmax), wmin, 0)
-    schur, _ = _project(series, lam, r, n)
-    return ActionResult(lam, r, n, "plain", series, schur)
+    window = (zmax, wmin, 0)
+    return ActionResult(lam, r, n, "plain", window,
+                        _image_table(lam, r, n, "plain", window))
 
 
 def generating_action_adapted(lam: Partition, r: int, n: int, zmax: int,
                               wmin: int | None = None, wmax: int = 0) -> ActionResult:
     """The scaled form c(z)/c(w) for the adapted operators X^i(c) (x) del^j(s).
 
-    The 1/c(w) expansion is carried far enough that every coefficient with
-    w-exponent at most ``wmax`` is exact.  Nonzero coefficients at positive
-    powers of w are split off into ``positive_w``.  A ``wmin``/``wmax``
+    Every coefficient at w <= 0 is one matrix unit.  With ``wmax`` > 0, the
+    nonzero coefficients at positive powers of w, which no operator owns,
+    are read off the closed form into ``positive_w``.  A ``wmin``/``wmax``
     window that misses the product's w-range raises ``ValueError``.
     """
-    if zmax < 0:
-        raise ValueError("zmax must be nonnegative")
-    series = _cut_w(_closed_form(lam, r, n, zmax, wmax), wmin, wmax)
-    schur, positive = _project(series, lam, r, n)
-    return ActionResult(lam, r, n, "adapted", series, schur, positive)
+    window = (zmax, wmin, wmax)
+    schur = _image_table(lam, r, n, "adapted", window)
+    positive: dict[tuple[int, int], dict[Partition, MvPolynomial]] = {}
+    if wmax > 0:
+        for (z, w), coeff in _closed_form(lam, r, n, zmax, wmax).coeffs.items():
+            if w > 0 and (wmin is None or w >= wmin):
+                coords = schur_map_of_poly(coeff, r, n)
+                if coords:
+                    positive[(z, w)] = coords
+    return ActionResult(lam, r, n, "adapted", window, schur, positive)
 
 
 def _finite_closed_form(lam: Partition, r: int, n: int, zero_c: bool = False
                         ) -> dict[tuple[int, int], dict[Partition, MvPolynomial]]:
     """The Schur form of ``generating_action_finite`` from the closed form.
 
-    The adapted product is cut at w <= 0 and projected to the rectangle; the
-    vanishing beyond z^{n-1} is checked up to max(2, r) extra orders.
+    The adapted product is cut at w <= 0 and every coefficient projected to
+    the r x (n-r) rectangle.  A survivor beyond z^{n-1} or below w^{-(n-1)}
+    raises ``WindowViolation``; the vanishing beyond z^{n-1} is checked up
+    to max(2, r) extra orders.
     """
     ambient = 0 if zero_c else n
     prod = _closed_form(lam, r, ambient, n - 1 + max(2, r), wmax=0)
-    return _project(prod, lam, r, ambient, n)[0]
+    schur: dict[tuple[int, int], dict[Partition, MvPolynomial]] = {}
+    for (z, w), coeff in sorted(prod.coeffs.items()):
+        coords = {mu: v for mu, v in schur_map_of_poly(coeff, r, ambient).items()
+                  if mu.part(1) <= n - r}
+        if not coords:
+            continue
+        if z > n - 1 or w < -(n - 1):
+            raise WindowViolation(
+                f"nonzero projected coefficient at z^{z} w^{w}, outside z <= "
+                f"{n - 1}, w >= {-(n - 1)}, for lambda={lam}, r={r}, n={n}")
+        schur[(z, w)] = coords
+    return schur
 
 
 def generating_action_finite(lam: Partition, r: int, n: int) -> ActionResult:
     """The full quotient-module structure on one rectangle basis element.
 
-    The coefficient at z^i w^-j is the image of X^i(c) (x) del^j(s), read off
-    by ``quotient_action`` for every i, j in [0, n-1]; the Schur form equals
-    the closed form ``_finite_closed_form``.  Every coefficient is an exact
-    signed basis element, so the result carries no ``series``.
+    The coefficient at z^i w^-j is the image of X^i(c) (x) del^j(s), one
+    matrix unit for every i, j in [0, n-1]; the Schur form equals the
+    closed form ``_finite_closed_form``.  Every coefficient is an exact
+    signed basis element, so the result has no window.
     """
     if not (1 <= r <= n):
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
     if not lam.fits_rectangle(r, n - r):
         raise ValueError(f"partition {lam} does not fit {r}x{n - r}")
-    images = {(i, -j): quotient_action(i, j, lam, r, n)
-              for i in range(n) for j in range(n - 1, -1, -1)}
-    schur = {key: dict([image]) for key, image in images.items() if image}
-    return ActionResult(lam, r, n, "adapted", None, schur)
+    return ActionResult(lam, r, n, "adapted", None, _image_table(
+        lam, r, n, "adapted", (n - 1, None, 0)))
 
 
 # -- representation matrices -------------------------------------------------------
@@ -386,29 +387,32 @@ class RepMatrix:
                 "entries": cells}
 
 
+def _matrix_unit(i: int, j: int, idx: tuple[int, ...]
+                 ) -> tuple[Partition, int] | None:
+    """E_ij on the basis wedge with the decreasing indices ``idx``.
+
+    del^j(s) removes the index j from its slot s (sign (-1)^s), X^i(c) is
+    wedged in front, and sorting it into place flips the sign once per
+    remaining index above i.  The answer is (mu, 1), (mu, -1) or None.
+    """
+    if j not in idx or (i != j and i in idx):
+        return None
+    slot = idx.index(j)
+    merged, above = _insert_index(i, idx[:slot] + idx[slot + 1:])
+    return partition_of_indices(merged), -1 if (slot + above) % 2 else 1
+
+
 def quotient_action(i: int, j: int, lam: Partition, r: int, n: int
                     ) -> tuple[Partition, int] | None:
-    """The image of X^i(c) (x) del^j(s) on the quotient basis element of lam.
-
-    On the rank-n quotient the adapted operator is the matrix unit E_ij on
-    the r-th exterior power of the deformed basis, so the image is a signed
-    basis element or zero: del^j(s) removes the index j from its slot s
-    (sign (-1)^s), X^i(c) is wedged in front, and sorting it into place
-    flips the sign once per remaining index above i.  Only integers and
-    tuples are involved; the answer is (mu, 1), (mu, -1) or None.
-    """
+    """The image of X^i(c) (x) del^j(s) on the quotient basis element of lam,
+    the matrix unit E_ij: (mu, 1), (mu, -1) or None."""
     if not (0 <= i <= n - 1 and 0 <= j <= n - 1):
         raise ValueError(f"operator indices must lie in [0, {n - 1}]")
     if not (1 <= r <= n):
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
     if not lam.fits_rectangle(r, n - r):
         raise ValueError(f"partition {lam} does not fit {r}x{n - r}")
-    idx = wedge_indices(lam, r)
-    if j not in idx or (i != j and i in idx):
-        return None
-    slot = idx.index(j)
-    merged, above = _insert_index(i, idx[:slot] + idx[slot + 1:])
-    return partition_of_indices(merged), -1 if (slot + above) % 2 else 1
+    return _matrix_unit(i, j, wedge_indices(lam, r))
 
 
 def rep_matrix(i: int, j: int, r: int, n: int) -> RepMatrix:

@@ -7,8 +7,8 @@ import uda
 import uda.cli  # noqa: F401  (the CLI module is not imported by uda)
 import uda.verify  # noqa: F401
 from uda.exterior import BasisTag, ExtElement
-from uda.glaction import (StarOperator, bracket_check,
-                          generating_action_adapted, star_oracle_coords)
+from uda.glaction import (StarOperator, _finite_closed_form, bracket_check,
+                          star_oracle_coords)
 from uda.module_iso import poly_to_wedge, wedge_to_poly
 from uda.partitions import Partition
 from uda.poly import _MEMO_TABLES, MvPolynomial, e_, h_
@@ -32,7 +32,7 @@ def _memo_tables():
 
 
 def _fill_every_table():
-    generating_action_adapted(Partition((1,)), 2, 4, zmax=3)  # closed form
+    _finite_closed_form(Partition((1,)), 2, 4)  # closed form and projection
     assert bracket_check(1, 0, 0, 1, 2, 4)
     wedge_to_poly(poly_to_wedge(e_(2), 2, 4), 4)   # e2 -> h's via _e_in_h
     poly_to_wedge(h_(1) ** 3, 2)   # a cached wedge with a coefficient 2

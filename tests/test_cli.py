@@ -184,6 +184,53 @@ def test_genfun_full_rectangle_at_rank_four_matches_oracle(capsys):
     assert elapsed < 5.0, f"genfun at (4,8) took {elapsed:.2f}s, budget 5s"
 
 
+def test_unprojected_genfun_builds_no_laurent_series(capsys, monkeypatch):
+    # every window up to w^0 is a table of operator images, so no document
+    # multiplies (or even builds) a BiLaurent; a BiLaurent call would raise
+    # AssertionError, which the CLI does not catch
+    from uda.bilaurent import BiLaurent
+    from uda.partitions import partitions_in_rectangle
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("BiLaurent used")
+
+    for attr in ("__init__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(BiLaurent, attr, refuse)
+    rendered = 0
+    for r in (1, 2, 3):
+        for lam in partitions_in_rectangle(r, 2):
+            for n in (None, r, r + 2):
+                for zmax in (0, 6):
+                    base = ["genfun", "--r", str(r), "--lambda",
+                            ",".join(map(str, lam.parts)) or "0",
+                            "--no-project", "--zmax", str(zmax)]
+                    if n is not None:
+                        base += ["--n", str(n)]
+                    windows = [["--dual", "none"]]
+                    if n is not None:
+                        windows += [["--dual", "s"] + wmax for wmax in
+                                    ([], ["--wmax", "0"], ["--wmax", "-1"])]
+                    for window in windows:
+                        for wmin in ([], ["--wmin", "-2"]):
+                            for output in ("text", "json"):
+                                code, out, err = run_cli(
+                                    capsys, *base, *window, *wmin,
+                                    "--output", output)
+                                if code:   # an empty window is refused
+                                    assert "misses the product's w-range" in err
+                                else:
+                                    assert out and not err
+                                    rendered += 1
+    # the (4,8) window that the product never finished: 24 adapted and 72
+    # plain coefficients, each line after the header
+    for dual, lines in (("s", 25), ("none", 73)):
+        code, out, err = run_cli(capsys, "genfun", "--r", "4", "--n", "8",
+                                 "--lambda", "4,4,4,4", "--no-project",
+                                 "--zmax", "8", "--dual", dual)
+        assert code == 0 and out.count("\n") == lines and not err
+    assert rendered == 1352
+
+
 @pytest.mark.parametrize("args, bound, w_range", [
     (("--r", "2", "--lambda", "1", "--zmax", "2", "--wmin", "3"), "wmin", "[-2, 0]"),
     (("--r", "1", "--lambda", "0", "--zmax", "0", "--wmax", "-1"), "wmax", "[0, 0]"),

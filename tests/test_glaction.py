@@ -10,8 +10,8 @@ from uda.errors import DegreeZeroError, WindowViolation
 from uda.exterior import (BasisTag, DeltaForm, DualDeltaForm, ExtElement,
                           contract, convert_basis, reduce_mod_n, wedge,
                           wedge_coords)
-from uda.glaction import (ActionResult, StarOperator, _finite_closed_form,
-                          bracket_check, generating_action,
+from uda.glaction import (ActionResult, StarOperator, _closed_form,
+                          _finite_closed_form, bracket_check, generating_action,
                           generating_action_adapted, generating_action_finite,
                           mixed_schur_det, quotient_action, rep_matrix,
                           star_oracle, star_oracle_coords,
@@ -113,24 +113,23 @@ def test_mixed_det_rank_three_matches_worked_matrix():
 
 
 def test_generating_action_unit_rank_one():
-    res = generating_action(EMPTY, 1, zmax=4)
+    series = _closed_form(EMPTY, 1, None, 4)
     for i in range(5):
-        assert res.series.coeff(i, 0) == (ONE if i == 0 else h_(i))
+        assert series.coeff(i, 0) == (ONE if i == 0 else h_(i))
 
 
 def test_generating_action_golden_coefficient():
-    res = generating_action(EMPTY, 3, zmax=6)
-    assert res.series.coeff(5, -1) == h_(4) - h_(1) * h_(3)
-    assert res.series.coeff(0, 0) == ONE
+    series = _closed_form(EMPTY, 3, None, 6)
+    assert series.coeff(5, -1) == h_(4) - h_(1) * h_(3)
+    assert series.coeff(0, 0) == ONE
 
 
 def test_generating_action_times_elementary_series():
     # multiplying back by the degree-3 elementary polynomial leaves the
     # two-column triangle: E_2 + (z/w) E_1 + z^2/w^2
-    res = generating_action(EMPTY, 3, zmax=6)
     e3 = BiLaurent.from_z_series([e_to_h_rewrite(p) for p in e_series_coeffs(3, 3)],
                                  3, truncated_above=False)
-    prod = res.series * e3
+    prod = _closed_form(EMPTY, 3, None, 6) * e3
     rhs = {}
     for i, p in enumerate(e_series_coeffs(2, 2)):
         rhs[(i, 0)] = e_to_h_rewrite(p)
@@ -150,41 +149,44 @@ def test_generating_action_times_elementary_series():
                 schur_map_of_poly(want, 3, None), key
 
 
-def test_generating_action_matches_oracle_plain():
+def test_generating_action_matches_closed_form_plain():
     rng = random.Random(8)
     for _ in range(4):
         r = rng.choice([1, 2])
         lam = rng.choice(partitions_in_rectangle(r, 2))
         res = generating_action(lam, r, zmax=3)
+        closed = _closed_form(lam, r, None, 3)
         for i in range(4):
             for j in range(5):
-                if not res.series.valid_at(i, -j):
+                if not closed.valid_at(i, -j):
                     continue
-                want = star_oracle_coords(StarOperator.plain(i, j), lam, r,
-                                          None, quotient=False)
+                want = schur_map_of_poly(closed.coeff(i, -j), r, None)
                 assert res.coords_at(i, j) == want
 
 
-def test_generating_action_adapted_matches_oracle():
-    rng = random.Random(9)
+def test_generating_action_adapted_matches_closed_form_and_oracle():
     for lam in (EMPTY, Partition((1,)), Partition((2, 1))):
         res = generating_action_adapted(lam, 2, 4, zmax=3, wmax=1)
+        closed = _closed_form(lam, 2, 4, 3, wmax=1)
         for i in range(4):
             for j in range(6):
-                if not res.series.valid_at(i, -j):
+                if not closed.valid_at(i, -j):
                     continue
                 want = star_oracle_coords(StarOperator.adapted(i, j), lam, 2,
                                           4, quotient=False)
-                assert res.schur_form.get((i, -j), {}) == want
+                assert res.schur_form.get((i, -j), {}) == want == \
+                    schur_map_of_poly(closed.coeff(i, -j), 2, 4)
 
 
 def test_generating_action_adapted_specialises_to_plain():
     # with every c killed, the scaling factors collapse to 1
     lam = Partition((1, 1))
-    plain = generating_action(lam, 2, zmax=3, n=0)
-    adapted = generating_action_adapted(lam, 2, 0, zmax=3)
-    for key, val in plain.series.coeffs.items():
-        assert adapted.series.coeffs.get(key, ZERO) == val
+    plain = _closed_form(lam, 2, 0, 3)
+    adapted = _closed_form(lam, 2, 0, 3, wmax=0)
+    for key, val in plain.coeffs.items():
+        assert adapted.coeffs.get(key, ZERO) == val
+    assert generating_action(lam, 2, zmax=3, n=0).schur_form == \
+        generating_action_adapted(lam, 2, 0, zmax=3).schur_form
 
 
 def test_adapted_positive_w_terms_are_flagged_not_dropped():
@@ -198,7 +200,8 @@ def test_coords_at_rejects_negative_indices():
     # (0, -1) is inside the window, at w^1, where no operator of the family
     # lives; the coefficient there is nonzero, so {} would be a false zero
     res = generating_action_adapted(Partition((2, 1)), 2, 4, zmax=2, wmax=2)
-    assert res.series.coeff(0, 1) and (0, 1) in res.positive_w
+    assert _closed_form(Partition((2, 1)), 2, 4, 2, wmax=2).coeff(0, 1)
+    assert (0, 1) in res.positive_w
     fin = generating_action_finite(Partition((2, 1)), 2, 4)
     for result in (res, fin):
         for i, j in ((0, -1), (-1, 0), (-2, -3)):
@@ -216,7 +219,7 @@ def test_finite_action_golden_schur_form():
         (2, -3): {Partition((1, 1)): ONE},
         (3, -3): {Partition((2, 1)): ONE},
     }
-    assert res.series is None
+    assert res.window is None
     assert all(0 <= z <= 3 and -3 <= w <= 0 for z, w in res.schur_form)
 
 
@@ -239,12 +242,11 @@ def test_finite_action_golden_h_form():
 def test_finite_action_window_and_validity():
     # the finite result is exact everywhere, so it carries no window
     res = generating_action_finite(Partition((1,)), 2, 4)
-    assert res.series is None
+    assert res.window is None
     assert all(0 <= z <= 3 and -3 <= w <= 0 for z, w in res.schur_form)
     with pytest.raises(WindowViolation):
         # outside any computed window claim
-        ActionResult(EMPTY, 1, None, "plain",
-                     BiLaurent.from_z_series([ONE], 0), {}).coords_at(5, 0)
+        ActionResult(EMPTY, 1, None, "plain", (0, None, 0), {}).coords_at(5, 0)
 
 
 def test_finite_action_does_no_polynomial_work(monkeypatch):
@@ -261,7 +263,7 @@ def test_finite_action_does_no_polynomial_work(monkeypatch):
     res = generating_action_finite(Partition((2, 1)), 2, 4)
     assert sf._giambelli_cached.cache_info().currsize == 0
     assert sf.h_deformed.cache_info().currsize == 0
-    assert res.series is None
+    assert res.window is None
     # exact everywhere: beyond the operator range the coordinates are zero
     assert res.coords_at(6, 6) == {}
     assert res.coords_at(2, 1) == {Partition((2, 2)): 1}
@@ -455,7 +457,7 @@ def test_cached_results_are_read_only():
     res = generating_action_finite(Partition((1,)), 2, 4)
     for clobber in (lambda: setattr(res, "schur_form", {}),
                     lambda: setattr(res, "positive_w", {}),
-                    lambda: setattr(res, "series", BiLaurent.zero())):
+                    lambda: setattr(res, "window", (9, None, 0))):
         with pytest.raises(AttributeError):
             clobber()
     res.schur_form[(0, 0)].clear()
@@ -653,3 +655,68 @@ def test_action_result_json_deterministic_and_faithful():
     first = payload["terms"][0]
     assert (first["z"], first["w"]) == (0, -1)
     assert first["schur"] == [{"partition": [2], "coeff": "1"}]
+
+
+# -- the unprojected tables against the closed form ----------------------------
+
+
+def _closed_coords(series, r, n, i, j):
+    return schur_map_of_poly(series.coeff(i, -j), r, n)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_unprojected_tables_match_the_closed_form(r):
+    # every coefficient of each window, and one w-exponent below the
+    # product's range, where both sides are zero
+    zmax = 6
+    for n in (None, 0, *range(r, 7)):
+        for lam in partitions_in_rectangle(r, 2):
+            top = r + lam.part(1)
+            plain = generating_action(lam, r, zmax, n=n)
+            closed = _closed_form(lam, r, n, zmax)
+            for i in range(zmax + 1):
+                for j in range(top + 1):
+                    assert plain.coords_at(i, j) == \
+                        _closed_coords(closed, r, n, i, j), (r, n, lam, i, j)
+            if n is None:
+                continue
+            # the window up to w^2 holds the one up to w^1
+            adapted = generating_action_adapted(lam, r, n, zmax, wmax=2)
+            closed = _closed_form(lam, r, n, zmax, 2)
+            for i in range(zmax + 1):
+                for j in range(top + 1):
+                    assert adapted.coords_at(i, j) == \
+                        _closed_coords(closed, r, n, i, j), (r, n, lam, i, j)
+            positive = {}
+            for w in (1, 2):
+                for i in range(zmax + 1):
+                    coords = _closed_coords(closed, r, n, i, -w)
+                    if coords:
+                        positive[(i, w)] = coords
+            assert adapted.positive_w == positive, (r, n, lam)
+            assert generating_action_adapted(lam, r, n, zmax, wmax=1).positive_w \
+                == {key: v for key, v in positive.items() if key[1] == 1}
+
+
+def test_coords_at_raises_outside_the_asked_window():
+    lam = Partition((2, 1))   # the product's w-range is [-3, 0]
+    plain = generating_action(lam, 2, zmax=3, wmin=-2)
+    assert plain.window == (3, -2, 0)
+    assert plain.coords_at(3, 2) == plain.schur_form.get((3, -2), {})
+    for i, j in ((4, 0), (0, 3), (0, 9)):
+        with pytest.raises(WindowViolation):
+            plain.coords_at(i, j)
+    # with no wmin the window has no lower w bound: below the product's
+    # range every image is zero
+    assert generating_action(lam, 2, zmax=3).coords_at(0, 9) == {}
+    adapted = generating_action_adapted(lam, 2, 4, zmax=2, wmin=-3, wmax=-1)
+    assert adapted.window == (2, -3, -1)
+    assert adapted.coords_at(0, 1) == {Partition((2,)): 1}
+    for i, j in ((0, 0), (3, 1), (1, 4)):
+        with pytest.raises(WindowViolation):
+            adapted.coords_at(i, j)
+    # a window that misses the product's w-range is refused up front
+    with pytest.raises(ValueError, match=r"w-window \[1, 0\].*w-range \[-3, 0\]"):
+        generating_action(lam, 2, zmax=3, wmin=1)
+    with pytest.raises(ValueError, match=r"w-window \[-3, -4\].*w-range \[-3, 0\]"):
+        generating_action_adapted(lam, 2, 4, zmax=3, wmax=-4)

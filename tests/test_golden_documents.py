@@ -33,7 +33,9 @@ def run_uda(*args, script=None):
 # the (5,10) genfun document while the finite result still built a
 # polynomial series beside its Schur form, and the unprojected genfun
 # documents while the wedge, Laurent and Schur-coordinate sums each had
-# their own accumulation loop
+# their own accumulation loop; the unprojected and stable act --dual s
+# documents and the unprojected genfun documents below them were recorded
+# while the oracle and the closed-form product still served them
 DOCUMENTS = {
     "quotient_action_r2_n4_21.json": "genfun --r 2 --n 4 --lambda 2,1 --output json",
     "star_action_r2_21_32.txt": "act --r 2 --lambda 2,1 --i 3 --j 2 --dual none",
@@ -54,6 +56,15 @@ DOCUMENTS = {
         "--output json",
     "genfun_unprojected_dual_none_r3_21.txt":
         "genfun --r 3 --lambda 2,1 --no-project --zmax 6 --dual none",
+    "act_dual_s_unprojected_r3_n6_21_72.json":
+        "act --r 3 --n 6 --lambda 2,1 --i 7 --j 2 --dual s --no-project "
+        "--output json",
+    "act_dual_s_stable_r2_21_43.txt": "act --r 2 --lambda 2,1 --i 4 --j 3 --dual s",
+    "genfun_unprojected_positive_w_r2_n4_21.txt":
+        "genfun --r 2 --n 4 --lambda 2,1 --no-project --dual s --zmax 3 --wmax 2",
+    "genfun_unprojected_dual_s_r3_n6_333.json":
+        "genfun --r 3 --n 6 --lambda 3,3,3 --no-project --zmax 6 --dual s "
+        "--wmin -4 --output json",
 }
 
 
