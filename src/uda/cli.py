@@ -293,14 +293,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.set_defaults(lam=None, i=None, j=None, project=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, need_lambda=True):
+    def common(p, need_lambda=True, n_note="omit for the stable case",
+               outputs=("text", "json")):
         p.add_argument("--r", type=int, required=True, help="degree of the factor")
         p.add_argument("--n", type=int, default=None,
-                       help="degree of the generic polynomial (omit for the stable case)")
+                       help=f"degree of the generic polynomial ({n_note})")
         if need_lambda:
             p.add_argument("--lambda", dest="lam", default=None,
                            help="partition as comma-separated parts, e.g. 2,1")
-        p.add_argument("--output", choices=("text", "json"), default="text")
+        p.add_argument("--output", choices=outputs, default="text")
         p.add_argument("--out", dest="out_path", default=None,
                        help="write the document to this path instead of stdout")
 
@@ -334,7 +335,8 @@ def build_parser() -> argparse.ArgumentParser:
            need_lambda=False)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
-    common(p_ver, need_lambda=False)
+    # verify writes a text report only, and without --n it runs n=4
+    common(p_ver, need_lambda=False, n_note="default 4", outputs=("text",))
     p_ver.add_argument("--suite", default="all",
                        choices=("golden", "oracle", "bracket", "factorize",
                                 "duality", "ideal", "all"))

@@ -394,6 +394,12 @@ def _matrix_unit(i: int, j: int, idx: tuple[int, ...]
     del^j(s) removes the index j from its slot s (sign (-1)^s), X^i(c) is
     wedged in front, and sorting it into place flips the sign once per
     remaining index above i.  The answer is (mu, 1), (mu, -1) or None.
+
+    In the fermionic reading of Date, Jimbo, Kashiwara and Miwa the indices
+    are the positions of r particles and E_ij moves the particle at j to
+    the hole at i.  On partitions this adds (i > j) or removes (i < j) a
+    border strip of |i - j| cells whose height is the number of particles
+    strictly between i and j, and the sign is (-1)^height.
     """
     if j not in idx or (i != j and i in idx):
         return None

@@ -38,11 +38,17 @@ table of rendered monomials; ``clear_caches`` empties both kinds.
 Canonical renderings (text and JSON) list terms in graded-lexicographic
 order: higher total degree first, ties broken by comparing exponents on the
 largest variable downwards (family order c < e < h, index ascending).  Both
-renderings are deterministic byte-for-byte.  Each decodes a monomial once,
-into a per-monomial text table whose entry holds the monomial's sort key
+renderings are deterministic byte-for-byte.  Each looks a monomial up once
+in a per-monomial text table, whose entry holds the monomial's sort key
 beside its texts, so a rendering sorts its terms by the keys it finds.  A
-key follows the field layout, so these keyed tables are emptied whenever a
-variable gets a field; the per-power text tables stay.
+key is the degree followed by three family blocks, the h-, e- and
+c-exponents by descending variable, so an entry is joined from the entries
+of the monomial's h-, e- and c-parts (the monomial masked to one family's
+fields) in three part tables.  Each distinct part is decoded once, and a
+Schur determinant, a sum of c-parts times h-parts, has far fewer parts than
+monomials.  Keys follow the field layout, so the part tables and the
+per-monomial ones are emptied whenever a variable gets a field; the
+per-power text tables stay.
 """
 
 from __future__ import annotations
@@ -66,6 +72,7 @@ Coeff = int | Fraction         # always in lowest terms; int when denominator 1
 
 _FIELD = 16                          # bits per field, the "H" of _layout
 _MAX_EXP = (1 << (_FIELD - 1)) - 1   # the top bit of a field is its guard
+_FIELD_MASK = (1 << _FIELD) - 1
 _SHIFTS: dict[Var, int] = {}         # variable -> bit offset of its field
 _VARS: list[Var] = []                # the variable of field k + 1
 
@@ -92,23 +99,55 @@ def parse_var(name: str) -> Var:
     return (_FAM_NAMES.index(fam), idx)
 
 
-_KEYED_TABLES: list[dict] = []       # text tables whose entries hold a key
+_KEYED_TABLES: list[dict] = []       # tables whose entries hold a sort key
+_TEXT_TABLES: list[dict] = []        # every rendering table, for clear_caches
+
+
+class _FamilyParts(dict):
+    """``part -> (narrow key, wide key, codes)`` for one family, where a
+    part is a packed monomial masked to the family's fields.  The keys are
+    its exponents by descending variable, one byte a field (``None`` from
+    part degree 255 on, where no narrow key is read) or two bytes big-endian
+    a field; the codes are those of its powers by ascending variable.  Keys
+    and codes follow the field layout, so ``_layout`` empties these tables
+    whenever a variable gets a field."""
+
+    def __init__(self):
+        super().__init__()
+        _TEXT_TABLES.append(self)
+        _KEYED_TABLES.append(self)
+
+    def __missing__(self, part):
+        exps = [part >> s & _FIELD_MASK for s in self.desc_shifts]
+        asc = exps[::-1]
+        value = self[part] = (
+            bytes(exps) if sum(exps) < 255 else None, self.wide.pack(*exps),
+            tuple(map(add, compress(self.codes, asc), filter(None, asc))))
+        return value
+
+
+_C_PARTS, _E_PARTS, _H_PARTS = _PARTS = (
+    _FamilyParts(), _FamilyParts(), _FamilyParts())   # by family code
 
 
 def _layout() -> None:
     """Recompute the tables that read the fields of a packed monomial, and
-    empty the text tables whose sort keys were built from the old ones."""
-    global _GUARDS, _FIELDS, _KEY, _WIDE_KEY, _ASC_VARS, _ASC_CODES, _DESC
+    empty the tables whose keys were built from the old ones."""
+    global _GUARDS, _FIELDS, _ASC_VARS, _DESC, _C_MASK, _E_MASK, _H_MASK
     n = len(_VARS) + 1                   # field 0 holds the degree
     _GUARDS = sum(1 << (_FIELD * k + _FIELD - 1) for k in range(n))
     _FIELDS = Struct(f"<{n}H")           # little-endian bytes -> fields
-    _KEY = Struct(f">{n}B")              # fields below 255 -> sort key
-    _WIDE_KEY = Struct(f">{n}H")         # any fields -> big-endian bytes
     asc = sorted((v, k) for k, v in enumerate(_VARS, 1))
     _ASC_VARS = [v for v, _ in asc]
-    _ASC_CODES = [k << _FIELD for _, k in asc]   # plus exp: a power's code
-    # fields -> (degree, exponents by descending variable): graded-lex keys
+    # fields -> (degree, exponents by descending variable)
     _DESC = itemgetter(0, *[k for _, k in reversed(asc)]) if asc else tuple
+    for fam, parts in enumerate(_PARTS):
+        fields = [k for v, k in asc if v[0] == fam]
+        parts.desc_shifts = [_FIELD * k for k in reversed(fields)]
+        parts.wide = Struct(f">{len(fields)}H")
+        parts.codes = [k << _FIELD for k in fields]   # plus exp: a power's code
+    _C_MASK, _E_MASK, _H_MASK = (
+        sum(_FIELD_MASK << s for s in parts.desc_shifts) for parts in _PARTS)
     for table in _KEYED_TABLES:
         table.clear()
 
@@ -154,9 +193,6 @@ def _unpack(m: int) -> Mono:
     return tuple(zip(compress(_ASC_VARS, exps), filter(None, exps)))
 
 
-_TEXT_TABLES: list[dict] = []
-
-
 class _TextTable(dict):
     """``power code -> f(var, exp)``, filled on first use and emptied by
     ``clear_caches``.  The code of var^exp is ``(k << _FIELD) + exp`` for
@@ -173,26 +209,28 @@ class _TextTable(dict):
 
 
 class _PerMonomial(_TextTable):
-    """``packed monomial -> (graded-lex key, *f(codes))``, from one decode
-    of its fields, where ``codes`` iterates over the codes of its powers by
-    ascending variable.  Distinct monomials have distinct keys, so entries
-    sort by their keys alone.  A key's length and order follow the field
-    layout, so ``_layout`` empties these tables whenever a variable gets a
-    field."""
+    """``packed monomial -> (graded-lex key, *f(codes))``, where ``codes``
+    iterates over the codes of its powers by ascending variable.  Both are
+    joined from the entries of its h-, e- and c-parts, so each distinct part
+    is decoded once.  The key is the degree and then the exponents by
+    descending variable, one byte a field while the degree, which bounds
+    them all, is below 255; a wider key starts with 255 and gives every
+    field two bytes, so it sorts above those.  Distinct monomials have
+    distinct keys, so entries sort by their keys alone; ``_layout`` empties
+    these tables whenever a variable gets a field."""
 
     def __init__(self, f):
         super().__init__(f)
         _KEYED_TABLES.append(self)
 
     def __missing__(self, m):
-        fields = _DESC(_FIELDS.unpack(m.to_bytes(_FIELDS.size, "little")))
-        # one byte a field while the degree, which bounds them all, is below
-        # 255; a wider key starts with 255, so it sorts above those
-        key = (_KEY.pack(*fields) if fields[0] < 255
-               else b"\xff" + _WIDE_KEY.pack(*fields))
-        exps = fields[:0:-1]   # as in _unpack
-        value = self[m] = (key, *self.f(
-            map(add, compress(_ASC_CODES, exps), filter(None, exps))))
+        h = _H_PARTS[m & _H_MASK]
+        e = _E_PARTS[m & _E_MASK]
+        c = _C_PARTS[m & _C_MASK]
+        degree = m & _FIELD_MASK
+        key = (degree.to_bytes(1, "big") + h[0] + e[0] + c[0] if degree < 255
+               else b"\xff" + degree.to_bytes(2, "big") + h[1] + e[1] + c[1])
+        value = self[m] = (key, *self.f(c[2] + e[2] + h[2]))
         return value
 
 
@@ -533,7 +571,7 @@ def memo(fn):
 
 
 def clear_caches() -> None:
-    """Empty every ``memo`` table and every per-monomial text table.
+    """Empty every ``memo`` table and every text and part table.
 
     The field layout (``_VARS``, ``_SHIFTS``) stays: the packed monomials
     of every live polynomial are read through it.

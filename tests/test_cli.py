@@ -278,6 +278,22 @@ def test_failed_check_is_an_invariant_violation(capsys, monkeypatch):
     assert "FAILED: 1/2 checks passed" in err
 
 
+def test_verify_refuses_json_output(capsys):
+    # verify writes a text report only; --output json is refused, not ignored
+    code, out, err = run_cli(capsys, "verify", "--suite", "golden", "--r", "2",
+                             "--output", "json")
+    assert code == 1 and out == ""
+    assert "--output" in err and "json" in err
+    code, out, _ = run_cli(capsys, "verify", "--suite", "golden", "--r", "2",
+                           "--output", "text")
+    assert code == 0 and out.endswith("checks passed\n")
+    # without --n verify runs n=4, and its help says so
+    assert out == run_cli(capsys, "verify", "--suite", "golden", "--r", "2",
+                          "--n", "4")[1]
+    code, out, _ = run_cli(capsys, "verify", "--help")
+    assert code == 0 and "(default 4)" in out and "stable" not in out
+
+
 def test_giambelli_takes_partitions_outside_the_rectangle(capsys):
     # a Schur determinant is not a quotient element, so --n bounds the c's
     # and does not confine lambda to the r x (n-r) rectangle

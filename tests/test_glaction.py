@@ -11,9 +11,10 @@ from uda.exterior import (BasisTag, DeltaForm, DualDeltaForm, ExtElement,
                           contract, convert_basis, reduce_mod_n, wedge,
                           wedge_coords)
 from uda.glaction import (ActionResult, StarOperator, _closed_form,
-                          _finite_closed_form, bracket_check, generating_action,
-                          generating_action_adapted, generating_action_finite,
-                          mixed_schur_det, quotient_action, rep_matrix,
+                          _finite_closed_form, _matrix_unit, bracket_check,
+                          generating_action, generating_action_adapted,
+                          generating_action_finite, mixed_schur_det,
+                          quotient_action, rep_matrix,
                           star_oracle, star_oracle_coords,
                           universal_factorization)
 from uda.module_iso import quotient_project, schur_map_of_poly
@@ -421,6 +422,52 @@ def test_quotient_action_matches_oracle(case):
     image = quotient_action(i, j, lam, r, n)
     got = {} if image is None else dict([image])
     assert got == star_oracle_coords(StarOperator.adapted(i, j), lam, r, n)
+
+
+def _border_strip_height(outer, inner, r):
+    """Rows minus one of the skew shape outer/inner in r rows when it is a
+    border strip (nonempty, edge-connected, no 2x2 square), else None."""
+    if any(inner.part(k) > outer.part(k) for k in range(1, r + 1)):
+        return None
+    cells = {(row, col) for row in range(1, r + 1)
+             for col in range(inner.part(row), outer.part(row))}
+    if not cells or any({(a + 1, b), (a, b + 1), (a + 1, b + 1)} <= cells
+                        for a, b in cells):
+        return None
+    seen, todo = set(), [min(cells)]
+    while todo:
+        a, b = cell = todo.pop()
+        if cell not in seen:
+            seen.add(cell)
+            todo += [c for c in ((a - 1, b), (a + 1, b), (a, b - 1), (a, b + 1))
+                     if c in cells]
+    return len({a for a, _ in cells}) - 1 if seen == cells else None
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda r: st.tuples(
+    st.just(r), st.lists(st.integers(0, 5), min_size=r, max_size=r),
+    st.integers(0, 9), st.integers(0, 9))))
+def test_matrix_unit_moves_a_border_strip(case):
+    # the particle at j jumps to the hole at i: lam gains (i > j) or loses
+    # (i < j) a border strip of |i - j| cells, one row per particle jumped
+    # over plus one, and the sign is (-1)^height
+    r, parts, i, j = case
+    lam = Partition(sorted(parts, reverse=True))
+    idx = wedge_indices(lam, r)
+    image = _matrix_unit(i, j, idx)
+    assert (image is None) == (j not in idx or (i != j and i in idx))
+    if image is None:
+        return
+    mu, sign = image
+    if i == j:
+        assert (mu, sign) == (lam, 1)
+        return
+    height = sum(min(i, j) < k < max(i, j) for k in idx)
+    outer, inner = (mu, lam) if i > j else (lam, mu)
+    assert outer.size() - inner.size() == abs(i - j)
+    assert _border_strip_height(outer, inner, r) == height
+    assert sign == (-1) ** height
 
 
 def test_quotient_action_rejects_bad_input():
