@@ -304,8 +304,8 @@ class LinearForm:
         return out
 
 
-class DeltaForm(LinearForm):
-    """The form reading off the coefficient of X^j (dual to the plain basis)."""
+class _IndexForm(LinearForm):
+    """A form named by one index j; forms of one class and j are equal."""
 
     __slots__ = ("j",)
 
@@ -313,6 +313,23 @@ class DeltaForm(LinearForm):
         if j < 0:
             raise ValueError("form index must be nonnegative")
         self.j = j
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.j == other.j
+
+    def __hash__(self):
+        return hash((self.__class__, self.j))
+
+    def __repr__(self):
+        return f"{self.__class__.__name__}({self.j})"
+
+
+class DeltaForm(_IndexForm):
+    """The form reading off the coefficient of X^j (dual to the plain basis)."""
+
+    __slots__ = ()
 
     def value(self, i: int, tag: BasisTag, n: int | None) -> MvPolynomial:
         if tag is BasisTag.PLAIN_X:
@@ -331,19 +348,11 @@ class DeltaForm(LinearForm):
             return [(idx.index(self.j), ONE)] if self.j in idx else []
         return super().slots(idx, tag, n)
 
-    def __repr__(self):
-        return f"DeltaForm({self.j})"
 
-
-class DualDeltaForm(LinearForm):
+class DualDeltaForm(_IndexForm):
     """The form dual to X^j(c): the coefficient of s(w) shifts the plain forms."""
 
-    __slots__ = ("j",)
-
-    def __init__(self, j: int):
-        if j < 0:
-            raise ValueError("form index must be nonnegative")
-        self.j = j
+    __slots__ = ()
 
     def value(self, i: int, tag: BasisTag, n: int | None) -> MvPolynomial:
         if tag is BasisTag.DEFORMED_XC:
@@ -357,9 +366,6 @@ class DualDeltaForm(LinearForm):
         if tag is BasisTag.DEFORMED_XC:   # one factor at most, valued 1
             return [(idx.index(self.j), ONE)] if self.j in idx else []
         return super().slots(idx, tag, n)
-
-    def __repr__(self):
-        return f"DualDeltaForm({self.j})"
 
 
 def contract(form: LinearForm, u: ExtElement, n: int | None = None) -> ExtElement:

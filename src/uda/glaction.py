@@ -40,7 +40,7 @@ with wmax > 0, the one serving use of the product, reads them off
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .bilaurent import BiLaurent
 from .determinant import exact_det
@@ -57,19 +57,67 @@ from .symfunc import (c_series_coeffs, generic_factor_poly,
                       s_coefficient)
 
 
-@dataclass(frozen=True)
-class StarOperator:
-    """f(X) (x) g(del): a vector polynomial paired with a coordinate form."""
-    vector: tuple[MvPolynomial, ...]   # coefficients of X^0, X^1, ...
-    vector_tag: BasisTag
-    form: LinearForm
-    # the nonzero (k, coefficient of X^k) pairs of ``vector``
-    _terms: tuple[tuple[int, MvPolynomial], ...] = field(
-        init=False, repr=False, compare=False)
+class _Record:
+    """A frozen record of the fields named in ``__slots__``.
 
-    def __post_init__(self):
-        object.__setattr__(self, "_terms", tuple(
-            (k, coeff) for k, coeff in enumerate(self.vector) if coeff))
+    A subclass's ``__init__`` hands every slot's value, in slot order, to
+    ``_set``.  A slot whose name starts with an underscore is derived from
+    the others; the rest, in order, are the fields (``__match_args__``),
+    which ``__init__`` takes positionally.  Records of one class are equal
+    when their fields are; the hash is that of the field tuple, so a record
+    holding a dict is unhashable.  Pickling rebuilds a record from its
+    fields.  No slot can be reassigned or deleted.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls.__match_args__ = fields = tuple(
+            name for name in cls.__slots__ if not name.startswith("_"))
+        cls._values = property(attrgetter(*fields))   # the field tuple
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class StarOperator(_Record):
+    """f(X) (x) g(del): a vector polynomial paired with a coordinate form.
+
+    ``vector`` holds the coefficients of X^0, X^1, ... in the basis
+    ``vector_tag``; ``_terms`` holds its nonzero (k, coefficient of X^k)
+    pairs.
+    """
+
+    __slots__ = ("vector", "vector_tag", "form", "_terms")
+
+    def __init__(self, vector: tuple[MvPolynomial, ...], vector_tag: BasisTag,
+                 form: LinearForm):
+        self._set(vector, vector_tag, form, tuple(
+            (k, coeff) for k, coeff in enumerate(vector) if coeff))
 
     @staticmethod
     def plain(i: int, j: int) -> "StarOperator":
@@ -178,28 +226,32 @@ def mixed_schur_det(lam: Partition, r: int, n: int | None) -> BiLaurent:
     return exact_det(rows)
 
 
-@dataclass(frozen=True)
-class ActionResult:
+class ActionResult(_Record):
     """A generating function of star-action images on one basis element.
 
-    ``schur_form`` maps (z-exp, w-exp) to the Schur coordinates of that
-    coefficient.  ``window`` is the asked (zmax, wmin, wmax): z in [0, zmax],
-    w in [wmin, wmax], a wmin of None bounding nothing.  The finite form
-    holds the ints 1 and -1, exact at every (i, j), and its ``window`` is
-    None.  For the adapted form read with wmax > 0, nonzero coefficients at
-    positive powers of w (which correspond to no operator of the family) are
-    collected in ``positive_w`` instead of ``schur_form``.  The fields cannot
-    be reassigned; the maps in them are built per call and belong to the
-    caller.
+    ``dual`` is "plain" or "adapted".  ``schur_form`` maps (z-exp, w-exp) to
+    the Schur coordinates of that coefficient.  ``window`` is the asked
+    (zmax, wmin, wmax): z in [0, zmax], w in [wmin, wmax], a wmin of None
+    bounding nothing.  The finite form holds the ints 1 and -1, exact at
+    every (i, j), and its ``window`` is None.  For the adapted form read
+    with wmax > 0, nonzero coefficients at positive powers of w (which
+    correspond to no operator of the family) are collected in
+    ``positive_w`` instead of ``schur_form``; it defaults to a new empty
+    dict.  The fields cannot be reassigned; the maps in them are built per
+    call and belong to the caller.
     """
-    lam: Partition
-    r: int
-    n: int | None
-    dual: str                       # "plain" or "adapted"
-    window: tuple[int, int | None, int] | None   # None: exact at every (i, j)
-    schur_form: Mapping[tuple[int, int], Mapping[Partition, int | MvPolynomial]]
-    positive_w: Mapping[tuple[int, int], Mapping[Partition, MvPolynomial]] = field(
-        default_factory=dict)
+
+    __slots__ = ("lam", "r", "n", "dual", "window", "schur_form", "positive_w")
+
+    def __init__(
+            self, lam: Partition, r: int, n: int | None, dual: str,
+            window: tuple[int, int | None, int] | None,
+            schur_form: Mapping[tuple[int, int],
+                                Mapping[Partition, int | MvPolynomial]],
+            positive_w: Mapping[tuple[int, int],
+                                Mapping[Partition, MvPolynomial]] | None = None):
+        self._set(lam, r, n, dual, window, schur_form,
+                  {} if positive_w is None else positive_w)
 
     def coords_at(self, i: int, j: int) -> Mapping[Partition, int | MvPolynomial]:
         """Schur coordinates of the image under the (z^i, w^-j) operator.
@@ -359,18 +411,19 @@ def generating_action_finite(lam: Partition, r: int, n: int) -> ActionResult:
 # -- representation matrices -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RepMatrix:
+class RepMatrix(_Record):
     """The matrix of one adapted basis operator on the rectangle Schur basis.
 
-    Every entry is the int 1 or -1; missing entries are zero.
+    ``entries`` maps (row, column) partitions of ``basis`` to the int 1 or
+    -1; missing entries are zero.
     """
-    i: int
-    j: int
-    r: int
-    n: int
-    basis: tuple[Partition, ...]
-    entries: Mapping[tuple[Partition, Partition], int]
+
+    __slots__ = ("i", "j", "r", "n", "basis", "entries")
+
+    def __init__(self, i: int, j: int, r: int, n: int,
+                 basis: tuple[Partition, ...],
+                 entries: Mapping[tuple[Partition, Partition], int]):
+        self._set(i, j, r, n, basis, entries)
 
     @property
     def dimension(self) -> int:

@@ -1,4 +1,5 @@
 import json
+import pickle
 import random
 
 import pytest
@@ -10,7 +11,7 @@ from uda.errors import DegreeZeroError, WindowViolation
 from uda.exterior import (BasisTag, DeltaForm, DualDeltaForm, ExtElement,
                           contract, convert_basis, reduce_mod_n, wedge,
                           wedge_coords)
-from uda.glaction import (ActionResult, StarOperator, _closed_form,
+from uda.glaction import (ActionResult, RepMatrix, StarOperator, _closed_form,
                           _finite_closed_form, _matrix_unit, bracket_check,
                           generating_action, generating_action_adapted,
                           generating_action_finite, mixed_schur_det,
@@ -767,3 +768,87 @@ def test_coords_at_raises_outside_the_asked_window():
         generating_action(lam, 2, zmax=3, wmin=1)
     with pytest.raises(ValueError, match=r"w-window \[-3, -4\].*w-range \[-3, 0\]"):
         generating_action_adapted(lam, 2, 4, zmax=3, wmax=-4)
+
+
+# -- the frozen records ------------------------------------------------------------
+
+
+def test_equal_operators_are_equal_and_hash_equal():
+    for make in (StarOperator.adapted, StarOperator.plain):
+        a, b = make(1, 2), make(1, 2)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != make(1, 3) and a != make(2, 2)
+    assert StarOperator.adapted(1, 2) != StarOperator.plain(1, 2)
+    for form in (DeltaForm, DualDeltaForm):
+        assert form(2) == form(2) and hash(form(2)) == hash(form(2))
+        assert form(2) != form(3)
+    assert DeltaForm(2) != DualDeltaForm(2)
+    assert len({DeltaForm(2), DeltaForm(2), DualDeltaForm(2)}) == 2
+
+
+def _records():
+    two_one, one = Partition((2, 1)), Partition((1,))
+    return (
+        StarOperator.adapted(1, 2),
+        StarOperator.plain(0, 3),
+        ActionResult(two_one, 2, 5, "adapted", None, {(0, 0): {two_one: 1}}),
+        ActionResult(two_one, 2, None, "plain", (3, None, 0),
+                     {(1, -1): {one: ONE}}, {(0, 1): {two_one: -ONE}}),
+        RepMatrix(1, 0, 2, 4, (EMPTY, one), {(one, EMPTY): 1}),
+    )
+
+
+def test_record_reprs_match_the_dataclass_text():
+    assert [repr(rec) for rec in _records()] == [
+        "StarOperator(vector=(MvPolynomial(0), MvPolynomial(1)), "
+        "vector_tag=<BasisTag.DEFORMED_XC: 'Xc'>, form=DualDeltaForm(2))",
+        "StarOperator(vector=(MvPolynomial(1),), "
+        "vector_tag=<BasisTag.PLAIN_X: 'X'>, form=DeltaForm(3))",
+        "ActionResult(lam=Partition(2, 1), r=2, n=5, dual='adapted', "
+        "window=None, schur_form={(0, 0): {Partition(2, 1): 1}}, positive_w={})",
+        "ActionResult(lam=Partition(2, 1), r=2, n=None, dual='plain', "
+        "window=(3, None, 0), schur_form={(1, -1): {Partition(1,): MvPolynomial(1)}}, "
+        "positive_w={(0, 1): {Partition(2, 1): MvPolynomial(-1)}})",
+        "RepMatrix(i=1, j=0, r=2, n=4, basis=(Partition(), Partition(1,)), "
+        "entries={(Partition(1,), Partition()): 1})",
+    ]
+
+
+def test_records_take_keywords_and_a_fresh_positive_w():
+    a = ActionResult(lam=EMPTY, r=1, n=None, dual="plain", window=None,
+                     schur_form={})
+    b = ActionResult(EMPTY, 1, None, "plain", None, {})
+    assert a.positive_w == {} and a.positive_w is not b.positive_w
+    a.positive_w[(0, 1)] = {}
+    assert b.positive_w == {}
+    m = RepMatrix(i=1, j=0, r=2, n=4, basis=(EMPTY,), entries={})
+    assert (m.i, m.j, m.r, m.n, m.dimension) == (1, 0, 2, 4, 1)
+    op = StarOperator(vector=(ZERO, c_(1)), vector_tag=BasisTag.PLAIN_X,
+                      form=DeltaForm(0))
+    assert op._terms == ((1, c_(1)),)
+    assert op == StarOperator((ZERO, c_(1)), BasisTag.PLAIN_X, DeltaForm(0))
+
+
+def test_records_refuse_setattr_and_delattr():
+    for rec in _records():
+        for name in (rec.__match_args__[0], "_terms", "other"):
+            with pytest.raises(AttributeError):
+                setattr(rec, name, None)
+            with pytest.raises(AttributeError):
+                delattr(rec, name)
+
+
+def test_records_compare_by_value_and_dict_records_are_unhashable():
+    for a, b in zip(_records(), _records()):
+        assert a is not b and a == b
+        assert pickle.loads(pickle.dumps(a)) == a
+    op, _, res, _, mat = _records()
+    assert hash(op) == hash(StarOperator.adapted(1, 2))
+    assert pickle.loads(pickle.dumps(op))._terms == op._terms
+    assert res != ActionResult(res.lam, res.r, res.n, res.dual, res.window,
+                               res.schur_form, {(0, 1): {}})
+    assert mat != RepMatrix(1, 0, 2, 4, mat.basis, {})
+    assert res != mat and op != (op.vector, op.vector_tag, op.form)
+    for rec in (res, mat):
+        with pytest.raises(TypeError):
+            hash(rec)
