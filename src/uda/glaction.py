@@ -56,6 +56,8 @@ from .symfunc import (c_series_coeffs, generic_factor_poly,
                       generic_monic_coeffs, h_deformed, h_symbol_series,
                       s_coefficient)
 
+_DEFORMED = BasisTag.DEFORMED_XC
+
 
 class _Record:
     """A frozen record of the fields named in ``__slots__``.
@@ -132,11 +134,9 @@ class StarOperator(_Record):
 
 def _deformed_vector(op: StarOperator, ambient: int | None
                      ) -> tuple[tuple[int, MvPolynomial], ...]:
-    """The (k, coefficient of X^k(c)) pairs of the operator's vector."""
-    if op.vector_tag is BasisTag.DEFORMED_XC:
-        return op._terms
+    """The (k, coefficient of X^k(c)) pairs of a plain-basis vector."""
     e = ExtElement._of(1, op.vector_tag, {(k,): coeff for k, coeff in op._terms})
-    e = convert_basis(e, BasisTag.DEFORMED_XC, ambient)
+    e = convert_basis(e, _DEFORMED, ambient)
     return tuple((idx[0], coeff) for idx, coeff in e.terms.items())
 
 
@@ -149,7 +149,11 @@ def star_oracle_coords(op: StarOperator, lam: Partition, r: int,
     the form is nonzero, each index k of the deformed vector is inserted
     into the remaining indices, with the sign (-1)^(slot + the number of
     them above k); this is the contraction, wedge and coordinate read-off of
-    the exterior layer done on indices alone.
+    the exterior layer done on indices alone.  When the vector coefficient
+    and the form's value are both ``ONE``, as for every adapted operator
+    X^i(c) (x) del^j(s), the image is a sign and is formed as a new constant
+    1 or -1 without polynomial products; every coefficient returned is a
+    new polynomial that belongs to the caller.
 
     With ``n`` set and ``quotient`` true, the computation happens in the rank
     n quotient module: wedge monomials with a factor of exponent >= n are
@@ -162,13 +166,14 @@ def star_oracle_coords(op: StarOperator, lam: Partition, r: int,
         raise DegreeZeroError("cannot contract a degree-zero element")
     idx = wedge_indices(lam, r)
     cut = n if n is not None and quotient else None
-    slots = op.form.slots(idx, BasisTag.DEFORMED_XC, n)
-    vector = _deformed_vector(op, n)   # first, so its errors still surface
+    slots = op.form.slots(idx, _DEFORMED, n)
+    # converted first, so its errors still surface
+    vector = op._terms if op.vector_tag is _DEFORMED else _deformed_vector(op, n)
     if not slots:
         return {}
     # summed inline, not through poly._sum_by_key: a request takes a few
     # microseconds, so one more call or generator per request would show
-    out: dict[tuple[int, ...], MvPolynomial] = {}
+    coords: dict[Partition, MvPolynomial] = {}
     for k, a in vector:
         for slot, val in slots:
             merged = _insert_index(k, idx[:slot] + idx[slot + 1:])
@@ -177,19 +182,21 @@ def star_oracle_coords(op: StarOperator, lam: Partition, r: int,
             midx, above = merged
             if cut is not None and midx[0] >= cut:
                 continue
-            coeff = a * val
-            if (slot + above) % 2:   # contraction sign times insertion sign
-                coeff = -coeff
-            s = out.get(midx)
+            odd = (slot + above) % 2   # contraction sign times insertion sign
+            if a is ONE and val is ONE:
+                coeff = MvPolynomial._of({0: -1 if odd else 1})
+            else:
+                coeff = -(a * val) if odd else a * val
+            mu = partition_of_indices(midx)
+            s = coords.get(mu)
             if s is None:
-                out[midx] = coeff
+                coords[mu] = coeff
             else:
                 s = s + coeff
                 if s:
-                    out[midx] = s
+                    coords[mu] = s
                 else:
-                    del out[midx]
-    coords = {partition_of_indices(midx): coeff for midx, coeff in out.items()}
+                    del coords[mu]
     if cut is not None:
         for mu in coords:
             if mu.parts and mu.parts[0] > n - r:

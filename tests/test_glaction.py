@@ -1,6 +1,7 @@
 import json
 import pickle
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -271,6 +272,28 @@ def test_finite_action_does_no_polynomial_work(monkeypatch):
     assert res.coords_at(2, 1) == {Partition((2, 2)): 1}
 
 
+def test_adapted_oracle_does_no_polynomial_arithmetic(monkeypatch):
+    # an adapted image is a sign: the oracle forms it as a new constant
+    # without multiplying, negating or adding polynomials
+    modes = ((6, True), (6, False), (None, True))
+    cases = [(StarOperator.adapted(i, j), lam, ambient, quotient)
+             for i in range(7) for j in range(7)
+             for lam in partitions_in_rectangle(3, 4)
+             for ambient, quotient in modes]
+    want = [star_oracle_coords(op, lam, 3, ambient, quotient=quotient)
+            for op, lam, ambient, quotient in cases]
+    assert any(v == -1 for coords in want for v in coords.values())
+
+    def refuse(*args):
+        raise AssertionError("polynomial arithmetic in the adapted oracle")
+
+    for name in ("__add__", "__radd__", "__sub__", "__neg__", "__mul__",
+                 "__rmul__"):
+        monkeypatch.setattr(MvPolynomial, name, refuse)
+    assert [star_oracle_coords(op, lam, 3, ambient, quotient=quotient)
+            for op, lam, ambient, quotient in cases] == want
+
+
 def test_finite_action_is_adapted_form_cut_at_w_nonpositive():
     for (r, n) in ((2, 4), (3, 5)):
         for lam in partitions_in_rectangle(r, n - r):
@@ -530,8 +553,11 @@ def test_oracle_result_belongs_to_the_caller():
     # clearing a returned coefficient or the returned map reaches neither a
     # second call nor ONE nor the memoised index maps
     lam = Partition((2, 1))
+    assert star_oracle_coords(StarOperator.adapted(0, 3), lam, 2, 4) \
+        == {EMPTY: -ONE}
     for op in (StarOperator.adapted(2, 1), StarOperator.adapted(2, 3),
-               StarOperator.plain(3, 1)):
+               StarOperator.adapted(0, 3), StarOperator.plain(3, 1),
+               StarOperator(_CONSTANTS, BasisTag.DEFORMED_XC, DualDeltaForm(1))):
         first = star_oracle_coords(op, lam, 2, 4)
         expected = {mu: MvPolynomial(dict(p.terms)) for mu, p in first.items()}
         assert first
@@ -542,6 +568,10 @@ def test_oracle_result_belongs_to_the_caller():
     assert ONE == MvPolynomial.const(1)
     assert wedge_indices(lam, 2) == (3, 1)
     assert partition_of_indices((3, 1)) == lam
+
+
+_CONSTANTS = (MvPolynomial.const(2), MvPolynomial.const(Fraction(-1, 2)), ZERO,
+              c_(1) + 3, ONE)
 
 
 def _layered_coords(op, lam, r, n, quotient):
@@ -578,14 +608,38 @@ def test_one_pass_oracle_matches_the_exterior_layer():
 
 def test_one_pass_oracle_with_a_general_vector():
     f = (c_(2), ZERO, ONE + c_(1), -c_(1) * c_(3))
-    for tag, form in ((BasisTag.PLAIN_X, DeltaForm(1)),
-                      (BasisTag.DEFORMED_XC, DualDeltaForm(1)),
-                      (BasisTag.PLAIN_X, DualDeltaForm(0))):
-        op = StarOperator(f, tag, form)
+    ops = [StarOperator(f, tag, form) for tag, form in (
+        (BasisTag.PLAIN_X, DeltaForm(1)), (BasisTag.DEFORMED_XC, DualDeltaForm(1)),
+        (BasisTag.PLAIN_X, DualDeltaForm(0)))]
+    # constants other than ONE take the product path, beside ONE itself
+    ops += [StarOperator(_CONSTANTS, tag, form) for tag in BasisTag
+            for form in (DeltaForm(1), DualDeltaForm(1))]
+    for op in ops:
         for lam in partitions_in_rectangle(3, 3):
             for n, quotient in ((None, True), (6, False), (6, True)):
                 assert star_oracle_coords(op, lam, 3, n, quotient=quotient) \
                     == _layered_coords(op, lam, 3, n, quotient)
+
+
+@st.composite
+def oracle_cases(draw):
+    r = draw(st.integers(1, 6))
+    n = draw(st.integers(r, 12))
+    parts = sorted(draw(st.lists(st.integers(0, n - r + 1), min_size=r,
+                                 max_size=r)), reverse=True)
+    i, j = draw(st.integers(0, n)), draw(st.integers(0, n))
+    return i, j, Partition(parts), r, n
+
+
+@settings(max_examples=100, deadline=None)
+@given(oracle_cases())
+def test_one_pass_oracle_matches_the_exterior_layer_up_to_rank_six(case):
+    # the benchmark's rank: r <= 6 and n <= 12, one column past the rectangle
+    i, j, lam, r, n = case
+    for op in (StarOperator.adapted(i, j), StarOperator.plain(i, j)):
+        for ambient, quotient in ((n, True), (n, False), (None, True)):
+            assert star_oracle_coords(op, lam, r, ambient, quotient=quotient) \
+                == _layered_coords(op, lam, r, ambient, quotient)
 
 
 def test_oracle_keeps_the_exceptions_of_the_exterior_layer(monkeypatch):
