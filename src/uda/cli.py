@@ -323,8 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--zmax", type=int, default=None)
     p_gen.add_argument("--wmin", type=int, default=None)
     p_gen.add_argument("--wmax", type=int, default=None,
-                       help="top w-exponent of --dual s (default 0); K > 0 reads "
-                            "w^1..w^K, which no operator owns, off the closed form")
+                       help="top w-exponent of --dual s (default 0); K > 0 also "
+                            "reads w^1..w^K, the images of X^i(c) (x) phi_k, "
+                            "where phi_k(X^m) = s_{m+k}(c)")
 
     p_mat = sub.add_parser("matrix", help="representation matrix of one operator")
     common(p_mat, need_lambda=False)

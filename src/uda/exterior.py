@@ -47,7 +47,8 @@ from .bilaurent import BiLaurent
 from .determinant import exact_det
 from .errors import DegreeZeroError, TagMismatch, WindowExcludesMinusOne
 from .partitions import Partition, partition_of_indices
-from .poly import MvPolynomial, ONE, ZERO, _frozen, _sum_by_key, c_, memo
+from .poly import (MvPolynomial, ONE, ZERO, _frozen, _sum_by_key,
+                   _sum_of_products, c_, memo)
 from .symfunc import h_symbol_series, s_coefficient
 
 Indices = tuple[int, ...]
@@ -305,9 +306,11 @@ class LinearForm:
 
 
 class _IndexForm(LinearForm):
-    """A form named by one index j; forms of one class and j are equal."""
+    """A form named by one index j, 1 on the j-th vector of its own basis
+    ``_own`` if it has one; forms of one class and j are equal."""
 
     __slots__ = ("j",)
+    _own: BasisTag | None = None
 
     def __init__(self, j: int):
         if j < 0:
@@ -325,47 +328,54 @@ class _IndexForm(LinearForm):
     def __repr__(self):
         return f"{self.__class__.__name__}({self.j})"
 
+    def slots(self, idx: Indices, tag: BasisTag, n: int | None
+              ) -> list[tuple[int, MvPolynomial]]:
+        if tag is self._own:   # one factor at most, valued 1
+            return [(idx.index(self.j), ONE)] if self.j in idx else []
+        return super().slots(idx, tag, n)
+
 
 class DeltaForm(_IndexForm):
     """The form reading off the coefficient of X^j (dual to the plain basis)."""
 
     __slots__ = ()
+    _own = BasisTag.PLAIN_X
 
     def value(self, i: int, tag: BasisTag, n: int | None) -> MvPolynomial:
         if tag is BasisTag.PLAIN_X:
             return ONE if i == self.j else ZERO
-        # coefficient of X^j inside X^i(c)
-        d = i - self.j
-        if d < 0 or (n is not None and d > n):
-            return ZERO
-        if d == 0:
-            return ONE
-        return -c_(d) if d % 2 else c_(d)
-
-    def slots(self, idx: Indices, tag: BasisTag, n: int | None
-              ) -> list[tuple[int, MvPolynomial]]:
-        if tag is BasisTag.PLAIN_X:   # one factor at most, valued 1
-            return [(idx.index(self.j), ONE)] if self.j in idx else []
-        return super().slots(idx, tag, n)
+        return xc_expand(i, n)[self.j] if self.j <= i else ZERO   # X^j in X^i(c)
 
 
 class DualDeltaForm(_IndexForm):
     """The form dual to X^j(c): the coefficient of s(w) shifts the plain forms."""
 
     __slots__ = ()
+    _own = BasisTag.DEFORMED_XC
 
     def value(self, i: int, tag: BasisTag, n: int | None) -> MvPolynomial:
         if tag is BasisTag.DEFORMED_XC:
             return ONE if i == self.j else ZERO
-        if i < self.j:
-            return ZERO
-        return s_coefficient(i - self.j, n)
+        return s_coefficient(i - self.j, n)   # ZERO below j
 
-    def slots(self, idx: Indices, tag: BasisTag, n: int | None
-              ) -> list[tuple[int, MvPolynomial]]:
-        if tag is BasisTag.DEFORMED_XC:   # one factor at most, valued 1
-            return [(idx.index(self.j), ONE)] if self.j in idx else []
-        return super().slots(idx, tag, n)
+
+class _PositiveWForm(_IndexForm):
+    """phi_k: X^m -> s_{m+k}(c), none of the forms del^j(s); X^i(c) (x) phi_k
+    owns the coefficient at z^i w^k, k > 0, of the scaled generating form."""
+
+    __slots__ = ()
+
+    def value(self, i: int, tag: BasisTag, n: int | None) -> MvPolynomial:
+        if tag is BasisTag.PLAIN_X:
+            return s_coefficient(i + self.j, n)
+        return _positive_w_value(i, self.j, n)
+
+
+@memo
+def _positive_w_value(l: int, k: int, n: int | None) -> MvPolynomial:
+    """phi_k on X^l(c): sum_m xc_expand(l, n)[m] * s_{m+k}(c)."""
+    return _sum_of_products((x, s_coefficient(m + k, n))
+                            for m, x in enumerate(xc_expand(l, n)) if x)
 
 
 def contract(form: LinearForm, u: ExtElement, n: int | None = None) -> ExtElement:

@@ -8,13 +8,15 @@ deliberately brute force and serves as the independent reference for the
 closed forms below.
 
 Every generating function is served as a table of operator images.  The
-adapted operator X^i(c) (x) del^j(s) is the matrix unit E_ij acting on the
-r-th exterior power of the deformed basis, so its image is a signed basis
-element or zero; ``_matrix_unit`` computes it by signed index substitution
-on the wedge indices of lam, with integers and tuples only, and serves
-``quotient_action``, ``rep_matrix``, ``bracket_check`` and the adapted
-tables.  The plain operator X^i (x) del^j is a Z[c]-combination of matrix
-units, and its table reads each image off the oracle.
+adapted operator X^i(c) (x) del^j(s) is the matrix unit E_ij on the r-th
+exterior power of the deformed basis; ``_matrix_unit`` forms its image, a
+signed basis element or zero, by index substitution on the wedge indices
+of lam, and serves ``quotient_action``, ``rep_matrix``, ``bracket_check``
+and the adapted tables.  The oracle serves the rest: the plain operator
+X^i (x) del^j, a Z[c]-combination of matrix units, and X^i(c) (x) phi_k,
+where phi_k values X^m at s_{m+k}(c), whose image is the coefficient at
+z^i w^k, k > 0, of the adapted form; phi_k is none of the forms del^j(s),
+and the image does not vanish under projection.
 
 The closed forms package all operator images at once and check those
 tables.  The kernel is an r x r determinant: first row the deformed
@@ -30,11 +32,7 @@ w-exponents lie in [-(r-1+lam_1), 0], so carrying 1/c(w) to depth
 r-1+lam_1+max(wmax, 0) makes every coefficient at w <= wmax exact.  The
 quotient closed form ``_finite_closed_form`` is the adapted product cut at
 w <= 0 and pushed through the rectangle normal form; a nonzero survivor
-beyond z^{n-1}, checked up to an explicit margin, raises
-``WindowViolation``.  Positive powers of w in the scaled form correspond to
-no operator of the family and do not vanish under projection; a window
-with wmax > 0, the one serving use of the product, reads them off
-``_closed_form`` into ``positive_w``.
+beyond z^{n-1}, checked up to an explicit margin, raises ``WindowViolation``.
 """
 
 from __future__ import annotations
@@ -45,12 +43,12 @@ from operator import attrgetter
 from .bilaurent import BiLaurent
 from .determinant import exact_det
 from .errors import DegreeZeroError, WindowViolation
-from .exterior import (BasisTag, DeltaForm, DualDeltaForm, ExtElement,
-                       LinearForm, _insert_index, convert_basis, w_value)
+from .exterior import (BasisTag, DeltaForm, DualDeltaForm, LinearForm,
+                       _PositiveWForm, _insert_index, w_value, x_in_xc)
 from .module_iso import quotient_project, schur_map_of_poly, schur_map_to_poly
 from .partitions import (Partition, partition_of_indices,
                          partitions_in_rectangle, wedge_indices)
-from .poly import MvPolynomial, ONE, ZERO, memo, series_mul
+from .poly import MvPolynomial, ONE, ZERO, _sum_by_key, memo, series_mul
 from .schubert import sigma_bar_minus_h
 from .symfunc import (c_series_coeffs, generic_factor_poly,
                       generic_monic_coeffs, h_deformed, h_symbol_series,
@@ -132,14 +130,6 @@ class StarOperator(_Record):
         return StarOperator(vec, BasisTag.DEFORMED_XC, DualDeltaForm(j))
 
 
-def _deformed_vector(op: StarOperator, ambient: int | None
-                     ) -> tuple[tuple[int, MvPolynomial], ...]:
-    """The (k, coefficient of X^k(c)) pairs of a plain-basis vector."""
-    e = ExtElement._of(1, op.vector_tag, {(k,): coeff for k, coeff in op._terms})
-    e = convert_basis(e, _DEFORMED, ambient)
-    return tuple((idx[0], coeff) for idx, coeff in e.terms.items())
-
-
 def star_oracle_coords(op: StarOperator, lam: Partition, r: int,
                        n: int | None = None, *, quotient: bool = True
                        ) -> dict[Partition, MvPolynomial]:
@@ -167,8 +157,10 @@ def star_oracle_coords(op: StarOperator, lam: Partition, r: int,
     idx = wedge_indices(lam, r)
     cut = n if n is not None and quotient else None
     slots = op.form.slots(idx, _DEFORMED, n)
-    # converted first, so its errors still surface
-    vector = op._terms if op.vector_tag is _DEFORMED else _deformed_vector(op, n)
+    # a plain vector is converted first, so its errors still surface
+    vector = op._terms if op.vector_tag is _DEFORMED else tuple(_sum_by_key(
+        (m, a, x) for k, a in op._terms
+        for m, x in enumerate(x_in_xc(k, n)) if x).items())
     if not slots:
         return {}
     # summed inline, not through poly._sum_by_key: a request takes a few
@@ -241,11 +233,10 @@ class ActionResult(_Record):
     (zmax, wmin, wmax): z in [0, zmax], w in [wmin, wmax], a wmin of None
     bounding nothing.  The finite form holds the ints 1 and -1, exact at
     every (i, j), and its ``window`` is None.  For the adapted form read
-    with wmax > 0, nonzero coefficients at positive powers of w (which
-    correspond to no operator of the family) are collected in
-    ``positive_w`` instead of ``schur_form``; it defaults to a new empty
-    dict.  The fields cannot be reassigned; the maps in them are built per
-    call and belong to the caller.
+    with wmax > 0, the nonzero images of X^i(c) (x) phi_k at (i, k), k > 0,
+    are kept in ``positive_w`` instead of ``schur_form``; it defaults to a
+    new empty dict.  The fields cannot be reassigned; the maps in them are
+    built per call and belong to the caller.
     """
 
     __slots__ = ("lam", "r", "n", "dual", "window", "schur_form", "positive_w")
@@ -312,10 +303,10 @@ def _closed_form(lam: Partition, r: int, ambient: int | None, ztop: int,
 def _image_table(lam: Partition, r: int, n: int | None, dual: str,
                  window: tuple[int, int | None, int]
                  ) -> dict[tuple[int, int], dict[Partition, int | MvPolynomial]]:
-    """The nonzero images of the operators in ``window``, keyed (i, -j): one
-    matrix unit each when adapted, read off the oracle when plain.  Every
-    image below w^-(r-1+lam_1) is zero; a window that misses the closed
-    form's w-range [-(r-1+lam_1), max(wmax, 0)] raises ``ValueError``."""
+    """The nonzero images of the operators in ``window``, keyed (i, w): at
+    w = -j a matrix unit (adapted) or the oracle's image (plain), at w = k > 0
+    the oracle's X^i(c) (x) phi_k.  Every image below w^-(r-1+lam_1) is zero;
+    a window that misses [-(r-1+lam_1), max(wmax, 0)] raises ``ValueError``."""
     zmax, wmin, wmax = window
     if zmax < 0:
         raise ValueError("zmax must be nonnegative")
@@ -327,15 +318,18 @@ def _image_table(lam: Partition, r: int, n: int | None, dual: str,
                          f"misses the product's w-range [{wlo}, {max(wmax, 0)}]")
     table = {}
     for i in range(zmax + 1):
-        for j in range(max(-wmax, 0), -max(wlo, asked) + 1):
-            if dual == "adapted":
-                image = _matrix_unit(i, j, idx)
+        for w in range(wmax, max(wlo, asked) - 1, -1):
+            if w > 0:
+                op = StarOperator((ZERO,) * i + (ONE,), _DEFORMED, _PositiveWForm(w))
+                coords = star_oracle_coords(op, lam, r, n, quotient=False)
+            elif dual == "adapted":
+                image = _matrix_unit(i, -w, idx)
                 coords = {} if image is None else dict([image])
             else:
-                coords = star_oracle_coords(StarOperator.plain(i, j), lam, r, n,
+                coords = star_oracle_coords(StarOperator.plain(i, -w), lam, r, n,
                                             quotient=False)
             if coords:
-                table[(i, -j)] = coords
+                table[(i, w)] = coords
     return table
 
 
@@ -357,21 +351,15 @@ def generating_action_adapted(lam: Partition, r: int, n: int, zmax: int,
                               wmin: int | None = None, wmax: int = 0) -> ActionResult:
     """The scaled form c(z)/c(w) for the adapted operators X^i(c) (x) del^j(s).
 
-    Every coefficient at w <= 0 is one matrix unit.  With ``wmax`` > 0, the
-    nonzero coefficients at positive powers of w, which no operator owns,
-    are read off the closed form into ``positive_w``.  A ``wmin``/``wmax``
+    Every coefficient at w <= 0 is one matrix unit; with ``wmax`` > 0, those
+    at w^k, k > 0, the images of X^i(c) (x) phi_k, go into ``positive_w``.  A
     window that misses the product's w-range raises ``ValueError``.
     """
     window = (zmax, wmin, wmax)
-    schur = _image_table(lam, r, n, "adapted", window)
-    positive: dict[tuple[int, int], dict[Partition, MvPolynomial]] = {}
-    if wmax > 0:
-        for (z, w), coeff in _closed_form(lam, r, n, zmax, wmax).coeffs.items():
-            if w > 0 and (wmin is None or w >= wmin):
-                coords = schur_map_of_poly(coeff, r, n)
-                if coords:
-                    positive[(z, w)] = coords
-    return ActionResult(lam, r, n, "adapted", window, schur, positive)
+    table = _image_table(lam, r, n, "adapted", window)
+    return ActionResult(lam, r, n, "adapted", window,
+                        {key: v for key, v in table.items() if key[1] <= 0},
+                        {key: v for key, v in table.items() if key[1] > 0})
 
 
 def _finite_closed_form(lam: Partition, r: int, n: int, zero_c: bool = False

@@ -24,8 +24,7 @@ cache (see ``_giambelli_cached``).
 from __future__ import annotations
 
 from .partitions import Partition
-from .poly import (FAM_E, MvPolynomial, ONE, ZERO, _sum_of_products, c_, e_, h_,
-                   memo, series_inverse)
+from .poly import FAM_E, MvPolynomial, ONE, ZERO, _sum_of_products, c_, e_, h_, memo
 
 
 def c_series_coeffs(order: int, n: int | None) -> list[MvPolynomial]:
@@ -71,15 +70,16 @@ def h_deformed(j: int, n: int | None) -> MvPolynomial:
 
 
 @memo
-def _s_coeffs_cached(order: int, n: int | None) -> tuple[MvPolynomial, ...]:
-    return tuple(series_inverse(c_series_coeffs(order, n), order))
-
-
 def s_coefficient(k: int, n: int | None) -> MvPolynomial:
-    """Coefficient s_k of s(w) = 1/c(w); s_0 = 1, s_1 = c1, ..."""
-    if k < 0:
-        return ZERO
-    return _s_coeffs_cached(max(k, 8), n)[k]
+    """Coefficient s_k of s(w) = 1/c(w); s_0 = 1, s_1 = c1, ...  Memoised per
+    (k, n) from s_k = c1 s_{k-1} - c2 s_{k-2} + ..., the lower ones filled
+    first, 32 apart, so that the recursion stays shallow."""
+    if k <= 0:
+        return ONE if k == 0 else ZERO
+    for m in range(k % 32, k, 32):
+        s_coefficient(m, n)
+    return _sum_of_products((c_(i) if i % 2 else -c_(i), s_coefficient(k - i, n))
+                            for i in range(1, (k if n is None else min(k, n)) + 1))
 
 
 @memo

@@ -8,7 +8,7 @@ import uda.cli  # noqa: F401  (the CLI module is not imported by uda)
 import uda.verify  # noqa: F401
 from uda.exterior import BasisTag, ExtElement
 from uda.glaction import (StarOperator, _finite_closed_form, bracket_check,
-                          star_oracle_coords)
+                          generating_action_adapted, star_oracle_coords)
 from uda.module_iso import poly_to_wedge, wedge_to_poly
 from uda.partitions import Partition
 from uda.poly import _MEMO_TABLES, MvPolynomial, e_, h_
@@ -37,6 +37,7 @@ def _fill_every_table():
     wedge_to_poly(poly_to_wedge(e_(2), 2, 4), 4)   # e2 -> h's via _e_in_h
     poly_to_wedge(h_(1) ** 3, 2)   # a cached wedge with a coefficient 2
     star_oracle_coords(StarOperator.adapted(1, 0), Partition((1,)), 2, 4)
+    generating_action_adapted(Partition((1,)), 2, 4, 1, wmax=1)   # phi_1
 
 
 def test_clear_caches_empties_every_memo_table():
@@ -59,13 +60,14 @@ def test_every_cache_is_a_registered_memo_table():
 _SAMPLE_ARGS = {
     "xc_expand": (2, 4),
     "x_in_xc": (3, 4),
+    "_positive_w_value": (2, 1, 4),
     "_signs": (1, 0, 2, 4),
     "wedge_indices": (Partition((1,)), 2),
     "partition_of_indices": ((2, 0),),
     "sigma_monomial_wedge": (2, (1, 1, 1)),
     "_schur_map_of_monomial": (2, 4, (1,)),
     "h_deformed": (2, 4),
-    "_s_coeffs_cached": (8, 4),
+    "s_coefficient": (2, 4),
     "_giambelli_cached": ((1,), 2, 4),
     "_e_in_h": (2,),
 }

@@ -185,9 +185,10 @@ def test_genfun_full_rectangle_at_rank_four_matches_oracle(capsys):
 
 
 def test_unprojected_genfun_builds_no_laurent_series(capsys, monkeypatch):
-    # every window up to w^0 is a table of operator images, so no document
-    # multiplies (or even builds) a BiLaurent; a BiLaurent call would raise
-    # AssertionError, which the CLI does not catch
+    # every window is a table of operator images, w^k with k > 0 included
+    # (X^i(c) (x) phi_k), so no document multiplies (or even builds) a
+    # BiLaurent; a BiLaurent call would raise AssertionError, which the CLI
+    # does not catch
     from uda.bilaurent import BiLaurent
     from uda.partitions import partitions_in_rectangle
 
@@ -196,7 +197,7 @@ def test_unprojected_genfun_builds_no_laurent_series(capsys, monkeypatch):
 
     for attr in ("__init__", "__mul__", "__rmul__"):
         monkeypatch.setattr(BiLaurent, attr, refuse)
-    rendered = 0
+    rendered = positive = 0
     for r in (1, 2, 3):
         for lam in partitions_in_rectangle(r, 2):
             for n in (None, r, r + 2):
@@ -209,9 +210,10 @@ def test_unprojected_genfun_builds_no_laurent_series(capsys, monkeypatch):
                     windows = [["--dual", "none"]]
                     if n is not None:
                         windows += [["--dual", "s"] + wmax for wmax in
-                                    ([], ["--wmax", "0"], ["--wmax", "-1"])]
+                                    ([], ["--wmax", "0"], ["--wmax", "-1"],
+                                     ["--wmax", "1"], ["--wmax", "2"])]
                     for window in windows:
-                        for wmin in ([], ["--wmin", "-2"]):
+                        for wmin in ([], ["--wmin", "-2"], ["--wmin", "1"]):
                             for output in ("text", "json"):
                                 code, out, err = run_cli(
                                     capsys, *base, *window, *wmin,
@@ -221,6 +223,7 @@ def test_unprojected_genfun_builds_no_laurent_series(capsys, monkeypatch):
                                 else:
                                     assert out and not err
                                     rendered += 1
+                                    positive += "positive powers of w" in out
     # the (4,8) window that the product never finished: 24 adapted and 72
     # plain coefficients, each line after the header
     for dual, lines in (("s", 25), ("none", 73)):
@@ -228,7 +231,7 @@ def test_unprojected_genfun_builds_no_laurent_series(capsys, monkeypatch):
                                  "--lambda", "4,4,4,4", "--no-project",
                                  "--zmax", "8", "--dual", dual)
         assert code == 0 and out.count("\n") == lines and not err
-    assert rendered == 1352
+    assert (rendered, positive) == (2264, 420)
 
 
 @pytest.mark.parametrize("args, bound, w_range", [

@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 from uda.bilaurent import BiLaurent
 from uda.errors import (DegreeZeroError, TagMismatch, WindowExcludesMinusOne)
 from uda.exterior import (BasisTag, DeltaForm, DualDeltaForm, ExtElement,
-                          LinearForm, _insert_index, contract, convert_basis,
-                          expand_over_factor, reduce_mod_n,
+                          LinearForm, _PositiveWForm, _insert_index, contract,
+                          convert_basis, expand_over_factor, reduce_mod_n,
                           residue, residue_tuple, sort_indices, unit_wedge,
                           w_value, wedge, wedge_coords, x_in_xc, xc_expand)
 from uda.partitions import Partition
 from uda.poly import MvPolynomial, ONE, ZERO, c_, h_
-from uda.symfunc import giambelli
+from uda.symfunc import giambelli, s_coefficient
 
 X = BasisTag.PLAIN_X
 XC = BasisTag.DEFORMED_XC
@@ -194,6 +194,19 @@ def test_duality_of_adapted_forms():
         for j in range(9):
             val = contract(DualDeltaForm(j), u, None).terms.get((), ZERO)
             assert val == (ONE if i == j else ZERO)
+
+
+def test_positive_w_form_reads_the_same_in_both_bases():
+    # phi_k values X^m at s_{m+k}(c); on X^l(c) its memoised deformed value
+    # is the sum over the plain expansion of X^l(c)
+    for n in (None, 0, 2, 4):
+        for l in range(7):
+            u = convert_basis(ExtElement.vector(l, XC), X, n)
+            for k in range(1, 4):
+                form = _PositiveWForm(k)
+                assert contract(form, u, n).terms.get((), ZERO) == \
+                    form.value(l, XC, n), (n, l, k)
+                assert form.value(l, X, n) == s_coefficient(l + k, n)
 
 
 # -- the generating form -----------------------------------------------------------

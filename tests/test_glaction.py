@@ -201,7 +201,8 @@ def test_adapted_positive_w_terms_are_flagged_not_dropped():
 
 def test_coords_at_rejects_negative_indices():
     # (0, -1) is inside the window, at w^1, where no operator of the family
-    # lives; the coefficient there is nonzero, so {} would be a false zero
+    # lives (the coefficient there, nonzero, is the image of X^0(c) (x) phi_1,
+    # kept in positive_w), so {} would be a false zero
     res = generating_action_adapted(Partition((2, 1)), 2, 4, zmax=2, wmax=2)
     assert _closed_form(Partition((2, 1)), 2, 4, 2, wmax=2).coeff(0, 1)
     assert (0, 1) in res.positive_w
@@ -668,7 +669,7 @@ def test_a_form_with_no_slots_still_converts_the_vector(monkeypatch):
     def broken(*args):
         raise ArithmeticError("conversion failed")
 
-    monkeypatch.setattr(gl, "convert_basis", broken)
+    monkeypatch.setattr(gl, "x_in_xc", broken)
     with pytest.raises(ArithmeticError, match="conversion failed"):
         star_oracle_coords(op, EMPTY, 2, 4)
 
@@ -798,6 +799,38 @@ def test_unprojected_tables_match_the_closed_form(r):
             assert adapted.positive_w == positive, (r, n, lam)
             assert generating_action_adapted(lam, r, n, zmax, wmax=1).positive_w \
                 == {key: v for key, v in positive.items() if key[1] == 1}
+
+
+def _closed_positive_w(lam, r, n, zmax, wmin, wmax):
+    # the nonzero coefficients of the closed form at w in [wmin, wmax], w > 0
+    closed = _closed_form(lam, r, n, zmax, wmax)
+    return {(i, w): coords for w in range(wmin or 1, wmax + 1)
+            for i in range(zmax + 1)
+            if (coords := _closed_coords(closed, r, n, i, -w))}
+
+
+def test_windows_above_w0_match_the_closed_form():
+    # a window with wmin > 0 holds no image of an X^i(c) (x) del^j(s), and
+    # its positive_w is the closed form's, coefficient by coefficient
+    for r, n in ((1, 3), (2, 4), (2, 5), (3, 6)):
+        for lam in partitions_in_rectangle(r, n - r):
+            for wmin, wmax in ((1, 2), (2, 2), (2, 3)):
+                res = generating_action_adapted(lam, r, n, 4, wmin, wmax)
+                want = _closed_positive_w(lam, r, n, 4, wmin, wmax)
+                assert want and res.schur_form == {}
+                assert res.positive_w == want, (r, n, lam, wmin, wmax)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(4, 8), st.data())
+def test_positive_w_matches_the_closed_form_at_rank_four(n, data):
+    parts = sorted(data.draw(st.lists(st.integers(0, n - 4), min_size=4,
+                                      max_size=4)), reverse=True)
+    lam, zmax = Partition(parts), data.draw(st.integers(0, 3))
+    wmax = data.draw(st.integers(1, 3))
+    wmin = data.draw(st.sampled_from([None, *range(1, wmax + 1)]))
+    res = generating_action_adapted(lam, 4, n, zmax, wmin, wmax)
+    assert res.positive_w == _closed_positive_w(lam, 4, n, zmax, wmin, wmax)
 
 
 def test_coords_at_raises_outside_the_asked_window():

@@ -42,6 +42,25 @@ def test_series_defining_identities():
         assert prod[0] == ONE and all(p.is_zero() for p in prod[1:])
 
 
+def test_s_coefficients_are_computed_once_each():
+    # a walk up to k computes s_0..s_k once each: a series per order would
+    # repeat the work, and one of an order rounded up would compute the
+    # coefficients above k, each dearer than the one before
+    import uda
+    from uda.exterior import x_in_xc
+
+    uda.clear_caches()
+    walked = [s_coefficient(k, 4) for k in range(41)]
+    assert s_coefficient.cache_info().currsize == 41
+    assert walked == list(series_inverse(c_series_coeffs(40, 4), 40))
+    uda.clear_caches()
+    x_in_xc(33, 12)
+    assert s_coefficient.cache_info().currsize == 34
+    # filled upwards, so a cold read far up recurses only a few levels
+    assert s_coefficient(3000, 1) == c_(1) ** 3000
+    assert s_coefficient(-1, 4) == ZERO
+
+
 def test_hc_series_matches_product_identity():
     # sum h_j(c) z^j = c(z) * (free-symbol h series)
     n, order = 4, 6
