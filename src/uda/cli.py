@@ -3,7 +3,15 @@
 Subcommands: ``giambelli`` (Schur determinants), ``act`` (a single star
 action), ``genfun`` (generating functions, projected or windowed),
 ``matrix`` (representation matrices), ``factorize`` (the universal
-factorisation) and ``verify`` (the suites of ``uda.verify``).
+factorisation) and ``verify`` (the suites of ``uda.verify``).  One table,
+``_COMMANDS``, holds each subcommand's help text, the function that adds
+its arguments and its handler.
+
+``main`` dispatches on the first argument: a known subcommand gets a parser
+of its own, built from the table on its first call and reused after.  The
+whole tree (``build_parser``) is built only for what it words: ``uda
+--help``, a missing or unknown subcommand, and arguments the subcommand
+does not recognize.  No parser is built at import.
 
 Output is deterministic: identical configurations produce byte-identical
 documents.  Exit codes: 0 success, 1 invalid configuration (the message
@@ -25,7 +33,7 @@ from .glaction import (StarOperator, _matrix_unit, generating_action,
 from .module_iso import schur_map_to_poly
 from .partitions import Partition, wedge_indices
 from .poly import MvPolynomial, _PerMonomial, _TextTable, var_name
-from .symfunc import giambelli
+from .symfunc import giambelli, giambelli_term_bound
 from .verify import SUITES
 
 
@@ -160,7 +168,18 @@ def _write_poly(p: MvPolynomial, newline: str, out: list[str]) -> None:
     out.append(i1 + "]" + newline + "}")
 
 
+# the largest Schur determinant ``giambelli`` expands, as counted by
+# ``giambelli_term_bound``: the column 1^22 (49,010 terms) takes about 1 s of
+# CPU on a 2-vCPU Xeon VM, and every two more rows double the terms and the
+# time; a column of a few hundred rows ended in a RecursionError
+GIAMBELLI_MAX_TERMS = 50_000
+
+
 def cmd_giambelli(args: argparse.Namespace) -> str:
+    bound = giambelli_term_bound(args.lam, args.n)
+    if bound > GIAMBELLI_MAX_TERMS:
+        raise UsageError(f"--lambda {args.lam} expands to up to {bound} terms; "
+                         f"giambelli expands at most {GIAMBELLI_MAX_TERMS}")
     delta = giambelli(args.lam, args.r, args.n)
     if args.output == "json":
         return _json_doc({"partition": args.lam.to_json(), "value": delta})
@@ -284,91 +303,126 @@ def cmd_verify(args: argparse.Namespace) -> str:
     return doc
 
 
+def _common(p: argparse.ArgumentParser, need_lambda=True,
+            n_note="omit for the stable case", outputs=("text", "json")):
+    p.add_argument("--r", type=int, required=True, help="degree of the factor")
+    p.add_argument("--n", type=int, default=None,
+                   help=f"degree of the generic polynomial ({n_note})")
+    if need_lambda:
+        p.add_argument("--lambda", dest="lam", default=None,
+                       help="partition as comma-separated parts, e.g. 2,1")
+    p.add_argument("--output", choices=outputs, default="text")
+    p.add_argument("--out", dest="out_path", default=None,
+                   help="write the document to this path instead of stdout")
+
+
+def _giambelli_args(p):
+    _common(p)
+    p.set_defaults(project=False)  # no quotient element: any lambda fits
+
+
+def _act_args(p):
+    _common(p)
+    p.add_argument("--i", type=int, required=True)
+    p.add_argument("--j", type=int, required=True)
+    p.add_argument("--dual", choices=("none", "s"), default="none")
+    p.add_argument("--no-project", dest="project", action="store_false")
+
+
+def _genfun_args(p):
+    _common(p)
+    p.add_argument("--dual", choices=("none", "s"), default="s")
+    p.add_argument("--no-project", dest="project", action="store_false")
+    p.add_argument("--zmax", type=int, default=None)
+    p.add_argument("--wmin", type=int, default=None)
+    p.add_argument("--wmax", type=int, default=None,
+                   help="top w-exponent of --dual s (default 0); K > 0 also "
+                        "reads w^1..w^K, the images of X^i(c) (x) phi_k, "
+                        "where phi_k(X^m) = s_{m+k}(c)")
+
+
+def _matrix_args(p):
+    _common(p, need_lambda=False)
+    p.add_argument("--i", type=int, required=True)
+    p.add_argument("--j", type=int, required=True)
+
+
+def _verify_args(p):
+    # verify writes a text report only, and without --n it runs n=4
+    _common(p, need_lambda=False, n_note="default 4", outputs=("text",))
+    p.add_argument("--suite", default="all",
+                   choices=("golden", "oracle", "bracket", "factorize",
+                            "duality", "ideal", "all"))
+
+
+# subcommand -> (help, adds its arguments, handler), in the order of --help
+_COMMANDS = {
+    "giambelli": ("Schur determinant of a partition", _giambelli_args,
+                  cmd_giambelli),
+    "act": ("one star-action image", _act_args, cmd_act),
+    "genfun": ("generating function of all images", _genfun_args, cmd_genfun),
+    "matrix": ("representation matrix of one operator", _matrix_args,
+               cmd_matrix),
+    "factorize": ("universal factorization",
+                  partial(_common, need_lambda=False), cmd_factorize),
+    "verify": ("run a verification suite", _verify_args, cmd_verify),
+}
+
+# what main reads for every subcommand but only some define; a subcommand's
+# own default wins over these
+_DEFAULTS = {"lam": None, "i": None, "j": None, "project": True}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The whole tree: ``uda --help``, and the wording of every error that
+    is not one subcommand's own."""
     parser = argparse.ArgumentParser(
         prog="uda",
         description="Exact gl-module structure of universal decomposition algebras")
-    # what main reads for every subcommand but only some define; a
-    # subcommand's own default wins over these
-    parser.set_defaults(lam=None, i=None, j=None, project=True)
+    parser.set_defaults(**_DEFAULTS)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, need_lambda=True, n_note="omit for the stable case",
-               outputs=("text", "json")):
-        p.add_argument("--r", type=int, required=True, help="degree of the factor")
-        p.add_argument("--n", type=int, default=None,
-                       help=f"degree of the generic polynomial ({n_note})")
-        if need_lambda:
-            p.add_argument("--lambda", dest="lam", default=None,
-                           help="partition as comma-separated parts, e.g. 2,1")
-        p.add_argument("--output", choices=outputs, default="text")
-        p.add_argument("--out", dest="out_path", default=None,
-                       help="write the document to this path instead of stdout")
-
-    p_gia = sub.add_parser("giambelli", help="Schur determinant of a partition")
-    common(p_gia)
-    p_gia.set_defaults(project=False)  # no quotient element: any lambda fits
-
-    p_act = sub.add_parser("act", help="one star-action image")
-    common(p_act)
-    p_act.add_argument("--i", type=int, required=True)
-    p_act.add_argument("--j", type=int, required=True)
-    p_act.add_argument("--dual", choices=("none", "s"), default="none")
-    p_act.add_argument("--no-project", dest="project", action="store_false")
-
-    p_gen = sub.add_parser("genfun", help="generating function of all images")
-    common(p_gen)
-    p_gen.add_argument("--dual", choices=("none", "s"), default="s")
-    p_gen.add_argument("--no-project", dest="project", action="store_false")
-    p_gen.add_argument("--zmax", type=int, default=None)
-    p_gen.add_argument("--wmin", type=int, default=None)
-    p_gen.add_argument("--wmax", type=int, default=None,
-                       help="top w-exponent of --dual s (default 0); K > 0 also "
-                            "reads w^1..w^K, the images of X^i(c) (x) phi_k, "
-                            "where phi_k(X^m) = s_{m+k}(c)")
-
-    p_mat = sub.add_parser("matrix", help="representation matrix of one operator")
-    common(p_mat, need_lambda=False)
-    p_mat.add_argument("--i", type=int, required=True)
-    p_mat.add_argument("--j", type=int, required=True)
-
-    common(sub.add_parser("factorize", help="universal factorization"),
-           need_lambda=False)
-
-    p_ver = sub.add_parser("verify", help="run a verification suite")
-    # verify writes a text report only, and without --n it runs n=4
-    common(p_ver, need_lambda=False, n_note="default 4", outputs=("text",))
-    p_ver.add_argument("--suite", default="all",
-                       choices=("golden", "oracle", "bracket", "factorize",
-                                "duality", "ideal", "all"))
+    for name, (help_text, add_args, _) in _COMMANDS.items():
+        add_args(sub.add_parser(name, help=help_text))
     return parser
 
 
-_HANDLERS = {
-    "giambelli": cmd_giambelli,
-    "act": cmd_act,
-    "genfun": cmd_genfun,
-    "matrix": cmd_matrix,
-    "factorize": cmd_factorize,
-    "verify": cmd_verify,
-}
+_PARSERS: dict[str | None, argparse.ArgumentParser] = {}  # None: the tree
 
 
-_PARSER: argparse.ArgumentParser | None = None  # built by the first main call
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser of one subcommand, built the first time it is invoked, as
+    the tree would build it; ``None`` asks for the tree."""
+    parser = _PARSERS.get(command)
+    if parser is None:
+        if command is None:
+            parser = build_parser()
+        else:
+            parser = argparse.ArgumentParser(prog=f"uda {command}")
+            parser.set_defaults(command=command, **_DEFAULTS)
+            _COMMANDS[command][1](parser)
+        _PARSERS[command] = parser
+    return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    if command is not None:
+        args, extra = _parser(command).parse_known_args(argv[1:])
+        if not extra:
+            return args
+    # no subcommand, or arguments it does not know: the tree words the error
+    return _parser(None).parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
-    global _PARSER
-    if _PARSER is None:
-        _PARSER = build_parser()
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:
         args.lam = parse_partition(args.lam)
         _validate(args)
-        doc = _HANDLERS[args.command](args)
+        doc = _COMMANDS[args.command][2](args)
     except (UsageError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

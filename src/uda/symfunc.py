@@ -118,6 +118,38 @@ def giambelli(lam: Partition, r: int, n: int | None) -> MvPolynomial:
     return _giambelli_cached(lam.parts, r, n)
 
 
+def _boxed_partition_counts(rows: int, cols: int, top: int) -> list[int]:
+    """The number of partitions of m into at most ``rows`` parts, each at most
+    ``cols``, for m = 0..top: the Gaussian binomial [rows+cols, rows]_q."""
+    g = [1] + [0] * top
+    for i in range(1, rows + 1):
+        for m in range(top, cols + i - 1, -1):   # times 1 - q^(cols+i)
+            g[m] -= g[m - cols - i]
+        for m in range(i, top + 1):              # divided by 1 - q^i
+            g[m] += g[m - i]
+    return g
+
+
+def giambelli_term_bound(lam: Partition, n: int | None) -> int:
+    """An upper bound on the number of terms of the Schur determinant of
+    lam, counted without any polynomial arithmetic.
+
+    Each term of the expansion is a product of len(lam) entries h_j(c) =
+    sum_i (-1)^i c_i h_{j-i} with j <= lam_1 + len(lam) - 1, so each monomial
+    of the result has at most len(lam) h's and len(lam) c's, with indices
+    of that size (the c's also at most n), and weight |lam|.  The bound
+    counts those monomials.  On the columns 1^k the tests check it is the
+    term count itself.
+    """
+    rows, weight = len(lam.parts), sum(lam.parts)
+    if not rows:
+        return 1
+    top = lam.parts[0] + rows - 1
+    hs = _boxed_partition_counts(rows, top, weight)
+    cs = _boxed_partition_counts(rows, top if n is None else min(top, n), weight)
+    return sum(hs[a] * cs[weight - a] for a in range(weight + 1))
+
+
 @memo
 def _e_in_h(i: int) -> MvPolynomial:
     # e_m = e_{m-1} h_1 - e_{m-2} h_2 + ... + (-1)^{m-1} e_0 h_m, from E*H = 1

@@ -37,6 +37,7 @@ def _fill_every_table():
     wedge_to_poly(poly_to_wedge(e_(2), 2, 4), 4)   # e2 -> h's via _e_in_h
     poly_to_wedge(h_(1) ** 3, 2)   # a cached wedge with a coefficient 2
     star_oracle_coords(StarOperator.adapted(1, 0), Partition((1,)), 2, 4)
+    star_oracle_coords(StarOperator.plain(2, 1), Partition((1,)), 2, 4)
     generating_action_adapted(Partition((1,)), 2, 4, 1, wmax=1)   # phi_1
 
 
@@ -60,6 +61,7 @@ def test_every_cache_is_a_registered_memo_table():
 _SAMPLE_ARGS = {
     "xc_expand": (2, 4),
     "x_in_xc": (3, 4),
+    "_x_in_xc_terms": (2, 4),
     "_positive_w_value": (2, 1, 4),
     "_signs": (1, 0, 2, 4),
     "wedge_indices": (Partition((1,)), 2),

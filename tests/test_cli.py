@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import uda
 import uda.cli as cli
 import uda.verify
 from uda.cli import main, parse_partition, UsageError
@@ -405,21 +407,104 @@ def test_parser_is_reused_across_calls(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     calls = [
         ("genfun", "--r", "2", "--n", "4", "--lambda", "2,1"),  # --dual s
-        ("genfun", "--r", "2", "--bogus"),
+        ("genfun", "--r", "2", "--bogus"),   # worded by the whole tree
         ("act", "--r", "2", "--lambda", "2,1", "--i", "3", "--j", "2"),  # --dual none
         ("verify", "--suite", "duality", "--r", "2", "--n", "4"),
+        ("genfun", "--r", "2", "--n", "4", "--lambda", "1"),
+        ("act", "--r", "2", "--lambda", "1", "--i", "1", "--j", "1"),
     ]
     # the child imports uda from this checkout, installed or not
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    codes, parsers = [], set()
+    codes, parsers = [], {}
     for args in calls:
         got = run_cli(capsys, *args)
         codes.append(got[0])
-        parsers.add(id(cli._PARSER))
+        parsers.setdefault(args[0], set()).add(id(cli._PARSERS[args[0]]))
         fresh = subprocess.run([sys.executable, "-m", "uda.cli", *args],
                                capture_output=True, text=True,
                                env={**os.environ, "PYTHONPATH": path})
         assert got == (fresh.returncode, fresh.stdout, fresh.stderr), args
-    assert codes == [0, 1, 0, 0]
-    assert len(parsers) == 1
+    assert codes == [0, 1, 0, 0, 0, 0]
+    # one parser per subcommand, built once and then reused
+    assert {cmd: len(ids) for cmd, ids in parsers.items()} == {
+        "genfun": 1, "act": 1, "verify": 1}
+
+
+def _count_parsers(monkeypatch) -> list:
+    """Record every ``argparse.ArgumentParser`` constructed from now on."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    return built
+
+
+def test_one_call_builds_only_its_subcommand_parser(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    built = _count_parsers(monkeypatch)
+    code, out, _ = run_cli(capsys, "matrix", "--r", "2", "--n", "4",
+                           "--i", "1", "--j", "0")
+    assert code == 0 and out.startswith("operator (i=1, j=0)")
+    assert built == ["uda matrix"]
+    run_cli(capsys, "matrix", "--r", "2", "--n", "4", "--i", "0", "--j", "1")
+    assert built == ["uda matrix"]
+    # an unrecognized argument is worded by the whole tree, built once
+    assert run_cli(capsys, "matrix", "--r", "2", "--n", "4", "--i", "1",
+                   "--j", "0", "--bogus")[0] == 1
+    assert built.count("uda") == 1 and len(built) == 2 + len(cli._COMMANDS)
+    assert run_cli(capsys, "--help")[0] == 0
+    assert len(built) == 2 + len(cli._COMMANDS)
+
+
+def test_importing_the_cli_builds_no_parser():
+    script = ("import argparse\n"
+              "built = []\n"
+              "init = argparse.ArgumentParser.__init__\n"
+              "def counting(self, *args, **kwargs):\n"
+              "    built.append(kwargs.get('prog'))\n"
+              "    init(self, *args, **kwargs)\n"
+              "argparse.ArgumentParser.__init__ = counting\n"
+              "import uda.cli\n"
+              "print(len(built), 'uda.cli' in __import__('sys').modules)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 True\n", "")
+
+
+@pytest.mark.parametrize("parts, bound", [
+    ((1,) * 23, 68150),   # the first column over the limit
+    ((1,) * 400, None),   # once a raw RecursionError
+    ((6,) * 6, 456484),
+], ids=["1^23", "1^400", "6^6"])
+def test_giambelli_refuses_a_determinant_over_the_term_limit(capsys, parts, bound):
+    lam = ",".join(map(str, parts))
+    start = time.process_time()
+    code, out, err = run_cli(capsys, "giambelli", "--r", str(len(parts)),
+                             "--lambda", lam)
+    assert time.process_time() - start < 1.0   # refused before any algebra
+    assert code == 1 and out == ""
+    assert err.startswith("error: --lambda ")
+    assert f"at most {cli.GIAMBELLI_MAX_TERMS}\n" in err
+    if bound is not None:
+        assert f" up to {bound} terms;" in err
+    assert "Traceback" not in err
+
+
+def test_giambelli_just_under_the_term_limit_finishes(capsys):
+    # 1^22 expands to 49,010 terms, just under the limit; about 1 s of CPU
+    # on a 2-vCPU Xeon VM, and the budget allows ten times that
+    assert cli.GIAMBELLI_MAX_TERMS == 50_000
+    uda.clear_caches()
+    start = time.process_time()
+    code, out, _ = run_cli(capsys, "giambelli", "--r", "22",
+                           "--lambda", ",".join(["1"] * 22), "--output", "json")
+    assert time.process_time() - start < 10.0
+    assert code == 0
+    assert len(json.loads(out)["value"]["terms"]) == 49_010

@@ -5,12 +5,15 @@ over unsorted sets or hash-ordered dicts reaches any document), so frozen
 files must match byte for byte.
 """
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import uda.cli
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -99,3 +102,20 @@ def test_documents_do_not_depend_on_variable_arrival_order(golden):
     proc = run_uda(*DOCUMENTS[golden].split(), script=_REVERSED_LAYOUT)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN / golden).read_text()
+
+
+# argv -> the exit code, stdout and stderr of ``uda --help``, every
+# subcommand's --help and the argparse errors, recorded with COLUMNS=80
+# while one argparse tree still parsed every command
+USAGE = json.loads((GOLDEN / "usage.json").read_text())
+
+
+@pytest.mark.parametrize("case", USAGE,
+                         ids=lambda c: " ".join(c["argv"]) or "no-arguments")
+def test_help_and_error_bytes(case, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")   # argparse wraps to the terminal
+    monkeypatch.setattr(uda.cli, "_PARSERS", {})
+    want = (case["code"], case["stdout"], case["stderr"])
+    for _ in ("parsers built by this call", "parsers reused"):
+        code = uda.cli.main(list(case["argv"]))
+        assert (code, *capsys.readouterr()) == want

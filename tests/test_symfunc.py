@@ -8,7 +8,7 @@ from uda.poly import (FAM_C, MvPolynomial, ONE, ZERO, c_, e_, h_, series_inverse
                       series_mul)
 from uda.symfunc import (c_series_coeffs, e_series_coeffs, e_to_h_rewrite,
                          generic_factor_poly, generic_monic_coeffs, giambelli,
-                         h_deformed, s_coefficient)
+                         giambelli_term_bound, h_deformed, s_coefficient)
 from uda.symfunc import _giambelli_cached
 
 
@@ -175,3 +175,18 @@ def test_generic_factor_poly():
 
 def test_generic_monic_coeffs():
     assert generic_monic_coeffs(2) == [c_(2), -c_(1), ONE]
+
+
+@pytest.mark.parametrize("n", [None, 0, 3, 9])
+def test_term_bound_of_a_column_is_its_term_count(n):
+    for k in range(13):
+        lam = Partition((1,) * k)
+        assert giambelli_term_bound(lam, n) == len(giambelli(lam, k, n).terms)
+
+
+@pytest.mark.parametrize("n", [None, 2, 5])
+def test_term_bound_bounds_every_determinant(n):
+    for lam in partitions_in_rectangle(3, 4):
+        assert giambelli_term_bound(lam, n) >= len(giambelli(lam, 3, n).terms)
+    # a single part: h_m(c), one term per c_i with i <= min(m, n)
+    assert giambelli_term_bound(Partition((30,)), n) == (31 if n is None else n + 1)
