@@ -41,23 +41,25 @@ largest variable downwards (family order c < e < h, index ascending).  Both
 renderings are deterministic byte-for-byte.  Each looks a monomial up once
 in a per-monomial text table, whose entry holds the monomial's sort key
 beside its texts, so a rendering sorts its terms by the keys it finds.  A
-key is the degree followed by three family blocks, the h-, e- and
-c-exponents by descending variable, so an entry is joined from the entries
-of the monomial's h-, e- and c-parts (the monomial masked to one family's
-fields) in three part tables.  Each distinct part is decoded once, and a
-Schur determinant, a sum of c-parts times h-parts, has far fewer parts than
-monomials.  Keys follow the field layout, so the part tables and the
-per-monomial ones are emptied whenever a variable gets a field; the
-per-power text tables stay.
+key is the degree followed by one key per power by descending variable:
+the family, the index (a length byte and its big-endian bytes) and the
+exponent.  Its bytes compare as graded-lex order, and it reads only the
+monomial's own powers, so no entry changes when another variable gets a
+field.  The h-, e- and c-powers come in that order, so an entry is joined
+from the entries of the monomial's h-, e- and c-parts (the monomial masked
+to one family's fields) in three part tables.  Each distinct part is
+decoded once, and a Schur determinant, a sum of c-parts times h-parts, has
+far fewer parts than monomials.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache, reduce, wraps
 from itertools import compress
-from operator import add, itemgetter, or_
+from operator import itemgetter, or_
 from struct import Struct
 from types import MappingProxyType
 
@@ -99,60 +101,65 @@ def parse_var(name: str) -> Var:
     return (_FAM_NAMES.index(fam), idx)
 
 
-_KEYED_TABLES: list[dict] = []       # tables whose entries hold a sort key
 _TEXT_TABLES: list[dict] = []        # every rendering table, for clear_caches
 
 
+def _power_key(v: Var, e: int) -> bytes:
+    """The sort key of v^e: the family byte, the index as a length byte and
+    its big-endian bytes, then e in two bytes.  Two power keys compare as
+    their variables do, then as their exponents, for any size of index."""
+    fam, idx = v
+    n = (idx.bit_length() + 7) // 8
+    return bytes((fam, n)) + idx.to_bytes(n, "big") + e.to_bytes(2, "big")
+
+
 class _FamilyParts(dict):
-    """``part -> (narrow key, wide key, codes)`` for one family, where a
-    part is a packed monomial masked to the family's fields.  The keys are
-    its exponents by descending variable, one byte a field (``None`` from
-    part degree 255 on, where no narrow key is read) or two bytes big-endian
-    a field; the codes are those of its powers by ascending variable.  Keys
-    and codes follow the field layout, so ``_layout`` empties these tables
-    whenever a variable gets a field."""
+    """``part -> (key, codes)`` for one family, where a part is a packed
+    monomial masked to the family's fields: the key joins the power keys of
+    its powers by descending variable, and the codes are those of its
+    powers by ascending variable.  Both are read from the part's own
+    powers, so an entry stays valid as the layout grows."""
 
     def __init__(self):
         super().__init__()
         _TEXT_TABLES.append(self)
-        _KEYED_TABLES.append(self)
 
     def __missing__(self, part):
-        exps = [part >> s & _FIELD_MASK for s in self.desc_shifts]
-        asc = exps[::-1]
+        powers = _unpack(part)
         value = self[part] = (
-            bytes(exps) if sum(exps) < 255 else None, self.wide.pack(*exps),
-            tuple(map(add, compress(self.codes, asc), filter(None, asc))))
+            b"".join([_power_key(v, e) for v, e in reversed(powers)]),
+            tuple([(_SHIFTS[v] // _FIELD << _FIELD) + e for v, e in powers]))
         return value
 
 
 _C_PARTS, _E_PARTS, _H_PARTS = _PARTS = (
     _FamilyParts(), _FamilyParts(), _FamilyParts())   # by family code
 
-
-def _layout() -> None:
-    """Recompute the tables that read the fields of a packed monomial, and
-    empty the tables whose keys were built from the old ones."""
-    global _GUARDS, _FIELDS, _ASC_VARS, _DESC, _C_MASK, _E_MASK, _H_MASK
-    n = len(_VARS) + 1                   # field 0 holds the degree
-    _GUARDS = sum(1 << (_FIELD * k + _FIELD - 1) for k in range(n))
-    _FIELDS = Struct(f"<{n}H")           # little-endian bytes -> fields
-    asc = sorted((v, k) for k, v in enumerate(_VARS, 1))
-    _ASC_VARS = [v for v, _ in asc]
-    # fields -> (degree, exponents by descending variable)
-    _DESC = itemgetter(0, *[k for _, k in reversed(asc)]) if asc else tuple
-    for fam, parts in enumerate(_PARTS):
-        fields = [k for v, k in asc if v[0] == fam]
-        parts.desc_shifts = [_FIELD * k for k in reversed(fields)]
-        parts.wide = Struct(f">{len(fields)}H")
-        parts.codes = [k << _FIELD for k in fields]   # plus exp: a power's code
-    _C_MASK, _E_MASK, _H_MASK = (
-        sum(_FIELD_MASK << s for s in parts.desc_shifts) for parts in _PARTS)
-    for table in _KEYED_TABLES:
-        table.clear()
+# What reads the fields of a packed monomial; ``_layout`` appends to it.
+_GUARDS = 1 << _FIELD - 1            # the top bit of every field
+_FAMILY_MASKS = [0, 0, 0]            # family code -> its variables' fields
+_FIELDS = Struct("<H")               # little-endian bytes -> fields
+_ASC_VARS: list[Var] = []            # the variables in ascending order
+_ASC_FIELDS = [0]                    # field 0, then the fields of _ASC_VARS
+_ASC = tuple                         # fields -> (degree, *_ASC_VARS exponents)
 
 
-_layout()
+def _layout(v: Var) -> int:
+    """Give v the next field and return its bit offset.  The tables that
+    read fields grow by it; no table is emptied, because no rendering
+    entry depends on the fields of other variables."""
+    global _GUARDS, _FIELDS, _ASC
+    _VARS.append(v)
+    k = len(_VARS)
+    s = _SHIFTS[v] = _FIELD * k
+    _GUARDS |= 1 << s + _FIELD - 1
+    _FAMILY_MASKS[v[0]] |= _FIELD_MASK << s
+    _FIELDS = Struct(f"<{k + 1}H")
+    i = bisect(_ASC_VARS, v)
+    _ASC_VARS.insert(i, v)
+    _ASC_FIELDS.insert(i + 1, k)
+    _ASC = itemgetter(*_ASC_FIELDS)
+    return s
 
 
 def _shift(v: Var) -> int:
@@ -161,9 +168,7 @@ def _shift(v: Var) -> int:
     if s is None:
         if v[0] not in (FAM_C, FAM_E, FAM_H) or v[1] < 1:
             raise ValueError(f"not a (family, positive index) variable: {v!r}")
-        _VARS.append(v)
-        s = _SHIFTS[v] = _FIELD * len(_VARS)
-        _layout()
+        s = _layout(v)
     return s
 
 
@@ -189,7 +194,7 @@ def _pack(mono, shift=_shift) -> int:
 
 def _unpack(m: int) -> Mono:
     """The canonical ``((var, exp), ...)`` tuple of a packed monomial."""
-    exps = _DESC(_FIELDS.unpack(m.to_bytes(_FIELDS.size, "little")))[:0:-1]
+    exps = _ASC(_FIELDS.unpack(m.to_bytes(_FIELDS.size, "little")))[1:]
     return tuple(zip(compress(_ASC_VARS, exps), filter(None, exps)))
 
 
@@ -212,25 +217,19 @@ class _PerMonomial(_TextTable):
     """``packed monomial -> (graded-lex key, *f(codes))``, where ``codes``
     iterates over the codes of its powers by ascending variable.  Both are
     joined from the entries of its h-, e- and c-parts, so each distinct part
-    is decoded once.  The key is the degree and then the exponents by
-    descending variable, one byte a field while the degree, which bounds
-    them all, is below 255; a wider key starts with 255 and gives every
-    field two bytes, so it sorts above those.  Distinct monomials have
-    distinct keys, so entries sort by their keys alone; ``_layout`` empties
-    these tables whenever a variable gets a field."""
-
-    def __init__(self, f):
-        super().__init__(f)
-        _KEYED_TABLES.append(self)
+    is decoded once.  The key is the degree in two bytes, then the power
+    keys by descending variable, so bytes compare as graded-lex order: the
+    first differing power has the larger variable or exponent on the larger
+    side.  Distinct monomials have distinct keys, so entries sort by their
+    keys alone."""
 
     def __missing__(self, m):
-        h = _H_PARTS[m & _H_MASK]
-        e = _E_PARTS[m & _E_MASK]
-        c = _C_PARTS[m & _C_MASK]
-        degree = m & _FIELD_MASK
-        key = (degree.to_bytes(1, "big") + h[0] + e[0] + c[0] if degree < 255
-               else b"\xff" + degree.to_bytes(2, "big") + h[1] + e[1] + c[1])
-        value = self[m] = (key, *self.f(c[2] + e[2] + h[2]))
+        c_mask, e_mask, h_mask = _FAMILY_MASKS
+        h = _H_PARTS[m & h_mask]
+        e = _E_PARTS[m & e_mask]
+        c = _C_PARTS[m & c_mask]
+        value = self[m] = ((m & _FIELD_MASK).to_bytes(2, "big")
+                           + h[0] + e[0] + c[0], *self.f(c[1] + e[1] + h[1]))
         return value
 
 
@@ -415,8 +414,7 @@ class MvPolynomial:
 
     def specialize_family_zero(self, fam: int) -> "MvPolynomial":
         """Set every variable of the given family to zero."""
-        mask = sum(((1 << _FIELD) - 1) << s for v, s in _SHIFTS.items()
-                   if v[0] == fam)
+        mask = _FAMILY_MASKS[fam]
         return MvPolynomial._of({m: q for m, q in self._t.items()
                                  if not m & mask})
 

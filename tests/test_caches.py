@@ -168,8 +168,8 @@ def test_retagging_a_sigma_monomial_wedge_is_refused():
 
 def test_clear_caches_empties_the_text_tables():
     from uda.cli import _MONO_TEXT, _POWER_TEXT, _json_doc
-    from uda.poly import (_KEYED_TABLES, _MONO_STR, _PARTS, _POWER_STR,
-                          _SHIFTS, _TEXT_TABLES, _VARS)
+    from uda.poly import (_MONO_STR, _PARTS, _POWER_STR, _SHIFTS,
+                          _TEXT_TABLES, _VARS)
 
     p = giambelli(Partition((2, 1)), 3, 6) * e_(2)   # c-, e- and h-parts
 
@@ -179,11 +179,8 @@ def test_clear_caches_empties_the_text_tables():
     first = render()
     tables = (_MONO_STR, _POWER_STR, _MONO_TEXT, _POWER_TEXT, *_PARTS)
     assert all(tables)
-    # every render table is registered; the per-monomial ones and the
-    # per-family part tables hold sort keys
+    # every render table is registered
     assert {id(t) for t in tables} == {id(t) for t in _TEXT_TABLES}
-    assert {id(t) for t in _KEYED_TABLES} == {
-        id(_MONO_STR), id(_MONO_TEXT), *map(id, _PARTS)}
     layout = dict(_SHIFTS), list(_VARS)
     uda.clear_caches()
     assert not any(tables)

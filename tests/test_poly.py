@@ -1,9 +1,7 @@
 import json
 import random
-from contextlib import contextmanager
 from fractions import Fraction
 from functools import reduce
-from itertools import compress
 from operator import add
 from struct import Struct
 
@@ -261,8 +259,9 @@ def _model(p):
 
 
 # high indices and every family, so that the draws create variables in no
-# canonical order
-_mvars = st.tuples(st.integers(0, 2), st.sampled_from([1, 2, 3, 9, 40, 1000]))
+# canonical order; the indices take one, two and five bytes in a sort key
+_mvars = st.tuples(st.integers(0, 2),
+                   st.sampled_from([1, 2, 3, 9, 40, 1000, 10**12]))
 
 
 @st.composite
@@ -551,7 +550,7 @@ def test_sum_by_key_leaves_memo_values_alone():
     assert _model(cached) == before and before
 
 
-# exponents on both sides of the one-byte sort keys (degree below 255)
+# exponents and degrees on both sides of one byte
 _wide_exps = st.sampled_from([1, 2, 120, 254, 255, 300])
 
 
@@ -571,9 +570,9 @@ def test_rendering_orders_terms_across_the_one_byte_key_limit(terms):
             for m, q in _m_sorted(a)]}}, indent=2) + "\n"
 
 
-def test_sort_keys_are_rebuilt_when_a_variable_arrives_between_others():
+def test_sort_keys_are_kept_when_a_variable_arrives_between_others():
     from uda.cli import _MONO_TEXT, _json_doc
-    keyed = (_MONO_TEXT, poly._MONO_STR)
+    keyed = (_MONO_TEXT, poly._MONO_STR, *poly._PARTS)
     var = lambda v: MvPolynomial.variable(*v)   # noqa: E731
 
     def check(*ps):
@@ -587,99 +586,67 @@ def test_sort_keys_are_rebuilt_when_a_variable_arrives_between_others():
                      Fraction(int(t["num"]), int(t["den"])))
                      for t in doc["terms"]] == _m_sorted(a)
 
-    for fam in (FAM_E, FAM_C):   # the parts of either family are rebuilt
+    for fam in (FAM_E, FAM_C):   # the parts of either family are kept
         low, mid, high = ((fam, 7001), (fam, 7002), (fam, 7003))
         assert mid not in poly._SHIFTS
         p = var(low) ** 2 + var(low) * var(high) + var(high) + 3
-        check(p)   # fills the keyed tables and parts under the old layout
-        assert all(keyed)
+        check(p)   # fills the keyed tables and parts
         # the part of low*high is the monomial without its degree field
         assert (poly._pack(((low, 1), (high, 1))) >> 16 << 16
                 in poly._PARTS[fam])
-        new = var(mid)   # sorts between low and high: every key changes
+        before = [dict(table) for table in keyed]
+        assert all(before)
+        new = var(mid)   # sorts between low and high
         assert poly._VARS[-1] == mid
-        assert not any(keyed) and not any(poly._PARTS)
+        assert [dict(table) for table in keyed] == before
         # p * (new + 1) mixes monomials rendered before with ones that are not
         check(p, p * new, p * (new + ONE))
+        assert all(table.items() >= old.items()
+                   for table, old in zip(keyed, before))
         assert str(p * (new + ONE)) == (
             "e1*e2*e3 + e1^2*e2 + e2*e3 + e1*e3 + e1^2 + e3 + 3*e2 + 3"
             .replace("e1", poly.var_name(low)).replace("e2", poly.var_name(mid))
             .replace("e3", poly.var_name(high)))
         clear_caches()
-        assert not any(keyed) and not any(poly._PARTS)
+        assert not any(keyed)
         check(p, p * new, p * (new + ONE))
 
 
 def _full_decode_entry(m, f):
     """The entry of the packed monomial m as one decode of all its fields
-    gives it: the graded-lex key (degree, then exponents by descending
-    variable, one byte a field below degree 255, else 255 and two bytes a
-    field) and ``f`` of its power codes by ascending variable.  The part
-    tables must compose exactly this."""
+    gives it: the graded-lex key (the degree in two bytes, then per power by
+    descending variable the family byte, the index as a length byte and its
+    big-endian bytes, and the exponent in two bytes) and ``f`` of its power
+    codes by ascending variable.  The part tables must compose exactly this."""
     n = len(poly._VARS) + 1
-    asc = sorted((v, k) for k, v in enumerate(poly._VARS, 1))
     fields = Struct(f"<{n}H").unpack(m.to_bytes(2 * n, "little"))
-    fields = (fields[0], *[fields[k] for _, k in reversed(asc)])
-    key = (Struct(f">{n}B").pack(*fields) if fields[0] < 255
-           else b"\xff" + Struct(f">{n}H").pack(*fields))
-    exps = fields[:0:-1]
-    return (key, *f(map(add, compress([k << 16 for _, k in asc], exps),
-                        filter(None, exps))))
-
-
-@contextmanager
-def _empty_layout():
-    """Run the body on a layout that gives no variable a field, and restore
-    the old one after; every cache is emptied on both sides, because packed
-    monomials mean nothing across layouts."""
-    saved = list(poly._VARS), dict(poly._SHIFTS)
-    poly._VARS.clear()
-    poly._SHIFTS.clear()
-    poly._layout()
-    clear_caches()
-    try:
-        yield
-    finally:
-        poly._VARS[:] = saved[0]
-        poly._SHIFTS.clear()
-        poly._SHIFTS.update(saved[1])
-        poly._layout()
-        clear_caches()
-
-
-@st.composite
-def _arrivals(draw):
-    """Distinct variables in their order of arrival, how many arrive before
-    the first rendering, and monomials over them."""
-    vs = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(1, 4)),
-                       min_size=1, max_size=7, unique=True))
-    monos = draw(st.lists(st.dictionaries(st.sampled_from(vs), _wide_exps,
-                                          max_size=3), max_size=6))
-    return vs, draw(st.integers(0, len(vs))), monos
+    powers = sorted((poly._VARS[k - 1], e, k)
+                    for k, e in enumerate(fields) if k and e)
+    key = fields[0].to_bytes(2, "big")
+    for (fam, idx), e, _ in reversed(powers):
+        idx = idx.to_bytes(32, "big").lstrip(b"\0")
+        key += bytes((fam, len(idx))) + idx + e.to_bytes(2, "big")
+    return (key, *f([(k << 16) + e for _, e, k in powers]))
 
 
 @settings(max_examples=200, deadline=None)
-@given(_arrivals())
-# interleaved c and h with no e-variable, degrees 254, 255 and 300
-@example(([(0, 1), (2, 1), (0, 3), (2, 2), (0, 2)], 2,
-          [{(0, 1): 254}, {(2, 1): 255}, {(0, 1): 120, (2, 1): 120},
-           {(0, 3): 2, (2, 2): 254}, {(0, 2): 300, (2, 1): 1}]))
-# every family, one variable each, arriving in descending order
-@example(([(2, 1), (1, 1), (0, 1)], 0,
-          [{(2, 1): 1, (1, 1): 1, (0, 1): 1}, {(1, 1): 255}]))
-def test_part_decodes_compose_the_full_decode(case):
+@given(st.lists(st.dictionaries(_mvars, _wide_exps, max_size=4), max_size=6))
+# every family, one variable each, and degrees 254, 255 and 300
+@example([{(2, 1): 1, (1, 1): 1, (0, 1): 1}, {(1, 1): 255}, {(0, 1): 254},
+          {(0, 1): 120, (2, 10**12): 180}, {(0, 1000): 300, (2, 1): 1}])
+def test_part_decodes_compose_the_full_decode(monos):
     from uda.cli import _MONO_TEXT
-    vs, early, monos = case
-    with _empty_layout():
-        def check(ms):
-            for mono in [{}, *ms]:   # with the constant monomial
-                m = poly._pack(mono.items())
-                for table in (poly._MONO_STR, _MONO_TEXT):
-                    assert table[m] == _full_decode_entry(m, table.f), mono
-
-        for v in vs[:early]:
-            poly._shift(v)
-        check([m for m in monos if set(m) <= set(vs[:early])])
-        for v in vs[early:]:   # each arrival empties the entries above
-            poly._shift(v)
-        check(monos)
+    tables = (poly._MONO_STR, _MONO_TEXT)
+    clear_caches()
+    for mono in [{}, *monos]:   # with the constant monomial
+        m = poly._pack(mono.items())
+        for table in tables:
+            assert table[m] == _full_decode_entry(m, table.f), mono
+        for fam, parts in enumerate(poly._PARTS):   # keyed without a degree
+            part = m & poly._FAMILY_MASKS[fam]
+            key, codes = _full_decode_entry(part, lambda cs: (tuple(cs),))
+            assert parts[part] == (key[2:], codes)
+    # every entry still matches, also one made before a later monomial's
+    # variables got fields
+    assert all(table[m] == _full_decode_entry(m, table.f)
+               for table in tables for m in list(table))
