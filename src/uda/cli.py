@@ -4,14 +4,18 @@ Subcommands: ``giambelli`` (Schur determinants), ``act`` (a single star
 action), ``genfun`` (generating functions, projected or windowed),
 ``matrix`` (representation matrices), ``factorize`` (the universal
 factorisation) and ``verify`` (the suites of ``uda.verify``).  One table,
-``_COMMANDS``, holds each subcommand's help text, the function that adds
-its arguments and its handler.
+``_COMMANDS``, holds each subcommand's help text, its arguments (``_Arg``
+declarations: flag, dest, type, choices, default, required, store_false,
+help), its own defaults and its handler.
 
-``main`` dispatches on the first argument: a known subcommand gets a parser
-of its own, built from the table on its first call and reused after.  The
-whole tree (``build_parser``) is built only for what it words: ``uda
+``main`` reads a well-formed call straight from that table (``_scan``):
+exact flags, each value of its declared type and among its choices, every
+required flag given.  No parser is built for it.  Any other argv goes to
+argparse, which alone words help and errors: the subcommand gets a parser
+of its own, fed the same declarations on its first such call and reused
+after, and the whole tree (``build_parser``) is built only for ``uda
 --help``, a missing or unknown subcommand, and arguments the subcommand
-does not recognize.  No parser is built at import.
+does not recognize.  Nothing is built at import.
 
 Output is deterministic: identical configurations produce byte-identical
 documents.  Exit codes: 0 success, 1 invalid configuration (the message
@@ -303,74 +307,95 @@ def cmd_verify(args: argparse.Namespace) -> str:
     return doc
 
 
-def _common(p: argparse.ArgumentParser, need_lambda=True,
-            n_note="omit for the stable case", outputs=("text", "json")):
-    p.add_argument("--r", type=int, required=True, help="degree of the factor")
-    p.add_argument("--n", type=int, default=None,
-                   help=f"degree of the generic polynomial ({n_note})")
-    if need_lambda:
-        p.add_argument("--lambda", dest="lam", default=None,
-                       help="partition as comma-separated parts, e.g. 2,1")
-    p.add_argument("--output", choices=outputs, default="text")
-    p.add_argument("--out", dest="out_path", default=None,
-                   help="write the document to this path instead of stdout")
+class _Arg:
+    """One argument of a subcommand, as ``add_argument`` takes it and as the
+    scan of ``_scan`` reads it.  A ``store_false`` flag takes no value and
+    defaults to True."""
+
+    __slots__ = ("flag", "dest", "type", "choices", "default", "required",
+                 "store_false", "help")
+
+    def __init__(self, flag, dest=None, type=None, choices=None, default=None,
+                 required=False, store_false=False, help=None):
+        self.flag = flag
+        self.dest = dest or flag[2:].replace("-", "_")
+        self.type = type
+        self.choices = choices
+        self.default = True if store_false else default
+        self.required = required
+        self.store_false = store_false
+        self.help = help
+
+    def add_to(self, parser: argparse.ArgumentParser) -> None:
+        if self.store_false:
+            parser.add_argument(self.flag, dest=self.dest, action="store_false",
+                                help=self.help)
+        else:
+            parser.add_argument(self.flag, dest=self.dest, type=self.type,
+                                choices=self.choices, default=self.default,
+                                required=self.required, help=self.help)
 
 
-def _giambelli_args(p):
-    _common(p)
-    p.set_defaults(project=False)  # no quotient element: any lambda fits
+_R = _Arg("--r", type=int, required=True, help="degree of the factor")
+_N = _Arg("--n", type=int,
+          help="degree of the generic polynomial (omit for the stable case)")
+_LAMBDA = _Arg("--lambda", dest="lam",
+               help="partition as comma-separated parts, e.g. 2,1")
+_OUTPUT = _Arg("--output", choices=("text", "json"), default="text")
+_OUT = _Arg("--out", dest="out_path",
+            help="write the document to this path instead of stdout")
+_I = _Arg("--i", type=int, required=True)
+_J = _Arg("--j", type=int, required=True)
+_NO_PROJECT = _Arg("--no-project", dest="project", store_false=True)
+_COMMON = (_R, _N, _LAMBDA, _OUTPUT, _OUT)
 
-
-def _act_args(p):
-    _common(p)
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-    p.add_argument("--dual", choices=("none", "s"), default="none")
-    p.add_argument("--no-project", dest="project", action="store_false")
-
-
-def _genfun_args(p):
-    _common(p)
-    p.add_argument("--dual", choices=("none", "s"), default="s")
-    p.add_argument("--no-project", dest="project", action="store_false")
-    p.add_argument("--zmax", type=int, default=None)
-    p.add_argument("--wmin", type=int, default=None)
-    p.add_argument("--wmax", type=int, default=None,
-                   help="top w-exponent of --dual s (default 0); K > 0 also "
-                        "reads w^1..w^K, the images of X^i(c) (x) phi_k, "
-                        "where phi_k(X^m) = s_{m+k}(c)")
-
-
-def _matrix_args(p):
-    _common(p, need_lambda=False)
-    p.add_argument("--i", type=int, required=True)
-    p.add_argument("--j", type=int, required=True)
-
-
-def _verify_args(p):
-    # verify writes a text report only, and without --n it runs n=4
-    _common(p, need_lambda=False, n_note="default 4", outputs=("text",))
-    p.add_argument("--suite", default="all",
-                   choices=("golden", "oracle", "bracket", "factorize",
-                            "duality", "ideal", "all"))
-
-
-# subcommand -> (help, adds its arguments, handler), in the order of --help
+# subcommand -> (help, its arguments in the order of its usage line, its own
+# defaults, handler), in the order of --help
 _COMMANDS = {
-    "giambelli": ("Schur determinant of a partition", _giambelli_args,
-                  cmd_giambelli),
-    "act": ("one star-action image", _act_args, cmd_act),
-    "genfun": ("generating function of all images", _genfun_args, cmd_genfun),
-    "matrix": ("representation matrix of one operator", _matrix_args,
-               cmd_matrix),
-    "factorize": ("universal factorization",
-                  partial(_common, need_lambda=False), cmd_factorize),
-    "verify": ("run a verification suite", _verify_args, cmd_verify),
+    # no quotient element: any lambda fits
+    "giambelli": ("Schur determinant of a partition", _COMMON,
+                  {"project": False}, cmd_giambelli),
+    "act": ("one star-action image",
+            (*_COMMON, _I, _J,
+             _Arg("--dual", choices=("none", "s"), default="none"),
+             _NO_PROJECT),
+            {}, cmd_act),
+    "genfun": ("generating function of all images",
+               (*_COMMON,
+                _Arg("--dual", choices=("none", "s"), default="s"),
+                _NO_PROJECT,
+                _Arg("--zmax", type=int),
+                _Arg("--wmin", type=int),
+                _Arg("--wmax", type=int,
+                     help="top w-exponent of --dual s (default 0); K > 0 also "
+                          "reads w^1..w^K, the images of X^i(c) (x) phi_k, "
+                          "where phi_k(X^m) = s_{m+k}(c)")),
+               {}, cmd_genfun),
+    "matrix": ("representation matrix of one operator",
+               (_R, _N, _OUTPUT, _OUT, _I, _J), {}, cmd_matrix),
+    "factorize": ("universal factorization", (_R, _N, _OUTPUT, _OUT), {},
+                  cmd_factorize),
+    # verify writes a text report only, and without --n it runs n=4
+    "verify": ("run a verification suite",
+               (_R, _Arg("--n", type=int, help="degree of the generic "
+                         "polynomial (default 4)"),
+                _Arg("--output", choices=("text",), default="text"), _OUT,
+                _Arg("--suite", default="all",
+                     choices=("golden", "oracle", "bracket", "factorize",
+                              "duality", "ideal", "all"))),
+               {}, cmd_verify),
 }
 
 # what main reads for every subcommand but only some define; a subcommand's
 # own default wins over these
 _DEFAULTS = {"lam": None, "i": None, "j": None, "project": True}
+
+
+def _add_arguments(parser: argparse.ArgumentParser, command: str) -> None:
+    _, arguments, defaults, _ = _COMMANDS[command]
+    for arg in arguments:
+        arg.add_to(parser)
+    parser.set_defaults(**defaults)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,8 +406,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact gl-module structure of universal decomposition algebras")
     parser.set_defaults(**_DEFAULTS)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_args, _) in _COMMANDS.items():
-        add_args(sub.add_parser(name, help=help_text))
+    for name, (help_text, *_) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return parser
 
 
@@ -399,14 +424,56 @@ def _parser(command: str | None) -> argparse.ArgumentParser:
         else:
             parser = argparse.ArgumentParser(prog=f"uda {command}")
             parser.set_defaults(command=command, **_DEFAULTS)
-            _COMMANDS[command][1](parser)
+            _add_arguments(parser, command)
         _PARSERS[command] = parser
     return parser
+
+
+def _scan(command: str, argv: list[str]) -> argparse.Namespace | None:
+    """The namespace that ``_parser(command)`` returns for ``argv``, read
+    from the subcommand's declarations with no parser built; None unless
+    argv has the canonical form: exact flags, each valued flag followed by
+    a value that does not start with ``-``, of its type and among its
+    choices, and every required flag given (a repeated flag's last value
+    wins).  Help, abbreviations, ``--flag=value``, negative numbers,
+    ``--``, unknown tokens, bad values and missing flags are argparse's."""
+    _, arguments, defaults, _ = _COMMANDS[command]
+    by_flag = {arg.flag: arg for arg in arguments}
+    given = {}
+    k, end = 0, len(argv)
+    while k < end:
+        arg = by_flag.get(argv[k])
+        if arg is None:
+            return None
+        if arg.store_false:
+            given[arg.dest] = False
+            k += 1
+            continue
+        if k + 1 == end or argv[k + 1].startswith("-"):
+            return None
+        value = argv[k + 1]
+        if arg.type is not None:
+            try:
+                value = arg.type(value)
+            except (TypeError, ValueError):
+                return None
+        if arg.choices is not None and value not in arg.choices:
+            return None
+        given[arg.dest] = value
+        k += 2
+    if any(arg.required and arg.dest not in given for arg in arguments):
+        return None
+    return argparse.Namespace(**{
+        "command": command, **_DEFAULTS, **defaults,
+        **{arg.dest: arg.default for arg in arguments}, **given})
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     if command is not None:
+        args = _scan(command, argv[1:])
+        if args is not None:
+            return args
         args, extra = _parser(command).parse_known_args(argv[1:])
         if not extra:
             return args
@@ -422,7 +489,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args.lam = parse_partition(args.lam)
         _validate(args)
-        doc = _COMMANDS[args.command][2](args)
+        doc = _COMMANDS[args.command][3](args)
     except (UsageError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1

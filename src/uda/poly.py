@@ -48,8 +48,8 @@ monomial's own powers, so no entry changes when another variable gets a
 field.  The h-, e- and c-powers come in that order, so an entry is joined
 from the entries of the monomial's h-, e- and c-parts (the monomial masked
 to one family's fields) in three part tables.  Each distinct part is
-decoded once, and a Schur determinant, a sum of c-parts times h-parts, has
-far fewer parts than monomials.
+decoded once, from its set fields alone, and a Schur determinant, a sum of
+c-parts times h-parts, has far fewer parts than monomials.
 """
 
 from __future__ import annotations
@@ -125,10 +125,19 @@ class _FamilyParts(dict):
         _TEXT_TABLES.append(self)
 
     def __missing__(self, part):
-        powers = _unpack(part)
+        # peel the set fields off, lowest first: a part has a few powers
+        # among however many fields the layout has
+        powers = []
+        rest = part
+        while rest:
+            k = ((rest & -rest).bit_length() - 1) // _FIELD
+            e = rest >> _FIELD * k & _FIELD_MASK
+            rest ^= e << _FIELD * k
+            powers.append((_VARS[k - 1], k, e))
+        powers.sort()
         value = self[part] = (
-            b"".join([_power_key(v, e) for v, e in reversed(powers)]),
-            tuple([(_SHIFTS[v] // _FIELD << _FIELD) + e for v, e in powers]))
+            b"".join([_power_key(v, e) for v, _, e in reversed(powers)]),
+            tuple([(k << _FIELD) + e for _, k, e in powers]))
         return value
 
 

@@ -1,8 +1,9 @@
-"""The import weight of ``uda``: what ``import uda, uda.cli`` loads.
+"""The import weight of ``uda``: what ``import uda, uda.cli`` loads, and
+what one canonical CLI call adds to it.
 
 Every ``uda`` command starts a fresh interpreter, so each standard-library
-module the package pulls in is paid again on every call.  The check counts
-modules, not time, so it is deterministic.
+module the package pulls in is paid again on every call.  The checks count
+modules, not time, so they are deterministic.
 """
 
 import json
@@ -32,3 +33,18 @@ def test_importing_uda_loads_no_heavy_module():
     added = loaded_modules("import uda, uda.cli") - bare
     assert "uda.cli" in added
     assert sorted(added.intersection(HEAVY)) == []
+
+
+def test_a_canonical_call_loads_no_locale():
+    # argparse's first message lookup searches gettext catalogues and
+    # imports locale; a canonical call is read without argparse, so only an
+    # argv that argparse must read (here an abbreviation) pays for it
+    def after_call(*argv) -> set[str]:
+        args = [*argv, "--output", "json", "--out", os.devnull]
+        return loaded_modules(f"import uda.cli; assert uda.cli.main({args!r}) == 0")
+
+    bare = loaded_modules("pass")
+    assert "locale" not in bare
+    canonical = after_call("genfun", "--r", "2", "--n", "6", "--lambda", "2,1")
+    assert "uda.cli" in canonical and "locale" not in canonical
+    assert "locale" in after_call("genfun", "--r", "2", "--n", "6", "--lam", "2,1")
