@@ -10,12 +10,10 @@ help), its own defaults and its handler.
 
 ``main`` reads a well-formed call straight from that table (``_scan``):
 exact flags, each value of its declared type and among its choices, every
-required flag given.  No parser is built for it.  Any other argv goes to
-argparse, which alone words help and errors: the subcommand gets a parser
-of its own, fed the same declarations on its first such call and reused
-after, and the whole tree (``build_parser``) is built only for ``uda
---help``, a missing or unknown subcommand, and arguments the subcommand
-does not recognize.  Nothing is built at import.
+required flag given.  No parser is built for it.  Any other argv (help,
+abbreviations, ``--flag=value``, unknown or bad arguments) is parsed, and
+its help or error worded, by the whole argparse tree (``build_parser``),
+fed the same declarations.  Nothing is built at import.
 
 Output is deterministic: identical configurations produce byte-identical
 documents.  Exit codes: 0 success, 1 invalid configuration (the message
@@ -391,52 +389,31 @@ _COMMANDS = {
 _DEFAULTS = {"lam": None, "i": None, "j": None, "project": True}
 
 
-def _add_arguments(parser: argparse.ArgumentParser, command: str) -> None:
-    _, arguments, defaults, _ = _COMMANDS[command]
-    for arg in arguments:
-        arg.add_to(parser)
-    parser.set_defaults(**defaults)
-
-
 def build_parser() -> argparse.ArgumentParser:
-    """The whole tree: ``uda --help``, and the wording of every error that
-    is not one subcommand's own."""
+    """The whole tree, which parses every argv that ``_scan`` declines and
+    words its help and errors."""
     parser = argparse.ArgumentParser(
         prog="uda",
         description="Exact gl-module structure of universal decomposition algebras")
     parser.set_defaults(**_DEFAULTS)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, *_) in _COMMANDS.items():
-        _add_arguments(sub.add_parser(name, help=help_text), name)
-    return parser
-
-
-_PARSERS: dict[str | None, argparse.ArgumentParser] = {}  # None: the tree
-
-
-def _parser(command: str | None) -> argparse.ArgumentParser:
-    """The parser of one subcommand, built the first time it is invoked, as
-    the tree would build it; ``None`` asks for the tree."""
-    parser = _PARSERS.get(command)
-    if parser is None:
-        if command is None:
-            parser = build_parser()
-        else:
-            parser = argparse.ArgumentParser(prog=f"uda {command}")
-            parser.set_defaults(command=command, **_DEFAULTS)
-            _add_arguments(parser, command)
-        _PARSERS[command] = parser
+    for name, (help_text, arguments, defaults, _) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for arg in arguments:
+            arg.add_to(command)
+        command.set_defaults(**defaults)
     return parser
 
 
 def _scan(command: str, argv: list[str]) -> argparse.Namespace | None:
-    """The namespace that ``_parser(command)`` returns for ``argv``, read
-    from the subcommand's declarations with no parser built; None unless
-    argv has the canonical form: exact flags, each valued flag followed by
-    a value that does not start with ``-``, of its type and among its
-    choices, and every required flag given (a repeated flag's last value
-    wins).  Help, abbreviations, ``--flag=value``, negative numbers,
-    ``--``, unknown tokens, bad values and missing flags are argparse's."""
+    """The namespace that ``build_parser()`` returns for ``[command,
+    *argv]``, read from the subcommand's declarations with no parser built;
+    None unless argv has the canonical form: exact flags, each valued flag
+    followed by a value that does not start with ``-``, of its type and
+    among its choices, and every required flag given (a repeated flag's
+    last value wins).  Help, abbreviations, ``--flag=value``, negative
+    numbers, ``--``, unknown tokens, bad values and missing flags are
+    argparse's."""
     _, arguments, defaults, _ = _COMMANDS[command]
     by_flag = {arg.flag: arg for arg in arguments}
     given = {}
@@ -469,16 +446,11 @@ def _scan(command: str, argv: list[str]) -> argparse.Namespace | None:
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    if command is not None:
-        args = _scan(command, argv[1:])
+    if argv and argv[0] in _COMMANDS:
+        args = _scan(argv[0], argv[1:])
         if args is not None:
             return args
-        args, extra = _parser(command).parse_known_args(argv[1:])
-        if not extra:
-            return args
-    # no subcommand, or arguments it does not know: the tree words the error
-    return _parser(None).parse_args(argv)
+    return build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:

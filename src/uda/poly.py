@@ -48,19 +48,18 @@ monomial's own powers, so no entry changes when another variable gets a
 field.  The h-, e- and c-powers come in that order, so an entry is joined
 from the entries of the monomial's h-, e- and c-parts (the monomial masked
 to one family's fields) in three part tables.  Each distinct part is
-decoded once, from its set fields alone, and a Schur determinant, a sum of
-c-parts times h-parts, has far fewer parts than monomials.
+decoded once, and a Schur determinant, a sum of c-parts times h-parts, has
+far fewer parts than monomials.  One decoder, ``_powers``, reads packed
+monomials, for the part tables and the tuple view alike; it reads only the
+set fields, so it costs O(powers) however many variables have fields.
 """
 
 from __future__ import annotations
 
-from bisect import bisect
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache, reduce, wraps
-from itertools import compress
-from operator import itemgetter, or_
-from struct import Struct
+from operator import or_
 from types import MappingProxyType
 
 from .errors import ExponentOverflow, NonUnitConstantTerm
@@ -125,16 +124,7 @@ class _FamilyParts(dict):
         _TEXT_TABLES.append(self)
 
     def __missing__(self, part):
-        # peel the set fields off, lowest first: a part has a few powers
-        # among however many fields the layout has
-        powers = []
-        rest = part
-        while rest:
-            k = ((rest & -rest).bit_length() - 1) // _FIELD
-            e = rest >> _FIELD * k & _FIELD_MASK
-            rest ^= e << _FIELD * k
-            powers.append((_VARS[k - 1], k, e))
-        powers.sort()
+        powers = _powers(part)
         value = self[part] = (
             b"".join([_power_key(v, e) for v, _, e in reversed(powers)]),
             tuple([(k << _FIELD) + e for _, k, e in powers]))
@@ -144,31 +134,37 @@ class _FamilyParts(dict):
 _C_PARTS, _E_PARTS, _H_PARTS = _PARTS = (
     _FamilyParts(), _FamilyParts(), _FamilyParts())   # by family code
 
-# What reads the fields of a packed monomial; ``_layout`` appends to it.
+# The masks over the fields of a packed monomial; ``_layout`` grows them.
 _GUARDS = 1 << _FIELD - 1            # the top bit of every field
 _FAMILY_MASKS = [0, 0, 0]            # family code -> its variables' fields
-_FIELDS = Struct("<H")               # little-endian bytes -> fields
-_ASC_VARS: list[Var] = []            # the variables in ascending order
-_ASC_FIELDS = [0]                    # field 0, then the fields of _ASC_VARS
-_ASC = tuple                         # fields -> (degree, *_ASC_VARS exponents)
 
 
 def _layout(v: Var) -> int:
-    """Give v the next field and return its bit offset.  The tables that
-    read fields grow by it; no table is emptied, because no rendering
-    entry depends on the fields of other variables."""
-    global _GUARDS, _FIELDS, _ASC
+    """Give v the next field, with its guard bit and its family's mask, and
+    return its bit offset.  No table is emptied: no rendering entry depends
+    on the fields of other variables."""
+    global _GUARDS
     _VARS.append(v)
-    k = len(_VARS)
-    s = _SHIFTS[v] = _FIELD * k
+    s = _SHIFTS[v] = _FIELD * len(_VARS)
     _GUARDS |= 1 << s + _FIELD - 1
     _FAMILY_MASKS[v[0]] |= _FIELD_MASK << s
-    _FIELDS = Struct(f"<{k + 1}H")
-    i = bisect(_ASC_VARS, v)
-    _ASC_VARS.insert(i, v)
-    _ASC_FIELDS.insert(i + 1, k)
-    _ASC = itemgetter(*_ASC_FIELDS)
     return s
+
+
+def _powers(m: int) -> list[tuple[Var, int, int]]:
+    """``(var, field, exp)`` for each power of the packed monomial m, by
+    ascending variable: the one decoder of packed monomials.  It peels the
+    set fields off, lowest first, and skips field 0, the degree, so it
+    costs O(powers) however many fields the layout has."""
+    powers = []
+    rest = m & ~_FIELD_MASK
+    while rest:
+        k = ((rest & -rest).bit_length() - 1) // _FIELD
+        e = rest >> _FIELD * k & _FIELD_MASK
+        rest ^= e << _FIELD * k
+        powers.append((_VARS[k - 1], k, e))
+    powers.sort()
+    return powers
 
 
 def _shift(v: Var) -> int:
@@ -203,8 +199,7 @@ def _pack(mono, shift=_shift) -> int:
 
 def _unpack(m: int) -> Mono:
     """The canonical ``((var, exp), ...)`` tuple of a packed monomial."""
-    exps = _ASC(_FIELDS.unpack(m.to_bytes(_FIELDS.size, "little")))[1:]
-    return tuple(zip(compress(_ASC_VARS, exps), filter(None, exps)))
+    return tuple([(v, e) for v, _, e in _powers(m)])
 
 
 class _TextTable(dict):

@@ -61,12 +61,10 @@ def h_deformed(j: int, n: int | None) -> MvPolynomial:
         return ZERO
     if j == 0:
         return ONE
-    acc = h_(j)
     top = j if n is None else min(j, n)
-    for i in range(1, top + 1):
-        term = c_(i) if j - i == 0 else c_(i) * h_(j - i)
-        acc = acc + (-term if i % 2 else term)
-    return acc
+    return _sum_of_products([(ONE, h_(j))] + [
+        (-c_(i) if i % 2 else c_(i), h_(j - i) if i < j else ONE)
+        for i in range(1, top + 1)])
 
 
 @memo

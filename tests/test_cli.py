@@ -405,43 +405,6 @@ def test_json_writer_hands_other_values_to_json_dumps():
         cli._json_doc({"x": [object()]})
 
 
-def test_parser_is_reused_across_calls(capsys, monkeypatch):
-    # argparse wraps usage lines to the terminal width; pin it for both sides
-    monkeypatch.setenv("COLUMNS", "80")
-    monkeypatch.setattr(cli, "_PARSERS", {})
-    calls = [  # (argv, read from the argument table)
-        (("genfun", "--r", "2", "--n", "4", "--lambda", "2,1"), True),  # --dual s
-        (("genfun", "--r", "2", "--bogus"), False),   # worded by the whole tree
-        (("act", "--r=2", "--lambda", "2,1", "--i", "3", "--j", "2"), False),
-        (("verify", "--suite", "duality", "--r", "2", "--n", "4"), True),
-        (("genfun", "--r", "2", "--n", "4", "--lam", "1"), False),
-        (("act", "--r", "2", "--lambda", "1", "--i", "1", "--j", "1"), True),
-        (("act", "--r", "2", "--lambda", "1", "--i", "-1", "--j", "1"), False),
-        (("genfun", "--r", "2", "--n", "4", "--lambda", "1", "--"), False),
-    ]
-    # the child imports uda from this checkout, installed or not
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    codes, parsers = [], {}
-    for args, canonical in calls:
-        before = dict(cli._PARSERS)
-        got = run_cli(capsys, *args)
-        codes.append(got[0])
-        if canonical:   # no parser built or read
-            assert cli._PARSERS == before, args
-        else:
-            parsers.setdefault(args[0], set()).add(id(cli._PARSERS[args[0]]))
-        fresh = subprocess.run([sys.executable, "-m", "uda.cli", *args],
-                               capture_output=True, text=True,
-                               env={**os.environ, "PYTHONPATH": path})
-        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), args
-    assert codes == [0, 1, 0, 0, 0, 0, 1, 1]
-    # one parser per subcommand, built once and then reused
-    assert {cmd: len(ids) for cmd, ids in parsers.items()} == {
-        "genfun": 1, "act": 1}
-    assert set(cli._PARSERS) == {"genfun", "act", None}
-
-
 def _count_parsers(monkeypatch) -> list:
     """Record every ``argparse.ArgumentParser`` constructed from now on."""
     built = []
@@ -455,8 +418,42 @@ def _count_parsers(monkeypatch) -> list:
     return built
 
 
-def test_one_call_builds_only_its_subcommand_parser(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_PARSERS", {})
+# the parsers of one ``build_parser()``: the tree and one per subcommand
+_TREE = ["uda", *(f"uda {name}" for name in cli._COMMANDS)]
+
+
+def test_declined_calls_match_a_fresh_process(capsys, monkeypatch):
+    # argparse wraps usage lines to the terminal width; pin it for both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    built = _count_parsers(monkeypatch)
+    calls = [  # (argv, read from the argument table)
+        (("genfun", "--r", "2", "--n", "4", "--lambda", "2,1"), True),  # --dual s
+        (("genfun", "--r", "2", "--bogus"), False),
+        (("act", "--r=2", "--lambda", "2,1", "--i", "3", "--j", "2"), False),
+        (("verify", "--suite", "duality", "--r", "2", "--n", "4"), True),
+        (("genfun", "--r", "2", "--n", "4", "--lam", "1"), False),
+        (("act", "--r", "2", "--lambda", "1", "--i", "1", "--j", "1"), True),
+        (("act", "--r", "2", "--lambda", "1", "--i", "-1", "--j", "1"), False),
+        (("genfun", "--r", "2", "--n", "4", "--lambda", "1", "--"), False),
+    ]
+    # the child imports uda from this checkout, installed or not
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    codes = []
+    for args, canonical in calls:
+        built.clear()
+        got = run_cli(capsys, *args)
+        codes.append(got[0])
+        # a canonical call builds no parser; any other argv, the whole tree
+        assert built == ([] if canonical else _TREE), args
+        fresh = subprocess.run([sys.executable, "-m", "uda.cli", *args],
+                               capture_output=True, text=True,
+                               env={**os.environ, "PYTHONPATH": path})
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), args
+    assert codes == [0, 1, 0, 0, 0, 0, 1, 1]
+
+
+def test_a_declined_call_builds_one_tree(capsys, monkeypatch):
     built = _count_parsers(monkeypatch)
     # a canonical call is read from the argument table, with no parser
     for args in (("genfun", "--r", "2", "--n", "4", "--lambda", "2,1",
@@ -466,27 +463,26 @@ def test_one_call_builds_only_its_subcommand_parser(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "matrix", "--r", "2", "--n", "4",
                            "--i", "1", "--j", "0")
     assert code == 0 and out.startswith("operator (i=1, j=0)")
-    assert built == [] and cli._PARSERS == {}
-    # an abbreviation is argparse's to read: the subcommand's parser, once
-    for _ in range(2):
-        assert run_cli(capsys, "matrix", "--r", "2", "--n", "4", "--i", "1",
-                       "--j", "0", "--outp", "text") == (0, out, "")
-        assert built == ["uda matrix"]
-    # an unrecognized argument is worded by the whole tree, built once
-    for _ in range(2):
-        assert run_cli(capsys, "matrix", "--r", "2", "--n", "4", "--i", "1",
-                       "--j", "0", "--bogus")[0] == 1
-        assert built.count("uda") == 1 and len(built) == 2 + len(cli._COMMANDS)
-    assert run_cli(capsys, "--help")[0] == 0
-    assert len(built) == 2 + len(cli._COMMANDS)
+    assert built == []
+    # an abbreviation, an unrecognized argument and --help are argparse's:
+    # each call builds the tree once, and keeps nothing for the next
+    matrix = ("matrix", "--r", "2", "--n", "4", "--i", "1", "--j", "0")
+    abbreviated = (*matrix, "--outp", "text")
+    for args, code in ((abbreviated, 0), ((*matrix, "--bogus"), 1),
+                       (("--help",), 0)):
+        built.clear()
+        got = run_cli(capsys, *args)
+        assert got[0] == code and built == _TREE, args
+        if args is abbreviated:   # read as the full flag
+            assert got == (0, out, "")
 
 
 def _argparse_namespace(command, argv):
-    """What the subcommand's argparse parser makes of argv: its namespace,
+    """What the argparse tree makes of ``[command, *argv]``: its namespace,
     or None if it exits (help or an error) or leaves arguments over."""
     try:
         with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-            args, extra = cli._parser(command).parse_known_args(argv)
+            args, extra = cli.build_parser().parse_known_args([command, *argv])
     except SystemExit:
         return None
     return None if extra else args

@@ -106,7 +106,8 @@ def test_documents_do_not_depend_on_variable_arrival_order(golden):
 
 # argv -> the exit code, stdout and stderr of ``uda --help``, every
 # subcommand's --help and the argparse errors, recorded with COLUMNS=80
-# while one argparse tree still parsed every command
+# while one argparse tree parsed every command, as the tree still parses
+# every argv that ``uda.cli._scan`` declines
 USAGE = json.loads((GOLDEN / "usage.json").read_text())
 
 
@@ -114,8 +115,7 @@ USAGE = json.loads((GOLDEN / "usage.json").read_text())
                          ids=lambda c: " ".join(c["argv"]) or "no-arguments")
 def test_help_and_error_bytes(case, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")   # argparse wraps to the terminal
-    monkeypatch.setattr(uda.cli, "_PARSERS", {})
     want = (case["code"], case["stdout"], case["stderr"])
-    for _ in ("parsers built by this call", "parsers reused"):
+    for _ in ("first call", "second call: nothing carries over"):
         code = uda.cli.main(list(case["argv"]))
         assert (code, *capsys.readouterr()) == want

@@ -612,17 +612,24 @@ def test_sort_keys_are_kept_when_a_variable_arrives_between_others():
         check(p, p * new, p * (new + ONE))
 
 
+def _full_decode(m):
+    """The degree of the packed monomial m and its ``(var, exp, field)``
+    powers by ascending variable, from one ``Struct`` decode of all its
+    fields: a decode independent of the module's."""
+    n = len(poly._VARS) + 1
+    fields = Struct(f"<{n}H").unpack(m.to_bytes(2 * n, "little"))
+    return fields[0], sorted((poly._VARS[k - 1], e, k)
+                             for k, e in enumerate(fields) if k and e)
+
+
 def _full_decode_entry(m, f):
     """The entry of the packed monomial m as one decode of all its fields
     gives it: the graded-lex key (the degree in two bytes, then per power by
     descending variable the family byte, the index as a length byte and its
     big-endian bytes, and the exponent in two bytes) and ``f`` of its power
     codes by ascending variable.  The part tables must compose exactly this."""
-    n = len(poly._VARS) + 1
-    fields = Struct(f"<{n}H").unpack(m.to_bytes(2 * n, "little"))
-    powers = sorted((poly._VARS[k - 1], e, k)
-                    for k, e in enumerate(fields) if k and e)
-    key = fields[0].to_bytes(2, "big")
+    degree, powers = _full_decode(m)
+    key = degree.to_bytes(2, "big")
     for (fam, idx), e, _ in reversed(powers):
         idx = idx.to_bytes(32, "big").lstrip(b"\0")
         key += bytes((fam, len(idx))) + idx + e.to_bytes(2, "big")
@@ -638,8 +645,14 @@ def test_part_decodes_compose_the_full_decode(monos):
     from uda.cli import _MONO_TEXT
     tables = (poly._MONO_STR, _MONO_TEXT)
     clear_caches()
+    packed = []
     for mono in [{}, *monos]:   # with the constant monomial
         m = poly._pack(mono.items())
+        packed.append(m)
+        # the tuple view reads the same one decoder as the part tables
+        want = tuple((v, e) for v, e, _ in _full_decode(m)[1])
+        assert poly._unpack(m) == want, mono
+        assert list(MvPolynomial({tuple(mono.items()): 1}).terms) == [want]
         for table in tables:
             assert table[m] == _full_decode_entry(m, table.f), mono
         for fam, parts in enumerate(poly._PARTS):   # keyed without a degree
@@ -650,3 +663,5 @@ def test_part_decodes_compose_the_full_decode(monos):
     # variables got fields
     assert all(table[m] == _full_decode_entry(m, table.f)
                for table in tables for m in list(table))
+    assert all(poly._unpack(m) == tuple((v, e) for v, e, _ in _full_decode(m)[1])
+               for m in packed)
