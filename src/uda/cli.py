@@ -176,8 +176,20 @@ def _write_poly(p: MvPolynomial, newline: str, out: list[str]) -> None:
 # time; a column of a few hundred rows ended in a RecursionError
 GIAMBELLI_MAX_TERMS = 50_000
 
+# the largest variable index, lam_1 + len(lam) - 1, of a Schur determinant
+# ``giambelli`` expands: every packed monomial is as wide as all the fields
+# the process has made, so one part of N (N + 1 terms over 2N variables)
+# takes 1.2 s of CPU and peaks at 230 MB at N = 5000 on a 2-vCPU Xeon VM,
+# and 2.8 s and 558 MB at N = 8000; it also bounds the list of
+# ``giambelli_term_bound``, which is as long as |lam|
+GIAMBELLI_MAX_INDEX = 5_000
+
 
 def cmd_giambelli(args: argparse.Namespace) -> str:
+    top = args.lam.part(1) + len(args.lam) - 1
+    if top > GIAMBELLI_MAX_INDEX:
+        raise UsageError(f"--lambda {args.lam} uses the variable index {top}; "
+                         f"giambelli takes indices up to {GIAMBELLI_MAX_INDEX}")
     bound = giambelli_term_bound(args.lam, args.n)
     if bound > GIAMBELLI_MAX_TERMS:
         raise UsageError(f"--lambda {args.lam} expands to up to {bound} terms; "

@@ -12,23 +12,27 @@ public constructors, which keeps re-validation off the oracle's hot path.
 
 A wedge monomial with indices (i1 > ... > ir) corresponds to the partition
 (i1-(r-1), i2-(r-2), ..., ir), which is how Schur coordinates are read off
-once an element is expressed in the deformed basis.
+once an element is expressed in the deformed basis.  The same indices as
+the set bits of one int are its Maya diagram (``partitions.maya_mask``).
 
 Every sum over wedge monomials (``+``, ``wedge``, ``contract``,
 ``convert_basis``) lists ``(indices, a, b)`` triples and leaves the summing
 to ``poly._sum_by_key``, the one term loop; only the oracle
 (``glaction.star_oracle_coords``) sums inline, because its requests are too
-small to pay for a call.  ``convert_basis`` expands the factors from last
-to first, inserting each in front of the ones converted so far
-(``_insert_index``), so that terms with the same factors left are summed
-once.
+small to pay for a call, and it contracts and wedges on Maya diagrams, not
+index tuples.  ``convert_basis`` expands the factors from last to first,
+inserting each in front of the ones converted so far (``_insert_index``,
+which ``glaction._matrix_unit`` shares), so that terms with the same
+factors left are summed once.
 
 Contraction of a linear form against a wedge expands as the alternating sum
 over slots, slot i carrying sign (-1)^(i-1); the slot removed contributes
-the form's value on that factor.  ``w_value`` collects the values of all
-coordinate forms on one deformed basis vector into a Laurent polynomial in
-w; those Laurent polynomials make up the first row of the closed-form
-determinant (``glaction.mixed_schur_det``).
+the form's value on that factor.  A delta form in its own basis is nonzero
+on one slot at most, which ``_IndexForm.own_slot`` finds from the Maya
+diagram: the number of bits set above bit j.  ``w_value`` collects the
+values of all coordinate forms on one deformed basis vector into a Laurent
+polynomial in w; those Laurent polynomials make up the first row of the
+closed-form determinant (``glaction.mixed_schur_det``).
 
 The residue calculus expands a fraction f(X)/p_r(X) as a Laurent series in
 1/X (the denominator contributes X^-r times the complete-function series)
@@ -288,7 +292,13 @@ def reduce_mod_n(u: ExtElement, n: int) -> ExtElement:
 
 
 class LinearForm:
-    """A coordinate linear form on the module, evaluable in either basis."""
+    """A coordinate linear form on the module, evaluable in either basis.
+
+    ``_own`` names the basis on whose vectors the form is 1 on one vector
+    and 0 on the rest, if there is one (see ``_IndexForm``).
+    """
+
+    _own: BasisTag | None = None
 
     def value(self, i: int, tag: BasisTag, n: int | None) -> MvPolynomial:
         raise NotImplementedError
@@ -310,7 +320,6 @@ class _IndexForm(LinearForm):
     ``_own`` if it has one; forms of one class and j are equal."""
 
     __slots__ = ("j",)
-    _own: BasisTag | None = None
 
     def __init__(self, j: int):
         if j < 0:
@@ -331,8 +340,16 @@ class _IndexForm(LinearForm):
     def slots(self, idx: Indices, tag: BasisTag, n: int | None
               ) -> list[tuple[int, MvPolynomial]]:
         if tag is self._own:   # one factor at most, valued 1
-            return [(idx.index(self.j), ONE)] if self.j in idx else []
+            slot = self.own_slot(sum(1 << i for i in idx))
+            return [] if slot is None else [(slot, ONE)]
         return super().slots(idx, tag, n)
+
+    def own_slot(self, state: int) -> int | None:
+        """The slot valued 1 of a wedge of ``_own`` vectors whose indices are
+        the set bits of ``state`` (its Maya diagram): the number of bits
+        set above bit j, or None if bit j is clear."""
+        j = self.j
+        return (state >> j + 1).bit_count() if state >> j & 1 else None
 
 
 class DeltaForm(_IndexForm):

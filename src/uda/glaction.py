@@ -46,8 +46,9 @@ from .errors import DegreeZeroError, WindowViolation
 from .exterior import (BasisTag, DeltaForm, DualDeltaForm, LinearForm,
                        _PositiveWForm, _insert_index, w_value, x_in_xc)
 from .module_iso import quotient_project, schur_map_of_poly, schur_map_to_poly
-from .partitions import (Partition, partition_of_indices,
-                         partitions_in_rectangle, wedge_indices)
+from .partitions import (Partition, maya_mask, partition_of_indices,
+                         partition_of_mask, partitions_in_rectangle,
+                         wedge_indices)
 from .poly import MvPolynomial, ONE, ZERO, _sum_by_key, memo, series_mul
 from .schubert import sigma_bar_minus_h
 from .symfunc import (c_series_coeffs, generic_factor_poly,
@@ -141,11 +142,16 @@ def star_oracle_coords(op: StarOperator, lam: Partition, r: int,
                        ) -> dict[Partition, MvPolynomial]:
     """Schur coordinates of (f (x) g) acting on the basis element of lam.
 
-    One pass over the deformed wedge indices of lam: for each slot on which
-    the form is nonzero, each index k of the deformed vector is inserted
-    into the remaining indices, with the sign (-1)^(slot + the number of
-    them above k); this is the contraction, wedge and coordinate read-off of
-    the exterior layer done on indices alone.  When the vector coefficient
+    One pass over the Maya diagram of lam (``maya_mask``), an int whose set
+    bits are the deformed wedge indices.  Each slot on which the form is
+    nonzero clears its bit, with the sign (-1)^slot, slot being the number
+    of bits set above it.  Each index k of the deformed vector is then
+    wedged in: zero if bit k is set, else the bit is set with the sign of
+    the bits above k.  The quotient drops every diagram with a bit at or
+    above n, and ``partition_of_mask`` reads the survivors back.  A form
+    with an own basis (``DualDeltaForm`` here) finds its one slot from the
+    diagram (``own_slot``); any other form answers ``slots`` on the wedge
+    indices, and slot s is index ``idx[s]``.  When the vector coefficient
     and the form's value are both ``ONE``, as for every adapted operator
     X^i(c) (x) del^j(s), the image is a sign and is formed as a new constant
     1 or -1 without polynomial products; every coefficient returned is a
@@ -156,13 +162,21 @@ def star_oracle_coords(op: StarOperator, lam: Partition, r: int,
     dropped and the answer lives on rectangle partitions.  With ``quotient``
     false, n only bounds the c-variables.
     """
-    if len(lam.parts) > r:
+    if len(lam) > r:
         raise ValueError(f"partition {lam} longer than r={r}")
     if r < 1:
         raise DegreeZeroError("cannot contract a degree-zero element")
-    idx = wedge_indices(lam, r)
+    state = maya_mask(lam, r)
     cut = n if n is not None and quotient else None
-    slots = op.form.slots(idx, _DEFORMED, n)
+    form = op.form
+    # (state with the slot's bit cleared, slot, form's value)
+    if form._own is _DEFORMED:
+        slot = form.own_slot(state)
+        picks = () if slot is None else ((state ^ 1 << form.j, slot, ONE),)
+    else:
+        idx = wedge_indices(lam, r)
+        picks = [(state ^ 1 << idx[slot], slot, val)
+                 for slot, val in form.slots(idx, _DEFORMED, n)]
     # a plain vector is converted first, so its errors still surface
     if op.vector_tag is _DEFORMED:
         vector = op._terms
@@ -171,25 +185,25 @@ def star_oracle_coords(op: StarOperator, lam: Partition, r: int,
     else:
         vector = tuple(_sum_by_key((m, a, x) for k, a in op._terms
                                    for m, x in _x_in_xc_terms(k, n)).items())
-    if not slots:
+    if not picks:
         return {}
     # summed inline, not through poly._sum_by_key: a request takes a few
     # microseconds, so one more call or generator per request would show
     coords: dict[Partition, MvPolynomial] = {}
     for k, a in vector:
-        for slot, val in slots:
-            merged = _insert_index(k, idx[:slot] + idx[slot + 1:])
-            if merged is None:
+        for rest, slot, val in picks:
+            if rest >> k & 1:
                 continue
-            midx, above = merged
-            if cut is not None and midx[0] >= cut:
+            merged = rest | 1 << k
+            if cut is not None and merged >> cut:
                 continue
-            odd = (slot + above) % 2   # contraction sign times insertion sign
+            # contraction sign times insertion sign
+            odd = slot + (rest >> k + 1).bit_count() & 1
             if a is ONE and val is ONE:
                 coeff = MvPolynomial._of({0: -1 if odd else 1})
             else:
                 coeff = -(a * val) if odd else a * val
-            mu = partition_of_indices(midx)
+            mu = partition_of_mask(merged)
             s = coords.get(mu)
             if s is None:
                 coords[mu] = coeff
@@ -201,7 +215,7 @@ def star_oracle_coords(op: StarOperator, lam: Partition, r: int,
                     del coords[mu]
     if cut is not None:
         for mu in coords:
-            if mu.parts and mu.parts[0] > n - r:
+            if mu and mu[0] > n - r:
                 raise WindowViolation(
                     f"coordinate outside the {r}x{n - r} rectangle: {mu}")
     return coords

@@ -3,19 +3,30 @@
 Trailing zeros are normalised away, so ``Partition((2, 1, 0))`` and
 ``Partition((2, 1))`` are the same object value.  A partition indexes both a
 Schur determinant and a wedge basis element of the same degree.
+
+A ``Partition`` is a ``tuple`` of its parts, so its length, items and hash
+are the tuple's own, taken in C; ``hash(Partition(p)) == hash(p)``.  It is
+equal only to partitions, though, so a plain tuple never finds it as a key.
+Partitions are ordered by size, then by parts.
+
+The wedge basis element of lam at rank r has the indices
+lam_j + r - j, j = 1..r (``wedge_indices``).  In the fermionic reading of
+Date, Jimbo, Kashiwara and Miwa these are the positions of r particles, a
+Maya diagram, held here as an int with one bit per particle
+(``maya_mask``); ``partition_of_mask`` reads a diagram back.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .poly import memo
 
 
-class Partition:
-    __slots__ = ("parts", "_hash")   # the hash is taken once, in __init__
+class Partition(tuple):
+    __slots__ = ()
 
-    def __init__(self, parts: Iterable[int] = ()):
+    def __new__(cls, parts: Iterable[int] = ()):
         cleaned = list(parts)
         if any(p < 0 for p in cleaned):
             raise ValueError("partition parts must be nonnegative")
@@ -23,49 +34,56 @@ class Partition:
             raise ValueError(f"parts must be weakly decreasing: {cleaned}")
         while cleaned and cleaned[-1] == 0:
             cleaned.pop()
-        parts = tuple(cleaned)
-        object.__setattr__(self, "parts", parts)
-        object.__setattr__(self, "_hash", hash(parts))
+        return tuple.__new__(cls, cleaned)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Partition is immutable")
+    def __reduce__(self):   # copies and pickles rebuild through __new__
+        return Partition, (tuple(self),)
 
-    def __reduce__(self):   # copies and pickles rebuild through __init__
-        return Partition, (self.parts,)
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.parts)
+    @property
+    def parts(self) -> tuple[int, ...]:
+        """The parts as a plain tuple."""
+        return tuple(self)
 
     def part(self, j: int) -> int:
         """The j-th part (1-based), zero beyond the length."""
-        return self.parts[j - 1] if 1 <= j <= len(self.parts) else 0
+        return self[j - 1] if 1 <= j <= len(self) else 0
 
     def size(self) -> int:
-        return sum(self.parts)
+        return sum(self)
 
     def fits_rectangle(self, rows: int, cols: int) -> bool:
-        return len(self.parts) <= rows and (not self.parts or self.parts[0] <= cols)
+        return len(self) <= rows and (not self or self[0] <= cols)
+
+    __hash__ = tuple.__hash__
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self.parts == other.parts
+        return isinstance(other, Partition) and tuple.__eq__(self, other)
 
-    def __hash__(self):
-        return self._hash
+    def __ne__(self, other) -> bool:
+        return not self == other
 
+    # (size, parts) order, compared without building the pair
     def __lt__(self, other: "Partition") -> bool:
-        return (self.size(), self.parts) < (other.size(), other.parts)
+        a, b = sum(self), sum(other)
+        return a < b if a != b else tuple.__lt__(self, other)
+
+    def __gt__(self, other: "Partition") -> bool:
+        return Partition.__lt__(other, self)
+
+    def __le__(self, other: "Partition") -> bool:
+        return not Partition.__lt__(other, self)
+
+    def __ge__(self, other: "Partition") -> bool:
+        return not Partition.__lt__(self, other)
 
     def __repr__(self) -> str:
-        return f"Partition{self.parts}"
+        return f"Partition{tuple(self)}"
 
     def __str__(self) -> str:
-        return "()" if not self.parts else "(" + ",".join(map(str, self.parts)) + ")"
+        return "(" + ",".join(map(str, self)) + ")"
 
     def to_json(self) -> list[int]:
-        return list(self.parts)
+        return list(self)
 
     @staticmethod
     def from_json(doc) -> "Partition":
@@ -103,4 +121,30 @@ def partition_of_indices(indices: tuple[int, ...]) -> Partition:
     """Inverse of :func:`wedge_indices`; takes a strictly decreasing tuple."""
     r = len(indices)
     parts = tuple(indices[j - 1] - (r - j) for j in range(1, r + 1))
+    return Partition(parts)
+
+
+@memo
+def maya_mask(lam: Partition, r: int) -> int:
+    """The Maya diagram of lam at rank r: bit i is set for each wedge index i.
+
+    The r - len(lam) zero parts fill bits 0 .. r-len(lam)-1.
+    """
+    if len(lam) > r:
+        raise ValueError(f"partition {lam} longer than degree {r}")
+    mask = (1 << r - len(lam)) - 1
+    for s, p in enumerate(lam):
+        mask |= 1 << p + r - 1 - s
+    return mask
+
+
+@memo
+def partition_of_mask(mask: int) -> Partition:
+    """Inverse of :func:`maya_mask`: the rank is the number of set bits."""
+    below = mask.bit_count()   # set bits at or below the current one
+    parts = []
+    for i in range(mask.bit_length() - 1, -1, -1):
+        if mask >> i & 1:
+            below -= 1
+            parts.append(i - below)
     return Partition(parts)

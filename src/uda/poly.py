@@ -554,10 +554,11 @@ _MEMO_TABLES: list = []
 
 def _frozen(value):
     """``value`` made read-only: dicts become views and tuples stay tuples,
-    of frozen items; ``_freeze`` runs in place; ints and partitions pass."""
+    of frozen items; ``_freeze`` runs in place; ints and partitions pass
+    (a ``Partition`` is a tuple subclass, so only exact tuples are rebuilt)."""
     if isinstance(value, dict):
         return MappingProxyType({k: _frozen(v) for k, v in value.items()})
-    if isinstance(value, tuple):
+    if type(value) is tuple:
         return tuple(map(_frozen, value))
     if hasattr(value, "_freeze"):
         value._freeze()

@@ -66,6 +66,8 @@ _SAMPLE_ARGS = {
     "_signs": (1, 0, 2, 4),
     "wedge_indices": (Partition((1,)), 2),
     "partition_of_indices": ((2, 0),),
+    "maya_mask": (Partition((1,)), 2),
+    "partition_of_mask": (0b110,),
     "sigma_monomial_wedge": (2, (1, 1, 1)),
     "_schur_map_of_monomial": (2, 4, (1,)),
     "h_deformed": (2, 4),

@@ -628,3 +628,38 @@ def test_giambelli_one_long_part_finishes_within_a_cpu_budget():
         assert (proc.returncode, proc.stderr) == (0, ""), n
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == sha256, n
         assert cpu < 2.5, n
+
+
+@pytest.mark.parametrize("lam, top", [
+    ("8000", 8000),           # peaks at 558 MB when expanded
+    ("5001", 5001),           # the first single part over the limit
+    ("4998,1,1,1", 5001),
+    ("1000000000", 10 ** 9),  # the term bound alone would list 10^9 counts
+])
+def test_giambelli_refuses_a_variable_index_over_the_limit(capsys, lam, top):
+    start = time.process_time()
+    code, out, err = run_cli(capsys, "giambelli", "--r", "4", "--lambda", lam)
+    assert time.process_time() - start < 1.0   # refused before any algebra
+    assert (code, out) == (1, "")
+    assert err == (f"error: --lambda ({lam}) uses the variable index {top}; "
+                   f"giambelli takes indices up to {cli.GIAMBELLI_MAX_INDEX}\n")
+
+
+def test_giambelli_at_the_variable_index_limit_finishes():
+    # one part of 5000 reaches index 5000, the limit: 5,001 terms over
+    # 10,000 variables, about 1.2 s of CPU and 230 MB in a process of its
+    # own on a 2-vCPU Xeon VM; the budget allows four times that
+    assert cli.GIAMBELLI_MAX_INDEX == 5_000
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    before = os.times()
+    proc = subprocess.run(
+        [sys.executable, "-m", "uda.cli", "giambelli", "--r", "1",
+         "--lambda", "5000", "--output", "json"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    after = os.times()
+    cpu = (after.children_user + after.children_system
+           - before.children_user - before.children_system)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(json.loads(proc.stdout)["value"]["terms"]) == 5_001
+    assert cpu < 5.0

@@ -10,8 +10,8 @@ import uda.glaction as gl
 from uda.bilaurent import BiLaurent
 from uda.errors import DegreeZeroError, WindowViolation
 from uda.exterior import (BasisTag, DeltaForm, DualDeltaForm, ExtElement,
-                          contract, convert_basis, reduce_mod_n, wedge,
-                          wedge_coords)
+                          _PositiveWForm, contract, convert_basis,
+                          reduce_mod_n, wedge, wedge_coords)
 from uda.glaction import (ActionResult, RepMatrix, StarOperator, _closed_form,
                           _finite_closed_form, _matrix_unit, bracket_check,
                           generating_action, generating_action_adapted,
@@ -622,6 +622,67 @@ def test_one_pass_oracle_with_a_general_vector():
                     == _layered_coords(op, lam, 3, n, quotient)
 
 
+def test_oracle_on_diagrams_wider_than_a_word():
+    # a plain X^k with k >= 64 sets a bit past the machine word; with n it
+    # is converted through s_m(c) in c1..cn, m <= k.  Stable, that has p(k)
+    # terms, so the stable mode takes a deformed X^k(c) and a lambda whose
+    # own indices pass bit 64
+    for n, k in ((2, 65), (3, 64)):
+        for r in range(1, n + 1):
+            for lam in partitions_in_rectangle(r, n - r + 1):
+                for j in range(n + 1):
+                    op = StarOperator.plain(k, j)
+                    for quotient in (True, False):
+                        assert star_oracle_coords(
+                            op, lam, r, n, quotient=quotient) \
+                            == _layered_coords(op, lam, r, n, quotient)
+    wide = [Partition((66,)), Partition((70, 2)), Partition((64, 64, 1))]
+    for lam in wide:
+        r = len(lam) + 1
+        for i, j in ((0, 0), (1, 0), (65, 1), (80, r - 1), (3, 64 + r - 1)):
+            for op in (StarOperator.adapted(i, j), StarOperator.plain(3, j)):
+                for ambient, quotient in ((70, True), (70, False), (None, True)):
+                    assert star_oracle_coords(op, lam, r, ambient,
+                                              quotient=quotient) \
+                        == _layered_coords(op, lam, r, ambient, quotient)
+
+
+def test_oracle_with_a_positive_w_form():
+    vectors = ((ZERO,) * 2 + (ONE,), _CONSTANTS)
+    for r, n in ((1, 3), (2, 4), (3, 5)):
+        for lam in partitions_in_rectangle(r, n - r + 1):
+            for w in (1, 2):
+                for vec in vectors:
+                    op = StarOperator(vec, BasisTag.DEFORMED_XC,
+                                      _PositiveWForm(w))
+                    for ambient, quotient in ((n, True), (n, False),
+                                              (None, True)):
+                        assert star_oracle_coords(op, lam, r, ambient,
+                                                  quotient=quotient) \
+                            == _layered_coords(op, lam, r, ambient, quotient)
+
+
+def test_oracle_at_the_cut_edge():
+    # lambda_1 = n - r puts the top wedge index at n - 1, the last bit the
+    # quotient keeps; X^(n-1) and X^n land on either side of the cut
+    for n in range(2, 7):
+        for r in range(1, min(n, 3) + 1):
+            for lam in partitions_in_rectangle(r, n - r):
+                if lam.part(1) != n - r:
+                    continue
+                assert wedge_indices(lam, r)[0] == n - 1
+                for i in range(n + 1):
+                    for j in range(n + 1):
+                        for op in (StarOperator.adapted(i, j),
+                                   StarOperator.plain(i, j)):
+                            for ambient, quotient in ((n, True), (n, False),
+                                                      (None, True)):
+                                assert star_oracle_coords(
+                                    op, lam, r, ambient, quotient=quotient) \
+                                    == _layered_coords(op, lam, r, ambient,
+                                                       quotient)
+
+
 @st.composite
 def oracle_cases(draw):
     r = draw(st.integers(1, 6))
@@ -652,9 +713,10 @@ def test_oracle_keeps_the_exceptions_of_the_exterior_layer(monkeypatch):
         star_oracle_coords(op, Partition((1, 1)), 1, 4)
     with pytest.raises(ValueError, match="longer than r=0"):
         star_oracle_coords(op, Partition((1,)), 0)
-    # indices below n always read back inside the rectangle; the check
-    # stands guard over the index map
-    monkeypatch.setattr(gl, "partition_of_indices", lambda idx: Partition((9,)))
+    # diagrams below bit n always read back inside the rectangle; the check
+    # stands guard over the read-off
+    gl.partition_of_mask.cache_clear()
+    monkeypatch.setattr(gl, "partition_of_mask", lambda mask: Partition((9,)))
     adapted = StarOperator.adapted(2, 1)
     with pytest.raises(WindowViolation, match="outside the 2x2 rectangle"):
         star_oracle_coords(adapted, Partition((2, 1)), 2, 4)

@@ -3,9 +3,13 @@ import pickle
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from uda.partitions import (EMPTY, Partition, partition_of_indices,
-                            partitions_in_rectangle, wedge_indices)
+from uda.exterior import DualDeltaForm, sort_indices
+from uda.partitions import (EMPTY, Partition, maya_mask, partition_of_indices,
+                            partition_of_mask, partitions_in_rectangle,
+                            wedge_indices)
+from uda.poly import _frozen
 
 
 def test_trailing_zeros_normalised():
@@ -87,6 +91,7 @@ def test_copies_and_pickles_rebuild_the_partition():
     for copied in (copy.copy(lam), copy.deepcopy(lam),
                    pickle.loads(pickle.dumps(lam))):
         assert copied == lam and hash(copied) == hash(lam)
+        assert type(copied) is Partition and type(copied.parts) is tuple
         assert copied.parts == (3, 1, 1)
         with pytest.raises(AttributeError):
             copied._hash = 0
@@ -94,3 +99,83 @@ def test_copies_and_pickles_rebuild_the_partition():
             copied.parts = ()
     table = {(lam, EMPTY): 1}
     assert copy.deepcopy(table) == table
+
+
+def test_memoised_partitions_stay_partitions():
+    lam = Partition((2, 1))
+    assert type(partition_of_indices((3, 1))) is Partition
+    assert type(partition_of_mask(0b1010)) is Partition
+    assert partition_of_mask(0b1010) == lam
+    # the memo tables freeze their values: a Partition must not come back
+    # as the plain tuple of its parts
+    assert type(_frozen(lam)) is Partition
+    assert type(_frozen((lam, (1, 2)))[0]) is Partition
+    assert type(_frozen({lam: lam})[lam]) is Partition
+
+
+def test_a_partition_equals_only_partitions():
+    lam = Partition((2, 1))
+    assert lam != (2, 1) and (2, 1) != lam
+    assert not lam == (2, 1) and not (2, 1) == lam
+    assert lam == Partition([2, 1, 0]) and not lam != Partition((2, 1))
+    assert hash(lam) == hash((2, 1))
+    table = {lam: 1, EMPTY: 0}
+    assert (2, 1) not in table and () not in table
+    assert table.get((2, 1)) is None and table[Partition((2, 1))] == 1
+    assert {(2, 1): 1}.get(lam) is None
+
+
+def test_repr_and_str():
+    assert repr(Partition((2, 1))) == "Partition(2, 1)"
+    assert repr(EMPTY) == "Partition()"
+    assert str(Partition((2, 1))) == "(2,1)"
+    assert str(EMPTY) == "()"
+
+
+def test_order_is_size_then_parts():
+    for rows in range(5):
+        for cols in range(5):
+            ps = partitions_in_rectangle(rows, cols)
+            want = sorted(ps, key=lambda p: (sum(p), tuple(p)))
+            assert sorted(ps) == want
+            assert sorted(reversed(ps)) == want
+            for a, b in zip(want, want[1:]):
+                assert a < b and b > a and a <= b and b >= a
+                assert not (b < a or a > b or b <= a or a >= b)
+    assert Partition((3,)) > Partition((1, 1)) and EMPTY <= EMPTY >= EMPTY
+
+
+@st.composite
+def decreasing_indices(draw):
+    """Strictly decreasing indices, r <= 8, up to 200: wider than a word."""
+    return tuple(sorted(draw(st.sets(st.integers(0, 200), max_size=8)),
+                        reverse=True))
+
+
+@settings(max_examples=200, deadline=None)
+@given(decreasing_indices(), st.integers(0, 202))
+def test_maya_diagrams_match_the_index_tuples(idx, k):
+    r = len(idx)
+    mask = sum(1 << i for i in idx)
+    lam = partition_of_indices(idx)
+    assert partition_of_mask(mask) == lam
+    assert maya_mask(lam, r) == mask
+    # contracting slot s: X^idx[s] moved to the front of the rest, with the
+    # sign of the bits set above it, which is (-1)^s
+    for s, i in enumerate(idx):
+        rest = mask ^ 1 << i
+        assert (rest >> i + 1).bit_count() == s
+        assert sort_indices((i,) + idx[:s] + idx[s + 1:]) \
+            == (idx, -1 if s % 2 else 1)
+        assert DualDeltaForm(i).own_slot(mask) == s
+    # wedging X^k: zero if bit k is set, else the sign of the bits above k
+    merged = sort_indices((k,) + idx)
+    if mask >> k & 1:
+        assert merged is None
+    else:
+        assert DualDeltaForm(k).own_slot(mask) is None
+        above = (mask >> k + 1).bit_count()
+        assert merged == (tuple(sorted(idx + (k,), reverse=True)),
+                          -1 if above % 2 else 1)
+        assert partition_of_mask(mask | 1 << k) == partition_of_indices(
+            merged[0])
