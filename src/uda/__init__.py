@@ -5,7 +5,7 @@ matrices over the coefficient ring acts on the universal decomposition
 algebra of the generic monic polynomial: Schur determinants in deformed
 complete functions, the exterior-module star action (the brute-force
 oracle), the closed-form generating functions that package every operator
-image at once, and the signed index substitution that serves the quotient.
+image at once, and the matrix units that serve the quotient.
 All operations are pure.  A value a call builds belongs to the caller; a
 value a cache hands out is read-only (see ``poly.memo``).
 """

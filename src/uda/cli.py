@@ -29,11 +29,11 @@ from functools import partial
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from .errors import AlgebraError
-from .glaction import (StarOperator, _matrix_unit, generating_action,
-                       generating_action_adapted, generating_action_finite,
-                       rep_matrix, star_oracle_coords, universal_factorization)
+from .glaction import (generating_action, generating_action_adapted,
+                       generating_action_finite, operator_image, rep_matrix,
+                       universal_factorization)
 from .module_iso import schur_map_to_poly
-from .partitions import Partition, wedge_indices
+from .partitions import Partition
 from .poly import MvPolynomial, _PerMonomial, _TextTable, var_name
 from .symfunc import giambelli, giambelli_term_bound
 from .verify import SUITES
@@ -184,30 +184,59 @@ GIAMBELLI_MAX_TERMS = 50_000
 # ``giambelli_term_bound``, which is as long as |lam|
 GIAMBELLI_MAX_INDEX = 5_000
 
+# the most parts of a Schur determinant ``giambelli`` expands: the bound of
+# lam is at least that of the column 1^len(lam) (add lam_i - 1 to row i of
+# each h-part of a monomial counted for the column), which is at least
+# p(len(lam)), and p(42) = 53,174 exceeds GIAMBELLI_MAX_TERMS; refusing on
+# the length alone spares the term bound, which loops len(lam) * |lam| times
+GIAMBELLI_MAX_PARTS = 41
+
+
+def _check_schur_det(lam: Partition, n: int | None, name: str) -> None:
+    """Raise ``UsageError``, naming lam as ``name`` and the bound, unless
+    ``giambelli`` expands the Schur determinant of lam within its limits."""
+    top = lam.part(1) + len(lam) - 1
+    if top > GIAMBELLI_MAX_INDEX:
+        raise UsageError(f"{name} {lam} uses the variable index {top}; "
+                         f"giambelli takes indices up to {GIAMBELLI_MAX_INDEX}")
+    if len(lam) > GIAMBELLI_MAX_PARTS:
+        raise UsageError(f"{name} {lam} has {len(lam)} parts; past "
+                         f"{GIAMBELLI_MAX_PARTS} parts the term bound exceeds "
+                         f"{GIAMBELLI_MAX_TERMS}, and giambelli expands at "
+                         f"most {GIAMBELLI_MAX_TERMS}")
+    bound = giambelli_term_bound(lam, n)
+    if bound > GIAMBELLI_MAX_TERMS:
+        raise UsageError(f"{name} {lam} expands to up to {bound} terms; "
+                         f"giambelli expands at most {GIAMBELLI_MAX_TERMS}")
+
 
 def cmd_giambelli(args: argparse.Namespace) -> str:
-    top = args.lam.part(1) + len(args.lam) - 1
-    if top > GIAMBELLI_MAX_INDEX:
-        raise UsageError(f"--lambda {args.lam} uses the variable index {top}; "
-                         f"giambelli takes indices up to {GIAMBELLI_MAX_INDEX}")
-    bound = giambelli_term_bound(args.lam, args.n)
-    if bound > GIAMBELLI_MAX_TERMS:
-        raise UsageError(f"--lambda {args.lam} expands to up to {bound} terms; "
-                         f"giambelli expands at most {GIAMBELLI_MAX_TERMS}")
+    _check_schur_det(args.lam, args.n, "--lambda")
     delta = giambelli(args.lam, args.r, args.n)
     if args.output == "json":
         return _json_doc({"partition": args.lam.to_json(), "value": delta})
     return f"Delta_{args.lam} (r={args.r}, n={args.n}) = {delta}\n"
 
 
+def _check_widths(lam: Partition, *named: tuple[str, int]) -> None:
+    """Refuse, before any algebra, a named operator index or a variable index
+    of lam above ``GIAMBELLI_MAX_INDEX``: the operators and the Maya diagram
+    of lam are as wide as these indices."""
+    for name, val in (*named, ("the variable index of --lambda",
+                               lam.part(1) + len(lam) - 1)):
+        if val > GIAMBELLI_MAX_INDEX:
+            raise UsageError(f"{name} must be at most {GIAMBELLI_MAX_INDEX}, "
+                             f"the giambelli index bound, got {val}")
+
+
 def cmd_act(args: argparse.Namespace) -> str:
+    _check_widths(args.lam, ("--i", args.i), ("--j", args.j))
     quotient = args.n is not None and args.project
-    if args.dual == "s":   # the matrix unit E_ij, in and out of the quotient
-        image = _matrix_unit(args.i, args.j, wedge_indices(args.lam, args.r))
-        coords = {} if image is None else dict([image])
-    else:
-        coords = star_oracle_coords(StarOperator.plain(args.i, args.j), args.lam,
-                                    args.r, args.n, quotient=quotient)
+    coords = operator_image(args.i, -args.j, args.lam, args.r, args.n,
+                            "adapted" if args.dual == "s" else "plain",
+                            quotient=quotient)
+    for mu in coords:
+        _check_schur_det(mu, args.n, "the image's partition")
     value = schur_map_to_poly(coords, args.r, args.n)
     if args.output == "json":
         schur = [{"partition": mu.to_json(), "coeff": str(coords[mu])}
@@ -231,6 +260,7 @@ def _action_text(res) -> str:
 
 
 def cmd_genfun(args: argparse.Namespace) -> str:
+    _check_widths(args.lam)
     if args.project:
         if args.n is None:
             raise UsageError("projected genfun needs --n (use --no-project otherwise)")

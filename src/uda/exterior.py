@@ -21,18 +21,18 @@ to ``poly._sum_by_key``, the one term loop; only the oracle
 (``glaction.star_oracle_coords``) sums inline, because its requests are too
 small to pay for a call, and it contracts and wedges on Maya diagrams, not
 index tuples.  ``convert_basis`` expands the factors from last to first,
-inserting each in front of the ones converted so far (``_insert_index``,
-which ``glaction._matrix_unit`` shares), so that terms with the same
-factors left are summed once.
+inserting each in front of the ones converted so far (``_insert_index``),
+so that terms with the same factors left are summed once.
 
 Contraction of a linear form against a wedge expands as the alternating sum
 over slots, slot i carrying sign (-1)^(i-1); the slot removed contributes
-the form's value on that factor.  A delta form in its own basis is nonzero
-on one slot at most, which ``_IndexForm.own_slot`` finds from the Maya
-diagram: the number of bits set above bit j.  ``w_value`` collects the
-values of all coordinate forms on one deformed basis vector into a Laurent
-polynomial in w; those Laurent polynomials make up the first row of the
-closed-form determinant (``glaction.mixed_schur_det``).
+the form's value on that factor.  A form lists its nonzero slots from the
+wedge's Maya diagram (``LinearForm.slots``), the slot of X^i being the
+number of bits set above bit i; a delta form in its own basis reads its one
+slot at most off bit j.  ``w_value`` collects the values of all coordinate
+forms on one deformed basis vector into a Laurent polynomial in w; those
+Laurent polynomials make up the first row of the closed-form determinant
+(``glaction.mixed_schur_det``).
 
 The residue calculus expands a fraction f(X)/p_r(X) as a Laurent series in
 1/X (the denominator contributes X^-r times the complete-function series)
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import enum
 from itertools import chain
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .bilaurent import BiLaurent
 from .determinant import exact_det
@@ -292,26 +292,25 @@ def reduce_mod_n(u: ExtElement, n: int) -> ExtElement:
 
 
 class LinearForm:
-    """A coordinate linear form on the module, evaluable in either basis.
-
-    ``_own`` names the basis on whose vectors the form is 1 on one vector
-    and 0 on the rest, if there is one (see ``_IndexForm``).
-    """
-
-    _own: BasisTag | None = None
+    """A coordinate linear form on the module, evaluable in either basis."""
 
     def value(self, i: int, tag: BasisTag, n: int | None) -> MvPolynomial:
         raise NotImplementedError
 
-    def slots(self, idx: Indices, tag: BasisTag, n: int | None
-              ) -> list[tuple[int, MvPolynomial]]:
-        """``(slot, value)`` for each factor of the wedge ``idx`` on which
-        the form is nonzero, in slot order."""
+    def slots(self, state: int, tag: BasisTag, n: int | None
+              ) -> Sequence[tuple[int, int, MvPolynomial]]:
+        """``(index, slot, value)`` for each factor X^index of the wedge whose
+        Maya diagram is ``state`` on which the form is nonzero, in slot
+        order."""
         out = []
-        for slot, i in enumerate(idx):
+        slot = 0
+        while state:
+            i = state.bit_length() - 1
+            state ^= 1 << i
             val = self.value(i, tag, n)
             if val:
-                out.append((slot, val))
+                out.append((i, slot, val))
+            slot += 1
         return out
 
 
@@ -320,6 +319,7 @@ class _IndexForm(LinearForm):
     ``_own`` if it has one; forms of one class and j are equal."""
 
     __slots__ = ("j",)
+    _own: BasisTag | None = None
 
     def __init__(self, j: int):
         if j < 0:
@@ -337,19 +337,12 @@ class _IndexForm(LinearForm):
     def __repr__(self):
         return f"{self.__class__.__name__}({self.j})"
 
-    def slots(self, idx: Indices, tag: BasisTag, n: int | None
-              ) -> list[tuple[int, MvPolynomial]]:
-        if tag is self._own:   # one factor at most, valued 1
-            slot = self.own_slot(sum(1 << i for i in idx))
-            return [] if slot is None else [(slot, ONE)]
-        return super().slots(idx, tag, n)
-
-    def own_slot(self, state: int) -> int | None:
-        """The slot valued 1 of a wedge of ``_own`` vectors whose indices are
-        the set bits of ``state`` (its Maya diagram): the number of bits
-        set above bit j, or None if bit j is clear."""
-        j = self.j
-        return (state >> j + 1).bit_count() if state >> j & 1 else None
+    def slots(self, state: int, tag: BasisTag, n: int | None
+              ) -> Sequence[tuple[int, int, MvPolynomial]]:
+        if tag is not self._own:
+            return super().slots(state, tag, n)
+        j = self.j   # bit j alone, valued 1
+        return ((j, (state >> j + 1).bit_count(), ONE),) if state >> j & 1 else ()
 
 
 class DeltaForm(_IndexForm):
@@ -402,7 +395,7 @@ def contract(form: LinearForm, u: ExtElement, n: int | None = None) -> ExtElemen
     return ExtElement._of(u.r - 1, u.tag, _sum_by_key(
         (idx[:slot] + idx[slot + 1:], coeff, -val if slot % 2 else val)
         for idx, coeff in u.terms.items()
-        for slot, val in form.slots(idx, u.tag, n)))
+        for _, slot, val in form.slots(sum(1 << i for i in idx), u.tag, n)))
 
 
 def w_value(j: int, n: int | None) -> BiLaurent:

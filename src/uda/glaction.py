@@ -7,16 +7,15 @@ module isomorphism.  ``star_oracle`` does exactly that, slot by slot; it is
 deliberately brute force and serves as the independent reference for the
 closed forms below.
 
-Every generating function is served as a table of operator images.  The
-adapted operator X^i(c) (x) del^j(s) is the matrix unit E_ij on the r-th
-exterior power of the deformed basis; ``_matrix_unit`` forms its image, a
-signed basis element or zero, by index substitution on the wedge indices
-of lam, and serves ``quotient_action``, ``rep_matrix``, ``bracket_check``
-and the adapted tables.  The oracle serves the rest: the plain operator
-X^i (x) del^j, a Z[c]-combination of matrix units, and X^i(c) (x) phi_k,
-where phi_k values X^m at s_{m+k}(c), whose image is the coefficient at
-z^i w^k, k > 0, of the adapted form; phi_k is none of the forms del^j(s),
-and the image does not vanish under projection.
+Every generating function is served as a table of operator images, each
+from the route that ``operator_image`` names.  The adapted operator X^i(c)
+(x) del^j(s) is the matrix unit E_ij on the r-th exterior power of the
+deformed basis; ``_matrix_unit`` forms its image, a signed basis element or
+zero, by moving one bit of the Maya diagram of lam.  The oracle serves the
+rest: the plain operator X^i (x) del^j, a Z[c]-combination of matrix units,
+and X^i(c) (x) phi_k, where phi_k values X^m at s_{m+k}(c), whose image is
+the coefficient at z^i w^k, k > 0, of the adapted form; phi_k is none of
+the forms del^j(s), and the image does not vanish under projection.
 
 The closed forms package all operator images at once and check those
 tables.  The kernel is an r x r determinant: first row the deformed
@@ -44,11 +43,10 @@ from .bilaurent import BiLaurent
 from .determinant import exact_det
 from .errors import DegreeZeroError, WindowViolation
 from .exterior import (BasisTag, DeltaForm, DualDeltaForm, LinearForm,
-                       _PositiveWForm, _insert_index, w_value, x_in_xc)
+                       _PositiveWForm, w_value, x_in_xc)
 from .module_iso import quotient_project, schur_map_of_poly, schur_map_to_poly
-from .partitions import (Partition, maya_mask, partition_of_indices,
-                         partition_of_mask, partitions_in_rectangle,
-                         wedge_indices)
+from .partitions import (Partition, maya_mask, partition_of_mask,
+                         partitions_in_rectangle)
 from .poly import MvPolynomial, ONE, ZERO, _sum_by_key, memo, series_mul
 from .schubert import sigma_bar_minus_h
 from .symfunc import (c_series_coeffs, generic_factor_poly,
@@ -148,10 +146,9 @@ def star_oracle_coords(op: StarOperator, lam: Partition, r: int,
     of bits set above it.  Each index k of the deformed vector is then
     wedged in: zero if bit k is set, else the bit is set with the sign of
     the bits above k.  The quotient drops every diagram with a bit at or
-    above n, and ``partition_of_mask`` reads the survivors back.  A form
-    with an own basis (``DualDeltaForm`` here) finds its one slot from the
-    diagram (``own_slot``); any other form answers ``slots`` on the wedge
-    indices, and slot s is index ``idx[s]``.  When the vector coefficient
+    above n, and ``partition_of_mask`` reads the survivors back.  The form
+    names its nonzero slots from the diagram (``LinearForm.slots``), one
+    at most for a form in its own basis.  When the vector coefficient
     and the form's value are both ``ONE``, as for every adapted operator
     X^i(c) (x) del^j(s), the image is a sign and is formed as a new constant
     1 or -1 without polynomial products; every coefficient returned is a
@@ -168,15 +165,7 @@ def star_oracle_coords(op: StarOperator, lam: Partition, r: int,
         raise DegreeZeroError("cannot contract a degree-zero element")
     state = maya_mask(lam, r)
     cut = n if n is not None and quotient else None
-    form = op.form
-    # (state with the slot's bit cleared, slot, form's value)
-    if form._own is _DEFORMED:
-        slot = form.own_slot(state)
-        picks = () if slot is None else ((state ^ 1 << form.j, slot, ONE),)
-    else:
-        idx = wedge_indices(lam, r)
-        picks = [(state ^ 1 << idx[slot], slot, val)
-                 for slot, val in form.slots(idx, _DEFORMED, n)]
+    picks = op.form.slots(state, _DEFORMED, n)
     # a plain vector is converted first, so its errors still surface
     if op.vector_tag is _DEFORMED:
         vector = op._terms
@@ -191,7 +180,8 @@ def star_oracle_coords(op: StarOperator, lam: Partition, r: int,
     # microseconds, so one more call or generator per request would show
     coords: dict[Partition, MvPolynomial] = {}
     for k, a in vector:
-        for rest, slot, val in picks:
+        for i, slot, val in picks:
+            rest = state ^ 1 << i
             if rest >> k & 1:
                 continue
             merged = rest | 1 << k
@@ -324,17 +314,31 @@ def _closed_form(lam: Partition, r: int, ambient: int | None, ztop: int,
     return prod.restrict((0, ztop) + prod.window[2:])
 
 
+def operator_image(i: int, w: int, lam: Partition, r: int, n: int | None,
+                   dual: str, *, quotient: bool
+                   ) -> dict[Partition, int | MvPolynomial]:
+    """Schur coordinates of lam's image under the operator at z^i w^w of the
+    ``dual`` ("plain" or "adapted") form: the matrix unit E_ij at w = -j for
+    "adapted", else the oracle's X^i (x) del^j or, at w = k > 0, X^i(c) (x)
+    phi_k.  A matrix unit is the same in and out of the quotient."""
+    if w <= 0 and dual == "adapted":
+        image = _matrix_unit(i, -w, maya_mask(lam, r))
+        return {} if image is None else dict([image])
+    op = StarOperator.plain(i, -w) if w <= 0 else StarOperator(
+        (ZERO,) * i + (ONE,), _DEFORMED, _PositiveWForm(w))
+    return star_oracle_coords(op, lam, r, n, quotient=quotient)
+
+
 def _image_table(lam: Partition, r: int, n: int | None, dual: str,
                  window: tuple[int, int | None, int]
                  ) -> dict[tuple[int, int], dict[Partition, int | MvPolynomial]]:
-    """The nonzero images of the operators in ``window``, keyed (i, w): at
-    w = -j a matrix unit (adapted) or the oracle's image (plain), at w = k > 0
-    the oracle's X^i(c) (x) phi_k.  Every image below w^-(r-1+lam_1) is zero;
-    a window that misses [-(r-1+lam_1), max(wmax, 0)] raises ``ValueError``."""
+    """The nonzero images (``operator_image``, out of the quotient) of the
+    operators in ``window``, keyed (i, w).  Every image below
+    w^-(r-1+lam_1) is zero; a window that misses [-(r-1+lam_1), max(wmax,
+    0)] raises ``ValueError``."""
     zmax, wmin, wmax = window
     if zmax < 0:
         raise ValueError("zmax must be nonnegative")
-    idx = wedge_indices(lam, r)
     wlo = -(r - 1 + lam.part(1))
     asked = wlo if wmin is None else wmin
     if max(wlo, asked) > wmax:
@@ -343,15 +347,7 @@ def _image_table(lam: Partition, r: int, n: int | None, dual: str,
     table = {}
     for i in range(zmax + 1):
         for w in range(wmax, max(wlo, asked) - 1, -1):
-            if w > 0:
-                op = StarOperator((ZERO,) * i + (ONE,), _DEFORMED, _PositiveWForm(w))
-                coords = star_oracle_coords(op, lam, r, n, quotient=False)
-            elif dual == "adapted":
-                image = _matrix_unit(i, -w, idx)
-                coords = {} if image is None else dict([image])
-            else:
-                coords = star_oracle_coords(StarOperator.plain(i, -w), lam, r, n,
-                                            quotient=False)
+            coords = operator_image(i, w, lam, r, n, dual, quotient=False)
             if coords:
                 table[(i, w)] = coords
     return table
@@ -459,25 +455,24 @@ class RepMatrix(_Record):
                 "entries": cells}
 
 
-def _matrix_unit(i: int, j: int, idx: tuple[int, ...]
-                 ) -> tuple[Partition, int] | None:
-    """E_ij on the basis wedge with the decreasing indices ``idx``.
+def _matrix_unit(i: int, j: int, state: int) -> tuple[Partition, int] | None:
+    """E_ij on the basis wedge whose Maya diagram is ``state`` (``maya_mask``).
 
-    del^j(s) removes the index j from its slot s (sign (-1)^s), X^i(c) is
-    wedged in front, and sorting it into place flips the sign once per
-    remaining index above i.  The answer is (mu, 1), (mu, -1) or None.
-
-    In the fermionic reading of Date, Jimbo, Kashiwara and Miwa the indices
-    are the positions of r particles and E_ij moves the particle at j to
-    the hole at i.  On partitions this adds (i > j) or removes (i < j) a
-    border strip of |i - j| cells whose height is the number of particles
-    strictly between i and j, and the sign is (-1)^height.
+    In the fermionic reading of Date, Jimbo, Kashiwara and Miwa the set bits
+    are the positions of r particles, and E_ij moves the particle at j to
+    the hole at i: del^j(s) clears bit j and X^i(c) sets bit i.  The sign is
+    (-1)^height, height being the number of particles strictly between i
+    and j.  On partitions this adds (i > j) or removes (i < j) a border
+    strip of |i - j| cells and that height.  The answer is (mu, 1),
+    (mu, -1) or None, when bit j is clear or bit i is taken.
     """
-    if j not in idx or (i != j and i in idx):
+    rest = state ^ 1 << j
+    if not state >> j & 1 or rest >> i & 1:
         return None
-    slot = idx.index(j)
-    merged, above = _insert_index(i, idx[:slot] + idx[slot + 1:])
-    return partition_of_indices(merged), -1 if (slot + above) % 2 else 1
+    # bits i and j of rest are clear, so the counts above them differ by
+    # the height
+    odd = (rest >> i).bit_count() + (rest >> j).bit_count() & 1
+    return partition_of_mask(rest | 1 << i), -1 if odd else 1
 
 
 def quotient_action(i: int, j: int, lam: Partition, r: int, n: int
@@ -490,13 +485,13 @@ def quotient_action(i: int, j: int, lam: Partition, r: int, n: int
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
     if not lam.fits_rectangle(r, n - r):
         raise ValueError(f"partition {lam} does not fit {r}x{n - r}")
-    return _matrix_unit(i, j, wedge_indices(lam, r))
+    return _matrix_unit(i, j, maya_mask(lam, r))
 
 
 def rep_matrix(i: int, j: int, r: int, n: int) -> RepMatrix:
     """Representation matrix of X^i(c) (x) del^j(s) on the quotient basis.
 
-    Each column is one signed index substitution (``quotient_action``), so
+    Each column is one bit move on a Maya diagram (``quotient_action``), so
     every entry is 1 or -1 and no polynomial arithmetic is done; the closed
     form and the oracle remain as cross-checks in the tests and suites.
     """

@@ -13,7 +13,9 @@ The wedge basis element of lam at rank r has the indices
 lam_j + r - j, j = 1..r (``wedge_indices``).  In the fermionic reading of
 Date, Jimbo, Kashiwara and Miwa these are the positions of r particles, a
 Maya diagram, held here as an int with one bit per particle
-(``maya_mask``); ``partition_of_mask`` reads a diagram back.
+(``maya_mask``); ``partition_of_mask`` reads a diagram back.  Every
+operator image is formed on the diagram; the index tuples serve the
+exterior layer, the reference the tests check those images against.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ Each suite checks one family of identities from the paper and yields one
 ``(passed, label)`` pair per check: the golden values, the duality of
 X^i(c) and del^j(s), the ideal generators h_{n-r+k}(c) acting as zero, the
 universal factorization, the agreement of the closed form, the oracle and
-the index substitution, and the gl_n commutator law [E_ab, E_cd] on the
+the matrix unit, and the gl_n commutator law [E_ab, E_cd] on the
 quotient.  Every suite takes ``(r, n)``; the ones with fixed inputs ignore
 them.  ``SUITES`` holds them in the order ``--suite all`` runs them.
 """
@@ -72,7 +72,7 @@ def factorize(r: int, n: int) -> Checks:
 
 
 def oracle(r: int, n: int) -> Checks:
-    """The closed form, the oracle and the index substitution agree."""
+    """The closed form, the oracle and the matrix unit agree."""
     for lam in partitions_in_rectangle(r, n - r):
         closed = _finite_closed_form(lam, r, n)
         for i in range(n):

@@ -10,7 +10,7 @@ from uda.exterior import BasisTag, ExtElement
 from uda.glaction import (StarOperator, _finite_closed_form, bracket_check,
                           generating_action_adapted, star_oracle_coords)
 from uda.module_iso import poly_to_wedge, wedge_to_poly
-from uda.partitions import Partition
+from uda.partitions import Partition, wedge_indices
 from uda.poly import _MEMO_TABLES, MvPolynomial, e_, h_
 from uda.symfunc import giambelli
 
@@ -39,6 +39,7 @@ def _fill_every_table():
     star_oracle_coords(StarOperator.adapted(1, 0), Partition((1,)), 2, 4)
     star_oracle_coords(StarOperator.plain(2, 1), Partition((1,)), 2, 4)
     generating_action_adapted(Partition((1,)), 2, 4, 1, wmax=1)   # phi_1
+    wedge_indices(Partition((1,)), 2)   # no operator image reads index tuples
 
 
 def test_clear_caches_empties_every_memo_table():

@@ -21,7 +21,7 @@ from uda.glaction import (StarOperator, generating_action_finite,
                           star_oracle_coords)
 from uda.partitions import Partition
 from uda.poly import FAM_C, FAM_E, FAM_H, MvPolynomial, ONE, ZERO
-from uda.symfunc import giambelli
+from uda.symfunc import giambelli, giambelli_term_bound
 
 
 def run_cli(capsys, *args):
@@ -663,3 +663,110 @@ def test_giambelli_at_the_variable_index_limit_finishes():
     assert (proc.returncode, proc.stderr) == (0, "")
     assert len(json.loads(proc.stdout)["value"]["terms"]) == 5_001
     assert cpu < 5.0
+
+
+def test_giambelli_refuses_many_parts_before_the_term_bound(capsys):
+    # 150^150 is inside the index limit, and its term bound alone loops
+    # len(lam) * |lam| times (1.4 s); past GIAMBELLI_MAX_PARTS parts the
+    # length refuses it at once
+    lam = ",".join(["150"] * 150)
+    start = time.process_time()
+    code, out, err = run_cli(capsys, "giambelli", "--r", "150", "--lambda", lam)
+    assert time.process_time() - start < 0.1
+    assert (code, out) == (1, "")
+    assert err == (f"error: --lambda ({lam}) has 150 parts; past 41 parts the "
+                   f"term bound exceeds 50000, and giambelli expands at most "
+                   f"50000\n")
+
+
+def test_the_parts_limit_is_the_longest_column_under_the_term_limit():
+    # the bound of lam is at least that of the column 1^len(lam), which at
+    # n = 0 is p(len(lam)): p(41) = 44,583 fits, p(42) = 53,174 does not
+    assert cli.GIAMBELLI_MAX_PARTS == 41
+    column = Partition((1,) * cli.GIAMBELLI_MAX_PARTS)
+    assert giambelli_term_bound(column, 0) == 44_583 <= cli.GIAMBELLI_MAX_TERMS
+    longer = Partition((1,) * (cli.GIAMBELLI_MAX_PARTS + 1))
+    assert giambelli_term_bound(longer, 0) == 53_174 > cli.GIAMBELLI_MAX_TERMS
+
+
+@pytest.mark.parametrize("n", [None, 0, 1, 3])
+def test_the_parts_refusal_decides_as_the_term_bound(n):
+    # every lam with parts at most 2 and 36 to 46 parts, and every lam in a
+    # 6 x 6 box: refused exactly when the term bound is over the limit, and
+    # never bounded below the column of its length
+    lams = [Partition((2,) * twos + (1,) * (rows - twos))
+            for rows in range(36, 47) for twos in range(rows + 1)]
+    lams += uda.partitions_in_rectangle(6, 6)
+    for lam in lams:
+        bound = giambelli_term_bound(lam, n)
+        assert bound >= giambelli_term_bound(Partition((1,) * len(lam)), n)
+        try:
+            cli._check_schur_det(lam, n, "--lambda")
+        except UsageError:
+            refused = True
+        else:
+            refused = False
+        assert refused == (bound > cli.GIAMBELLI_MAX_TERMS), lam
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("act", "--lambda", "1", "--i", "6000", "--j", "0", "--dual", "s",
+      "--output", "json"), "--i must be at most 5000, the giambelli index "
+                           "bound, got 6000"),
+    (("act", "--lambda", "1", "--i", "20000", "--j", "0", "--dual", "s"),
+     "--i must be at most 5000, the giambelli index bound, got 20000"),
+    (("act", "--lambda", "1", "--i", "100000000000", "--j", "0"),   # MemoryError once
+     "--i must be at most 5000, the giambelli index bound, got 100000000000"),
+    (("act", "--i", "0", "--j", "5001"),
+     "--j must be at most 5000, the giambelli index bound, got 5001"),
+    (("act", "--lambda", "5000,4", "--i", "0", "--j", "0", "--dual", "s"),
+     "the variable index of --lambda must be at most 5000, the giambelli "
+     "index bound, got 5001"),
+    (("act", "--lambda", "1", "--i", "5000", "--j", "0", "--dual", "s"),
+     "the image's partition (4999,2) expands to up to 5220842500 terms; "
+     "giambelli expands at most 50000"),
+    (("genfun", "--lambda", "5001", "--no-project", "--zmax", "0"),
+     "the variable index of --lambda must be at most 5000, the giambelli "
+     "index bound, got 5001"),
+], ids=["i-6000", "i-20000", "i-1e11", "j-5001", "lambda-5001", "image-terms",
+        "genfun-lambda-5001"])
+def test_act_refuses_what_giambelli_would_refuse(capsys, argv, message):
+    # genfun builds the diagram of lam too, and takes the same lam
+    start = time.process_time()
+    code, out, err = run_cli(capsys, argv[0], "--r", "2", *argv[1:])
+    assert time.process_time() - start < 0.5   # refused before any algebra
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_act_refuses_an_image_of_many_parts(capsys):
+    # E_00 keeps 1^44, whose determinant giambelli refuses by its length
+    lam = ",".join(["1"] * 44)
+    start = time.process_time()
+    code, out, err = run_cli(capsys, "act", "--r", "45", "--lambda", lam,
+                             "--i", "0", "--j", "0", "--dual", "s")
+    assert time.process_time() - start < 0.1
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: the image's partition ({lam}) has 44 parts")
+
+
+def test_act_at_the_index_limit_finishes():
+    # E_{5000,4999} moves lam = (4999) to (5000), whose determinant, h_5000,
+    # is the one of test_giambelli_at_the_variable_index_limit_finishes; the
+    # zero image of an empty slot at 5000 needs no algebra at all
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    before = os.times()
+    proc = subprocess.run(
+        [sys.executable, "-m", "uda.cli", "act", "--r", "1", "--lambda", "4999",
+         "--i", "5000", "--j", "4999", "--dual", "s", "--output", "json"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    after = os.times()
+    cpu = (after.children_user + after.children_system
+           - before.children_user - before.children_system)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    doc = json.loads(proc.stdout)
+    assert doc["schur"] == [{"partition": [5000], "coeff": "1"}]
+    assert len(doc["value"]["terms"]) == 5_001
+    assert cpu < 5.0
+    assert main(["act", "--r", "2", "--i", "5000", "--j", "5000",
+                 "--dual", "s"]) == 0

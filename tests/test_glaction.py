@@ -1,11 +1,15 @@
 import json
 import pickle
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import uda
+import uda.cli as cli
+import uda.exterior as exterior
 import uda.glaction as gl
 from uda.bilaurent import BiLaurent
 from uda.errors import DegreeZeroError, WindowViolation
@@ -20,7 +24,7 @@ from uda.glaction import (ActionResult, RepMatrix, StarOperator, _closed_form,
                           star_oracle, star_oracle_coords,
                           universal_factorization)
 from uda.module_iso import quotient_project, schur_map_of_poly
-from uda.partitions import (EMPTY, Partition, partition_of_indices,
+from uda.partitions import (EMPTY, Partition, maya_mask, partition_of_indices,
                             partitions_in_rectangle, wedge_indices)
 from uda.poly import FAM_C, MvPolynomial, ONE, ZERO, c_, e_, h_
 from uda.symfunc import e_series_coeffs, e_to_h_rewrite, h_deformed
@@ -469,10 +473,19 @@ def _border_strip_height(outer, inner, r):
     return len({a for a, _ in cells}) - 1 if seen == cells else None
 
 
+@st.composite
+def _matrix_unit_cases(draw):
+    """(r, parts, i, j) with r <= 4, on diagrams up to bit 9 or bit 74 (past
+    a word); j is drawn from the particles half of the time."""
+    r, top = draw(st.integers(1, 4)), draw(st.sampled_from([5, 70]))
+    parts = draw(st.lists(st.integers(0, top), min_size=r, max_size=r))
+    idx = wedge_indices(Partition(sorted(parts, reverse=True)), r)
+    index = st.integers(0, top + 4)
+    return r, parts, draw(index), draw(st.sampled_from(idx) | index)
+
+
 @settings(max_examples=400, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda r: st.tuples(
-    st.just(r), st.lists(st.integers(0, 5), min_size=r, max_size=r),
-    st.integers(0, 9), st.integers(0, 9))))
+@given(_matrix_unit_cases())
 def test_matrix_unit_moves_a_border_strip(case):
     # the particle at j jumps to the hole at i: lam gains (i > j) or loses
     # (i < j) a border strip of |i - j| cells, one row per particle jumped
@@ -480,7 +493,7 @@ def test_matrix_unit_moves_a_border_strip(case):
     r, parts, i, j = case
     lam = Partition(sorted(parts, reverse=True))
     idx = wedge_indices(lam, r)
-    image = _matrix_unit(i, j, idx)
+    image = _matrix_unit(i, j, maya_mask(lam, r))
     assert (image is None) == (j not in idx or (i != j and i in idx))
     if image is None:
         return
@@ -748,10 +761,60 @@ def test_the_oracle_uses_no_other_route(monkeypatch):
 
     for name in ("quotient_action", "rep_matrix", "_signs", "_closed_form",
                  "_finite_closed_form", "generating_action",
-                 "generating_action_adapted", "generating_action_finite"):
+                 "generating_action_adapted", "generating_action_finite",
+                 "_matrix_unit", "operator_image"):
         monkeypatch.setattr(gl, name, refuse)
     assert [star_oracle_coords(op, lam, 2, 4)
             for op in ops for lam in lams] == want
+
+
+def test_operator_images_are_formed_on_maya_diagrams_alone(capsys):
+    # no operator image, served or checked, reads the index-tuple encoding:
+    # neither memo table of it sees a call, hit or miss, and the exterior
+    # layer's index insertion never runs; every cache starts empty, so that
+    # nothing reached is hidden behind a memoised value
+    tables = (wedge_indices, partition_of_indices)
+    insert = exterior._insert_index.__code__
+    reached = []
+
+    def watch(frame, event, arg):
+        if event == "call" and frame.f_code is insert:
+            reached.append(frame.f_back.f_code.co_name)
+
+    uda.clear_caches()
+    before = [table.cache_info()[:2] for table in tables]
+    lam = Partition((2, 1))
+    sys.setprofile(watch)
+    try:
+        rep_matrix(2, 0, 2, 4)
+        assert bracket_check(1, 0, 0, 1, 2, 4)
+        quotient_action(3, 1, lam, 2, 4)
+        generating_action(lam, 2, 3, n=4)
+        generating_action_adapted(lam, 2, 4, 3)
+        generating_action_adapted(lam, 2, 4, 3, wmax=1)
+        generating_action_finite(Partition((1,)), 2, 4)
+        for op in (StarOperator.adapted(3, 1), StarOperator.plain(3, 2),
+                   StarOperator((ZERO, ONE), BasisTag.DEFORMED_XC,
+                                _PositiveWForm(1))):
+            star_oracle_coords(op, lam, 2, 4)
+            star_oracle_coords(op, lam, 2, 4, quotient=False)
+            star_oracle_coords(op, lam, 2)
+        for argv in (["matrix", "--r", "2", "--n", "4", "--i", "2", "--j", "0"],
+                     ["genfun", "--r", "2", "--n", "4", "--lambda", "1"],
+                     ["genfun", "--r", "2", "--n", "4", "--lambda", "2,1",
+                      "--no-project", "--zmax", "3", "--wmax", "1"],
+                     ["genfun", "--r", "2", "--lambda", "2,1", "--dual", "none",
+                      "--no-project", "--zmax", "3"],
+                     ["act", "--r", "2", "--lambda", "2,1", "--i", "3", "--j",
+                      "1", "--dual", "s", "--output", "json"],
+                     ["act", "--r", "2", "--n", "4", "--lambda", "2,1", "--i",
+                      "3", "--j", "2"]):
+            assert cli.main(argv) == 0, argv
+    finally:
+        sys.setprofile(None)
+    capsys.readouterr()
+    assert [table.cache_info()[:2] for table in tables] == before
+    assert reached == []
 
 
 @st.composite

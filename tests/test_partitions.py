@@ -5,11 +5,11 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uda.exterior import DualDeltaForm, sort_indices
+from uda.exterior import BasisTag, DualDeltaForm, sort_indices
 from uda.partitions import (EMPTY, Partition, maya_mask, partition_of_indices,
                             partition_of_mask, partitions_in_rectangle,
                             wedge_indices)
-from uda.poly import _frozen
+from uda.poly import ONE, _frozen
 
 
 def test_trailing_zeros_normalised():
@@ -167,13 +167,14 @@ def test_maya_diagrams_match_the_index_tuples(idx, k):
         assert (rest >> i + 1).bit_count() == s
         assert sort_indices((i,) + idx[:s] + idx[s + 1:]) \
             == (idx, -1 if s % 2 else 1)
-        assert DualDeltaForm(i).own_slot(mask) == s
+        assert DualDeltaForm(i).slots(mask, BasisTag.DEFORMED_XC, None) \
+            == ((i, s, ONE),)
     # wedging X^k: zero if bit k is set, else the sign of the bits above k
     merged = sort_indices((k,) + idx)
     if mask >> k & 1:
         assert merged is None
     else:
-        assert DualDeltaForm(k).own_slot(mask) is None
+        assert DualDeltaForm(k).slots(mask, BasisTag.DEFORMED_XC, None) == ()
         above = (mask >> k + 1).bit_count()
         assert merged == (tuple(sorted(idx + (k,), reverse=True)),
                           -1 if above % 2 else 1)
