@@ -35,7 +35,7 @@ from .glaction import (generating_action, generating_action_adapted,
 from .module_iso import schur_map_to_poly
 from .partitions import Partition
 from .poly import MvPolynomial, _PerMonomial, _TextTable, var_name
-from .symfunc import giambelli, giambelli_term_bound
+from .symfunc import giambelli, giambelli_h_term_count, giambelli_term_bound
 from .verify import SUITES
 
 
@@ -204,6 +204,10 @@ def _check_schur_det(lam: Partition, n: int | None, name: str) -> None:
                          f"{GIAMBELLI_MAX_PARTS} parts the term bound exceeds "
                          f"{GIAMBELLI_MAX_TERMS}, and giambelli expands at "
                          f"most {GIAMBELLI_MAX_TERMS}")
+    count = giambelli_h_term_count(lam)
+    if count > GIAMBELLI_MAX_TERMS:
+        raise UsageError(f"{name} {lam} may expand to {count} monomials in h "
+                         f"alone; giambelli expands at most {GIAMBELLI_MAX_TERMS}")
     bound = giambelli_term_bound(lam, n)
     if bound > GIAMBELLI_MAX_TERMS:
         raise UsageError(f"{name} {lam} expands to up to {bound} terms; "
@@ -290,21 +294,37 @@ def cmd_genfun(args: argparse.Namespace) -> str:
                                     wmin=args.wmin, n=args.n)
     if args.output == "json":
         return _json_doc(res.to_json())
+    for mu in sorted({mu for coords in res.schur_form.values() for mu in coords}):
+        _check_schur_det(mu, res.n, "the image's partition")
     return _action_text(res)
+
+
+# the largest quotient ``matrix`` renders, in basis elements C(n, r): at
+# (9,18), 48,620 columns, the document takes 1.8 s of CPU as text and 2.6 s
+# and 190 MB as JSON on a 2-vCPU Xeon VM; (10,20), at 184,756, took 6.9 s
+MATRIX_MAX_DIMENSION = 50_000
 
 
 def cmd_matrix(args: argparse.Namespace) -> str:
     if args.n is None:
         raise UsageError("matrix needs --n")
+    # C(n, r) one factor at a time, stopping past the limit: math.comb
+    # alone takes 13 s at C(10^6, 5 * 10^5)
+    dim = 1
+    for t in range(min(args.r, args.n - args.r)):
+        dim = dim * (args.n - t) // (t + 1)
+        if dim > MATRIX_MAX_DIMENSION:
+            raise UsageError(f"the (r={args.r}, n={args.n}) quotient has more "
+                             f"than {MATRIX_MAX_DIMENSION} basis elements; "
+                             f"matrix renders at most {MATRIX_MAX_DIMENSION}")
     mat = rep_matrix(args.i, args.j, args.r, args.n)
     if args.output == "json":
         return _json_doc(mat.to_json())
     lines = [f"operator (i={args.i}, j={args.j}) on the {mat.dimension}-dimensional "
              f"basis of the (r={args.r}, n={args.n}) quotient"]
-    for lam in mat.basis:
-        images = [f"{mat.entries[(mu, lam)]}*D{mu}" for mu in mat.basis
-                  if (mu, lam) in mat.entries]
-        lines.append(f"D{lam} -> " + (" + ".join(images) if images else "0"))
+    # a matrix unit moves each column to one row at most: one dict, one pass
+    image = {lam: f"{q}*D{mu}" for (mu, lam), q in mat.entries.items()}
+    lines += [f"D{lam} -> {image.get(lam, '0')}" for lam in mat.basis]
     return "\n".join(lines) + "\n"
 
 

@@ -52,8 +52,8 @@ from .determinant import exact_det
 from .errors import DegreeZeroError, TagMismatch, WindowExcludesMinusOne
 from .partitions import Partition, partition_of_indices
 from .poly import (MvPolynomial, ONE, ZERO, _frozen, _sum_by_key,
-                   _sum_of_products, c_, memo)
-from .symfunc import h_symbol_series, s_coefficient
+                   _sum_of_products, memo)
+from .symfunc import c_series_coeffs, h_symbol_series, s_coefficient
 
 Indices = tuple[int, ...]
 
@@ -238,12 +238,7 @@ def xc_expand(j: int, n: int | None) -> tuple[MvPolynomial, ...]:
     """
     if j < 0:
         raise ValueError("exponent must be nonnegative")
-    out = [ZERO] * (j + 1)
-    out[j] = ONE
-    top = j if n is None else min(j, n)
-    for i in range(1, top + 1):
-        out[j - i] = -c_(i) if i % 2 else c_(i)
-    return tuple(out)
+    return tuple(reversed(c_series_coeffs(j, n)))
 
 
 @memo

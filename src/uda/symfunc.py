@@ -8,6 +8,12 @@ The five series that drive everything:
   sum_j h_j(c) z^j = c(z) * H(z)                           (deformed completes)
   s(w)   = 1 / c(w)                                        (dual-basis scaling)
 
+c(z) and E_r(z) are the one builder ``_alternating``, [1, -v1, v2, ...] cut
+at its bound, the only place the sign (-1)^i is written.  The generic f(X),
+its factor p(X) and the deformed X^j(c) (``exterior.xc_expand``) are their
+reversals; s_k and e_m (``_e_in_h``, from E(-z) = 1/H(-z)) are read off the
+reciprocals of c(w) and H(-z) = _alternating over the h's.
+
 The deformed complete function h_j(c) is computed from the generating
 identity c(z)*H(z), with the h's of H(z) kept as free symbols; this
 reproduces h1(c) = h1 - c1, h2(c) = h2 - c1*h1 + c2 and so on.  The ambient
@@ -24,29 +30,28 @@ cache (see ``_giambelli_cached``).
 from __future__ import annotations
 
 from .partitions import Partition
-from .poly import FAM_E, MvPolynomial, ONE, ZERO, _sum_of_products, c_, e_, h_, memo
+from .poly import (FAM_C, FAM_E, FAM_H, MvPolynomial, ONE, ZERO,
+                   _sum_of_products, h_, memo)
+
+
+def _alternating(fam: int, top: int | None, order: int) -> list[MvPolynomial]:
+    """[1, -v1, v2, ..., (-1)^order v_order] over the variables v_i of the
+    family ``fam``, v_i = 0 past ``top`` (None: no bound), none of which is
+    made: the one statement of the alternating sign."""
+    last = order if top is None else max(0, min(top, order))
+    vs = [MvPolynomial.variable(fam, i) for i in range(1, last + 1)]
+    return ([ONE] + [-v if i % 2 else v for i, v in enumerate(vs, 1)]
+            + [ZERO] * (order - last))
 
 
 def c_series_coeffs(order: int, n: int | None) -> list[MvPolynomial]:
     """Coefficients of c(z) through z^order (c_j = 0 beyond the ambient n)."""
-    out = [ONE]
-    for j in range(1, order + 1):
-        if n is not None and j > n:
-            out.append(ZERO)
-        else:
-            out.append(-c_(j) if j % 2 else c_(j))
-    return out
+    return _alternating(FAM_C, n, order)
 
 
 def e_series_coeffs(r: int, order: int) -> list[MvPolynomial]:
     """Coefficients of E_r(z) through z^order."""
-    out = [ONE]
-    for j in range(1, order + 1):
-        if j > r:
-            out.append(ZERO)
-        else:
-            out.append(-e_(j) if j % 2 else e_(j))
-    return out
+    return _alternating(FAM_E, r, order)
 
 
 def h_symbol_series(order: int) -> list[MvPolynomial]:
@@ -59,12 +64,9 @@ def h_deformed(j: int, n: int | None) -> MvPolynomial:
     """The deformed complete function h_j(c) = sum_i (-1)^i c_i h_{j-i}."""
     if j < 0:
         return ZERO
-    if j == 0:
-        return ONE
-    top = j if n is None else min(j, n)
-    return _sum_of_products([(ONE, h_(j))] + [
-        (-c_(i) if i % 2 else c_(i), h_(j - i) if i < j else ONE)
-        for i in range(1, top + 1)])
+    cz = c_series_coeffs(j if n is None else min(j, n), n)
+    return _sum_of_products((a, h_(j - i) if i < j else ONE)
+                            for i, a in enumerate(cz))
 
 
 @memo
@@ -76,8 +78,9 @@ def s_coefficient(k: int, n: int | None) -> MvPolynomial:
         return ONE if k == 0 else ZERO
     for m in range(k % 32, k, 32):
         s_coefficient(m, n)
-    return _sum_of_products((c_(i) if i % 2 else -c_(i), s_coefficient(k - i, n))
-                            for i in range(1, (k if n is None else min(k, n)) + 1))
+    cw = c_series_coeffs(k if n is None else min(k, n), n)
+    return -_sum_of_products((a, s_coefficient(k - i, n))
+                             for i, a in enumerate(cw) if i)
 
 
 @memo
@@ -148,13 +151,26 @@ def giambelli_term_bound(lam: Partition, n: int | None) -> int:
     return sum(hs[a] * cs[weight - a] for a in range(weight + 1))
 
 
+def giambelli_h_term_count(lam: Partition) -> int:
+    """The monomials in h alone that ``giambelli_term_bound`` counts, so a
+    lower bound on it: the partitions of |lam| in the len(lam) x top box,
+    top = lam_1 + len(lam) - 1, counted as their complements in the box when
+    those are smaller, so that the list is as long as the smaller weight."""
+    rows, weight = len(lam.parts), sum(lam.parts)
+    if not rows:
+        return 1
+    top = lam.parts[0] + rows - 1
+    m = min(weight, rows * top - weight)
+    return _boxed_partition_counts(rows, top, m)[m]
+
+
 @memo
 def _e_in_h(i: int) -> MvPolynomial:
     # e_m = e_{m-1} h_1 - e_{m-2} h_2 + ... + (-1)^{m-1} e_0 h_m, from E*H = 1
     if i == 0:
         return ONE
-    return _sum_of_products((_e_in_h(i - k), -h_(k) if k % 2 == 0 else h_(k))
-                            for k in range(1, i + 1))
+    return -_sum_of_products((a, _e_in_h(i - k))
+                             for k, a in enumerate(_alternating(FAM_H, None, i)) if k)
 
 
 def e_to_h_rewrite(p: MvPolynomial) -> MvPolynomial:
@@ -169,17 +185,9 @@ def generic_factor_poly(r: int) -> list[MvPolynomial]:
     """X^r - e1 X^{r-1} + ... + (-1)^r er, as coefficients of 1, X, ..., X^r."""
     if r < 1:
         raise ValueError("degree must be at least 1")
-    coeffs = [ZERO] * (r + 1)
-    coeffs[r] = ONE
-    for i in range(1, r + 1):
-        coeffs[r - i] = -e_(i) if i % 2 else e_(i)
-    return coeffs
+    return e_series_coeffs(r, r)[::-1]
 
 
 def generic_monic_coeffs(n: int) -> list[MvPolynomial]:
     """X^n - c1 X^{n-1} + ... + (-1)^n cn, as coefficients of 1, X, ..., X^n."""
-    coeffs = [ZERO] * (n + 1)
-    coeffs[n] = ONE
-    for i in range(1, n + 1):
-        coeffs[n - i] = -c_(i) if i % 2 else c_(i)
-    return coeffs
+    return c_series_coeffs(n, n)[::-1]

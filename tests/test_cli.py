@@ -770,3 +770,134 @@ def test_act_at_the_index_limit_finishes():
     assert cpu < 5.0
     assert main(["act", "--r", "2", "--i", "5000", "--j", "5000",
                  "--dual", "s"]) == 0
+
+
+def _text_matrix_from_json(doc) -> str:
+    image = {tuple(c["col"]): f"{c['coeff']}*D{Partition(tuple(c['row']))}"
+             for c in doc["entries"]}
+    lines = [f"operator (i={doc['i']}, j={doc['j']}) on the {doc['dimension']}"
+             f"-dimensional basis of the (r={doc['r']}, n={doc['n']}) quotient"]
+    lines += [f"D{Partition(tuple(lam))} -> {image.get(tuple(lam), '0')}"
+              for lam in doc["basis"]]
+    return "\n".join(lines) + "\n"
+
+
+def test_text_matrix_agrees_with_its_json_entries(capsys):
+    # every operator at (4,8): one line per column, in basis order, holding
+    # the column's one JSON entry or 0
+    for i in range(8):
+        for j in range(8):
+            argv = ("matrix", "--r", "4", "--n", "8", "--i", str(i), "--j", str(j))
+            code, text, _ = run_cli(capsys, *argv)
+            assert code == 0
+            code, out, _ = run_cli(capsys, *argv, "--output", "json")
+            assert code == 0
+            assert text == _text_matrix_from_json(json.loads(out)), (i, j)
+
+
+def test_text_matrix_is_written_in_one_pass(capsys):
+    # (7,15) has 6,435 columns: scanning the basis for each column took
+    # 8.6 s in a process of its own on a 2-vCPU Xeon VM, one pass 0.23 s
+    start = time.process_time()
+    code, out, _ = run_cli(capsys, "matrix", "--r", "7", "--n", "15",
+                           "--i", "3", "--j", "2")
+    assert time.process_time() - start < 2.0
+    assert code == 0 and len(out.splitlines()) == 6_436
+
+
+@pytest.mark.parametrize("r, n", [(10, 30), (9, 19), (500_000, 1_000_000)])
+def test_matrix_refuses_a_quotient_over_the_dimension_limit(capsys, r, n):
+    # C(30,10) = 30,045,015 columns ran past 20 s; math.comb alone takes
+    # 13 s at C(10^6, 5 * 10^5), so the count stops once past the limit
+    start = time.process_time()
+    code, out, err = run_cli(capsys, "matrix", "--r", str(r), "--n", str(n),
+                             "--i", "0", "--j", "0", "--output", "json")
+    assert time.process_time() - start < 0.1
+    assert (code, out) == (1, "")
+    assert err == (f"error: the (r={r}, n={n}) quotient has more than 50000 "
+                   f"basis elements; matrix renders at most 50000\n")
+
+
+def test_matrix_just_under_the_dimension_limit_finishes():
+    # C(18,9) = 48,620 columns: about 1.8 s of CPU as text in a process of
+    # its own on a 2-vCPU Xeon VM; the budget allows five times that
+    assert cli.MATRIX_MAX_DIMENSION == 50_000
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    before = os.times()
+    proc = subprocess.run(
+        [sys.executable, "-m", "uda.cli", "matrix", "--r", "9", "--n", "18",
+         "--i", "0", "--j", "0"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    after = os.times()
+    cpu = (after.children_user + after.children_system
+           - before.children_user - before.children_system)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert len(proc.stdout.splitlines()) == 48_621
+    assert cpu < 9.0
+
+
+def test_giambelli_refuses_a_long_lambda_by_its_h_monomials(capsys):
+    # 4960^41 is inside the index and parts limits; its full term bound
+    # took 3.2 s, its 1.1 * 10^35 monomials in h alone are counted at once
+    lam = ",".join(["4960"] * 41)
+    start = time.process_time()
+    code, out, err = run_cli(capsys, "giambelli", "--r", "41", "--lambda", lam)
+    assert time.process_time() - start < 0.1
+    assert (code, out) == (1, "")
+    assert err == (f"error: --lambda ({lam}) may expand to "
+                   f"111601014953574961137632131795912798 monomials in h "
+                   f"alone; giambelli expands at most 50000\n")
+
+
+@pytest.mark.parametrize("n", [None, 0, 2])
+def test_h_term_count_is_the_h_part_of_the_term_bound(n):
+    # the count at |lam| and at its complement in the box agree, and never
+    # exceed the bound, so the early refusal never overrules it
+    from uda.symfunc import _boxed_partition_counts, giambelli_h_term_count
+    lams = list(uda.partitions_in_rectangle(4, 5)) + [
+        Partition((4999, 2)), Partition((30,) * 6)]
+    for lam in lams:
+        rows, weight = len(lam), sum(lam.parts)
+        top = lam.part(1) + rows - 1
+        count = giambelli_h_term_count(lam)
+        if rows:
+            assert count == _boxed_partition_counts(rows, top, weight)[weight]
+        assert count <= giambelli_term_bound(lam, n)
+    assert giambelli_h_term_count(Partition((4999, 2))) == 2_500
+
+
+def test_text_genfun_refuses_an_image_over_the_term_limit(capsys):
+    # the images of 6^6 at (6,12) reach a term bound of 456,484; the text
+    # ran past 20 s, and JSON, which renders no determinant, still serves
+    lam = ",".join(["6"] * 6)
+    start = time.process_time()
+    code, out, err = run_cli(capsys, "genfun", "--r", "6", "--n", "12",
+                             "--lambda", lam)
+    assert time.process_time() - start < 0.5
+    assert (code, out) == (1, "")
+    assert err == ("error: the image's partition (5,5,5,5,5,1) expands to up "
+                   "to 62265 terms; giambelli expands at most 50000\n")
+    code, out, _ = run_cli(capsys, "genfun", "--r", "6", "--n", "12",
+                           "--lambda", lam, "--output", "json")
+    assert code == 0 and json.loads(out)["lambda"] == [6] * 6
+
+
+@pytest.mark.parametrize("r, n, lam, largest", [
+    (5, 10, (5,) * 5, 26_456), (6, 12, (3, 2, 1), 5_940)])
+def test_text_genfun_checks_pass_every_image_under_the_limit(r, n, lam, largest):
+    # each image's determinant passes the giambelli checks that act makes;
+    # the text of 5^5 at (5,10) is 6 MB, so only its checks run here
+    res = generating_action_finite(Partition(lam), r, n)
+    images = {mu for coords in res.schur_form.values() for mu in coords}
+    assert max(giambelli_term_bound(mu, n) for mu in images) == largest
+    for mu in images:
+        cli._check_schur_det(mu, n, "the image's partition")
+
+
+def test_text_genfun_under_the_limit_renders_every_image(capsys):
+    code, out, _ = run_cli(capsys, "genfun", "--r", "6", "--n", "12",
+                           "--lambda", "3,2,1")
+    assert code == 0
+    assert out == cli._action_text(
+        generating_action_finite(Partition((3, 2, 1)), 6, 12))

@@ -1,11 +1,15 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from uda.determinant import exact_det
 from uda.partitions import EMPTY, Partition, partitions_in_rectangle
-from uda.poly import (FAM_C, MvPolynomial, ONE, ZERO, c_, e_, h_, series_inverse,
-                      series_mul)
+from uda.poly import (FAM_C, FAM_H, MvPolynomial, ONE, ZERO, c_, e_, h_,
+                      series_inverse, series_mul)
 from uda.symfunc import (c_series_coeffs, e_series_coeffs, e_to_h_rewrite,
                          generic_factor_poly, generic_monic_coeffs, giambelli,
                          giambelli_term_bound, h_deformed, s_coefficient)
@@ -190,3 +194,50 @@ def test_term_bound_bounds_every_determinant(n):
         assert giambelli_term_bound(lam, n) >= len(giambelli(lam, 3, n).terms)
     # a single part: h_m(c), one term per c_i with i <= min(m, n)
     assert giambelli_term_bound(Partition((30,)), n) == (31 if n is None else n + 1)
+
+
+def test_every_series_reads_the_one_alternating_builder():
+    # c(z) and E_r(z) are [1, -v1, v2, ...] cut at their bound; f(X), p(X)
+    # and X^j(c) are their reversals; 1/c(w) and 1/H(-z) give s_k and e_m
+    from uda.exterior import xc_expand
+    from uda.symfunc import _e_in_h
+    for n in (None, 0, 2, 5):
+        for order in range(8):
+            want = [ONE] + [(-1) ** i * c_(i) if n is None or i <= n else ZERO
+                            for i in range(1, order + 1)]
+            assert c_series_coeffs(order, n) == want
+            assert list(xc_expand(order, n)) == want[::-1]
+            assert [s_coefficient(k, n) for k in range(order + 1)] == \
+                series_inverse(want, order)
+        assert generic_monic_coeffs(order) == c_series_coeffs(order, None)[::-1]
+    for r in range(1, 6):
+        assert e_series_coeffs(r, r + 2) == [ONE] + [
+            (-1) ** i * e_(i) for i in range(1, r + 1)] + [ZERO, ZERO]
+        assert generic_factor_poly(r) == e_series_coeffs(r, r)[::-1]
+    h_minus = [ONE] + [(-1) ** k * h_(k) for k in range(1, 8)]
+    assert [_e_in_h(m) for m in range(8)] == [
+        e_to_h_rewrite(e) for e in [ONE] + [e_(m) for m in range(1, 8)]]
+    assert [_e_in_h(m) for m in range(8)] == series_inverse(h_minus, 7)
+
+
+def test_series_make_no_variable_past_their_bound():
+    # a fresh process's layout holds exactly the variables the calls name:
+    # c(z) through min(j, n) and h_j .. h_{j-n}, never all h's through j, so
+    # that every later packed monomial stays as narrow as before
+    script = (
+        "from uda import poly\n"
+        "from uda.exterior import xc_expand\n"
+        "from uda.symfunc import h_deformed, s_coefficient\n"
+        "h_deformed(5000, 3)\n"
+        "print(len(poly._VARS), sorted(poly._VARS))\n"
+        "s_coefficient(3000, 1)\n"
+        "xc_expand(40, 4)\n"
+        "print(len(poly._VARS))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+    want = [(FAM_C, 1), (FAM_C, 2), (FAM_C, 3)] + [(FAM_H, j)
+                                                  for j in range(4997, 5001)]
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == f"7 {want}\n8\n"
