@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from .errors import AlgebraError
@@ -34,8 +33,9 @@ from .glaction import (generating_action, generating_action_adapted,
                        universal_factorization)
 from .module_iso import schur_map_to_poly
 from .partitions import Partition
-from .poly import MvPolynomial, _PerMonomial, _TextTable, var_name
-from .symfunc import giambelli, giambelli_h_term_count, giambelli_term_bound
+from .poly import _JSON, MvPolynomial
+from .symfunc import (giambelli, giambelli_h_term_count, giambelli_term_bound,
+                      x_power_term_count)
 from .verify import SUITES
 
 
@@ -135,16 +135,10 @@ def _write_json(obj, newline: str, out: list[str]) -> None:
         out.append(json.dumps(obj, indent=2).replace("\n", newline))
 
 
-# power code of c1^exp -> '"c1": exp'; packed monomial -> (key, *power texts)
-_POWER_TEXT = _TextTable(lambda v, e: _encode_str(var_name(v)) + ": "
-                         + int.__repr__(e))
-_MONO_TEXT = _PerMonomial(partial(map, _POWER_TEXT.__getitem__))
-
-
 def _write_poly(p: MvPolynomial, newline: str, out: list[str]) -> None:
     """``p.to_json()`` through ``_write_json``, without building it."""
     i1 = newline + "  "
-    terms = p._sorted(_MONO_TEXT)
+    terms = p._sorted()
     if not terms:
         out.append("{" + i1 + '"terms": []' + newline + "}")
         return
@@ -159,11 +153,12 @@ def _write_poly(p: MvPolynomial, newline: str, out: list[str]) -> None:
     den = '",' + i3 + '"den": "'
     close = '"' + i2 + "}," + i2   # the comma after the last term is cut
     int_close = den + "1" + close
-    texts = [(exps_open + exps_sep.join(entry[1:]) + exps_close
-              if len(entry) > 1 else no_exps)
+    texts = [(exps_open + exps_sep.join(members) + exps_close
+              if members else no_exps)
              + (int.__repr__(q) + int_close if type(q) is int
                 else str(q.numerator) + den + str(q.denominator) + close)
-             for entry, q in terms]
+             for _, c, e, h, q, _ in terms
+             for members in (c[_JSON] + e[_JSON] + h[_JSON],)]
     texts[-1] = texts[-1][:-len(i2) - 1]
     out.append("{" + i1 + '"terms": [' + i2)
     out += texts
@@ -173,7 +168,9 @@ def _write_poly(p: MvPolynomial, newline: str, out: list[str]) -> None:
 # the largest Schur determinant ``giambelli`` expands, as counted by
 # ``giambelli_term_bound``: the column 1^22 (49,010 terms) takes about 1 s of
 # CPU on a 2-vCPU Xeon VM, and every two more rows double the terms and the
-# time; a column of a few hundred rows ended in a RecursionError
+# time; a column of a few hundred rows ended in a RecursionError.  Plain
+# ``act`` takes as many terms of X^i over the deformed basis: X^32 (43,820)
+# takes 1.6-2.3 s in a process of its own, and X^40 (215,308) took 9.1 s
 GIAMBELLI_MAX_TERMS = 50_000
 
 # the largest variable index, lam_1 + len(lam) - 1, of a Schur determinant
@@ -235,6 +232,12 @@ def _check_widths(lam: Partition, *named: tuple[str, int]) -> None:
 
 def cmd_act(args: argparse.Namespace) -> str:
     _check_widths(args.lam, ("--i", args.i), ("--j", args.j))
+    if args.dual != "s":   # the oracle expands the plain X^i first
+        count = x_power_term_count(args.i, args.n, GIAMBELLI_MAX_TERMS)
+        if count > GIAMBELLI_MAX_TERMS:
+            raise UsageError(f"--i {args.i}: X^{args.i} expands to at least "
+                             f"{count} terms over the deformed basis; act "
+                             f"expands at most {GIAMBELLI_MAX_TERMS}")
     quotient = args.n is not None and args.project
     coords = operator_image(args.i, -args.j, args.lam, args.r, args.n,
                             "adapted" if args.dual == "s" else "plain",

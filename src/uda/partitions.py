@@ -96,17 +96,18 @@ EMPTY = Partition(())
 
 
 def partitions_in_rectangle(rows: int, cols: int) -> list[Partition]:
-    """All partitions whose Young diagram fits in rows x cols, sorted."""
+    """All partitions whose Young diagram fits in rows x cols, sorted.
+
+    The parts are added one row at a time from a stack of prefixes, so a
+    box of any number of rows takes no recursion."""
     out: list[Partition] = []
-
-    def rec(prefix: list[int], maxpart: int, depth: int):
-        out.append(Partition(tuple(prefix)))
-        if depth == rows:
-            return
-        for p in range(maxpart, 0, -1):
-            rec(prefix + [p], p, depth + 1)
-
-    rec([], cols, 0)
+    prefixes: list[tuple[int, ...]] = [()]
+    while prefixes:
+        prefix = prefixes.pop()
+        out.append(Partition(prefix))
+        if len(prefix) < rows:
+            top = prefix[-1] if prefix else cols
+            prefixes.extend([prefix + (p,) for p in range(1, top + 1)])
     return sorted(out)
 
 

@@ -32,26 +32,29 @@ consistently with ``Fraction``, while their arithmetic is an order of
 magnitude faster on the all-integer computations that dominate here).
 Every operation is a pure function and returns a new polynomial that
 belongs to the caller.  Every cache of the package is a ``memo`` table,
-which freezes the packed dicts of the values it hands out, or a text
-table of rendered monomials; ``clear_caches`` empties both kinds.
+which freezes the packed dicts of the values it hands out, or one of the
+three part tables of the renderings; ``clear_caches`` empties both kinds.
 
 Canonical renderings (text and JSON) list terms in graded-lexicographic
 order: higher total degree first, ties broken by comparing exponents on the
 largest variable downwards (family order c < e < h, index ascending).  Both
-renderings are deterministic byte-for-byte.  Each looks a monomial up once
-in a per-monomial text table, whose entry holds the monomial's sort key
-beside its texts, so a rendering sorts its terms by the keys it finds.  A
-key is the degree followed by one key per power by descending variable:
-the family, the index (a length byte and its big-endian bytes) and the
-exponent.  Its bytes compare as graded-lex order, and it reads only the
-monomial's own powers, so no entry changes when another variable gets a
-field.  The h-, e- and c-powers come in that order, so an entry is joined
-from the entries of the monomial's h-, e- and c-parts (the monomial masked
-to one family's fields) in three part tables.  Each distinct part is
-decoded once, and a Schur determinant, a sum of c-parts times h-parts, has
-far fewer parts than monomials.  One decoder, ``_powers``, reads packed
-monomials, for the part tables and the tuple view alike; it reads only the
-set fields, so it costs O(powers) however many variables have fields.
+renderings are deterministic byte-for-byte.  A term is read from its h-, e-
+and c-parts (the monomial masked to one family's fields) in three part
+tables.  Each distinct part is decoded once into its sort key and its
+powers, as texts (``c1^2``) and as JSON members (``"c1": 2``).  A part's
+key is one key per power by descending variable: the family, the index (a
+length byte and its big-endian bytes) and the exponent.  ``_sorted`` makes
+one row per term: the degree in two bytes and the keys of the h-, e- and
+c-parts, whose bytes compare as graded-lex order; the entries of the c-, e-
+and h-parts; the coefficient; and the packed monomial, which
+``sorted_terms`` decodes.  It sorts the rows by key alone, and the writers
+join the parts' powers.  A key reads only the monomial's own powers, so no
+entry changes when another variable gets a field.  Nothing is kept per
+monomial: a Schur determinant, a sum of c-parts times h-parts, has far
+fewer parts than monomials, and a document renders each of its monomials
+once.  One decoder, ``_powers``, reads packed monomials, for the part
+tables and the tuple view alike; it reads only the set fields, so it costs
+O(powers) however many variables have fields.
 """
 
 from __future__ import annotations
@@ -59,7 +62,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from functools import lru_cache, reduce, wraps
-from operator import or_
+from operator import itemgetter, or_
 from types import MappingProxyType
 
 from .errors import ExponentOverflow, NonUnitConstantTerm
@@ -100,9 +103,6 @@ def parse_var(name: str) -> Var:
     return (_FAM_NAMES.index(fam), idx)
 
 
-_TEXT_TABLES: list[dict] = []        # every rendering table, for clear_caches
-
-
 def _power_key(v: Var, e: int) -> bytes:
     """The sort key of v^e: the family byte, the index as a length byte and
     its big-endian bytes, then e in two bytes.  Two power keys compare as
@@ -112,22 +112,26 @@ def _power_key(v: Var, e: int) -> bytes:
     return bytes((fam, n)) + idx.to_bytes(n, "big") + e.to_bytes(2, "big")
 
 
-class _FamilyParts(dict):
-    """``part -> (key, codes)`` for one family, where a part is a packed
-    monomial masked to the family's fields: the key joins the power keys of
-    its powers by descending variable, and the codes are those of its
-    powers by ascending variable.  Both are read from the part's own
-    powers, so an entry stays valid as the layout grows."""
+# what a part entry holds after its key, one item per power: the text
+# "c1^2" and the JSON member '"c1": 2'
+_TEXT, _JSON = 1, 2
 
-    def __init__(self):
-        super().__init__()
-        _TEXT_TABLES.append(self)
+
+class _FamilyParts(dict):
+    """``part -> (key, texts, JSON members)`` for one family, where a part is
+    a packed monomial masked to the family's fields: the key joins the power
+    keys of its powers by descending variable, and the texts and members
+    list its powers by ascending variable.  All three are read from the
+    part's own powers, so an entry stays valid as the layout grows."""
 
     def __missing__(self, part):
         powers = _powers(part)
+        names = [var_name(v) for v, _ in powers]
         value = self[part] = (
-            b"".join([_power_key(v, e) for v, _, e in reversed(powers)]),
-            tuple([(k << _FIELD) + e for _, k, e in powers]))
+            b"".join([_power_key(v, e) for v, e in reversed(powers)]),
+            tuple([name if e == 1 else f"{name}^{e}"
+                   for name, (_, e) in zip(names, powers)]),
+            tuple([f'"{name}": {e}' for name, (_, e) in zip(names, powers)]))
         return value
 
 
@@ -151,9 +155,9 @@ def _layout(v: Var) -> int:
     return s
 
 
-def _powers(m: int) -> list[tuple[Var, int, int]]:
-    """``(var, field, exp)`` for each power of the packed monomial m, by
-    ascending variable: the one decoder of packed monomials.  It peels the
+def _powers(m: int) -> list[tuple[Var, int]]:
+    """``(var, exp)`` for each power of the packed monomial m, by ascending
+    variable: the one decoder of packed monomials.  It peels the
     set fields off, lowest first, and skips field 0, the degree, so it
     costs O(powers) however many fields the layout has."""
     powers = []
@@ -162,7 +166,7 @@ def _powers(m: int) -> list[tuple[Var, int, int]]:
         k = ((rest & -rest).bit_length() - 1) // _FIELD
         e = rest >> _FIELD * k & _FIELD_MASK
         rest ^= e << _FIELD * k
-        powers.append((_VARS[k - 1], k, e))
+        powers.append((_VARS[k - 1], e))
     powers.sort()
     return powers
 
@@ -199,50 +203,7 @@ def _pack(mono, shift=_shift) -> int:
 
 def _unpack(m: int) -> Mono:
     """The canonical ``((var, exp), ...)`` tuple of a packed monomial."""
-    return tuple([(v, e) for v, _, e in _powers(m)])
-
-
-class _TextTable(dict):
-    """``power code -> f(var, exp)``, filled on first use and emptied by
-    ``clear_caches``.  The code of var^exp is ``(k << _FIELD) + exp`` for
-    var's field k; it stays valid when the layout grows."""
-
-    def __init__(self, f):
-        self.f = f
-        _TEXT_TABLES.append(self)
-
-    def __missing__(self, code):
-        value = self[code] = self.f(_VARS[(code >> _FIELD) - 1],
-                                    code & (1 << _FIELD) - 1)
-        return value
-
-
-class _PerMonomial(_TextTable):
-    """``packed monomial -> (graded-lex key, *f(codes))``, where ``codes``
-    iterates over the codes of its powers by ascending variable.  Both are
-    joined from the entries of its h-, e- and c-parts, so each distinct part
-    is decoded once.  The key is the degree in two bytes, then the power
-    keys by descending variable, so bytes compare as graded-lex order: the
-    first differing power has the larger variable or exponent on the larger
-    side.  Distinct monomials have distinct keys, so entries sort by their
-    keys alone."""
-
-    def __missing__(self, m):
-        c_mask, e_mask, h_mask = _FAMILY_MASKS
-        h = _H_PARTS[m & h_mask]
-        e = _E_PARTS[m & e_mask]
-        c = _C_PARTS[m & c_mask]
-        value = self[m] = ((m & _FIELD_MASK).to_bytes(2, "big")
-                           + h[0] + e[0] + c[0], *self.f(c[1] + e[1] + h[1]))
-        return value
-
-
-# power code -> "c1" or "c1^2"; packed monomial -> (key, "c1^2*h3"), where
-# the constant monomial's text is ""
-_POWER_STR = _TextTable(lambda v, e: var_name(v) if e == 1
-                        else f"{var_name(v)}^{e}")
-_MONO_STR = _PerMonomial(
-    lambda codes: ("*".join(map(_POWER_STR.__getitem__, codes)),))
+    return tuple(_powers(m))
 
 
 class _Terms(Mapping):
@@ -440,26 +401,37 @@ class MvPolynomial:
 
     # -- canonical renderings ----------------------------------------------
 
-    def _sorted(self, table) -> list[tuple[tuple, Coeff]]:
-        """``(table[m], coeff)`` for each term ``m``, in the canonical
-        graded-lex order (leading term first): sorted by the key each entry
-        starts with, which no other monomial shares."""
-        pairs = list(zip(map(table.__getitem__, self._t), self._t.values()))
-        pairs.sort(key=lambda pair: pair[0][0], reverse=True)
-        return pairs
+    def _sorted(self) -> list[tuple[bytes, tuple, tuple, tuple, Coeff, int]]:
+        """One row ``(key, c, e, h, coeff, m)`` per term ``m``, in the
+        canonical graded-lex order (leading term first), where c, e and h
+        are the entries of its c-, e- and h-parts: a writer joins their
+        powers at ``_TEXT`` or ``_JSON`` in that order.  The key is the
+        degree in two bytes and then the keys of the h-, e- and c-parts, the
+        power keys by descending variable, so bytes compare as graded-lex
+        order; no two monomials share one, so rows sort by key alone."""
+        c_mask, e_mask, h_mask = _FAMILY_MASKS
+        rows = []
+        add = rows.append
+        for m, q in self._t.items():
+            h = _H_PARTS[m & h_mask]
+            e = _E_PARTS[m & e_mask]
+            c = _C_PARTS[m & c_mask]
+            add(((m & _FIELD_MASK).to_bytes(2, "big") + h[0] + e[0] + c[0],
+                 c, e, h, q, m))
+        rows.sort(key=itemgetter(0), reverse=True)
+        return rows
 
     def sorted_terms(self) -> list[tuple[Mono, Coeff]]:
         """Terms in the canonical graded-lex order (leading term first)."""
-        entry = _MONO_STR.__getitem__
-        return [(_unpack(m), q) for m, q in sorted(
-            self._t.items(), key=lambda t: entry(t[0])[0], reverse=True)]
+        return [(_unpack(m), q) for *_, q, m in self._sorted()]
 
     def __str__(self) -> str:
         text = " ".join([
             ("- " if q < 0 else "+ ")
             + (f"{abs(q)}*{mono}" if mono and q != 1 and q != -1
                else mono or str(abs(q)))
-            for (_, mono), q in self._sorted(_MONO_STR)])
+            for _, c, e, h, q, _ in self._sorted()
+            for mono in ("*".join(c[_TEXT] + e[_TEXT] + h[_TEXT]),)])
         return "-" + text[2:] if text.startswith("-") else text[2:] or "0"
 
     def __repr__(self) -> str:
@@ -574,15 +546,15 @@ def memo(fn):
 
 
 def clear_caches() -> None:
-    """Empty every ``memo`` table and every text and part table.
+    """Empty every ``memo`` table and the part tables of the renderings.
 
     The field layout (``_VARS``, ``_SHIFTS``) stays: the packed monomials
     of every live polynomial are read through it.
     """
     for table in _MEMO_TABLES:
         table.cache_clear()
-    for text in _TEXT_TABLES:
-        text.clear()
+    for parts in _PARTS:
+        parts.clear()
 
 
 ZERO = _frozen(MvPolynomial.zero())

@@ -164,6 +164,21 @@ def giambelli_h_term_count(lam: Partition) -> int:
     return _boxed_partition_counts(rows, top, m)[m]
 
 
+def x_power_term_count(i: int, n: int | None, stop: int) -> int:
+    """The terms of X^i = sum_m s_(i-m)(c) X^m(c) over the deformed basis:
+    s_k has one monomial per partition of k with parts at most n (no bound
+    when n is None), as many as there are with at most n parts.  The
+    partitions of 0..t are counted for t = 1, 3, 7, ... up to i, so the
+    count stops soon after it passes ``stop``: it is exact up to ``stop``,
+    and a lower bound past it."""
+    t = 0
+    while True:
+        t = min(i, 2 * t + 1)
+        count = sum(_boxed_partition_counts(t if n is None else min(t, n), t, t))
+        if count > stop or t == i:
+            return count
+
+
 @memo
 def _e_in_h(i: int) -> MvPolynomial:
     # e_m = e_{m-1} h_1 - e_{m-2} h_2 + ... + (-1)^{m-1} e_0 h_m, from E*H = 1

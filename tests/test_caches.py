@@ -169,23 +169,59 @@ def test_retagging_a_sigma_monomial_wedge_is_refused():
     assert uda.schur_map_of_poly(h_(1) * h_(2), 2, None) == want
 
 
+def _module_dicts():
+    """The size of every module-level dict of the uda modules, by name."""
+    return {f"{modname}.{attr}": len(val)
+            for modname, mod in sorted(sys.modules.items())
+            if mod is not None and (modname == "uda" or modname.startswith("uda."))
+            for attr, val in vars(mod).items() if isinstance(val, dict)}
+
+
+def _part_table_names():
+    from uda.poly import _PARTS
+    return {f"uda.poly.{name}" for name, val in vars(uda.poly).items()
+            if any(val is parts for parts in _PARTS)}
+
+
+def _render(p):
+    from uda.cli import _json_doc
+    return str(p) + _json_doc({"value": p})
+
+
 def test_clear_caches_empties_the_text_tables():
-    from uda.cli import _MONO_TEXT, _POWER_TEXT, _json_doc
-    from uda.poly import (_MONO_STR, _PARTS, _POWER_STR, _SHIFTS,
-                          _TEXT_TABLES, _VARS)
+    from uda.poly import _PARTS, _SHIFTS, _VARS
 
     p = giambelli(Partition((2, 1)), 3, 6) * e_(2)   # c-, e- and h-parts
-
-    def render():
-        return str(p) + _json_doc({"value": p})
-
-    first = render()
-    tables = (_MONO_STR, _POWER_STR, _MONO_TEXT, _POWER_TEXT, *_PARTS)
-    assert all(tables)
-    # every render table is registered
-    assert {id(t) for t in tables} == {id(t) for t in _TEXT_TABLES}
+    uda.clear_caches()
+    before = _module_dicts()
+    first = _render(p)
+    assert all(_PARTS)
+    # the part tables are the only tables a rendering fills, and
+    # clear_caches empties them
+    grown = {name for name, size in _module_dicts().items()
+             if size != before[name]}
+    assert grown == _part_table_names() and len(grown) == 3
     layout = dict(_SHIFTS), list(_VARS)
     uda.clear_caches()
-    assert not any(tables)
+    assert not any(_PARTS)
     assert (dict(_SHIFTS), list(_VARS)) == layout   # live polynomials read it
-    assert render() == first
+    assert _render(p) == first
+
+
+def test_rendering_keeps_no_per_monomial_state():
+    from uda.poly import _FAMILY_MASKS, _PARTS
+
+    p = giambelli(Partition((5, 5, 5, 5)), 4, 9) * (e_(1) + e_(2))
+    parts = [{m & mask for m in p._t} for mask in _FAMILY_MASKS]
+    assert len(p.terms) > 5 * sum(map(len, parts))   # many more monomials
+    uda.clear_caches()
+    before = _module_dicts()
+    text = _render(p)
+    assert len(text) > 100 * len(p.terms)
+    after = _module_dicts()
+    # each part table holds the distinct parts of p, and no other dict grew
+    assert [len(table) for table in _PARTS] == list(map(len, parts))
+    assert [set(table) for table in _PARTS] == parts
+    assert {name for name in after if after[name] != before[name]} == (
+        _part_table_names())
+    assert _render(p) == text and _module_dicts() == after

@@ -17,17 +17,31 @@ import uda
 import uda.cli as cli
 import uda.verify
 from uda.cli import main, parse_partition, UsageError
-from uda.glaction import (StarOperator, generating_action_finite,
-                          star_oracle_coords)
+from uda.glaction import (StarOperator, _x_in_xc_terms,
+                          generating_action_finite, star_oracle_coords)
 from uda.partitions import Partition
 from uda.poly import FAM_C, FAM_E, FAM_H, MvPolynomial, ONE, ZERO
-from uda.symfunc import giambelli, giambelli_term_bound
+from uda.symfunc import giambelli, giambelli_term_bound, x_power_term_count
 
 
 def run_cli(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_child(*args):
+    """Run ``uda`` on ``args`` in a process of its own; return the completed
+    process and its CPU time, start-up included."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    before = os.times()
+    proc = subprocess.run([sys.executable, "-m", "uda.cli", *args],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    after = os.times()
+    return proc, (after.children_user + after.children_system
+                  - before.children_user - before.children_system)
 
 
 def test_parse_partition():
@@ -610,21 +624,12 @@ def test_giambelli_one_long_part_finishes_within_a_cpu_budget():
     # that this session's layout stays small, and its CPU time is counted
     # whole, start-up included: about 0.15 s and 1.1 s on a 2-vCPU Xeon VM,
     # where decoding every field took 3.9 s at N = 4000
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     for n, sha256 in [
         (1000, "e8d25d4e7423cdd4c6c15c2150898602e5dc75079d98a43c1669f0b828d7c07e"),
         (4000, "a24680f452c54dcec993ea9f574920171efa231d31416b28f099a4a88f112de4"),
     ]:
-        before = os.times()
-        proc = subprocess.run(
-            [sys.executable, "-m", "uda.cli", "giambelli", "--r", "1",
-             "--lambda", str(n), "--output", "json"],
-            capture_output=True, text=True,
-            env={**os.environ, "PYTHONPATH": path})
-        after = os.times()
-        cpu = (after.children_user + after.children_system
-               - before.children_user - before.children_system)
+        proc, cpu = run_child("giambelli", "--r", "1", "--lambda", str(n),
+                              "--output", "json")
         assert (proc.returncode, proc.stderr) == (0, ""), n
         assert hashlib.sha256(proc.stdout.encode()).hexdigest() == sha256, n
         assert cpu < 2.5, n
@@ -650,16 +655,8 @@ def test_giambelli_at_the_variable_index_limit_finishes():
     # 10,000 variables, about 1.2 s of CPU and 230 MB in a process of its
     # own on a 2-vCPU Xeon VM; the budget allows four times that
     assert cli.GIAMBELLI_MAX_INDEX == 5_000
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    before = os.times()
-    proc = subprocess.run(
-        [sys.executable, "-m", "uda.cli", "giambelli", "--r", "1",
-         "--lambda", "5000", "--output", "json"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
-    after = os.times()
-    cpu = (after.children_user + after.children_system
-           - before.children_user - before.children_system)
+    proc, cpu = run_child("giambelli", "--r", "1", "--lambda", "5000",
+                          "--output", "json")
     assert (proc.returncode, proc.stderr) == (0, "")
     assert len(json.loads(proc.stdout)["value"]["terms"]) == 5_001
     assert cpu < 5.0
@@ -753,16 +750,8 @@ def test_act_at_the_index_limit_finishes():
     # E_{5000,4999} moves lam = (4999) to (5000), whose determinant, h_5000,
     # is the one of test_giambelli_at_the_variable_index_limit_finishes; the
     # zero image of an empty slot at 5000 needs no algebra at all
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    before = os.times()
-    proc = subprocess.run(
-        [sys.executable, "-m", "uda.cli", "act", "--r", "1", "--lambda", "4999",
-         "--i", "5000", "--j", "4999", "--dual", "s", "--output", "json"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
-    after = os.times()
-    cpu = (after.children_user + after.children_system
-           - before.children_user - before.children_system)
+    proc, cpu = run_child("act", "--r", "1", "--lambda", "4999", "--i", "5000",
+                          "--j", "4999", "--dual", "s", "--output", "json")
     assert (proc.returncode, proc.stderr) == (0, "")
     doc = json.loads(proc.stdout)
     assert doc["schur"] == [{"partition": [5000], "coeff": "1"}]
@@ -770,6 +759,54 @@ def test_act_at_the_index_limit_finishes():
     assert cpu < 5.0
     assert main(["act", "--r", "2", "--i", "5000", "--j", "5000",
                  "--dual", "s"]) == 0
+
+
+def test_plain_act_refuses_a_power_of_x_over_the_term_limit(capsys):
+    # X^40 = sum_m s_(40-m)(c) X^m(c) has sum_(k<=40) p(k) = 215,308 terms
+    # with no bound on the c's; the oracle and the Schur determinants of its
+    # image took 9.1 s of CPU and 262 MB in a process of its own
+    start = time.process_time()
+    code, out, err = run_cli(capsys, "act", "--r", "2", "--lambda", "1",
+                             "--i", "40", "--j", "0", "--output", "json")
+    assert time.process_time() - start < 0.1   # refused before any algebra
+    assert (code, out) == (1, "")
+    assert err == ("error: --i 40: X^40 expands to at least 215308 terms over "
+                   "the deformed basis; act expands at most 50000\n")
+
+
+def test_plain_act_just_under_the_term_limit_finishes():
+    # X^32 has 43,820 terms: about 1.6-2.3 s of CPU and 92 MB in a process
+    # of its own on a 2-vCPU Xeon VM; the budget allows three times that
+    assert x_power_term_count(32, None, cli.GIAMBELLI_MAX_TERMS) == 43_820
+    proc, cpu = run_child("act", "--r", "2", "--lambda", "1", "--i", "32",
+                          "--j", "0", "--output", "json")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    doc = json.loads(proc.stdout)
+    assert (len(doc["schur"]), len(doc["value"]["terms"])) == (63, 4)
+    assert cpu < 7.0
+
+
+@pytest.mark.parametrize("n", [None, 0, 1, 2, 3, 6])
+def test_the_power_of_x_count_is_the_oracles_term_count(n):
+    # exact up to the stop, and past the stop a lower bound past it
+    for i in range(17):
+        terms = sum(len(s.terms) for _, s in _x_in_xc_terms(i, n))
+        assert x_power_term_count(i, n, terms) == terms, i
+        for stop in (terms - 1, terms // 3):
+            assert stop < x_power_term_count(i, n, stop) <= terms, (i, stop)
+
+
+def test_a_matrix_of_a_thousand_rows_finishes():
+    # (990,991) has 991 basis elements, columns of up to 990 ones; listing
+    # the rectangle with one recursive call per row raised RecursionError.
+    # About 1.1 s of CPU in a process of its own on a 2-vCPU Xeon VM
+    proc, cpu = run_child("matrix", "--r", "990", "--n", "991", "--i", "0",
+                          "--j", "0")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()[1:]
+    assert len(lines) == 991 and lines[0] == "D() -> 1*D()"
+    assert sum(line.endswith(" -> 0") for line in lines) == 1
+    assert cpu < 6.0
 
 
 def _text_matrix_from_json(doc) -> str:
@@ -822,16 +859,8 @@ def test_matrix_just_under_the_dimension_limit_finishes():
     # C(18,9) = 48,620 columns: about 1.8 s of CPU as text in a process of
     # its own on a 2-vCPU Xeon VM; the budget allows five times that
     assert cli.MATRIX_MAX_DIMENSION == 50_000
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    before = os.times()
-    proc = subprocess.run(
-        [sys.executable, "-m", "uda.cli", "matrix", "--r", "9", "--n", "18",
-         "--i", "0", "--j", "0"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
-    after = os.times()
-    cpu = (after.children_user + after.children_system
-           - before.children_user - before.children_system)
+    proc, cpu = run_child("matrix", "--r", "9", "--n", "18", "--i", "0",
+                          "--j", "0")
     assert (proc.returncode, proc.stderr) == (0, "")
     assert len(proc.stdout.splitlines()) == 48_621
     assert cpu < 9.0

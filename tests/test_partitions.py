@@ -45,6 +45,35 @@ def test_rectangle_enumeration_counts():
             assert len(partitions_in_rectangle(r, c)) == comb(r + c, r)
 
 
+def _recursive_rectangle(rows, cols):
+    """The reference: one recursive call per row, then sorted."""
+    out = []
+
+    def rec(prefix, maxpart, depth):
+        out.append(Partition(tuple(prefix)))
+        if depth == rows:
+            return
+        for p in range(maxpart, 0, -1):
+            rec(prefix + [p], p, depth + 1)
+
+    rec([], cols, 0)
+    return sorted(out)
+
+
+def test_rectangle_enumeration_matches_the_recursive_reference():
+    for rows in range(7):
+        for cols in range(7):
+            got = partitions_in_rectangle(rows, cols)
+            assert got == _recursive_rectangle(rows, cols), (rows, cols)
+            assert all(type(lam) is Partition for lam in got)
+
+
+def test_rectangle_enumeration_takes_no_recursion():
+    # far more rows than the interpreter's recursion limit allows frames
+    got = partitions_in_rectangle(3000, 1)
+    assert got == [Partition((1,) * k) for k in range(3001)]
+
+
 def test_rectangle_enumeration_sorted_unique():
     ps = partitions_in_rectangle(2, 2)
     assert len(set(ps)) == len(ps)

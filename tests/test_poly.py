@@ -571,8 +571,8 @@ def test_rendering_orders_terms_across_the_one_byte_key_limit(terms):
 
 
 def test_sort_keys_are_kept_when_a_variable_arrives_between_others():
-    from uda.cli import _MONO_TEXT, _json_doc
-    keyed = (_MONO_TEXT, poly._MONO_STR, *poly._PARTS)
+    from uda.cli import _json_doc
+    keyed = poly._PARTS
     var = lambda v: MvPolynomial.variable(*v)   # noqa: E731
 
     def check(*ps):
@@ -590,15 +590,17 @@ def test_sort_keys_are_kept_when_a_variable_arrives_between_others():
         low, mid, high = ((fam, 7001), (fam, 7002), (fam, 7003))
         assert mid not in poly._SHIFTS
         p = var(low) ** 2 + var(low) * var(high) + var(high) + 3
-        check(p)   # fills the keyed tables and parts
+        check(p)   # fills the part tables
         # the part of low*high is the monomial without its degree field
         assert (poly._pack(((low, 1), (high, 1))) >> 16 << 16
                 in poly._PARTS[fam])
         before = [dict(table) for table in keyed]
+        rows = p._sorted()
         assert all(before)
         new = var(mid)   # sorts between low and high
         assert poly._VARS[-1] == mid
         assert [dict(table) for table in keyed] == before
+        assert p._sorted() == rows
         # p * (new + 1) mixes monomials rendered before with ones that are not
         check(p, p * new, p * (new + ONE))
         assert all(table.items() >= old.items()
@@ -609,31 +611,38 @@ def test_sort_keys_are_kept_when_a_variable_arrives_between_others():
             .replace("e3", poly.var_name(high)))
         clear_caches()
         assert not any(keyed)
+        assert p._sorted() == rows
         check(p, p * new, p * (new + ONE))
 
 
 def _full_decode(m):
-    """The degree of the packed monomial m and its ``(var, exp, field)``
-    powers by ascending variable, from one ``Struct`` decode of all its
-    fields: a decode independent of the module's."""
+    """The degree of the packed monomial m and its ``(var, exp)`` powers by
+    ascending variable, from one ``Struct`` decode of all its fields: a
+    decode independent of the module's."""
     n = len(poly._VARS) + 1
     fields = Struct(f"<{n}H").unpack(m.to_bytes(2 * n, "little"))
-    return fields[0], sorted((poly._VARS[k - 1], e, k)
+    return fields[0], sorted((poly._VARS[k - 1], e)
                              for k, e in enumerate(fields) if k and e)
 
 
-def _full_decode_entry(m, f):
-    """The entry of the packed monomial m as one decode of all its fields
-    gives it: the graded-lex key (the degree in two bytes, then per power by
-    descending variable the family byte, the index as a length byte and its
-    big-endian bytes, and the exponent in two bytes) and ``f`` of its power
-    codes by ascending variable.  The part tables must compose exactly this."""
+def _full_decode_entry(m):
+    """What one decode of all the fields of the packed monomial m gives for
+    its rendering: the graded-lex key (the degree in two bytes, then per
+    power by descending variable the family byte, the index as a length
+    byte and its big-endian bytes, and the exponent in two bytes), then its
+    powers by ascending variable as texts and as JSON members.  The part
+    tables must compose exactly this."""
     degree, powers = _full_decode(m)
     key = degree.to_bytes(2, "big")
-    for (fam, idx), e, _ in reversed(powers):
+    for (fam, idx), e in reversed(powers):
         idx = idx.to_bytes(32, "big").lstrip(b"\0")
         key += bytes((fam, len(idx))) + idx + e.to_bytes(2, "big")
-    return (key, *f([(k << 16) + e for _, e, k in powers]))
+    names = [f"{'ceh'[fam]}{idx}" for (fam, idx), _ in powers]
+    return (key,
+            tuple(name + (f"^{e}" if e > 1 else "")
+                  for name, (_, e) in zip(names, powers)),
+            tuple(json.dumps({name: e})[1:-1]
+                  for name, (_, e) in zip(names, powers)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -642,26 +651,35 @@ def _full_decode_entry(m, f):
 @example([{(2, 1): 1, (1, 1): 1, (0, 1): 1}, {(1, 1): 255}, {(0, 1): 254},
           {(0, 1): 120, (2, 10**12): 180}, {(0, 1000): 300, (2, 1): 1}])
 def test_part_decodes_compose_the_full_decode(monos):
-    from uda.cli import _MONO_TEXT
-    tables = (poly._MONO_STR, _MONO_TEXT)
+    def part_entry(part):   # a part is keyed without a degree
+        key, *rest = _full_decode_entry(part)
+        return (key[2:], *rest)
+
+    def rows(m):   # what _sorted makes of the one-term polynomial m
+        return [(_full_decode_entry(m)[0],
+                 *[part_entry(m & mask) for mask in poly._FAMILY_MASKS], 1, m)]
+
     clear_caches()
     packed = []
     for mono in [{}, *monos]:   # with the constant monomial
         m = poly._pack(mono.items())
         packed.append(m)
         # the tuple view reads the same one decoder as the part tables
-        want = tuple((v, e) for v, e, _ in _full_decode(m)[1])
+        want = tuple(_full_decode(m)[1])
         assert poly._unpack(m) == want, mono
         assert list(MvPolynomial({tuple(mono.items()): 1}).terms) == [want]
-        for table in tables:
-            assert table[m] == _full_decode_entry(m, table.f), mono
-        for fam, parts in enumerate(poly._PARTS):   # keyed without a degree
+        got = MvPolynomial._of({m: 1})._sorted()
+        assert got == rows(m), mono
+        # the c-, e- and h-parts' powers join to the monomial's
+        c, e, h = got[0][1:4]
+        assert [c[item] + e[item] + h[item] for item in (poly._TEXT, poly._JSON)
+                ] == list(_full_decode_entry(m)[1:]), mono
+        for fam, parts in enumerate(poly._PARTS):
             part = m & poly._FAMILY_MASKS[fam]
-            key, codes = _full_decode_entry(part, lambda cs: (tuple(cs),))
-            assert parts[part] == (key[2:], codes)
-    # every entry still matches, also one made before a later monomial's
-    # variables got fields
-    assert all(table[m] == _full_decode_entry(m, table.f)
-               for table in tables for m in list(table))
-    assert all(poly._unpack(m) == tuple((v, e) for v, e, _ in _full_decode(m)[1])
-               for m in packed)
+            assert parts[part] == part_entry(part)
+    # every entry and row still matches, also one made before a later
+    # monomial's variables got fields
+    assert all(parts[part] == part_entry(part)
+               for parts in poly._PARTS for part in list(parts))
+    assert all(MvPolynomial._of({m: 1})._sorted() == rows(m) for m in packed)
+    assert all(poly._unpack(m) == tuple(_full_decode(m)[1]) for m in packed)
