@@ -28,9 +28,9 @@ import sys
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from .errors import AlgebraError
-from .glaction import (generating_action, generating_action_adapted,
-                       generating_action_finite, operator_image, rep_matrix,
-                       universal_factorization)
+from .glaction import (RepMatrix, _columns, generating_action,
+                       generating_action_adapted, generating_action_finite,
+                       operator_image, rep_matrix, universal_factorization)
 from .module_iso import schur_map_to_poly
 from .partitions import Partition
 from .poly import _JSON, MvPolynomial
@@ -91,7 +91,9 @@ def _json_doc(payload) -> str:
     is set.  This writer renders what the documents are made of (dicts with
     str keys, lists, str, int, bool and None) itself and hands any other
     value to ``json.dumps``, re-indented to its depth.  An ``MvPolynomial``
-    is written as its ``to_json()`` would be, straight from its terms.
+    is written as its ``to_json()`` would be, straight from its terms, and
+    so is a ``RepMatrix`` whose entries are in ``to_json``'s order, as
+    every matrix of ``rep_matrix`` is (``_write_matrix``).
     """
     out: list[str] = []
     _write_json(payload, "\n", out)
@@ -109,6 +111,8 @@ def _write_json(obj, newline: str, out: list[str]) -> None:
         out.append("null" if obj is None else "true" if obj else "false")
     elif kind is MvPolynomial:
         _write_poly(obj, newline, out)
+    elif kind is RepMatrix:
+        _write_matrix(obj, newline, out)
     elif kind is list:
         if not obj:
             out.append("[]")
@@ -163,6 +167,38 @@ def _write_poly(p: MvPolynomial, newline: str, out: list[str]) -> None:
     out.append("{" + i1 + '"terms": [' + i2)
     out += texts
     out.append(i1 + "]" + newline + "}")
+
+
+def _write_matrix(mat: RepMatrix, newline: str, out: list[str]) -> None:
+    """``mat.to_json()`` through ``_write_json``, without building it.
+
+    ``to_json`` sorts the entries by column, then row; ``rep_matrix`` lists
+    them column by column in basis order, one at most per column, so they
+    are written in their own order."""
+    i1 = newline + "  "
+    i2 = i1 + "  "
+    i3 = i2 + "  "
+
+    def parts(lam, indent):
+        inner = indent + "  "
+        return ("[" + inner + ("," + inner).join(map(str, lam)) + indent + "]"
+                if lam else "[]")
+
+    def items(texts):
+        return "[" + i2 + ("," + i2).join(texts) + i1 + "]" if texts else "[]"
+
+    row = "{" + i3 + '"row": '
+    col = "," + i3 + '"col": '
+    coeff = "," + i3 + '"coeff": "'
+    close = '"' + i2 + "}"
+    out.append(
+        f'{{{i1}"i": {mat.i},{i1}"j": {mat.j},{i1}"r": {mat.r},{i1}"n": {mat.n},'
+        f'{i1}"dimension": {len(mat.basis)},{i1}"basis": '
+        + items([parts(lam, i2) for lam in mat.basis])
+        + f',{i1}"entries": '
+        + items([row + parts(mu, i3) + col + parts(lam, i3) + coeff + str(q)
+                 + close for (mu, lam), q in mat.entries.items()])
+        + newline + "}")
 
 
 # the largest Schur determinant ``giambelli`` expands, as counted by
@@ -293,6 +329,13 @@ def cmd_genfun(args: argparse.Namespace) -> str:
             if args.wmax is not None:
                 raise UsageError("--wmax applies to --dual s only; the plain "
                                  "generating function ends at w^0")
+            # the oracle expands every plain X^i, i <= zmax, first
+            count = x_power_term_count(args.zmax, args.n, GIAMBELLI_MAX_TERMS)
+            if count > GIAMBELLI_MAX_TERMS:
+                raise UsageError(f"--zmax {args.zmax}: X^{args.zmax} expands to "
+                                 f"at least {count} terms over the deformed "
+                                 f"basis; genfun expands at most "
+                                 f"{GIAMBELLI_MAX_TERMS}")
             res = generating_action(args.lam, args.r, args.zmax,
                                     wmin=args.wmin, n=args.n)
     if args.output == "json":
@@ -303,8 +346,9 @@ def cmd_genfun(args: argparse.Namespace) -> str:
 
 
 # the largest quotient ``matrix`` renders, in basis elements C(n, r): at
-# (9,18), 48,620 columns, the document takes 1.8 s of CPU as text and 2.6 s
-# and 190 MB as JSON on a 2-vCPU Xeon VM; (10,20), at 184,756, took 6.9 s
+# (9,18), 48,620 columns, the document takes 0.7-1.2 s of CPU and 37 MB as
+# text and 0.8-1.5 s and 53-65 MB as JSON in a process of its own on a
+# 2-vCPU Xeon VM; (10,20), at 184,756, took 3.2 s and 102 MB as text
 MATRIX_MAX_DIMENSION = 50_000
 
 
@@ -320,14 +364,14 @@ def cmd_matrix(args: argparse.Namespace) -> str:
             raise UsageError(f"the (r={args.r}, n={args.n}) quotient has more "
                              f"than {MATRIX_MAX_DIMENSION} basis elements; "
                              f"matrix renders at most {MATRIX_MAX_DIMENSION}")
-    mat = rep_matrix(args.i, args.j, args.r, args.n)
     if args.output == "json":
-        return _json_doc(mat.to_json())
-    lines = [f"operator (i={args.i}, j={args.j}) on the {mat.dimension}-dimensional "
+        return _json_doc(rep_matrix(args.i, args.j, args.r, args.n))
+    # a matrix unit moves each column to one row at most
+    columns = _columns(args.i, args.j, args.r, args.n)
+    lines = [f"operator (i={args.i}, j={args.j}) on the {len(columns)}-dimensional "
              f"basis of the (r={args.r}, n={args.n}) quotient"]
-    # a matrix unit moves each column to one row at most: one dict, one pass
-    image = {lam: f"{q}*D{mu}" for (mu, lam), q in mat.entries.items()}
-    lines += [f"D{lam} -> {image.get(lam, '0')}" for lam in mat.basis]
+    lines += [f"D{lam} -> {'0' if image is None else f'{image[1]}*D{image[0]}'}"
+              for lam, image in columns.items()]
     return "\n".join(lines) + "\n"
 
 

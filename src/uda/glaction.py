@@ -37,7 +37,9 @@ beyond z^{n-1}, checked up to an explicit margin, raises ``WindowViolation``.
 from __future__ import annotations
 
 from collections.abc import Mapping
+from itertools import combinations
 from operator import attrgetter
+from types import MappingProxyType
 
 from .bilaurent import BiLaurent
 from .determinant import exact_det
@@ -45,8 +47,7 @@ from .errors import DegreeZeroError, WindowViolation
 from .exterior import (BasisTag, DeltaForm, DualDeltaForm, LinearForm,
                        _PositiveWForm, w_value, x_in_xc)
 from .module_iso import quotient_project, schur_map_of_poly, schur_map_to_poly
-from .partitions import (Partition, maya_mask, partition_of_mask,
-                         partitions_in_rectangle)
+from .partitions import Partition, maya_mask, partition_of_mask
 from .poly import MvPolynomial, ONE, ZERO, _sum_by_key, memo, series_mul
 from .schubert import sigma_bar_minus_h
 from .symfunc import (c_series_coeffs, generic_factor_poly,
@@ -430,7 +431,8 @@ class RepMatrix(_Record):
     """The matrix of one adapted basis operator on the rectangle Schur basis.
 
     ``entries`` maps (row, column) partitions of ``basis`` to the int 1 or
-    -1; missing entries are zero.
+    -1; missing entries are zero.  ``rep_matrix`` lists them column by
+    column in basis order, the order of ``to_json``.
     """
 
     __slots__ = ("i", "j", "r", "n", "basis", "entries")
@@ -479,71 +481,103 @@ def quotient_action(i: int, j: int, lam: Partition, r: int, n: int
                     ) -> tuple[Partition, int] | None:
     """The image of X^i(c) (x) del^j(s) on the quotient basis element of lam,
     the matrix unit E_ij: (mu, 1), (mu, -1) or None."""
-    if not (0 <= i <= n - 1 and 0 <= j <= n - 1):
-        raise ValueError(f"operator indices must lie in [0, {n - 1}]")
-    if not (1 <= r <= n):
-        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
+    _check_quotient(i, j, r, n)
     if not lam.fits_rectangle(r, n - r):
         raise ValueError(f"partition {lam} does not fit {r}x{n - r}")
     return _matrix_unit(i, j, maya_mask(lam, r))
 
 
-def rep_matrix(i: int, j: int, r: int, n: int) -> RepMatrix:
-    """Representation matrix of X^i(c) (x) del^j(s) on the quotient basis.
-
-    Each column is one bit move on a Maya diagram (``quotient_action``), so
-    every entry is 1 or -1 and no polynomial arithmetic is done; the closed
-    form and the oracle remain as cross-checks in the tests and suites.
-    """
-    basis = tuple(partitions_in_rectangle(r, n - r))
-    entries: dict[tuple[Partition, Partition], int] = {}
-    for lam in basis:
-        image = quotient_action(i, j, lam, r, n)
-        if image is not None:
-            mu, sign = image
-            entries[(mu, lam)] = sign
-    return RepMatrix(i, j, r, n, basis, entries)
+def _check_quotient(i: int, j: int, r: int, n: int) -> None:
+    if not (0 <= i <= n - 1 and 0 <= j <= n - 1):
+        raise ValueError(f"operator indices must lie in [0, {n - 1}]")
+    if not (1 <= r <= n):
+        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
 
 
 @memo
-def _signs(i: int, j: int, r: int, n: int
-           ) -> Mapping[tuple[Partition, Partition], int]:
-    """The +-1 entries of ``rep_matrix(i, j, r, n)``."""
-    return rep_matrix(i, j, r, n).entries
+def _columns(i: int, j: int, r: int, n: int
+             ) -> Mapping[Partition, tuple[Partition, int] | None]:
+    """The columns of E_ij on the quotient, in basis order: each basis
+    element lam maps to its image (mu, 1), (mu, -1) or None
+    (``_matrix_unit``).  The indices are checked as ``quotient_action``
+    checks them, once for the whole basis.
+
+    The basis is listed once, as Maya diagrams: the r-subsets of range(n).
+    The bit positions of the diagram of lam sum to |lam| + r(r-1)/2, and
+    among diagrams of one size the masks are ordered as the parts, so the
+    pairs (sum, mask) sort in the order of ``partitions_in_rectangle``.
+    Each key is the partition ``partition_of_mask`` keeps for its diagram,
+    the object every image holds, so looking an image up as a column, as
+    ``_compose`` does, compares no parts.  The map is read-only and its
+    values are immutable, so ``memo`` keeps it as it is.
+    """
+    _check_quotient(i, j, r, n)
+    states = sorted((sum(bits), sum([1 << b for b in bits]))
+                    for bits in combinations(range(n), r))
+    return MappingProxyType({partition_of_mask(state): _matrix_unit(i, j, state)
+                             for _, state in states})
 
 
-def _mat_mul(a: dict, b: dict) -> dict:
-    by_col: dict[Partition, list[tuple[Partition, int]]] = {}
-    for (mu, nu), x in a.items():
-        by_col.setdefault(nu, []).append((mu, x))
+def rep_matrix(i: int, j: int, r: int, n: int) -> RepMatrix:
+    """Representation matrix of X^i(c) (x) del^j(s) on the quotient basis.
+
+    The operator is a matrix unit, a signed partial permutation: each
+    column holds one entry, 1 or -1, or none (``_columns``), so no
+    polynomial arithmetic is done.  The entries are listed column by
+    column in basis order.  The closed form and the oracle remain as
+    cross-checks in the tests and suites.
+    """
+    columns = _columns(i, j, r, n)
+    return RepMatrix(i, j, r, n, tuple(columns), {
+        (image[0], lam): image[1]
+        for lam, image in columns.items() if image is not None})
+
+
+def _compose(a: Mapping[Partition, tuple[Partition, int] | None],
+             b: Mapping[Partition, tuple[Partition, int] | None]
+             ) -> dict[Partition, tuple[Partition, int]]:
+    """The nonzero columns of the product AB of two ``_columns`` maps on
+    one basis: (AB)(lam) = A(B(lam)), one entry or none per column."""
+    out = {}
+    for lam, image in b.items():
+        if image is not None:
+            then = a[image[0]]
+            if then is not None:
+                out[lam] = then[0], then[1] * image[1]
+    return out
+
+
+def _entries(*terms: tuple[int, Mapping[Partition, tuple[Partition, int] | None]]
+             ) -> dict[tuple[Partition, Partition], int]:
+    """The nonzero (row, column) entries of a sum of scaled column maps."""
     out: dict[tuple[Partition, Partition], int] = {}
-    for (nu, lam), y in b.items():
-        for mu, x in by_col.get(nu, ()):  # a(mu,nu) * b(nu,lam)
-            out[(mu, lam)] = out.get((mu, lam), 0) + x * y
-    return {key: v for key, v in out.items() if v}
-
-
-def _mat_diff(x: dict, y: dict) -> dict:
-    out = dict(x)
-    for key, v in y.items():
-        out[key] = out.get(key, 0) - v
-    return {key: v for key, v in out.items() if v}
+    for scale, columns in terms:
+        for lam, image in columns.items():
+            if image is not None:
+                key = image[0], lam
+                v = out.get(key, 0) + scale * image[1]
+                if v:
+                    out[key] = v
+                else:
+                    del out[key]
+    return out
 
 
 def bracket_check(a: int, b: int, c: int, d: int, r: int, n: int) -> bool:
     """Verify [E_ab, E_cd] = delta_bc E_ad - delta_da E_cb on the quotient.
 
-    The matrices hold only the constants 1 and -1, so the check multiplies
-    and adds their entries as ints.
+    A matrix unit is a signed partial permutation, so a product of two is
+    the composition of their column maps (``_columns``), and AB - BA has
+    at most two entries in a column.
     """
-    A, B = _signs(a, b, r, n), _signs(c, d, r, n)
-    lhs = _mat_diff(_mat_mul(A, B), _mat_mul(B, A))
-    rhs: Mapping = {}
+    A, B = _columns(a, b, r, n), _columns(c, d, r, n)
+    rhs = []
     if b == c:
-        rhs = _signs(a, d, r, n)
+        rhs.append((1, _columns(a, d, r, n)))
     if d == a:
-        rhs = _mat_diff(rhs, _signs(c, b, r, n))
-    return lhs == rhs
+        rhs.append((-1, _columns(c, b, r, n)))
+    return (_entries((1, _compose(A, B)), (-1, _compose(B, A)))
+            == _entries(*rhs))
 
 
 # -- universal factorisation ---------------------------------------------------------

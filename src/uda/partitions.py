@@ -99,7 +99,8 @@ def partitions_in_rectangle(rows: int, cols: int) -> list[Partition]:
     """All partitions whose Young diagram fits in rows x cols, sorted.
 
     The parts are added one row at a time from a stack of prefixes, so a
-    box of any number of rows takes no recursion."""
+    box of any number of rows takes no recursion.  The sort compares the
+    keys (size, *parts), the order of ``Partition.__lt__``, in C."""
     out: list[Partition] = []
     prefixes: list[tuple[int, ...]] = [()]
     while prefixes:
@@ -108,7 +109,7 @@ def partitions_in_rectangle(rows: int, cols: int) -> list[Partition]:
         if len(prefix) < rows:
             top = prefix[-1] if prefix else cols
             prefixes.extend([prefix + (p,) for p in range(1, top + 1)])
-    return sorted(out)
+    return sorted(out, key=lambda lam: (sum(lam), *lam))
 
 
 @memo

@@ -64,7 +64,7 @@ _SAMPLE_ARGS = {
     "x_in_xc": (3, 4),
     "_x_in_xc_terms": (2, 4),
     "_positive_w_value": (2, 1, 4),
-    "_signs": (1, 0, 2, 4),
+    "_columns": (1, 0, 2, 4),
     "wedge_indices": (Partition((1,)), 2),
     "partition_of_indices": ((2, 0),),
     "maya_mask": (Partition((1,)), 2),

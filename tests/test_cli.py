@@ -18,7 +18,8 @@ import uda.cli as cli
 import uda.verify
 from uda.cli import main, parse_partition, UsageError
 from uda.glaction import (StarOperator, _x_in_xc_terms,
-                          generating_action_finite, star_oracle_coords)
+                          generating_action_finite, rep_matrix,
+                          star_oracle_coords)
 from uda.partitions import Partition
 from uda.poly import FAM_C, FAM_E, FAM_H, MvPolynomial, ONE, ZERO
 from uda.symfunc import giambelli, giambelli_term_bound, x_power_term_count
@@ -786,6 +787,31 @@ def test_plain_act_just_under_the_term_limit_finishes():
     assert cpu < 7.0
 
 
+def test_plain_genfun_refuses_a_power_of_x_over_the_term_limit(capsys):
+    # the oracle expands X^i for every i <= zmax; X^33 has 53,963 terms
+    start = time.process_time()
+    code, out, err = run_cli(capsys, "genfun", "--r", "2", "--lambda", "1",
+                             "--no-project", "--zmax", "33", "--dual", "none")
+    assert time.process_time() - start < 0.1   # refused before any algebra
+    assert (code, out) == (1, "")
+    assert err == ("error: --zmax 33: X^33 expands to at least 53963 terms "
+                   "over the deformed basis; genfun expands at most 50000\n")
+
+
+def test_plain_genfun_just_under_the_term_limit_finishes():
+    # X^0 .. X^32 (43,820 terms at the top): about 2.3-4.7 s of CPU and
+    # 168 MB in a process of its own on a 2-vCPU Xeon VM, for a 14.6 MB
+    # document; the budget allows three times the top of that
+    assert x_power_term_count(32, None, cli.GIAMBELLI_MAX_TERMS) == 43_820
+    proc, cpu = run_child("genfun", "--r", "2", "--lambda", "1", "--no-project",
+                          "--zmax", "32", "--dual", "none", "--output", "json")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    doc = json.loads(proc.stdout)
+    assert (len(doc["terms"]), sum(len(t["schur"]) for t in doc["terms"])) == (
+        97, 2083)
+    assert cpu < 15.0
+
+
 @pytest.mark.parametrize("n", [None, 0, 1, 2, 3, 6])
 def test_the_power_of_x_count_is_the_oracles_term_count(n):
     # exact up to the stop, and past the stop a lower bound past it
@@ -799,7 +825,7 @@ def test_the_power_of_x_count_is_the_oracles_term_count(n):
 def test_a_matrix_of_a_thousand_rows_finishes():
     # (990,991) has 991 basis elements, columns of up to 990 ones; listing
     # the rectangle with one recursive call per row raised RecursionError.
-    # About 1.1 s of CPU in a process of its own on a 2-vCPU Xeon VM
+    # About 0.6-1.1 s of CPU in a process of its own on a 2-vCPU Xeon VM
     proc, cpu = run_child("matrix", "--r", "990", "--n", "991", "--i", "0",
                           "--j", "0")
     assert (proc.returncode, proc.stderr) == (0, "")
@@ -807,6 +833,33 @@ def test_a_matrix_of_a_thousand_rows_finishes():
     assert len(lines) == 991 and lines[0] == "D() -> 1*D()"
     assert sum(line.endswith(" -> 0") for line in lines) == 1
     assert cpu < 6.0
+
+
+def test_matrix_writer_matches_json_dumps():
+    # every operator at (1,1), (1,3), (2,4) and (3,6), and at (2,2), whose
+    # E_01 and E_10 are the zero matrix; at the top and nested
+    zero = 0
+    for r, n in ((1, 1), (1, 3), (2, 2), (2, 4), (3, 6)):
+        for i in range(n):
+            for j in range(n):
+                mat = rep_matrix(i, j, r, n)
+                zero += not mat.entries
+                assert (cli._json_doc(mat)
+                        == json.dumps(mat.to_json(), indent=2) + "\n"), (r, n, i, j)
+                assert (cli._json_doc({"m": [mat]}) == json.dumps(
+                    {"m": [mat.to_json()]}, indent=2) + "\n"), (r, n, i, j)
+    assert zero == 2
+
+
+def test_the_bracket_suite_at_rank_six_finishes():
+    # 256 commutators on the 924 columns of (6,12): about 0.2-0.3 s of CPU
+    # in a process of its own on a 2-vCPU Xeon VM; the budget allows five
+    # times the top of that
+    proc, cpu = run_child("verify", "--suite", "bracket", "--r", "6",
+                          "--n", "12")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.endswith("\nOK: 256/256 checks passed\n")
+    assert cpu < 1.5
 
 
 def _text_matrix_from_json(doc) -> str:
@@ -856,8 +909,8 @@ def test_matrix_refuses_a_quotient_over_the_dimension_limit(capsys, r, n):
 
 
 def test_matrix_just_under_the_dimension_limit_finishes():
-    # C(18,9) = 48,620 columns: about 1.8 s of CPU as text in a process of
-    # its own on a 2-vCPU Xeon VM; the budget allows five times that
+    # C(18,9) = 48,620 columns: about 0.9-1.2 s of CPU as text in a process
+    # of its own on a 2-vCPU Xeon VM; the budget allows about eight times that
     assert cli.MATRIX_MAX_DIMENSION == 50_000
     proc, cpu = run_child("matrix", "--r", "9", "--n", "18", "--i", "0",
                           "--j", "0")

@@ -25,7 +25,8 @@ from uda.glaction import (ActionResult, RepMatrix, StarOperator, _closed_form,
                           universal_factorization)
 from uda.module_iso import quotient_project, schur_map_of_poly
 from uda.partitions import (EMPTY, Partition, maya_mask, partition_of_indices,
-                            partitions_in_rectangle, wedge_indices)
+                            partition_of_mask, partitions_in_rectangle,
+                            wedge_indices)
 from uda.poly import FAM_C, MvPolynomial, ONE, ZERO, c_, e_, h_
 from uda.symfunc import e_series_coeffs, e_to_h_rewrite, h_deformed
 
@@ -422,6 +423,100 @@ def test_bracket_rank_one():
             assert bracket_check(a, b, (a + 1) % 3, (b + 1) % 3, 1, 3)
 
 
+# -- the column maps behind rep_matrix and bracket_check -------------------------
+
+
+def _mat_mul(a: dict, b: dict) -> dict:
+    """The product of two dict matrices {(row, column): int}, the reference
+    for the composition of column maps."""
+    by_col: dict[Partition, list[tuple[Partition, int]]] = {}
+    for (mu, nu), x in a.items():
+        by_col.setdefault(nu, []).append((mu, x))
+    out: dict[tuple[Partition, Partition], int] = {}
+    for (nu, lam), y in b.items():
+        for mu, x in by_col.get(nu, ()):  # a(mu,nu) * b(nu,lam)
+            out[(mu, lam)] = out.get((mu, lam), 0) + x * y
+    return {key: v for key, v in out.items() if v}
+
+
+def _mat_diff(x: dict, y: dict) -> dict:
+    out = dict(x)
+    for key, v in y.items():
+        out[key] = out.get(key, 0) - v
+    return {key: v for key, v in out.items() if v}
+
+
+@pytest.mark.parametrize("r, n", [(2, 4), (3, 6), (4, 8)])
+def test_bracket_check_agrees_with_dict_matrix_products(r, n):
+    # every quadruple of the bracket suite's sweep: the law holds by the
+    # dict products, bracket_check says so, and each composition of column
+    # maps is the dict product of the matrices
+    top = min(n, 4)
+    mats = {(i, j): rep_matrix(i, j, r, n).entries
+            for i in range(top) for j in range(top)}
+    for (a, b), A in mats.items():
+        for (c, d), B in mats.items():
+            lhs = _mat_diff(_mat_mul(A, B), _mat_mul(B, A))
+            rhs = {}
+            if b == c:
+                rhs = mats[a, d]
+            if d == a:
+                rhs = _mat_diff(rhs, mats[c, b])
+            assert lhs == rhs and bracket_check(a, b, c, d, r, n), (a, b, c, d)
+            assert gl._entries((1, gl._compose(gl._columns(a, b, r, n),
+                                               gl._columns(c, d, r, n)))
+                               ) == _mat_mul(A, B), (a, b, c, d)
+
+
+def test_a_flipped_sign_breaks_the_law(monkeypatch):
+    # [E_ab, E_ba] = E_aa - E_bb fails once any one entry of E_ab changes sign
+    r, n = 2, 4
+    columns = gl._columns
+    flips = 0
+    for a in range(n):
+        for b in range(n):
+            if a == b:
+                continue
+            for lam, image in columns(a, b, r, n).items():
+                if image is None:
+                    continue
+                flipped = dict(columns(a, b, r, n))
+                flipped[lam] = image[0], -image[1]
+                monkeypatch.setattr(gl, "_columns", lambda *key: (
+                    flipped if key == (a, b, r, n) else columns(*key)))
+                assert not bracket_check(a, b, b, a, r, n), (a, b, lam)
+                flips += 1
+                monkeypatch.setattr(gl, "_columns", columns)
+                assert bracket_check(a, b, b, a, r, n)
+    assert flips == 12 * 2   # each E_ab, a != b, moves 2 of the 6 diagrams
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_columns_are_the_quotient_action(r):
+    # every (i, j) and every basis element of (r, r) .. (r, 2r): the column
+    # map lists the basis in order, each key the partition partition_of_mask
+    # keeps, and each column is quotient_action's image
+    for n in range(r, 2 * r + 1):
+        basis = partitions_in_rectangle(r, n - r)
+        for i in range(n):
+            for j in range(n):
+                columns = gl._columns(i, j, r, n)
+                assert list(columns) == basis
+                for lam, image in columns.items():
+                    assert lam is partition_of_mask(maya_mask(lam, r))
+                    assert image == quotient_action(i, j, lam, r, n), (i, j, lam)
+
+
+def test_columns_refuse_what_quotient_action_refuses():
+    for i, j, r, n in ((4, 0, 2, 4), (0, -1, 2, 4), (0, 0, 3, 2), (0, 0, 0, 1)):
+        with pytest.raises(ValueError) as want:
+            quotient_action(i, j, EMPTY, r, n)
+        for call in (gl._columns, rep_matrix):
+            with pytest.raises(ValueError) as got:
+                call(i, j, r, n)
+            assert str(got.value) == str(want.value)
+
+
 def test_rep_matrix_zero_c_is_specialised_symbolic_matrix():
     # the index-substitution entries are c-free, so they equal the matrix
     # read from the closed form with every c specialised to zero
@@ -518,7 +613,8 @@ def test_quotient_action_rejects_bad_input():
 
 def test_quotient_signs_are_plain_ints():
     # the substitution, the matrices and the finite Schur form carry the
-    # signs as the ints 1 and -1, and the sign tables are the matrices' own
+    # signs as the ints 1 and -1, and the column maps hold the matrices'
+    # own entries
     for r, n in ((2, 4), (3, 5)):
         basis = partitions_in_rectangle(r, n - r)
         for lam in basis:
@@ -533,7 +629,12 @@ def test_quotient_signs_are_plain_ints():
             for j in range(n):
                 entries = rep_matrix(i, j, r, n).entries
                 assert all(type(v) is int for v in entries.values())
-                assert gl._signs(i, j, r, n) == entries
+                columns = gl._columns(i, j, r, n)
+                assert all(type(image[1]) is int for image in columns.values()
+                           if image is not None)
+                assert {(image[0], lam): image[1]
+                        for lam, image in columns.items()
+                        if image is not None} == entries
 
 
 def test_cached_results_are_read_only():
@@ -553,14 +654,25 @@ def test_cached_results_are_read_only():
                                         (3, -2), (3, 0)]
     assert again.schur_form[(0, 0)] == {Partition((1,)): ONE}
     assert not again.positive_w
-    # the sign tables behind bracket_check are cached and shared
+    # the column maps behind rep_matrix and bracket_check are cached and
+    # shared: the map refuses writes, each column is a tuple, and a
+    # matrix's entries are its own dict
     assert bracket_check(1, 0, 0, 1, 2, 4)
-    signs = gl._signs(1, 0, 2, 4)
-    for clobber in (lambda: signs.clear(),
-                    lambda: signs.__setitem__((EMPTY, EMPTY), 1)):
+    columns = gl._columns(1, 0, 2, 4)
+    for clobber in (lambda: columns.clear(),
+                    lambda: columns.__setitem__(EMPTY, None),
+                    lambda: columns.__setitem__(Partition((1,)), (EMPTY, -1))):
         with pytest.raises((TypeError, AttributeError)):
             clobber()
-    assert gl._signs(1, 0, 2, 4) == rep_matrix(1, 0, 2, 4).entries
+    assert all(image is None or type(image) is tuple
+               for image in columns.values())
+    mat = rep_matrix(1, 0, 2, 4)
+    mat.entries.clear()
+    assert gl._columns(1, 0, 2, 4) is columns
+    assert columns[Partition((1,))] == (Partition((1, 1)), 1)
+    assert rep_matrix(1, 0, 2, 4).entries == {
+        (Partition((1, 1)), Partition((1,))): 1,
+        (Partition((2, 1)), Partition((2,))): 1}
 
 
 def test_oracle_result_belongs_to_the_caller():
@@ -759,7 +871,8 @@ def test_the_oracle_uses_no_other_route(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle called another route")
 
-    for name in ("quotient_action", "rep_matrix", "_signs", "_closed_form",
+    for name in ("quotient_action", "rep_matrix", "_columns", "_compose",
+                 "_entries", "bracket_check", "_closed_form",
                  "_finite_closed_form", "generating_action",
                  "generating_action_adapted", "generating_action_finite",
                  "_matrix_unit", "operator_image"):

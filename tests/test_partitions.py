@@ -66,6 +66,8 @@ def test_rectangle_enumeration_matches_the_recursive_reference():
             got = partitions_in_rectangle(rows, cols)
             assert got == _recursive_rectangle(rows, cols), (rows, cols)
             assert all(type(lam) is Partition for lam in got)
+            # the sort key gives the order of Partition.__lt__
+            assert got == sorted(got[::-1]), (rows, cols)
 
 
 def test_rectangle_enumeration_takes_no_recursion():
