@@ -283,6 +283,10 @@ class ActionResult(_Record):
         return self.schur_form.get((i, -j), {})
 
     def to_json(self) -> dict:
+        """The lambda, r, n and dual, and one term per coefficient of
+        ``schur_form`` in the order (-w, z), its coordinates sorted by
+        partition; ``window`` and ``positive_w`` are left out.  The CLI
+        writes the same document without building it (``cli._json_doc``)."""
         terms = []
         for (z, w) in sorted(self.schur_form, key=lambda k: (-k[1], k[0])):
             coords = self.schur_form[(z, w)]
@@ -336,7 +340,12 @@ def _image_table(lam: Partition, r: int, n: int | None, dual: str,
     """The nonzero images (``operator_image``, out of the quotient) of the
     operators in ``window``, keyed (i, w).  Every image below
     w^-(r-1+lam_1) is zero; a window that misses [-(r-1+lam_1), max(wmax,
-    0)] raises ``ValueError``."""
+    0)] raises ``ValueError``.
+
+    The adapted operator at w = -j <= 0 is the matrix unit E_ij, which
+    moves the particle at j, so only the columns j that hold a particle of
+    the Maya diagram of lam are asked for; w^-(r-1+lam_1) is the top one.
+    Every other operator is asked for at each (i, w) of the window."""
     zmax, wmin, wmax = window
     if zmax < 0:
         raise ValueError("zmax must be nonnegative")
@@ -345,9 +354,13 @@ def _image_table(lam: Partition, r: int, n: int | None, dual: str,
     if max(wlo, asked) > wmax:
         raise ValueError(f"wmin/wmax ask for the w-window [{asked}, {wmax}], which "
                          f"misses the product's w-range [{wlo}, {max(wmax, 0)}]")
+    ws = range(wmax, max(wlo, asked) - 1, -1)
+    if dual == "adapted":
+        state = maya_mask(lam, r)
+        ws = [w for w in ws if w > 0 or state >> -w & 1]
     table = {}
     for i in range(zmax + 1):
-        for w in range(wmax, max(wlo, asked) - 1, -1):
+        for w in ws:
             coords = operator_image(i, w, lam, r, n, dual, quotient=False)
             if coords:
                 table[(i, w)] = coords

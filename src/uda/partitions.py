@@ -38,6 +38,12 @@ class Partition(tuple):
             cleaned.pop()
         return tuple.__new__(cls, cleaned)
 
+    @staticmethod
+    def _of(parts: Iterable[int]) -> "Partition":
+        """The partition of ``parts``, taken as they are: weakly decreasing,
+        positive and checked by no one, as a Maya diagram's are."""
+        return tuple.__new__(Partition, parts)
+
     def __reduce__(self):   # copies and pickles rebuild through __new__
         return Partition, (tuple(self),)
 
@@ -144,11 +150,16 @@ def maya_mask(lam: Partition, r: int) -> int:
 
 @memo
 def partition_of_mask(mask: int) -> Partition:
-    """Inverse of :func:`maya_mask`: the rank is the number of set bits."""
-    below = mask.bit_count()   # set bits at or below the current one
+    """Inverse of :func:`maya_mask`: the rank is the number of set bits.
+
+    The particles are read from the top down, the k-th from the top, at
+    bit i, giving the part i - (r - 1 - k), until those left fill the
+    lowest bits (``mask & mask + 1`` is zero): their parts are zero."""
+    below = mask.bit_count()   # particles at or below the top one
     parts = []
-    for i in range(mask.bit_length() - 1, -1, -1):
-        if mask >> i & 1:
-            below -= 1
-            parts.append(i - below)
-    return Partition(parts)
+    while mask & mask + 1:
+        top = mask.bit_length() - 1
+        below -= 1
+        parts.append(top - below)
+        mask ^= 1 << top
+    return Partition._of(parts)

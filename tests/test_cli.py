@@ -17,10 +17,11 @@ import uda
 import uda.cli as cli
 import uda.verify
 from uda.cli import main, parse_partition, UsageError
-from uda.glaction import (StarOperator, _x_in_xc_terms,
+from uda.glaction import (ActionResult, StarOperator, _x_in_xc_terms,
+                          generating_action, generating_action_adapted,
                           generating_action_finite, rep_matrix,
                           star_oracle_coords)
-from uda.partitions import Partition
+from uda.partitions import EMPTY, Partition, partitions_in_rectangle
 from uda.poly import FAM_C, FAM_E, FAM_H, MvPolynomial, ONE, ZERO
 from uda.symfunc import giambelli, giambelli_term_bound, x_power_term_count
 
@@ -849,6 +850,75 @@ def test_matrix_writer_matches_json_dumps():
                 assert (cli._json_doc({"m": [mat]}) == json.dumps(
                     {"m": [mat.to_json()]}, indent=2) + "\n"), (r, n, i, j)
     assert zero == 2
+
+
+def test_action_writer_matches_json_dumps():
+    # every projected document at (1,1), (1,3), (2,4) and (3,6); adapted
+    # windows with wmin and with wmax > 0, and one above w^0, whose terms
+    # are empty; plain windows with polynomial coefficients, one with n=None;
+    # lambda = () and an image table with an empty coordinate map; at the top
+    # and nested
+    results = [generating_action_finite(lam, r, n)
+               for r, n in ((1, 1), (1, 3), (2, 4), (3, 6))
+               for lam in partitions_in_rectangle(r, n - r)]
+    lam = Partition((2, 1))
+    results += [generating_action_adapted(lam, 2, 4, 3, wmin=-2),
+                generating_action_adapted(lam, 2, 4, 3, wmax=2),
+                generating_action_adapted(lam, 2, 5, 4, wmin=-1, wmax=1),
+                generating_action_adapted(lam, 2, 4, 2, wmin=1, wmax=2),
+                generating_action(lam, 2, 3),
+                generating_action(lam, 2, 3, wmin=-2, n=4),
+                generating_action(EMPTY, 3, 2, n=3),
+                generating_action_adapted(EMPTY, 1, 2, 2),
+                ActionResult(EMPTY, 1, None, "plain", None, {(0, 0): {}})]
+    assert results[-1].to_json()["terms"] == [{"z": 0, "w": 0, "schur": []}]
+    assert generating_action_adapted(lam, 2, 4, 2, wmin=1, wmax=2).schur_form == {}
+    assert generating_action(lam, 2, 3).n is None
+    assert any(type(c) is MvPolynomial for c in
+               generating_action(lam, 2, 3).schur_form[(1, 0)].values())
+    for res in results:
+        assert cli._json_doc(res) == json.dumps(res.to_json(), indent=2) + "\n"
+        assert cli._json_doc([res, {"genfun": [res]}]) == json.dumps(
+            [res.to_json(), {"genfun": [res.to_json()]}], indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--r", "1", "--n", "100000"),   # ran past 300 s
+     "the top operator index n-1 must be at most 5000, the giambelli index "
+     "bound, got 99999"),
+    (("--r", "1", "--n", "5002"),
+     "the top operator index n-1 must be at most 5000, the giambelli index "
+     "bound, got 5001"),
+    (("--r", "11", "--n", "5001"),
+     "genfun may list up to 603911 partition parts, r=11 for each of up to "
+     "54901 images (r(n-r+1)); it lists at most 500000"),
+    (("--r", "2500", "--n", "2520"),   # 40 s and 3.2 GB
+     "genfun may list up to 131250000 partition parts, r=2500 for each of up "
+     "to 52500 images (r(n-r+1)); it lists at most 500000"),
+    (("--r", "1", "--n", "4", "--no-project", "--zmax", "10000"),   # 10 s
+     "--zmax must be at most 5000, the giambelli index bound, got 10000"),
+    (("--r", "10", "--n", "10", "--no-project", "--zmax", "5000"),
+     "genfun may list up to 500100 partition parts, r=10 for each of up to "
+     "50010 images (r(zmax+1)); it lists at most 500000"),
+], ids=["n-100000", "n-5002", "parts-r11", "parts-r2500", "zmax-10000",
+        "zmax-parts"])
+def test_genfun_refuses_an_operator_range_over_the_limits(capsys, argv, message):
+    start = time.process_time()
+    code, out, err = run_cli(capsys, "genfun", *argv, "--output", "json")
+    assert time.process_time() - start < 0.1   # refused before any algebra
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_genfun_just_under_the_operator_range_limits_finishes():
+    # (10,5001): the top operator index is 5000, and the 49,920 images list
+    # at most 499,200 parts; about 1.4-1.6 s of CPU and 107 MB in a process
+    # of its own on a 2-vCPU Xeon VM; the budget allows four times the top
+    assert cli.GENFUN_MAX_IMAGE_PARTS == 500_000
+    proc, cpu = run_child("genfun", "--r", "10", "--n", "5001", "--output", "json")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    doc = json.loads(proc.stdout)
+    assert (len(doc["terms"]), doc["n"]) == (10 * 4992, 5001)
+    assert cpu < 6.5
 
 
 def test_the_bracket_suite_at_rank_six_finishes():

@@ -1072,6 +1072,49 @@ def test_positive_w_matches_the_closed_form_at_rank_four(n, data):
     assert res.positive_w == _closed_positive_w(lam, 4, n, zmax, wmin, wmax)
 
 
+def _scanned_table(lam, r, n, dual, window):
+    # every operator of the window, asked for one by one
+    zmax, wmin, wmax = window
+    wlo = -(r - 1 + lam.part(1))
+    lo = max(wlo, wlo if wmin is None else wmin)
+    return {(i, w): coords for i in range(zmax + 1)
+            for w in range(wmax, lo - 1, -1)
+            if (coords := gl.operator_image(i, w, lam, r, n, dual,
+                                            quotient=False))}
+
+
+def test_image_tables_ask_only_for_the_particles_moves(monkeypatch):
+    # the table equals a scan of the whole window, for both duals; an
+    # adapted operator at w <= 0 is asked for only at a particle's column,
+    # so the quotient asks r*n times and holds r*(n-r+1) images: a particle
+    # moves to one of the n-r holes or stays
+    asked = []
+    image = gl.operator_image
+
+    def counted(*args, **kwargs):
+        asked.append(args[:2])
+        return image(*args, **kwargs)
+
+    monkeypatch.setattr(gl, "operator_image", counted)
+    for r, n in ((2, 4), (3, 6), (4, 8)):
+        for lam in partitions_in_rectangle(r, n - r):
+            state = maya_mask(lam, r)
+            for dual, window in (("adapted", (n - 1, None, 0)),
+                                 ("adapted", (n + 1, -2, 0)),
+                                 ("adapted", (3, None, 2)),
+                                 ("adapted", (2, -(r + 1), -1)),
+                                 ("plain", (2, None, 0))):
+                asked.clear()
+                table = gl._image_table(lam, r, n, dual, window)
+                if dual == "adapted":
+                    assert all(w > 0 or state >> -w & 1 for _, w in asked)
+                assert table == _scanned_table(lam, r, n, dual, window), (
+                    r, n, lam, dual, window)
+            asked.clear()
+            table = generating_action_finite(lam, r, n).schur_form
+            assert (len(asked), len(table)) == (r * n, r * (n - r + 1))
+
+
 def test_coords_at_raises_outside_the_asked_window():
     lam = Partition((2, 1))   # the product's w-range is [-3, 0]
     plain = generating_action(lam, 2, zmax=3, wmin=-2)

@@ -144,6 +144,22 @@ def test_memoised_partitions_stay_partitions():
     assert type(_frozen({lam: lam})[lam]) is Partition
 
 
+def test_every_small_diagram_reads_back_an_exact_partition():
+    # every diagram of at most 6 particles in 12 positions: the k-th
+    # particle from the top, at bit i, gives the part i - (r - 1 - k); the
+    # trusted constructor must leave no zero part and no other type
+    for mask in range(1 << 12):
+        r = mask.bit_count()
+        if r > 6:
+            continue
+        bits = [i for i in range(12) if mask >> i & 1][::-1]
+        want = Partition([i - (r - 1 - k) for k, i in enumerate(bits)])
+        lam = partition_of_mask(mask)
+        assert type(lam) is Partition and tuple(lam) == tuple(want), mask
+        assert lam == want and 0 not in lam
+        assert maya_mask(lam, r) == mask
+
+
 def test_a_partition_equals_only_partitions():
     lam = Partition((2, 1))
     assert lam != (2, 1) and (2, 1) != lam
