@@ -305,14 +305,26 @@ def _check_widths(lam: Partition, *named: tuple[str, int]) -> None:
                              f"the giambelli index bound, got {val}")
 
 
+def _check_work(flag: str, work: str, count: int, unit: str, command: str,
+                limit: int = GIAMBELLI_MAX_TERMS) -> None:
+    """Refuse, before any algebra, what ``flag`` asks ``command`` for when
+    ``count``, a deterministic estimate of the ``unit`` that ``work``
+    expands to, passes ``limit``."""
+    if count > limit:
+        raise UsageError(f"{flag}: {work} expands to at least {count} {unit}; "
+                         f"{command} expands at most {limit}")
+
+
+def _check_x_power(flag: str, i: int, n: int | None, command: str) -> None:
+    """``_check_work`` on the terms of a plain X^i over the deformed basis."""
+    _check_work(f"{flag} {i}", f"X^{i}", x_power_term_count(
+        i, n, GIAMBELLI_MAX_TERMS), "terms over the deformed basis", command)
+
+
 def cmd_act(args: argparse.Namespace) -> str:
     _check_widths(args.lam, ("--i", args.i), ("--j", args.j))
     if args.dual != "s":   # the oracle expands the plain X^i first
-        count = x_power_term_count(args.i, args.n, GIAMBELLI_MAX_TERMS)
-        if count > GIAMBELLI_MAX_TERMS:
-            raise UsageError(f"--i {args.i}: X^{args.i} expands to at least "
-                             f"{count} terms over the deformed basis; act "
-                             f"expands at most {GIAMBELLI_MAX_TERMS}")
+        _check_x_power("--i", args.i, args.n, "act")
     quotient = args.n is not None and args.project
     coords = operator_image(args.i, -args.j, args.lam, args.r, args.n,
                             "adapted" if args.dual == "s" else "plain",
@@ -362,6 +374,26 @@ def _check_image_parts(r: int, images: int, bound: str) -> None:
                          f"lists at most {GENFUN_MAX_IMAGE_PARTS}")
 
 
+# the most terms a --no-project --dual s window reaching w^1 .. w^K may form,
+# counted in T, the terms of s(c) up to s_(top+K), top = r-1+lam_1 being the
+# top particle: n T for that table (each s_j sums up to n products), r
+# (min(top, n) + 1) T for phi_1 .. phi_K on the r particles, and r (zmax + 1)
+# T for the images, one copy for each power of X(c) up to X^zmax(c).
+# At r=1, n=4 it takes 0.6 s of CPU and 85 MB for K=100 (1.29 million) and
+# 2.6 s and 361 MB for K=150 in a process of its own on a 2-vCPU Xeon VM;
+# --zmax 400 --wmax 60 (12.9 million) took 3.0 s and 983 MB
+GENFUN_MAX_POSITIVE_W_TERMS = 2_000_000
+
+# the most form values a plain --no-project window may read: each of its
+# (zmax+1)(r+lam_1) operators values del^j on all r particles, X^b(c) for the
+# particle at b over the plain basis, whose c-variables widen every packed
+# monomial.  At zmax=0 it takes 1.5-2.4 s of CPU and 172 MB at r=632
+# (399,424) and 2.4 s and 219 MB at r=700 in a process of its own on a
+# 2-vCPU Xeon VM; zmax=2 took 6.3 s and 533 MB at r=1000 and 30 s and
+# 3.45 GB at r=2000 (wall time)
+GENFUN_MAX_FORM_VALUES = 400_000
+
+
 def cmd_genfun(args: argparse.Namespace) -> str:
     if args.project:
         if args.n is None:
@@ -385,20 +417,31 @@ def cmd_genfun(args: argparse.Namespace) -> str:
             if args.n is None:
                 raise UsageError("--dual s needs --n (the number of c variables)")
             _check_image_parts(args.r, args.r * (args.zmax + 1), "r(zmax+1)")
-            res = generating_action_adapted(
-                args.lam, args.r, args.n, args.zmax, wmin=args.wmin,
-                wmax=0 if args.wmax is None else args.wmax)
+            wmax = 0 if args.wmax is None else args.wmax
+            if wmax > 0:
+                top = args.r - 1 + args.lam.part(1)
+                _check_widths(args.lam, ("the top particle plus --wmax", top + wmax))
+                times = args.n + args.r * (min(top, args.n) + args.zmax + 2)
+                _check_work(
+                    f"--wmax {wmax}", f"the window z^0 .. z^{args.zmax}, w^1 .. "
+                    f"w^{wmax} on r={args.r} particles",
+                    times * x_power_term_count(
+                        top + wmax, args.n, GENFUN_MAX_POSITIVE_W_TERMS // times),
+                    f"terms from s(c) up to s_{top + wmax}", "genfun",
+                    GENFUN_MAX_POSITIVE_W_TERMS)
+            res = generating_action_adapted(args.lam, args.r, args.n, args.zmax,
+                                            wmin=args.wmin, wmax=wmax)
         else:
             if args.wmax is not None:
                 raise UsageError("--wmax applies to --dual s only; the plain "
                                  "generating function ends at w^0")
             # the oracle expands every plain X^i, i <= zmax, first
-            count = x_power_term_count(args.zmax, args.n, GIAMBELLI_MAX_TERMS)
-            if count > GIAMBELLI_MAX_TERMS:
-                raise UsageError(f"--zmax {args.zmax}: X^{args.zmax} expands to "
-                                 f"at least {count} terms over the deformed "
-                                 f"basis; genfun expands at most "
-                                 f"{GIAMBELLI_MAX_TERMS}")
+            _check_x_power("--zmax", args.zmax, args.n, "genfun")
+            width = args.r + args.lam.part(1)
+            _check_work(f"--r {args.r}", f"the window z^0 .. z^{args.zmax}, w^0 .. "
+                        f"w^-{width - 1} on r={args.r} particles",
+                        (args.zmax + 1) * width * args.r, "form values", "genfun",
+                        GENFUN_MAX_FORM_VALUES)
             res = generating_action(args.lam, args.r, args.zmax,
                                     wmin=args.wmin, n=args.n)
     if args.output == "json":

@@ -130,12 +130,6 @@ class StarOperator(_Record):
         return StarOperator(vec, BasisTag.DEFORMED_XC, DualDeltaForm(j))
 
 
-@memo
-def _x_in_xc_terms(k: int, n: int | None) -> tuple[tuple[int, MvPolynomial], ...]:
-    """The nonzero pairs (m, s_{k-m}) of X^k = sum_m s_{k-m} X^m(c)."""
-    return tuple((m, x) for m, x in enumerate(x_in_xc(k, n)) if x)
-
-
 def star_oracle_coords(op: StarOperator, lam: Partition, r: int,
                        n: int | None = None, *, quotient: bool = True
                        ) -> dict[Partition, MvPolynomial]:
@@ -171,10 +165,10 @@ def star_oracle_coords(op: StarOperator, lam: Partition, r: int,
     if op.vector_tag is _DEFORMED:
         vector = op._terms
     elif len(op._terms) == 1 and op._terms[0][1] is ONE:   # a plain X^k
-        vector = _x_in_xc_terms(op._terms[0][0], n)
+        vector = [(m, x) for m, x in enumerate(x_in_xc(op._terms[0][0], n)) if x]
     else:
         vector = tuple(_sum_by_key((m, a, x) for k, a in op._terms
-                                   for m, x in _x_in_xc_terms(k, n)).items())
+                                   for m, x in enumerate(x_in_xc(k, n))).items())
     if not picks:
         return {}
     # summed inline, not through poly._sum_by_key: a request takes a few

@@ -2,8 +2,11 @@
 
 All arithmetic is exact, so every comparison is structural equality of
 canonical forms; the stated runtime bounds are asserted with a monotonic
-clock.  Run with ``pytest -v tests/test_acceptance.py`` (add ``-s`` to see
-the per-criterion lines as they pass).
+clock.  Criteria 4, 6, 7 and 8 run the suites that ``uda verify`` ships
+(``uda.verify.SUITES``) and count their checks; the others check worked
+examples and routes that no suite runs.  Run with ``pytest -v
+tests/test_acceptance.py`` (add ``-s`` to see the per-criterion lines as
+they pass).
 """
 
 import random
@@ -12,25 +15,34 @@ from functools import reduce
 
 from uda import clear_caches
 from uda.bilaurent import BiLaurent
-from uda.exterior import (BasisTag, DualDeltaForm, ExtElement, contract,
-                          convert_basis, expand_over_factor, residue_tuple,
-                          wedge)
+from uda.exterior import (BasisTag, ExtElement, expand_over_factor,
+                          residue_tuple, wedge)
 from uda.glaction import (StarOperator, _closed_form, _finite_closed_form,
-                          bracket_check, generating_action,
-                          generating_action_finite, quotient_action,
-                          star_oracle, star_oracle_coords,
-                          universal_factorization)
+                          generating_action, generating_action_finite,
+                          star_oracle)
 from uda.module_iso import quotient_project, schur_map_of_poly, wedge_to_poly
 from uda.partitions import (EMPTY, Partition, partition_of_indices,
                             partitions_in_rectangle)
 from uda.poly import FAM_C, MvPolynomial, ONE, ZERO, c_, h_
 from uda.symfunc import e_series_coeffs, e_to_h_rewrite, giambelli, h_deformed
+from uda.verify import SUITES
 
 
 def _report(num: int, label: str, started: float, budget: float):
     elapsed = time.monotonic() - started
     print(f"PASS criterion {num}: {label} ({elapsed:.2f}s < {budget:g}s)")
     assert elapsed < budget, f"criterion {num} exceeded its {budget}s budget"
+
+
+def _run_suite(name: str, cases) -> int:
+    """Run the shipped ``uda verify`` suite ``name`` at each (r, n) of
+    ``cases``; assert every check passes and return how many ran."""
+    checked = 0
+    for r, n in cases:
+        for passed, label in SUITES[name](r, n):
+            assert passed, (name, r, n, label)
+            checked += 1
+    return checked
 
 
 def test_criterion_1_golden_quotient_action():
@@ -102,19 +114,8 @@ def test_criterion_3_golden_single_action():
 
 def test_criterion_4_oracle_equivalence_sweep():
     t0 = time.monotonic()
-    checked = 0
-    for r in (1, 2, 3):
-        for n in range(r, 6):
-            for lam in partitions_in_rectangle(r, n - r):
-                closed = _finite_closed_form(lam, r, n)
-                for i in range(n):
-                    for j in range(n):
-                        image = quotient_action(i, j, lam, r, n)
-                        assert closed.get((i, -j), {}) == star_oracle_coords(
-                            StarOperator.adapted(i, j), lam, r, n) == \
-                            ({} if image is None else dict([image])), \
-                            (r, n, lam, i, j)
-                        checked += 1
+    checked = _run_suite("oracle", [(r, n) for r in (1, 2, 3)
+                                    for n in range(r, 6)])
     assert checked == 925
     _report(4, f"closed form, oracle and index substitution agree on all "
                f"{checked} cases (r<=3, n<=5)", t0, 300.0)
@@ -163,41 +164,22 @@ def test_criterion_5_residue_triangle():
 def test_criterion_6_representation_law():
     clear_caches()
     t0 = time.monotonic()
-    for a in range(4):
-        for b in range(4):
-            for c in range(4):
-                for d in range(4):
-                    assert bracket_check(a, b, c, d, 2, 4), (a, b, c, d)
+    assert _run_suite("bracket", [(2, 4)]) == 256
     _report(6, "commutator law on all 256 operator quadruples at r=2, n=4",
             t0, 600.0)
 
 
 def test_criterion_7_universal_factorization():
     t0 = time.monotonic()
-    for n in range(1, 6):
-        for r in range(1, n + 1):
-            _, _, ok = universal_factorization(r, n)
-            assert ok, (r, n)
+    assert _run_suite("factorize", [(1, 5)]) == 15
     _report(7, "universal factorization verifies for all 1 <= r <= n <= 5",
             t0, 300.0)
 
 
 def test_criterion_8_duality_and_ideal_preservation():
     t0 = time.monotonic()
-    for i in range(9):
-        u = convert_basis(ExtElement.vector(i, BasisTag.DEFORMED_XC),
-                          BasisTag.PLAIN_X, None)
-        for j in range(9):
-            val = contract(DualDeltaForm(j), u, None).terms.get((), ZERO)
-            assert val == (ONE if i == j else ZERO), (i, j)
-    for (r, n) in ((2, 4), (3, 5)):
-        for k in range(1, r + 1):
-            gen = Partition((n - r + k,))
-            for i in range(n):
-                for j in range(n):
-                    assert star_oracle_coords(
-                        StarOperator.adapted(i, j), gen, r, n) == {}, \
-                        (r, n, k, i, j)
+    assert _run_suite("duality", [(2, 4)]) == 81
+    assert _run_suite("ideal", [(2, 4)]) == 5
     _report(8, "dual-basis pairing is Kronecker and the ideal generators die",
             t0, 300.0)
 

@@ -62,7 +62,6 @@ def test_every_cache_is_a_registered_memo_table():
 _SAMPLE_ARGS = {
     "xc_expand": (2, 4),
     "x_in_xc": (3, 4),
-    "_x_in_xc_terms": (2, 4),
     "_positive_w_value": (2, 1, 4),
     "_columns": (1, 0, 2, 4),
     "wedge_indices": (Partition((1,)), 2),

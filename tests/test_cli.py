@@ -17,10 +17,10 @@ import uda
 import uda.cli as cli
 import uda.verify
 from uda.cli import main, parse_partition, UsageError
-from uda.glaction import (ActionResult, StarOperator, _x_in_xc_terms,
-                          generating_action, generating_action_adapted,
-                          generating_action_finite, rep_matrix,
-                          star_oracle_coords)
+from uda.exterior import x_in_xc
+from uda.glaction import (ActionResult, StarOperator, generating_action,
+                          generating_action_adapted, generating_action_finite,
+                          rep_matrix, star_oracle_coords)
 from uda.partitions import EMPTY, Partition, partitions_in_rectangle
 from uda.poly import FAM_C, FAM_E, FAM_H, MvPolynomial, ONE, ZERO
 from uda.symfunc import giambelli, giambelli_term_bound, x_power_term_count
@@ -817,7 +817,7 @@ def test_plain_genfun_just_under_the_term_limit_finishes():
 def test_the_power_of_x_count_is_the_oracles_term_count(n):
     # exact up to the stop, and past the stop a lower bound past it
     for i in range(17):
-        terms = sum(len(s.terms) for _, s in _x_in_xc_terms(i, n))
+        terms = sum(len(s.terms) for s in x_in_xc(i, n))
         assert x_power_term_count(i, n, terms) == terms, i
         for stop in (terms - 1, terms // 3):
             assert stop < x_power_term_count(i, n, stop) <= terms, (i, stop)
@@ -882,6 +882,10 @@ def test_action_writer_matches_json_dumps():
             [res.to_json(), {"genfun": [res.to_json()]}], indent=2) + "\n"
 
 
+_POSITIVE_W = ("--r", "1", "--n", "4", "--no-project", "--dual", "s")
+_PLAIN = ("--no-project", "--dual", "none")
+
+
 @pytest.mark.parametrize("argv, message", [
     (("--r", "1", "--n", "100000"),   # ran past 300 s
      "the top operator index n-1 must be at most 5000, the giambelli index "
@@ -900,8 +904,35 @@ def test_action_writer_matches_json_dumps():
     (("--r", "10", "--n", "10", "--no-project", "--zmax", "5000"),
      "genfun may list up to 500100 partition parts, r=10 for each of up to "
      "50010 images (r(zmax+1)); it lists at most 500000"),
+    # the JSON document leaves the positive-w images out, but they are all
+    # formed: phi_k on every particle, for every power of X(c)
+    (_POSITIVE_W + ("--zmax", "0", "--wmax", "113"),
+     "--wmax 113: the window z^0 .. z^0, w^1 .. w^113 on r=1 particles expands "
+     "to at least 2051730 terms from s(c) up to s_113; genfun expands at most "
+     "2000000"),
+    (_POSITIVE_W + ("--zmax", "0", "--wmax", "150"),   # 2.6 s and 361 MB
+     "--wmax 150: the window z^0 .. z^0, w^1 .. w^150 on r=1 particles expands "
+     "to at least 3207798 terms from s(c) up to s_150; genfun expands at most "
+     "2000000"),
+    (_POSITIVE_W + ("--zmax", "400", "--wmax", "60"),   # 3.0 s and 983 MB
+     "--wmax 60: the window z^0 .. z^400, w^1 .. w^60 on r=1 particles expands "
+     "to at least 12927446 terms from s(c) up to s_60; genfun expands at most "
+     "2000000"),
+    (_POSITIVE_W + ("--zmax", "0", "--wmax", "4999", "--lambda", "2"),
+     "the top particle plus --wmax must be at most 5000, the giambelli index "
+     "bound, got 5001"),
+    (_PLAIN + ("--r", "633", "--zmax", "0"),
+     "--r 633: the window z^0 .. z^0, w^0 .. w^-632 on r=633 particles expands "
+     "to at least 400689 form values; genfun expands at most 400000"),
+    (_PLAIN + ("--r", "2000", "--zmax", "2"),   # 30 s and 3.45 GB
+     "--r 2000: the window z^0 .. z^2, w^0 .. w^-1999 on r=2000 particles "
+     "expands to at least 12000000 form values; genfun expands at most 400000"),
+    (_PLAIN + ("--r", "300", "--lambda", "400", "--zmax", "2"),
+     "--r 300: the window z^0 .. z^2, w^0 .. w^-699 on r=300 particles expands "
+     "to at least 630000 form values; genfun expands at most 400000"),
 ], ids=["n-100000", "n-5002", "parts-r11", "parts-r2500", "zmax-10000",
-        "zmax-parts"])
+        "zmax-parts", "wmax-113", "wmax-150", "wmax-zmax-400", "wmax-index",
+        "plain-r-633", "plain-r-2000", "plain-lambda-400"])
 def test_genfun_refuses_an_operator_range_over_the_limits(capsys, argv, message):
     start = time.process_time()
     code, out, err = run_cli(capsys, "genfun", *argv, "--output", "json")
@@ -919,6 +950,32 @@ def test_genfun_just_under_the_operator_range_limits_finishes():
     doc = json.loads(proc.stdout)
     assert (len(doc["terms"]), doc["n"]) == (10 * 4992, 5001)
     assert cpu < 6.5
+
+
+def test_positive_w_genfun_just_under_the_term_limit_finishes(capsys):
+    # w^1 .. w^112 at r=1, n=4: 6 x 330,555 = 1,983,330 terms; about 1.3 s
+    # of CPU and 122 MB in a process of its own on a 2-vCPU Xeon VM; the
+    # budget allows three times that.  The JSON document is the one of w^0
+    assert cli.GENFUN_MAX_POSITIVE_W_TERMS == 2_000_000
+    argv = ("genfun", *_POSITIVE_W, "--zmax", "0", "--output", "json")
+    proc, cpu = run_child(*argv, "--wmax", "112")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (0, proc.stdout, "") == run_cli(capsys, *argv)
+    assert cpu < 4.0
+
+
+def test_plain_genfun_just_under_the_form_value_limit_finishes():
+    # r=632 at zmax=0 reads 399,424 form values, each from a particle's
+    # X^b(c) over up to 632 c-variables: about 1.5-2.4 s of CPU and 172 MB
+    # in a process of its own on a 2-vCPU Xeon VM; the budget allows three
+    # times the top of that
+    assert cli.GENFUN_MAX_FORM_VALUES == 400_000
+    proc, cpu = run_child("genfun", "--r", "632", "--no-project", "--dual",
+                          "none", "--zmax", "0", "--output", "json")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    doc = json.loads(proc.stdout)   # X^0 needs bit 0, which only del^0 frees
+    assert (doc["r"], [(t["z"], t["w"]) for t in doc["terms"]]) == (632, [(0, 0)])
+    assert cpu < 7.5
 
 
 def test_the_bracket_suite_at_rank_six_finishes():
