@@ -8,12 +8,13 @@ factorisation) and ``verify`` (the suites of ``uda.verify``).  One table,
 declarations: flag, dest, type, choices, default, required, store_false,
 help), its own defaults and its handler.
 
-``main`` reads a well-formed call straight from that table (``_scan``):
-exact flags, each value of its declared type and among its choices, every
+``main`` reads a well-formed call straight from that table (``_scan``,
+through ``_FLAGS``, each subcommand's flags indexed once at import): exact
+flags, each value of its declared type and among its choices, every
 required flag given.  No parser is built for it.  Any other argv (help,
 abbreviations, ``--flag=value``, unknown or bad arguments) is parsed, and
 its help or error worded, by the whole argparse tree (``build_parser``),
-fed the same declarations.  Nothing is built at import.
+fed the same declarations.  No parser is built at import.
 
 Output is deterministic: identical configurations produce byte-identical
 documents.  Exit codes: 0 success, 1 invalid configuration (the message
@@ -25,12 +26,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Mapping
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from .errors import AlgebraError
-from .glaction import (ActionResult, RepMatrix, _columns, generating_action,
+from .glaction import (ActionResult, _columns, generating_action,
                        generating_action_adapted, generating_action_finite,
-                       operator_image, rep_matrix, universal_factorization)
+                       operator_image, universal_factorization)
 from .module_iso import schur_map_to_poly
 from .partitions import Partition
 from .poly import _JSON, MvPolynomial
@@ -92,9 +94,9 @@ def _json_doc(payload) -> str:
     str keys, lists, str, int, bool and None) itself and hands any other
     value to ``json.dumps``, re-indented to its depth.  An ``MvPolynomial``
     is written as its ``to_json()`` would be, straight from its terms, and
-    so is a ``RepMatrix`` whose entries are in ``to_json``'s order, as
-    every matrix of ``rep_matrix`` is (``_write_matrix``), and an
-    ``ActionResult``, straight from its ``schur_form`` (``_write_action``).
+    so is an ``ActionResult``, straight from its ``schur_form``
+    (``_write_action``).  The ``matrix`` document has a writer of its own,
+    ``_matrix_json``.
     """
     out: list[str] = []
     _write_json(payload, "\n", out)
@@ -112,8 +114,6 @@ def _write_json(obj, newline: str, out: list[str]) -> None:
         out.append("null" if obj is None else "true" if obj else "false")
     elif kind is MvPolynomial:
         _write_poly(obj, newline, out)
-    elif kind is RepMatrix:
-        _write_matrix(obj, newline, out)
     elif kind is ActionResult:
         _write_action(obj, newline, out)
     elif kind is list:
@@ -186,27 +186,25 @@ def _items(texts: list[str], indent: str) -> str:
             if texts else "[]")
 
 
-def _write_matrix(mat: RepMatrix, newline: str, out: list[str]) -> None:
-    """``mat.to_json()`` through ``_write_json``, without building it.
-
-    ``to_json`` sorts the entries by column, then row; ``rep_matrix`` lists
-    them column by column in basis order, one at most per column, so they
-    are written in their own order."""
-    i1 = newline + "  "
-    i2 = i1 + "  "
-    i3 = i2 + "  "
-    row = "{" + i3 + '"row": '
-    col = "," + i3 + '"col": '
-    coeff = "," + i3 + '"coeff": "'
-    close = '"' + i2 + "}"
-    out.append(
-        f'{{{i1}"i": {mat.i},{i1}"j": {mat.j},{i1}"r": {mat.r},{i1}"n": {mat.n},'
-        f'{i1}"dimension": {len(mat.basis)},{i1}"basis": '
-        + _items([_parts(lam, i2) for lam in mat.basis], i1)
-        + f',{i1}"entries": '
-        + _items([row + _parts(mu, i3) + col + _parts(lam, i3) + coeff + str(q)
-                  + close for (mu, lam), q in mat.entries.items()], i1)
-        + newline + "}")
+def _matrix_json(i: int, j: int, r: int, n: int,
+                 columns: Mapping[Partition, tuple[Partition, int] | None]) -> str:
+    """``_json_doc(rep_matrix(i, j, r, n))`` written straight from the
+    column map of E_ij (``_columns``).  ``to_json`` sorts the entries by
+    column, then row; the map lists the columns in basis order, each with
+    one entry at most, so they are written in its order."""
+    row = '{\n      "row": '
+    col = ',\n      "col": '
+    coeff = ',\n      "coeff": "'
+    close = '"\n    }'
+    return (
+        f'{{\n  "i": {i},\n  "j": {j},\n  "r": {r},\n  "n": {n},'
+        f'\n  "dimension": {len(columns)},\n  "basis": '
+        + _items([_parts(lam, "\n    ") for lam in columns], "\n  ")
+        + ',\n  "entries": '
+        + _items([row + _parts(image[0], "\n      ") + col
+                  + _parts(lam, "\n      ") + coeff + str(image[1]) + close
+                  for lam, image in columns.items() if image], "\n  ")
+        + "\n}\n")
 
 
 def _write_action(res: ActionResult, newline: str, out: list[str]) -> None:
@@ -393,6 +391,16 @@ GENFUN_MAX_POSITIVE_W_TERMS = 2_000_000
 # 3.45 GB at r=2000 (wall time)
 GENFUN_MAX_FORM_VALUES = 400_000
 
+# the most terms a plain --no-project window may hold: the image of X^i
+# (x) del^j keeps up to one coordinate per term of X^i over the deformed
+# basis and particle, so the window counts the terms of X^0 .. X^zmax times
+# r.  At n=1 (i+1 terms in X^i) r=1 zmax=998 (501,501) takes 3.3 s of CPU
+# and 319 MB, and n=2 r=2 zmax=180 (1,037,322) 2.8 s and 293 MB, in a
+# process of its own on a 2-vCPU Xeon VM; n=1 zmax=5000 (12.5 million)
+# grew past 5 GB, and n=2 r=2 zmax=430 (13.5 million) ran out of a 1.5 GB
+# address space
+GENFUN_MAX_WINDOW_TERMS = 500_000
+
 
 def cmd_genfun(args: argparse.Namespace) -> str:
     if args.project:
@@ -429,6 +437,11 @@ def cmd_genfun(args: argparse.Namespace) -> str:
                         top + wmax, args.n, GENFUN_MAX_POSITIVE_W_TERMS // times),
                     f"terms from s(c) up to s_{top + wmax}", "genfun",
                     GENFUN_MAX_POSITIVE_W_TERMS)
+            # the JSON document leaves w^1 .. w^wmax out, so it asks for
+            # none of them; a window wholly above w^0 is asked as given and
+            # lists no term
+            if args.output == "json" and (args.wmin is None or args.wmin <= 0):
+                wmax = min(wmax, 0)
             res = generating_action_adapted(args.lam, args.r, args.n, args.zmax,
                                             wmin=args.wmin, wmax=wmax)
         else:
@@ -437,6 +450,12 @@ def cmd_genfun(args: argparse.Namespace) -> str:
                                  "generating function ends at w^0")
             # the oracle expands every plain X^i, i <= zmax, first
             _check_x_power("--zmax", args.zmax, args.n, "genfun")
+            _check_work(f"--zmax {args.zmax}", f"X^0 .. X^{args.zmax} on r={args.r} "
+                        "particles", args.r * x_power_term_count(
+                            args.zmax, args.n, GENFUN_MAX_WINDOW_TERMS // args.r,
+                            every_power=True),
+                        "terms over the deformed basis", "genfun",
+                        GENFUN_MAX_WINDOW_TERMS)
             width = args.r + args.lam.part(1)
             _check_work(f"--r {args.r}", f"the window z^0 .. z^{args.zmax}, w^0 .. "
                         f"w^-{width - 1} on r={args.r} particles",
@@ -470,10 +489,10 @@ def cmd_matrix(args: argparse.Namespace) -> str:
             raise UsageError(f"the (r={args.r}, n={args.n}) quotient has more "
                              f"than {MATRIX_MAX_DIMENSION} basis elements; "
                              f"matrix renders at most {MATRIX_MAX_DIMENSION}")
-    if args.output == "json":
-        return _json_doc(rep_matrix(args.i, args.j, args.r, args.n))
     # a matrix unit moves each column to one row at most
     columns = _columns(args.i, args.j, args.r, args.n)
+    if args.output == "json":
+        return _matrix_json(args.i, args.j, args.r, args.n, columns)
     lines = [f"operator (i={args.i}, j={args.j}) on the {len(columns)}-dimensional "
              f"basis of the (r={args.r}, n={args.n}) quotient"]
     lines += [f"D{lam} -> {'0' if image is None else f'{image[1]}*D{image[0]}'}"
@@ -603,6 +622,14 @@ _COMMANDS = {
 # own default wins over these
 _DEFAULTS = {"lam": None, "i": None, "j": None, "project": True}
 
+# subcommand -> ({flag: its _Arg}, the dests it requires, the namespace main
+# reads when no flag is given), the table ``_scan`` reads argv against
+_FLAGS = {name: ({arg.flag: arg for arg in arguments},
+                 [arg.dest for arg in arguments if arg.required],
+                 {"command": name, **_DEFAULTS, **defaults,
+                  **{arg.dest: arg.default for arg in arguments}})
+          for name, (_, arguments, defaults, _) in _COMMANDS.items()}
+
 
 def build_parser() -> argparse.ArgumentParser:
     """The whole tree, which parses every argv that ``_scan`` declines and
@@ -629,8 +656,7 @@ def _scan(command: str, argv: list[str]) -> argparse.Namespace | None:
     last value wins).  Help, abbreviations, ``--flag=value``, negative
     numbers, ``--``, unknown tokens, bad values and missing flags are
     argparse's."""
-    _, arguments, defaults, _ = _COMMANDS[command]
-    by_flag = {arg.flag: arg for arg in arguments}
+    by_flag, required, unset = _FLAGS[command]
     given = {}
     k, end = 0, len(argv)
     while k < end:
@@ -653,11 +679,9 @@ def _scan(command: str, argv: list[str]) -> argparse.Namespace | None:
             return None
         given[arg.dest] = value
         k += 2
-    if any(arg.required and arg.dest not in given for arg in arguments):
+    if any(dest not in given for dest in required):
         return None
-    return argparse.Namespace(**{
-        "command": command, **_DEFAULTS, **defaults,
-        **{arg.dest: arg.default for arg in arguments}, **given})
+    return argparse.Namespace(**{**unset, **given})
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:

@@ -11,7 +11,10 @@ Every generating function is served as a table of operator images, each
 from the route that ``operator_image`` names.  The adapted operator X^i(c)
 (x) del^j(s) is the matrix unit E_ij on the r-th exterior power of the
 deformed basis; ``_matrix_unit`` forms its image, a signed basis element or
-zero, by moving one bit of the Maya diagram of lam.  The oracle serves the
+zero, by moving one bit of the Maya diagram of lam.  On the quotient the
+basis is listed once per (r, n), with its diagrams (``_basis``); the column
+maps of E_ij on it (``_columns``) serve the matrices, and ``bracket_check``
+checks the gl_n law on them one column at a time.  The oracle serves the
 rest: the plain operator X^i (x) del^j, a Z[c]-combination of matrix units,
 and X^i(c) (x) phi_k, where phi_k values X^m at s_{m+k}(c), whose image is
 the coefficient at z^i w^k, k > 0, of the adapted form; phi_k is none of
@@ -37,7 +40,7 @@ beyond z^{n-1}, checked up to an explicit margin, raises ``WindowViolation``.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from itertools import combinations
+from itertools import combinations, repeat
 from operator import attrgetter
 from types import MappingProxyType
 
@@ -502,27 +505,35 @@ def _check_quotient(i: int, j: int, r: int, n: int) -> None:
 
 
 @memo
-def _columns(i: int, j: int, r: int, n: int
-             ) -> Mapping[Partition, tuple[Partition, int] | None]:
-    """The columns of E_ij on the quotient, in basis order: each basis
-    element lam maps to its image (mu, 1), (mu, -1) or None
-    (``_matrix_unit``).  The indices are checked as ``quotient_action``
-    checks them, once for the whole basis.
+def _basis(r: int, n: int) -> tuple[tuple[Partition, int], ...]:
+    """The quotient basis in the order of ``partitions_in_rectangle``: one
+    pair (lam, ``maya_mask(lam, r)``) per r-subset of range(n).
 
-    The basis is listed once, as Maya diagrams: the r-subsets of range(n).
     The bit positions of the diagram of lam sum to |lam| + r(r-1)/2, and
     among diagrams of one size the masks are ordered as the parts, so the
-    pairs (sum, mask) sort in the order of ``partitions_in_rectangle``.
-    Each key is the partition ``partition_of_mask`` keeps for its diagram,
-    the object every image holds, so looking an image up as a column, as
-    ``_compose`` does, compares no parts.  The map is read-only and its
-    values are immutable, so ``memo`` keeps it as it is.
+    pairs (sum, mask) sort in basis order.  Each lam is the partition
+    ``partition_of_mask`` keeps for its diagram, the object every image of
+    ``_matrix_unit`` holds.
     """
-    _check_quotient(i, j, r, n)
     states = sorted((sum(bits), sum([1 << b for b in bits]))
                     for bits in combinations(range(n), r))
-    return MappingProxyType({partition_of_mask(state): _matrix_unit(i, j, state)
-                             for _, state in states})
+    return tuple((partition_of_mask(state), state) for _, state in states)
+
+
+@memo
+def _columns(i: int, j: int, r: int, n: int
+             ) -> Mapping[Partition, tuple[Partition, int] | None]:
+    """The columns of E_ij on the quotient, in basis order (``_basis``):
+    each basis element lam maps to its image (mu, 1), (mu, -1) or None
+    (``_matrix_unit``).  The indices are checked as ``quotient_action``
+    checks them, once for the whole basis.  An image's partition is a key
+    of the map, the same object, so looking it up as a column compares no
+    parts.  The map is read-only and its values are immutable, so ``memo``
+    keeps it as it is.
+    """
+    _check_quotient(i, j, r, n)
+    return MappingProxyType({lam: _matrix_unit(i, j, state)
+                             for lam, state in _basis(r, n)})
 
 
 def rep_matrix(i: int, j: int, r: int, n: int) -> RepMatrix:
@@ -540,51 +551,33 @@ def rep_matrix(i: int, j: int, r: int, n: int) -> RepMatrix:
         for lam, image in columns.items() if image is not None})
 
 
-def _compose(a: Mapping[Partition, tuple[Partition, int] | None],
-             b: Mapping[Partition, tuple[Partition, int] | None]
-             ) -> dict[Partition, tuple[Partition, int]]:
-    """The nonzero columns of the product AB of two ``_columns`` maps on
-    one basis: (AB)(lam) = A(B(lam)), one entry or none per column."""
-    out = {}
-    for lam, image in b.items():
-        if image is not None:
-            then = a[image[0]]
-            if then is not None:
-                out[lam] = then[0], then[1] * image[1]
-    return out
-
-
-def _entries(*terms: tuple[int, Mapping[Partition, tuple[Partition, int] | None]]
-             ) -> dict[tuple[Partition, Partition], int]:
-    """The nonzero (row, column) entries of a sum of scaled column maps."""
-    out: dict[tuple[Partition, Partition], int] = {}
-    for scale, columns in terms:
-        for lam, image in columns.items():
-            if image is not None:
-                key = image[0], lam
-                v = out.get(key, 0) + scale * image[1]
-                if v:
-                    out[key] = v
-                else:
-                    del out[key]
-    return out
-
-
 def bracket_check(a: int, b: int, c: int, d: int, r: int, n: int) -> bool:
     """Verify [E_ab, E_cd] = delta_bc E_ad - delta_da E_cb on the quotient.
 
-    A matrix unit is a signed partial permutation, so a product of two is
-    the composition of their column maps (``_columns``), and AB - BA has
-    at most two entries in a column.
+    A matrix unit is a signed partial permutation (``_columns``), so column
+    lam of the product AB is B's entry in it moved on by A, and each side
+    of the law has at most two signed entries in a column.  The law is
+    checked one column at a time, in basis order, with no matrix built:
+    the four entries of AB - BA - E_ad + E_cb must cancel.
     """
     A, B = _columns(a, b, r, n), _columns(c, d, r, n)
-    rhs = []
-    if b == c:
-        rhs.append((1, _columns(a, d, r, n)))
-    if d == a:
-        rhs.append((-1, _columns(c, b, r, n)))
-    return (_entries((1, _compose(A, B)), (-1, _compose(B, A)))
-            == _entries(*rhs))
+    AD = _columns(a, d, r, n).values() if b == c else repeat(None)
+    CB = _columns(c, b, r, n).values() if d == a else repeat(None)
+    for x, y, ad, cb in zip(A.values(), B.values(), AD, CB):
+        if not (x or y or ad or cb):
+            continue
+        sums = {}   # AB - BA - E_ad + E_cb on this column
+        if y and (ab := A[y[0]]):
+            sums[ab[0]] = ab[1] * y[1]
+        if x and (ba := B[x[0]]):
+            sums[ba[0]] = sums.get(ba[0], 0) - ba[1] * x[1]
+        if ad:
+            sums[ad[0]] = sums.get(ad[0], 0) - ad[1]
+        if cb:
+            sums[cb[0]] = sums.get(cb[0], 0) + cb[1]
+        if any(sums.values()):
+            return False
+    return True
 
 
 # -- universal factorisation ---------------------------------------------------------

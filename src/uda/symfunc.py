@@ -164,17 +164,21 @@ def giambelli_h_term_count(lam: Partition) -> int:
     return _boxed_partition_counts(rows, top, m)[m]
 
 
-def x_power_term_count(i: int, n: int | None, stop: int) -> int:
+def x_power_term_count(i: int, n: int | None, stop: int, *,
+                       every_power: bool = False) -> int:
     """The terms of X^i = sum_m s_(i-m)(c) X^m(c) over the deformed basis:
     s_k has one monomial per partition of k with parts at most n (no bound
-    when n is None), as many as there are with at most n parts.  The
-    partitions of 0..t are counted for t = 1, 3, 7, ... up to i, so the
-    count stops soon after it passes ``stop``: it is exact up to ``stop``,
-    and a lower bound past it."""
+    when n is None), as many as there are with at most n parts.  With
+    ``every_power``, the terms of X^0 .. X^i together: s_k is in the i-k+1
+    powers X^k .. X^i.  The partitions of 0..t are counted for t = 1, 3,
+    7, ... up to i, so the count stops soon after it passes ``stop``: it
+    is exact up to ``stop``, and a lower bound past it."""
     t = 0
     while True:
         t = min(i, 2 * t + 1)
-        count = sum(_boxed_partition_counts(t if n is None else min(t, n), t, t))
+        counts = _boxed_partition_counts(t if n is None else min(t, n), t, t)
+        count = (sum([(i - k + 1) * q for k, q in enumerate(counts)])
+                 if every_power else sum(counts))
         if count > stop or t == i:
             return count
 

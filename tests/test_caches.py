@@ -33,7 +33,7 @@ def _memo_tables():
 
 def _fill_every_table():
     _finite_closed_form(Partition((1,)), 2, 4)  # closed form and projection
-    assert bracket_check(1, 0, 0, 1, 2, 4)
+    assert bracket_check(1, 0, 0, 1, 2, 4)   # _columns over _basis(2, 4)
     wedge_to_poly(poly_to_wedge(e_(2), 2, 4), 4)   # e2 -> h's via _e_in_h
     poly_to_wedge(h_(1) ** 3, 2)   # a cached wedge with a coefficient 2
     star_oracle_coords(StarOperator.adapted(1, 0), Partition((1,)), 2, 4)
@@ -63,6 +63,7 @@ _SAMPLE_ARGS = {
     "xc_expand": (2, 4),
     "x_in_xc": (3, 4),
     "_positive_w_value": (2, 1, 4),
+    "_basis": (2, 4),
     "_columns": (1, 0, 2, 4),
     "wedge_indices": (Partition((1,)), 2),
     "partition_of_indices": ((2, 0),),

@@ -17,7 +17,7 @@ import uda
 import uda.cli as cli
 import uda.verify
 from uda.cli import main, parse_partition, UsageError
-from uda.exterior import x_in_xc
+from uda.exterior import _positive_w_value, x_in_xc
 from uda.glaction import (ActionResult, StarOperator, generating_action,
                           generating_action_adapted, generating_action_finite,
                           rep_matrix, star_oracle_coords)
@@ -816,11 +816,17 @@ def test_plain_genfun_just_under_the_term_limit_finishes():
 @pytest.mark.parametrize("n", [None, 0, 1, 2, 3, 6])
 def test_the_power_of_x_count_is_the_oracles_term_count(n):
     # exact up to the stop, and past the stop a lower bound past it
+    window = 0
     for i in range(17):
         terms = sum(len(s.terms) for s in x_in_xc(i, n))
         assert x_power_term_count(i, n, terms) == terms, i
         for stop in (terms - 1, terms // 3):
             assert stop < x_power_term_count(i, n, stop) <= terms, (i, stop)
+        # and the terms of X^0 .. X^i together, as the plain window holds them
+        window += terms
+        assert x_power_term_count(i, n, window, every_power=True) == window, i
+        for stop in (window - 1, window // 3):
+            assert stop < x_power_term_count(i, n, stop, every_power=True) <= window
 
 
 def test_a_matrix_of_a_thousand_rows_finishes():
@@ -838,17 +844,18 @@ def test_a_matrix_of_a_thousand_rows_finishes():
 
 def test_matrix_writer_matches_json_dumps():
     # every operator at (1,1), (1,3), (2,4) and (3,6), and at (2,2), whose
-    # E_01 and E_10 are the zero matrix; at the top and nested
+    # E_01 and E_10 are the zero matrix: the document, written from the
+    # column map, is the json.dumps of rep_matrix's to_json
     zero = 0
     for r, n in ((1, 1), (1, 3), (2, 2), (2, 4), (3, 6)):
         for i in range(n):
             for j in range(n):
                 mat = rep_matrix(i, j, r, n)
                 zero += not mat.entries
-                assert (cli._json_doc(mat)
-                        == json.dumps(mat.to_json(), indent=2) + "\n"), (r, n, i, j)
-                assert (cli._json_doc({"m": [mat]}) == json.dumps(
-                    {"m": [mat.to_json()]}, indent=2) + "\n"), (r, n, i, j)
+                assert cli.cmd_matrix(cli._scan("matrix", [
+                    "--r", str(r), "--n", str(n), "--i", str(i), "--j", str(j),
+                    "--output", "json"])) == json.dumps(
+                        mat.to_json(), indent=2) + "\n", (r, n, i, j)
     assert zero == 2
 
 
@@ -904,8 +911,9 @@ _PLAIN = ("--no-project", "--dual", "none")
     (("--r", "10", "--n", "10", "--no-project", "--zmax", "5000"),
      "genfun may list up to 500100 partition parts, r=10 for each of up to "
      "50010 images (r(zmax+1)); it lists at most 500000"),
-    # the JSON document leaves the positive-w images out, but they are all
-    # formed: phi_k on every particle, for every power of X(c)
+    # the JSON document leaves the positive-w images out and forms none of
+    # them, but it is refused where the text document, which forms them all,
+    # is: phi_k on every particle, for every power of X(c)
     (_POSITIVE_W + ("--zmax", "0", "--wmax", "113"),
      "--wmax 113: the window z^0 .. z^0, w^1 .. w^113 on r=1 particles expands "
      "to at least 2051730 terms from s(c) up to s_113; genfun expands at most "
@@ -930,9 +938,22 @@ _PLAIN = ("--no-project", "--dual", "none")
     (_PLAIN + ("--r", "300", "--lambda", "400", "--zmax", "2"),
      "--r 300: the window z^0 .. z^2, w^0 .. w^-699 on r=300 particles expands "
      "to at least 630000 form values; genfun expands at most 400000"),
+    # every image of X^i keeps one coordinate per term of X^i and particle:
+    # at n=1, X^i has i+1 terms, so the window holds (zmax+1)(zmax+2)/2 of
+    # them for each particle (more than 5 GB, and a MemoryError at n=2)
+    (_PLAIN + ("--r", "1", "--n", "1", "--zmax", "5000"),
+     "--zmax 5000: X^0 .. X^5000 on r=1 particles expands to at least 632000 "
+     "terms over the deformed basis; genfun expands at most 500000"),
+    (_PLAIN + ("--r", "2", "--n", "2", "--zmax", "430"),
+     "--zmax 430: X^0 .. X^430 on r=2 particles expands to at least 821920 "
+     "terms over the deformed basis; genfun expands at most 500000"),
+    (_PLAIN + ("--r", "2", "--n", "2", "--zmax", "142"),
+     "--zmax 142: X^0 .. X^142 on r=2 particles expands to at least 502824 "
+     "terms over the deformed basis; genfun expands at most 500000"),
 ], ids=["n-100000", "n-5002", "parts-r11", "parts-r2500", "zmax-10000",
         "zmax-parts", "wmax-113", "wmax-150", "wmax-zmax-400", "wmax-index",
-        "plain-r-633", "plain-r-2000", "plain-lambda-400"])
+        "plain-r-633", "plain-r-2000", "plain-lambda-400", "plain-n1-zmax-5000",
+        "plain-n2-zmax-430", "plain-n2-zmax-142"])
 def test_genfun_refuses_an_operator_range_over_the_limits(capsys, argv, message):
     start = time.process_time()
     code, out, err = run_cli(capsys, "genfun", *argv, "--output", "json")
@@ -955,13 +976,55 @@ def test_genfun_just_under_the_operator_range_limits_finishes():
 def test_positive_w_genfun_just_under_the_term_limit_finishes(capsys):
     # w^1 .. w^112 at r=1, n=4: 6 x 330,555 = 1,983,330 terms; about 1.3 s
     # of CPU and 122 MB in a process of its own on a 2-vCPU Xeon VM; the
-    # budget allows three times that.  The JSON document is the one of w^0
+    # budget allows three times that.  The text document counts the images
+    # at positive w, so it forms them all; below them it is the one of w^0
     assert cli.GENFUN_MAX_POSITIVE_W_TERMS == 2_000_000
-    argv = ("genfun", *_POSITIVE_W, "--zmax", "0", "--output", "json")
+    argv = ("genfun", *_POSITIVE_W, "--zmax", "0", "--output", "text")
     proc, cpu = run_child(*argv, "--wmax", "112")
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert (0, proc.stdout, "") == run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert proc.stdout == out + (
+        "# 112 nonzero coefficients at positive powers of w (no operator of "
+        "the family); excluded above\n")
     assert cpu < 4.0
+
+
+@pytest.mark.parametrize("wmax", ["0", "5", "60", "113"])
+def test_json_positive_w_genfun_forms_no_positive_w_image(capsys, wmax):
+    # the JSON document leaves w^1 .. w^wmax out, so none of their forms
+    # phi_k is valued: the memo of those values stays empty, and the
+    # document is the one of w^0.  The refusal past the term limit is the
+    # one of the text document
+    uda.clear_caches()
+    argv = ("genfun", *_POSITIVE_W, "--zmax", "0", "--lambda", "0",
+            "--output", "json")
+    code, out, err = run_cli(capsys, *argv, "--wmax", wmax)
+    assert _positive_w_value.cache_info().currsize == 0
+    if wmax == "113":
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --wmax 113: the window")
+        return
+    assert (code, out, err) == (0, *run_cli(capsys, *argv)[1:])
+    assert len(out) == 213
+    # a window wholly above w^0 is asked as given, and lists no term
+    code, out, err = run_cli(capsys, *argv, "--wmin", "1", "--wmax", "2")
+    assert (code, err, json.loads(out)["terms"]) == (0, "", [])
+
+
+def test_plain_genfun_just_under_the_window_term_limit_finishes():
+    # n=2, r=2: X^0 .. X^141 hold 246,228 terms, 492,456 for two particles;
+    # about 1.7-1.9 s of CPU and 162 MB in a process of its own on a 2-vCPU
+    # Xeon VM; the budget allows three times the top of that
+    assert cli.GENFUN_MAX_WINDOW_TERMS == 500_000
+    assert 2 * x_power_term_count(141, 2, 10**9, every_power=True) == 492_456
+    proc, cpu = run_child("genfun", "--r", "2", "--n", "2", "--no-project",
+                          "--dual", "none", "--zmax", "141", "--output", "json")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    doc = json.loads(proc.stdout)
+    assert (len(doc["terms"]), sum(len(t["schur"]) for t in doc["terms"])) == (
+        282, 29892)
+    assert cpu < 6.0
 
 
 def test_plain_genfun_just_under_the_form_value_limit_finishes():

@@ -445,9 +445,15 @@ def test_bracket_check_agrees_with_dict_matrix_products(r, n):
             if d == a:
                 rhs = _mat_diff(rhs, mats[c, b])
             assert lhs == rhs and bracket_check(a, b, c, d, r, n), (a, b, c, d)
-            assert gl._entries((1, gl._compose(gl._columns(a, b, r, n),
-                                               gl._columns(c, d, r, n)))
-                               ) == _mat_mul(A, B), (a, b, c, d)
+            # column lam of AB is B's entry in it moved on by A
+            by_col: dict[Partition, dict[Partition, int]] = {}
+            for (mu, lam), v in _mat_mul(A, B).items():
+                by_col.setdefault(lam, {})[mu] = v
+            A_cols = gl._columns(a, b, r, n)
+            for lam, y in gl._columns(c, d, r, n).items():
+                image = y and A_cols[y[0]]
+                assert by_col.get(lam, {}) == (
+                    {image[0]: image[1] * y[1]} if image else {}), (a, b, c, d, lam)
 
 
 def test_a_flipped_sign_breaks_the_law(monkeypatch):
@@ -471,6 +477,19 @@ def test_a_flipped_sign_breaks_the_law(monkeypatch):
                 monkeypatch.setattr(gl, "_columns", columns)
                 assert bracket_check(a, b, b, a, r, n)
     assert flips == 12 * 2   # each E_ab, a != b, moves 2 of the 6 diagrams
+
+
+def test_basis_lists_the_rectangle_with_its_maya_diagrams():
+    # every (r, n) with 1 <= r <= n <= 8: the partitions of the r x (n-r)
+    # rectangle in order, each the object partition_of_mask keeps for its
+    # diagram, and each with its Maya mask
+    for n in range(1, 9):
+        for r in range(1, n + 1):
+            basis = gl._basis(r, n)
+            assert [lam for lam, _ in basis] == partitions_in_rectangle(r, n - r)
+            for lam, state in basis:
+                assert state == maya_mask(lam, r), (r, n, lam)
+                assert lam is partition_of_mask(state)
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
@@ -852,8 +871,8 @@ def test_the_oracle_uses_no_other_route(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle called another route")
 
-    for name in ("quotient_action", "rep_matrix", "_columns", "_compose",
-                 "_entries", "bracket_check", "_closed_form",
+    for name in ("quotient_action", "rep_matrix", "_basis", "_columns",
+                 "bracket_check", "_closed_form",
                  "_finite_closed_form", "generating_action",
                  "generating_action_adapted", "generating_action_finite",
                  "_matrix_unit", "operator_image"):
