@@ -18,8 +18,8 @@ from .errors import (AlgebraError, DegreeZeroError, EmptyWindow,
 from .exterior import (BasisTag, DeltaForm, DualDeltaForm, ExtElement,
                        LinearForm, contract, convert_basis,
                        expand_over_factor, reduce_mod_n, residue,
-                       residue_tuple, sort_indices, unit_wedge, w_value,
-                       wedge, wedge_coords, x_in_xc, xc_expand)
+                       residue_tuple, unit_wedge, w_value, wedge,
+                       wedge_coords, x_in_xc, xc_expand)
 from .glaction import (ActionResult, RepMatrix, StarOperator, bracket_check,
                        generating_action, generating_action_adapted,
                        generating_action_finite, mixed_schur_det,
@@ -28,8 +28,7 @@ from .glaction import (ActionResult, RepMatrix, StarOperator, bracket_check,
 from .module_iso import (poly_to_wedge, quotient_project, schur_map_of_poly,
                          schur_map_to_poly, sigma_monomial_wedge,
                          wedge_to_poly)
-from .partitions import (Partition, partition_of_indices,
-                         partitions_in_rectangle, wedge_indices)
+from .partitions import Partition, partitions_in_rectangle
 from .poly import (MvPolynomial, ONE, ZERO, c_, clear_caches, e_, h_,
                    series_inverse, series_mul)
 from .schubert import (sigma_bar_minus_h, sigma_bar_plus, sigma_coefficient,

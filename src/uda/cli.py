@@ -438,10 +438,15 @@ def cmd_genfun(args: argparse.Namespace) -> str:
                     f"terms from s(c) up to s_{top + wmax}", "genfun",
                     GENFUN_MAX_POSITIVE_W_TERMS)
             # the JSON document leaves w^1 .. w^wmax out, so it asks for
-            # none of them; a window wholly above w^0 is asked as given and
-            # lists no term
-            if args.output == "json" and (args.wmin is None or args.wmin <= 0):
-                wmax = min(wmax, 0)
+            # none of them; a valid window wholly above w^0 lists no term and
+            # asks for nothing, and an invalid one is asked as given, to be
+            # refused
+            if args.output == "json":
+                if args.wmin is None or args.wmin <= 0:
+                    wmax = min(wmax, 0)
+                elif args.wmin <= wmax and args.zmax >= 0:
+                    return _json_doc(ActionResult(args.lam, args.r, args.n, "adapted",
+                                                  (args.zmax, args.wmin, wmax), {}))
             res = generating_action_adapted(args.lam, args.r, args.n, args.zmax,
                                             wmin=args.wmin, wmax=wmax)
         else:
@@ -510,9 +515,27 @@ def _xpoly_text(coeffs) -> str:
     return " + ".join(bits) if bits else "0"
 
 
+# the most term reads the factorize check may make: it projects each
+# coefficient of p*q - f, converting wedges of r factors over s(c) up to
+# s_(n+r-1), and its CPU time follows r (min(r, n-r) + 1) times the terms of
+# that table, 0.7-3.8 * 10^-5 s each over 31 runs, each in a process of its
+# own, with r = 1 .. 14 on a 2-vCPU Xeon VM.  (7,14), at 149,464, takes
+# 1.0 s and (13,13), at 112,814, 4.1 s; (8,16), at 409,536, took 3.9 s,
+# (10,20) 37 s, r=1 n=44 (903,002) 17 s and 401 MB, and r=1 n=70 ran out of
+# a 1 GB address space
+FACTORIZE_MAX_TERM_READS = 150_000
+
+
 def cmd_factorize(args: argparse.Namespace) -> str:
     if args.n is None:
         raise UsageError("factorize needs --n")
+    top = args.n + args.r - 1
+    weight = args.r * (min(args.r, args.n - args.r) + 1)
+    _check_work(f"--r {args.r} --n {args.n}", f"the check of r={args.r} factors "
+                f"over s_0(c) .. s_{top}(c)", weight * x_power_term_count(
+                    top, args.n, FACTORIZE_MAX_TERM_READS // weight),
+                "term reads, r (min(r, n-r) + 1) for each term of those s_k(c)",
+                "factorize", FACTORIZE_MAX_TERM_READS)
     p, q, ok = universal_factorization(args.r, args.n)
     if args.output == "json":
         return _json_doc({"command": "factorize", "r": args.r, "n": args.n,

@@ -2,7 +2,9 @@
 
 Degree-r elements are stored as linear combinations of wedge monomials
 ``X^{i1} ^ X^{i2} ^ ... ^ X^{ir}`` with strictly decreasing exponents, the
-coefficients being polynomials in the c-variables only.  Every element
+coefficients being polynomials in the c-variables only.  A wedge monomial
+is keyed by its Maya diagram (``partitions.maya_mask``): an int with bit i
+set for each factor X^i, so a degree-r key has r bits set.  Every element
 carries a basis tag: PLAIN_X for the monomial basis (X^i) and DEFORMED_XC
 for the deformed basis X^i(c) = X^i - c1 X^{i-1} + c2 X^{i-2} - ...
 Mixing tags without an explicit conversion raises ``TagMismatch``; sign
@@ -12,17 +14,18 @@ public constructors, which keeps re-validation off the oracle's hot path.
 
 A wedge monomial with indices (i1 > ... > ir) corresponds to the partition
 (i1-(r-1), i2-(r-2), ..., ir), which is how Schur coordinates are read off
-once an element is expressed in the deformed basis.  The same indices as
-the set bits of one int are its Maya diagram (``partitions.maya_mask``).
+once an element is expressed in the deformed basis
+(``partitions.partition_of_mask``).  The sign of a factor's place is a
+count of bits: X^k wedged in front of a diagram passes the factors above
+k, ``(mask >> k + 1).bit_count()`` of them.
 
 Every sum over wedge monomials (``+``, ``wedge``, ``contract``,
-``convert_basis``) lists ``(indices, a, b)`` triples and leaves the summing
+``convert_basis``) lists ``(mask, a, b)`` triples and leaves the summing
 to ``poly._sum_by_key``, the one term loop; only the oracle
 (``glaction.star_oracle_coords``) sums inline, because its requests are too
-small to pay for a call, and it contracts and wedges on Maya diagrams, not
-index tuples.  ``convert_basis`` expands the factors from last to first,
-inserting each in front of the ones converted so far (``_insert_index``),
-so that terms with the same factors left are summed once.
+small to pay for a call.  ``convert_basis`` expands the factors from the
+lowest up, inserting each in front of the ones converted so far, so that
+terms with the same factors left are summed once.
 
 Contraction of a linear form against a wedge expands as the alternating sum
 over slots, slot i carrying sign (-1)^(i-1); the slot removed contributes
@@ -45,17 +48,15 @@ from __future__ import annotations
 
 import enum
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .bilaurent import BiLaurent
 from .determinant import exact_det
 from .errors import DegreeZeroError, TagMismatch, WindowExcludesMinusOne
-from .partitions import Partition, partition_of_indices
+from .partitions import Partition, partition_of_mask
 from .poly import (MvPolynomial, ONE, ZERO, _frozen, _sum_by_key,
                    _sum_of_products, memo)
 from .symfunc import c_series_coeffs, h_symbol_series, s_coefficient
-
-Indices = tuple[int, ...]
 
 
 class BasisTag(enum.Enum):
@@ -63,65 +64,32 @@ class BasisTag(enum.Enum):
     DEFORMED_XC = "Xc"
 
 
-def sort_indices(seq: Iterable[int]) -> tuple[Indices, int] | None:
-    """Sort exponents into strictly decreasing order, tracking the sign.
-
-    Returns None when two exponents coincide (the wedge vanishes).
-    """
-    items = list(seq)
-    sign = 1
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and items[j - 1] < items[j]:
-            items[j - 1], items[j] = items[j], items[j - 1]
-            sign = -sign
-            j -= 1
-        if j > 0 and items[j - 1] == items[j]:
-            return None
-    return tuple(items), sign
-
-
-def _insert_index(k: int, rest: Indices) -> tuple[Indices, int] | None:
-    """The indices of X^k ^ ``rest`` sorted, and the number of entries of
-    ``rest`` above k, the sign being (-1) to that count; None if k is in
-    ``rest``."""
-    if k in rest:
-        return None
-    above = 0
-    for i in rest:
-        if i < k:
-            break
-        above += 1
-    return rest[:above] + (k,) + rest[above:], above
-
-
 class ExtElement:
     """A homogeneous exterior element: finite sum of tagged wedge monomials.
 
-    ``ExtElement(...)``, ``zero``, ``basis_monomial`` and ``vector`` check
-    every term (degree r, indices strictly decreasing and >= 0) and drop
-    zeros.  ``_of`` keeps terms valid by construction unchecked, and
-    ``_freeze`` makes them and their coefficients read-only in place.
+    ``terms`` maps the Maya diagram of each wedge monomial, an int with bit
+    i set for the factor X^i, to its coefficient.  ``ExtElement(...)``,
+    ``zero``, ``basis_monomial`` and ``vector`` check every key (an int
+    >= 0 with r bits set) and drop zeros.  ``_of`` keeps terms valid by
+    construction unchecked, and ``_freeze`` makes them and their
+    coefficients read-only in place.
     ``r``, ``tag`` and ``terms`` cannot be reassigned.
     """
 
     __slots__ = ("_r", "_tag", "_terms")
 
     def __init__(self, r: int, tag: BasisTag,
-                 terms: Mapping[Indices, MvPolynomial] | None = None):
+                 terms: Mapping[int, MvPolynomial] | None = None):
         self._r = r
         self._tag = tag
-        clean: dict[Indices, MvPolynomial] = {}
-        for idx, coeff in (terms or {}).items():
+        clean: dict[int, MvPolynomial] = {}
+        for mask, coeff in (terms or {}).items():
             if not coeff:
                 continue
-            if len(idx) != r:
-                raise ValueError(f"wedge monomial {idx} does not have degree {r}")
-            if any(idx[k] <= idx[k + 1] for k in range(r - 1)):
-                raise ValueError(f"indices not strictly decreasing: {idx}")
-            if idx and idx[-1] < 0:
-                raise ValueError(f"negative exponent in {idx}")
-            clean[idx] = coeff
+            if not isinstance(mask, int) or mask < 0 or mask.bit_count() != r:
+                raise ValueError(f"{mask!r} is not the Maya diagram of a "
+                                 f"wedge monomial of degree {r}")
+            clean[mask] = coeff
         self._terms = clean
 
     @property
@@ -135,8 +103,8 @@ class ExtElement:
         return self._tag
 
     @property
-    def terms(self) -> Mapping[Indices, MvPolynomial]:
-        """``indices -> coefficient``, one entry per nonzero wedge monomial."""
+    def terms(self) -> Mapping[int, MvPolynomial]:
+        """``mask -> coefficient``, one entry per nonzero wedge monomial."""
         return self._terms
 
     # -- constructors --------------------------------------------------------
@@ -155,12 +123,15 @@ class ExtElement:
         return ExtElement(r, tag, {})
 
     @staticmethod
-    def basis_monomial(indices: Indices, tag: BasisTag) -> "ExtElement":
-        return ExtElement(len(indices), tag, {tuple(indices): ONE})
+    def basis_monomial(mask: int, tag: BasisTag) -> "ExtElement":
+        """The wedge of the factors X^i whose bits are set in ``mask``."""
+        return ExtElement(mask.bit_count(), tag, {mask: ONE})
 
     @staticmethod
     def vector(i: int, tag: BasisTag) -> "ExtElement":
-        return ExtElement(1, tag, {(i,): ONE})
+        if i < 0:
+            raise ValueError(f"negative exponent {i}")
+        return ExtElement(1, tag, {1 << i: ONE})
 
     # -- linear structure ------------------------------------------------------
 
@@ -173,19 +144,19 @@ class ExtElement:
     def __add__(self, other: "ExtElement") -> "ExtElement":
         self._check(other)
         return ExtElement._of(self.r, self.tag, _sum_by_key(
-            (idx, coeff, ONE)
-            for idx, coeff in chain(self.terms.items(), other.terms.items())))
+            (mask, coeff, ONE)
+            for mask, coeff in chain(self.terms.items(), other.terms.items())))
 
     def __neg__(self) -> "ExtElement":
         return ExtElement._of(self.r, self.tag,
-                              {idx: -coeff for idx, coeff in self.terms.items()})
+                              {mask: -coeff for mask, coeff in self.terms.items()})
 
     def __sub__(self, other: "ExtElement") -> "ExtElement":
         return self + (-other)
 
     def scale(self, q) -> "ExtElement":
         return ExtElement._of(self.r, self.tag, {} if not q else {
-            idx: coeff * q for idx, coeff in self.terms.items()})
+            mask: coeff * q for mask, coeff in self.terms.items()})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -203,29 +174,38 @@ class ExtElement:
         if not self.terms:
             return f"ExtElement<{self.tag.value}, r={self.r}>(0)"
         bits = []
-        for idx in sorted(self.terms, reverse=True):
-            mono = "^".join(f"X{k}" for k in idx) or "1"
-            bits.append(f"({self.terms[idx]})*{mono}")
+        for mask in sorted(self.terms, reverse=True):
+            mono = "^".join(f"X{k}" for k in range(mask.bit_length() - 1, -1, -1)
+                            if mask >> k & 1) or "1"
+            bits.append(f"({self.terms[mask]})*{mono}")
         return f"ExtElement<{self.tag.value}>(" + " + ".join(bits) + ")"
 
 
 def wedge(u: ExtElement, v: ExtElement) -> ExtElement:
-    """Exterior product; degrees add, equal tags required."""
+    """Exterior product; degrees add, equal tags required.
+
+    Two monomials sharing a factor give zero; otherwise the sign is the
+    parity of the pairs (factor of u, factor of v) that sorting swaps, a
+    bit of u below a bit of v."""
     if u.tag is not v.tag:
         raise TagMismatch(f"{u.tag.value} vs {v.tag.value}")
     products = []
-    for ia, ca in u.terms.items():
-        for ib, cb in v.terms.items():
-            merged = sort_indices(ia + ib)
-            if merged is not None:
-                idx, sign = merged
-                products.append((idx, ca, cb if sign > 0 else -cb))
+    for ma, ca in u.terms.items():
+        for mb, cb in v.terms.items():
+            if ma & mb:
+                continue
+            swaps, rest = 0, mb
+            while rest:
+                top = rest.bit_length() - 1
+                rest ^= 1 << top
+                swaps += (ma & (1 << top) - 1).bit_count()
+            products.append((ma | mb, ca, -cb if swaps & 1 else cb))
     return ExtElement._of(u.r + v.r, u.tag, _sum_by_key(products))
 
 
 def unit_wedge(r: int, tag: BasisTag = BasisTag.PLAIN_X) -> ExtElement:
     """X^{r-1} ^ ... ^ X^1 ^ X^0; the same element in either basis."""
-    return ExtElement.basis_monomial(tuple(range(r - 1, -1, -1)), tag)
+    return ExtElement.basis_monomial((1 << r) - 1, tag)
 
 
 # -- basis conversion ---------------------------------------------------------
@@ -254,21 +234,22 @@ def convert_basis(u: ExtElement, tag: BasisTag, n: int | None) -> ExtElement:
     if u.tag is tag:
         return u
     expand = x_in_xc if tag is BasisTag.DEFORMED_XC else xc_expand
-    # (factors still to convert, converted wedge) -> coefficient; the last
-    # factor left is expanded and inserted in front, and terms that reach
-    # the same key are summed once
-    partial = {(idx, ()): coeff for idx, coeff in u.terms.items()}
+    # (factors still to convert, converted wedge) -> coefficient; the lowest
+    # factor left is expanded and each of its terms X^m inserted in front of
+    # the converted ones, past those above m; terms that reach the same key
+    # are summed once
+    partial = {(mask, 0): coeff for mask, coeff in u.terms.items()}
     for _ in range(u.r):
         products = []
-        for (rest, pidx), pc in partial.items():
-            for m, entry in enumerate(expand(rest[-1], n)):
-                merged = _insert_index(m, pidx) if entry else None
-                if merged is not None:
-                    midx, above = merged
-                    products.append(((rest[:-1], midx),
-                                     -pc if above % 2 else pc, entry))
+        for (rest, done), pc in partial.items():
+            low = rest & -rest
+            for m, entry in enumerate(expand(low.bit_length() - 1, n)):
+                if entry and not done >> m & 1:
+                    products.append(((rest ^ low, done | 1 << m),
+                                     -pc if (done >> m + 1).bit_count() & 1 else pc,
+                                     entry))
         partial = _sum_by_key(products)
-    return ExtElement._of(u.r, tag, {pidx: c for (_, pidx), c in partial.items()})
+    return ExtElement._of(u.r, tag, {done: c for (_, done), c in partial.items()})
 
 
 def reduce_mod_n(u: ExtElement, n: int) -> ExtElement:
@@ -279,7 +260,7 @@ def reduce_mod_n(u: ExtElement, n: int) -> ExtElement:
     """
     if u.tag is not BasisTag.DEFORMED_XC:
         raise TagMismatch("reduction is defined on the deformed basis")
-    kept = {idx: c for idx, c in u.terms.items() if idx[0] < n} if u.r else u.terms.copy()
+    kept = {mask: c for mask, c in u.terms.items() if not mask >> n}
     return ExtElement._of(u.r, u.tag, kept)
 
 
@@ -388,9 +369,9 @@ def contract(form: LinearForm, u: ExtElement, n: int | None = None) -> ExtElemen
     if u.r < 1:
         raise DegreeZeroError("cannot contract a degree-zero element")
     return ExtElement._of(u.r - 1, u.tag, _sum_by_key(
-        (idx[:slot] + idx[slot + 1:], coeff, -val if slot % 2 else val)
-        for idx, coeff in u.terms.items()
-        for _, slot, val in form.slots(sum(1 << i for i in idx), u.tag, n)))
+        (mask ^ 1 << i, coeff, -val if slot % 2 else val)
+        for mask, coeff in u.terms.items()
+        for i, slot, val in form.slots(mask, u.tag, n)))
 
 
 def w_value(j: int, n: int | None) -> BiLaurent:
@@ -466,4 +447,4 @@ def wedge_coords(u: ExtElement, n: int | None) -> dict[Partition, MvPolynomial]:
     polynomials in the c-variables only.
     """
     v = convert_basis(u, BasisTag.DEFORMED_XC, n)
-    return {partition_of_indices(idx): coeff for idx, coeff in v.terms.items()}
+    return {partition_of_mask(mask): coeff for mask, coeff in v.terms.items()}

@@ -10,12 +10,18 @@ equal only to partitions, though, so a plain tuple never finds it as a key.
 Partitions are ordered by size, then by parts.
 
 The wedge basis element of lam at rank r has the indices
-lam_j + r - j, j = 1..r (``wedge_indices``).  In the fermionic reading of
-Date, Jimbo, Kashiwara and Miwa these are the positions of r particles, a
-Maya diagram, held here as an int with one bit per particle
-(``maya_mask``); ``partition_of_mask`` reads a diagram back.  Every
-operator image is formed on the diagram; the index tuples serve the
-exterior layer, the reference the tests check those images against.
+lam_j + r - j, j = 1..r.  In the fermionic reading of Date, Jimbo,
+Kashiwara and Miwa these are the positions of r particles, a Maya diagram,
+held here as an int with one bit per particle (``maya_mask``);
+``partition_of_mask`` reads a diagram back.  The diagram is the one
+encoding of a wedge basis element: the exterior layer keys its terms by
+it, and every operator image is formed on it.
+
+The shift derivations move particles up.  Adding a horizontal k-strip to
+lam (Pieri's rule, the action of h_k) moves particles up k places in all,
+none to or past the old place of the particle above
+(``horizontal_strips``); adding a vertical k-strip (e_k) moves k particles
+up one place each, each into a hole (``vertical_strips``).
 """
 
 from __future__ import annotations
@@ -119,22 +125,6 @@ def partitions_in_rectangle(rows: int, cols: int) -> list[Partition]:
 
 
 @memo
-def wedge_indices(lam: Partition, r: int) -> tuple[int, ...]:
-    """Strictly decreasing exponent sequence (r-1+l1, r-2+l2, ..., lr)."""
-    if len(lam) > r:
-        raise ValueError(f"partition {lam} longer than degree {r}")
-    return tuple(r - j + lam.part(j) for j in range(1, r + 1))
-
-
-@memo
-def partition_of_indices(indices: tuple[int, ...]) -> Partition:
-    """Inverse of :func:`wedge_indices`; takes a strictly decreasing tuple."""
-    r = len(indices)
-    parts = tuple(indices[j - 1] - (r - j) for j in range(1, r + 1))
-    return Partition(parts)
-
-
-@memo
 def maya_mask(lam: Partition, r: int) -> int:
     """The Maya diagram of lam at rank r: bit i is set for each wedge index i.
 
@@ -163,3 +153,38 @@ def partition_of_mask(mask: int) -> Partition:
         parts.append(top - below)
         mask ^= 1 << top
     return Partition._of(parts)
+
+
+def horizontal_strips(mask: int, k: int) -> list[int]:
+    """The Maya diagrams of lam + a horizontal k-strip, lam's being ``mask``.
+
+    Each particle but the top one moves up by at most the gap below the old
+    place of the particle above it; the top one takes the steps left.  The
+    particles are placed from the lowest up, so no choice is a dead end."""
+    if not mask:
+        return [] if k else [0]
+    places = [i for i in range(mask.bit_length()) if mask >> i & 1]
+    # (diagram so far, steps left)
+    states = [(0, k)]
+    for p, above in zip(places, places[1:]):
+        states = [(done | 1 << p + d, left - d) for done, left in states
+                  for d in range(min(left, above - p - 1) + 1)]
+    return [done | 1 << places[-1] + left for done, left in states]
+
+
+def vertical_strips(mask: int, k: int) -> list[int]:
+    """The Maya diagrams of lam + a vertical k-strip, lam's being ``mask``.
+
+    k particles move up one place each; the particles are placed from the
+    top down, and one may move only if the place above it is not held by a
+    particle that stays."""
+    # (diagram so far, moves left)
+    states = [(0, k)]
+    while mask:
+        p = mask.bit_length() - 1
+        mask ^= 1 << p
+        below = mask.bit_count()   # the moves left must fit below p
+        states = [(done | 1 << p + d, left - d) for done, left in states
+                  for d in ((0, 1) if left and not done >> p + 1 & 1 else (0,))
+                  if left - d <= below]
+    return [done for done, left in states if not left]

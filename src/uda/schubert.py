@@ -5,10 +5,18 @@ multiplication by X^i on vectors; on a wedge it follows the Cauchy rule
 
     sigma_i(u ^ v) = sum_{a+b=i} sigma_a(u) ^ sigma_b(v).
 
+On a wedge monomial this is Pieri's rule (Macdonald I.5; Laksov and
+Thorup, *Splitting algebras and Schubert calculus*, 2012): sigma_i adds a
+horizontal i-strip, each with coefficient 1, which on the Maya diagram is
+``partitions.horizontal_strips``; every term it forms survives, so none is
+formed only to cancel.
+
 ``sigma_bar_plus`` is its inverse: on a vector it is f -> f - X f z, and it
 extends multiplicatively, so on a degree-r wedge it is an exact polynomial of
-degree at most r in z.  The remaining operator acts by the two-term shift
-rules
+degree at most r in z.  Its z^k coefficient is (-1)^k times the sum of the
+vertical k-strips (``partitions.vertical_strips``).
+
+The remaining operator acts by the two-term shift rules
 
     X^m(c) |-> X^m(c) - X^{m-1}(c) / z,
     h_j(c) |-> h_j(c) - h_{j-1}(c) / z,
@@ -19,42 +27,23 @@ involved there.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .bilaurent import BiLaurent
-from .exterior import ExtElement, sort_indices
+from .exterior import ExtElement
+from .partitions import horizontal_strips, vertical_strips
 from .poly import ONE, _frozen, _sum_by_key
 from .symfunc import h_deformed
 
-_UNIT = {1: ONE, -1: _frozen(-ONE)}   # a sign as a polynomial factor
-
-
-def _compositions(total: int, slots: int):
-    """Weak compositions of `total` into `slots` parts."""
-    if slots == 0:
-        if total == 0:
-            yield ()
-        return
-    if slots == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, slots - 1):
-            yield (first,) + rest
+_MINUS_ONE = _frozen(-ONE)
 
 
 def sigma_coefficient(i: int, u: ExtElement) -> ExtElement:
-    """The z^i coefficient of the multiplicative shift series on u."""
+    """The z^i coefficient of the multiplicative shift series on u: every
+    horizontal i-strip added to every monomial."""
     if i == 0:
         return u
-    products = []
-    for idx, coeff in u.terms.items():
-        for comp in _compositions(i, u.r):
-            shifted = sort_indices(tuple(a + d for a, d in zip(idx, comp)))
-            if shifted is not None:
-                sidx, sign = shifted
-                products.append((sidx, coeff, _UNIT[sign]))
-    return ExtElement._of(u.r, u.tag, _sum_by_key(products))
+    return ExtElement._of(u.r, u.tag, _sum_by_key(
+        (moved, coeff, ONE) for mask, coeff in u.terms.items()
+        for moved in horizontal_strips(mask, i)))
 
 
 def sigma_plus(u: ExtElement, order: int) -> list[ExtElement]:
@@ -67,18 +56,10 @@ def sigma_bar_plus(u: ExtElement) -> list[ExtElement]:
 
     Returns the z-polynomial coefficients, an exact list of length r+1.
     """
-    out = []
-    for k in range(u.r + 1):
-        products = []
-        for idx, coeff in u.terms.items():
-            for subset in combinations(range(u.r), k):
-                bumped = sort_indices(tuple(
-                    a + (1 if slot in subset else 0) for slot, a in enumerate(idx)))
-                if bumped is not None:
-                    sidx, sign = bumped
-                    products.append((sidx, coeff, _UNIT[-sign if k % 2 else sign]))
-        out.append(ExtElement._of(u.r, u.tag, _sum_by_key(products)))
-    return out
+    return [ExtElement._of(u.r, u.tag, _sum_by_key(
+        (moved, coeff, _MINUS_ONE if k % 2 else ONE)
+        for mask, coeff in u.terms.items() for moved in vertical_strips(mask, k)))
+        for k in range(u.r + 1)]
 
 
 def sigma_bar_minus_h(j: int, n: int | None) -> BiLaurent:

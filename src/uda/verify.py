@@ -50,7 +50,7 @@ def duality(r: int, n: int) -> Checks:
         u = convert_basis(ExtElement.vector(i, BasisTag.DEFORMED_XC),
                           BasisTag.PLAIN_X, None)
         for j in range(9):
-            val = contract(DualDeltaForm(j), u, None).terms.get((), ZERO)
+            val = contract(DualDeltaForm(j), u, None).terms.get(0, ZERO)
             yield val == (ONE if i == j else ZERO), f"dual form del^{j}(s) on X^{i}(c)"
 
 

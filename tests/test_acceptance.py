@@ -21,7 +21,7 @@ from uda.glaction import (StarOperator, _closed_form, _finite_closed_form,
                           generating_action, generating_action_finite,
                           star_oracle)
 from uda.module_iso import quotient_project, schur_map_of_poly, wedge_to_poly
-from uda.partitions import (EMPTY, Partition, partition_of_indices,
+from uda.partitions import (EMPTY, Partition, partition_of_mask,
                             partitions_in_rectangle)
 from uda.poly import FAM_C, MvPolynomial, ONE, ZERO, c_, h_
 from uda.symfunc import e_series_coeffs, e_to_h_rewrite, giambelli, h_deformed
@@ -146,12 +146,12 @@ def test_criterion_5_residue_triangle():
         r = rng.choice([1, 2, 3])
         fs = [random_xpoly(rng.randrange(0, 7)) for _ in range(r)]
         vecs = [ExtElement(1, BasisTag.PLAIN_X,
-                           {(k,): q for k, q in enumerate(f) if q}) for f in fs]
+                           {1 << k: q for k, q in enumerate(f) if q}) for f in fs]
         u = reduce(wedge, vecs)
         # route 1: plain wedge-sort expansion with undeformed determinants
         route1 = ZERO
-        for idx, coeff in u.terms.items():
-            route1 = route1 + coeff * giambelli(partition_of_indices(idx), r, 0)
+        for mask, coeff in u.terms.items():
+            route1 = route1 + coeff * giambelli(partition_of_mask(mask), r, 0)
         # route 2: the residue determinant
         route2 = residue_tuple([expand_over_factor(f, r) for f in fs])
         # route 3: deformed-basis expansion with deformed determinants

@@ -10,7 +10,7 @@ from uda.exterior import BasisTag, ExtElement
 from uda.glaction import (StarOperator, _finite_closed_form, bracket_check,
                           generating_action_adapted, star_oracle_coords)
 from uda.module_iso import poly_to_wedge, wedge_to_poly
-from uda.partitions import Partition, wedge_indices
+from uda.partitions import Partition
 from uda.poly import _MEMO_TABLES, MvPolynomial, e_, h_
 from uda.symfunc import giambelli
 
@@ -39,7 +39,6 @@ def _fill_every_table():
     star_oracle_coords(StarOperator.adapted(1, 0), Partition((1,)), 2, 4)
     star_oracle_coords(StarOperator.plain(2, 1), Partition((1,)), 2, 4)
     generating_action_adapted(Partition((1,)), 2, 4, 1, wmax=1)   # phi_1
-    wedge_indices(Partition((1,)), 2)   # no operator image reads index tuples
 
 
 def test_clear_caches_empties_every_memo_table():
@@ -65,8 +64,6 @@ _SAMPLE_ARGS = {
     "_positive_w_value": (2, 1, 4),
     "_basis": (2, 4),
     "_columns": (1, 0, 2, 4),
-    "wedge_indices": (Partition((1,)), 2),
-    "partition_of_indices": ((2, 0),),
     "maya_mask": (Partition((1,)), 2),
     "partition_of_mask": (0b110,),
     "sigma_monomial_wedge": (2, (1, 1, 1)),
@@ -120,7 +117,7 @@ def test_poisoning_a_sigma_monomial_wedge_is_refused():
     with pytest.raises((AttributeError, TypeError)):
         uda.sigma_monomial_wedge(2, (1,)).terms.clear()
     assert poly_to_wedge(h_(1), 2) == ExtElement.basis_monomial(
-        (2, 0), BasisTag.PLAIN_X)
+        1 << 2 | 1 << 0, BasisTag.PLAIN_X)
 
 
 def test_the_empty_determinant_cannot_change_one():

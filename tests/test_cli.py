@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -32,15 +33,22 @@ def run_cli(capsys, *args):
     return code, captured.out, captured.err
 
 
-def run_child(*args):
-    """Run ``uda`` on ``args`` in a process of its own; return the completed
-    process and its CPU time, start-up included."""
+def run_child(*args, cap_mb=None):
+    """Run ``uda`` on ``args`` in a process of its own, its address space
+    capped at ``cap_mb`` MB if given; return the completed process and its
+    CPU time, start-up included."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+
+    def cap():
+        limit = cap_mb << 20
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
     before = os.times()
     proc = subprocess.run([sys.executable, "-m", "uda.cli", *args],
                           capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+                          env={**os.environ, "PYTHONPATH": path},
+                          preexec_fn=None if cap_mb is None else cap)
     after = os.times()
     return proc, (after.children_user + after.children_system
                   - before.children_user - before.children_system)
@@ -1007,9 +1015,40 @@ def test_json_positive_w_genfun_forms_no_positive_w_image(capsys, wmax):
         return
     assert (code, out, err) == (0, *run_cli(capsys, *argv)[1:])
     assert len(out) == 213
-    # a window wholly above w^0 is asked as given, and lists no term
+    # a window wholly above w^0 lists no term
     code, out, err = run_cli(capsys, *argv, "--wmin", "1", "--wmax", "2")
     assert (code, err, json.loads(out)["terms"]) == (0, "", [])
+
+
+@pytest.mark.parametrize("lam, window, doc", [
+    ("0", ("--wmin", "1", "--wmax", "100"),
+     '{\n  "lambda": [],\n  "r": 1,\n  "n": 4,\n  "dual": "adapted",\n'
+     '  "terms": []\n}\n'),
+    ("2", ("--wmin", "3", "--wmax", "3"),
+     '{\n  "lambda": [\n    2\n  ],\n  "r": 1,\n  "n": 4,\n'
+     '  "dual": "adapted",\n  "terms": []\n}\n')])
+def test_json_genfun_wholly_above_w0_asks_for_no_image(capsys, lam, window, doc):
+    # the document of a valid window above w^0 lists no term and values no
+    # phi_k; its bytes are those the window's images, all formed, give
+    uda.clear_caches()
+    code, out, err = run_cli(capsys, "genfun", *_POSITIVE_W, "--zmax", "0",
+                             "--lambda", lam, *window, "--output", "json")
+    assert (code, out, err) == (0, doc, "")
+    assert _positive_w_value.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--zmax", "0", "--wmin", "3", "--wmax", "2"),
+     "wmin/wmax ask for the w-window [3, 2], which misses the product's "
+     "w-range [-1, 2]"),
+    (("--zmax", "0", "--wmin", "1"),
+     "wmin/wmax ask for the w-window [1, 0], which misses the product's "
+     "w-range [-1, 0]"),
+    (("--zmax", "-1", "--wmin", "1", "--wmax", "2"), "zmax must be nonnegative")])
+def test_json_genfun_above_w0_keeps_its_refusals(capsys, args, message):
+    code, out, err = run_cli(capsys, "genfun", *_POSITIVE_W, "--lambda", "1",
+                             *args, "--output", "json")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_plain_genfun_just_under_the_window_term_limit_finishes():
@@ -1173,3 +1212,33 @@ def test_text_genfun_under_the_limit_renders_every_image(capsys):
     assert code == 0
     assert out == cli._action_text(
         generating_action_finite(Partition((3, 2, 1)), 6, 12))
+
+
+@pytest.mark.parametrize("r, n, reads", [
+    (8, 16, 409_536), (10, 20, 2_512_180), (1, 36, 198_266),
+    (1, 70, 21_133_018), (500_000, 1_000_000, 500_001_000_000)])
+def test_factorize_refuses_over_the_term_read_limit(r, n, reads):
+    # both ways the check grows: with r = n/2 ((8,16) took 3.9 s and
+    # (10,20) 37 s), and with the s(c) table at small r (r=1 n=70 ran out
+    # of a 1 GB address space with a raw MemoryError); each is refused
+    # before any algebra, in a child capped at 512 MB
+    proc, cpu = run_child("factorize", "--r", str(r), "--n", str(n), cap_mb=512)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == (
+        f"error: --r {r} --n {n}: the check of r={r} factors over s_0(c) .. "
+        f"s_{n + r - 1}(c) expands to at least {reads} term reads, "
+        f"r (min(r, n-r) + 1) for each term of those s_k(c); factorize "
+        f"expands at most 150000\n")
+    assert cpu < 1.0
+
+
+def test_factorize_just_under_the_term_read_limit_finishes():
+    # (7,14) reads 56 * 2,669 = 149,464 terms: about 1.0-1.3 s of CPU in a
+    # process of its own on a 2-vCPU Xeon VM; the budget allows four times
+    # the top of that
+    assert cli.FACTORIZE_MAX_TERM_READS == 150_000
+    assert 56 * x_power_term_count(20, 14, 10**9) == 149_464
+    proc, cpu = run_child("factorize", "--r", "7", "--n", "14")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.endswith("verified: True\n")
+    assert cpu < 5.0

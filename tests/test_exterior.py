@@ -7,10 +7,10 @@ from hypothesis import given, settings, strategies as st
 from uda.bilaurent import BiLaurent
 from uda.errors import (DegreeZeroError, TagMismatch, WindowExcludesMinusOne)
 from uda.exterior import (BasisTag, DeltaForm, DualDeltaForm, ExtElement,
-                          LinearForm, _PositiveWForm, _insert_index, contract,
-                          convert_basis, expand_over_factor, reduce_mod_n,
-                          residue, residue_tuple, sort_indices, unit_wedge,
-                          w_value, wedge, wedge_coords, x_in_xc, xc_expand)
+                          LinearForm, _PositiveWForm, contract, convert_basis,
+                          expand_over_factor, reduce_mod_n, residue,
+                          residue_tuple, unit_wedge, w_value, wedge,
+                          wedge_coords, x_in_xc, xc_expand)
 from uda.partitions import Partition
 from uda.poly import MvPolynomial, ONE, ZERO, c_, h_
 from uda.symfunc import giambelli, s_coefficient
@@ -19,53 +19,84 @@ X = BasisTag.PLAIN_X
 XC = BasisTag.DEFORMED_XC
 
 
+def diagram(indices):
+    """The Maya diagram of the wedge of the factors X^i, i in ``indices``."""
+    return sum(1 << i for i in indices)
+
+
 def mono(indices, tag=X, coeff=ONE):
-    return ExtElement(len(indices), tag, {tuple(indices): coeff})
+    return ExtElement(len(indices), tag, {diagram(indices): coeff})
 
 
 # -- construction ----------------------------------------------------------
 
 
 def test_public_constructors_validate_terms():
-    for bad in ({(1,): ONE},            # wrong degree
-                {(1, 2): ONE},          # increasing
-                {(1, 1): c_(1)},        # repeated
-                {(1, -1): ONE}):        # negative
+    for bad in ({1 << 1: ONE},          # wrong degree
+                {0b111: ONE},           # wrong degree
+                {(2, 1): ONE},          # an index tuple
+                {-0b11: c_(1)},         # negative, though two bits are set
+                {2.0: ONE}):            # not an int
         with pytest.raises(ValueError):
             ExtElement(2, X, bad)
-    for bad in ((1, 2), (1, 1), (1, -1)):
-        with pytest.raises(ValueError):
-            ExtElement.basis_monomial(bad, XC)
+    with pytest.raises(ValueError):
+        ExtElement.basis_monomial(-0b110, XC)
     with pytest.raises(ValueError):
         ExtElement.vector(-1, X)
-    u = ExtElement(2, X, {(3, 1): ZERO, (2, 0): c_(1), (4, 3): c_(1) - c_(1)})
-    assert u.terms == {(2, 0): c_(1)}
-    assert ExtElement(1, XC, {(0,): ZERO}) == ExtElement.zero(1, XC)
+    u = ExtElement(2, X, {diagram((3, 1)): ZERO, diagram((2, 0)): c_(1),
+                          diagram((4, 3)): c_(1) - c_(1)})
+    assert u.terms == {diagram((2, 0)): c_(1)}
+    assert ExtElement(1, XC, {1: ZERO}) == ExtElement.zero(1, XC)
+    assert ExtElement.basis_monomial(0b1010, XC) == mono((3, 1), XC)
+    assert repr(mono((3, 1), XC, c_(1))) == "ExtElement<Xc>((c1)*X3^X1)"
+    assert repr(unit_wedge(0)) == "ExtElement<X>((1)*1)"
 
 
 # -- wedge ------------------------------------------------------------------
 
 
 def test_sort_and_merge_signs():
-    assert sort_indices((1, 3, 0)) == ((3, 1, 0), -1)
-    assert sort_indices((3, 1)) == ((3, 1), 1)
-    assert sort_indices((2, 2)) is None
-    assert sort_indices((3, 1) + (2,)) == ((3, 2, 1), -1)
-    assert sort_indices((3, 1) + (1,)) is None
-    assert sort_indices(() + (5,)) == ((5,), 1)
+    one = ExtElement.basis_monomial(0b1, X)
+    assert wedge(ExtElement.vector(1, X), mono((3, 0))) == -mono((3, 1, 0))
+    assert wedge(mono((3, 1)), one).terms == {0b1011: ONE}
+    assert wedge(ExtElement.vector(2, X), ExtElement.vector(2, X)).is_zero()
+    assert wedge(mono((3, 1)), ExtElement.vector(2, X)).terms == {0b1110: -ONE}
+    assert wedge(mono((3, 1)), ExtElement.vector(1, X)).is_zero()
+    assert wedge(unit_wedge(0), ExtElement.vector(5, X)) == ExtElement.vector(5, X)
+
+
+def parity(seq):
+    """(-1) to the number of inversions of ``seq``, by brute force."""
+    return (-1) ** sum(a < b for k, a in enumerate(seq) for b in seq[k + 1:])
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 14), st.sets(st.integers(0, 12), max_size=6))
 def test_inserting_one_index_matches_the_merge(k, pool):
-    rest = tuple(sorted(pool, reverse=True))   # k in rest is a collision
-    got = _insert_index(k, rest)
-    want = sort_indices((k,) + rest)
-    if want is None:
-        assert got is None and k in rest
+    # X^k wedged in front of the rest: zero on a collision, else the sign of
+    # the permutation that sorts (k, rest)
+    rest = tuple(sorted(pool, reverse=True))
+    got = wedge(ExtElement.vector(k, X), ExtElement.basis_monomial(diagram(rest), X))
+    if k in rest:
+        assert got.is_zero()
     else:
-        merged, above = got
-        assert (merged, (-1) ** above) == want
+        assert got.terms == {diagram(rest) | 1 << k: ONE * parity((k,) + rest)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 70), unique=True, max_size=6),
+       st.lists(st.integers(0, 70), unique=True, max_size=6))
+def test_wedge_sign_is_the_permutation_parity(a, b):
+    # u ^ v for the wedges of the factors a and b as listed: the sign sorts
+    # the concatenation, whose parity is counted pair by pair
+    u = ExtElement.basis_monomial(diagram(a), X).scale(ONE * parity(a))
+    v = ExtElement.basis_monomial(diagram(b), X).scale(ONE * parity(b))
+    got = wedge(u, v)
+    assert got.r == len(a) + len(b)
+    if set(a) & set(b):
+        assert got.is_zero()
+    else:
+        assert got.terms == {diagram(a + b): ONE * parity(a + b)}
 
 
 def test_wedge_alternating():
@@ -125,10 +156,8 @@ def test_convert_round_trip_random_elements():
         r = rng.choice([1, 2, 3])
         terms = {}
         for _ in range(rng.randrange(1, 4)):
-            idx = sort_indices(rng.sample(range(8), r))
-            if idx is None:
-                continue
-            terms[idx[0]] = c_(rng.randrange(1, 4)) + rng.randrange(-1, 2)
+            terms[diagram(rng.sample(range(8), r))] = \
+                c_(rng.randrange(1, 4)) + rng.randrange(-1, 2)
         u = ExtElement(r, X, terms)
         v = convert_basis(u, XC, 4)
         assert convert_basis(v, X, 4) == u
@@ -141,14 +170,14 @@ def test_contract_golden_deformed():
     # del^2 against X^3(c) ^ X^1(c): top row (-c1, 0)
     u = mono((3, 1), XC)
     res = contract(DeltaForm(2), u, None)
-    assert res == ExtElement(1, XC, {(1,): -c_(1)})
+    assert res == ExtElement(1, XC, {1 << 1: -c_(1)})
 
 
 def test_contract_golden_plain_three_slots():
     # del^1 against X^2 ^ X^1 ^ X^0 removes the middle slot with a minus
     u = mono((2, 1, 0))
     res = contract(DeltaForm(1), u, None)
-    assert res == ExtElement(2, X, {(2, 0): -ONE})
+    assert res == ExtElement(2, X, {1 << 2 | 1 << 0: -ONE})
 
 
 def test_contract_absent_index_is_zero():
@@ -156,7 +185,7 @@ def test_contract_absent_index_is_zero():
 
 
 def test_contract_degree_zero_rejected():
-    scalar = ExtElement(0, X, {(): ONE})
+    scalar = ExtElement(0, X, {0: ONE})
     with pytest.raises(DegreeZeroError):
         contract(DeltaForm(0), scalar, None)
 
@@ -167,9 +196,7 @@ def test_contract_is_antiderivation_on_disjoint_monomials():
     for _ in range(10):
         pool = rng.sample(range(9), 5)
         cut = rng.choice([1, 2])
-        iu = sort_indices(pool[:cut])
-        iv = sort_indices(pool[cut:cut + 2])
-        u, v = mono(iu[0]), mono(iv[0])
+        u, v = mono(pool[:cut]), mono(pool[cut:cut + 2])   # sorted monomials
         j = rng.randrange(9)
         form = DeltaForm(j)
         lhs = contract(form, wedge(u, v), None)
@@ -209,7 +236,7 @@ def test_duality_of_adapted_forms():
     for i in range(9):
         u = convert_basis(ExtElement.vector(i, XC), X, None)
         for j in range(9):
-            val = contract(DualDeltaForm(j), u, None).terms.get((), ZERO)
+            val = contract(DualDeltaForm(j), u, None).terms.get(0, ZERO)
             assert val == (ONE if i == j else ZERO)
 
 
@@ -221,7 +248,7 @@ def test_positive_w_form_reads_the_same_in_both_bases():
             u = convert_basis(ExtElement.vector(l, XC), X, n)
             for k in range(1, 4):
                 form = _PositiveWForm(k)
-                assert contract(form, u, n).terms.get((), ZERO) == \
+                assert contract(form, u, n).terms.get(0, ZERO) == \
                     form.value(l, XC, n), (n, l, k)
                 assert form.value(l, X, n) == s_coefficient(l + k, n)
 
@@ -253,7 +280,7 @@ def formal_contraction(values, vectors):
         if rest:
             piece = reduce(wedge, rest)
         else:
-            piece = ExtElement(0, vectors[t].tag, {(): ONE})
+            piece = ExtElement(0, vectors[t].tag, {0: ONE})
         term = piece.scale(val if t % 2 == 0 else -val)
         acc = term if acc is None else acc + term
     return acc
@@ -270,7 +297,7 @@ def test_wedge_append_identity():
         k = rng.choice([1, 2])
         vectors = []
         for _ in range(r):
-            terms = {(i,): MvPolynomial.const(rng.randrange(-2, 3)) + c_(1) * rng.randrange(2)
+            terms = {1 << i: MvPolynomial.const(rng.randrange(-2, 3)) + c_(1) * rng.randrange(2)
                      for i in rng.sample(range(k, 9), 2)}
             vectors.append(ExtElement(1, X, terms))
         values = [c_(rng.randrange(1, 5)) + rng.randrange(-1, 2) for _ in range(r)]

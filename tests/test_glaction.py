@@ -9,13 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 import uda
 import uda.cli as cli
-import uda.exterior as exterior
 import uda.glaction as gl
+import uda.partitions
+import uda.schubert
 from uda.bilaurent import BiLaurent
 from uda.errors import DegreeZeroError, WindowViolation
 from uda.exterior import (BasisTag, DeltaForm, DualDeltaForm, ExtElement,
                           _PositiveWForm, contract, convert_basis,
-                          reduce_mod_n, wedge, wedge_coords)
+                          reduce_mod_n, unit_wedge, wedge, wedge_coords)
 from uda.glaction import (ActionResult, RepMatrix, StarOperator, _closed_form,
                           _finite_closed_form, _matrix_unit, bracket_check,
                           generating_action, generating_action_adapted,
@@ -24,10 +25,10 @@ from uda.glaction import (ActionResult, RepMatrix, StarOperator, _closed_form,
                           star_oracle, star_oracle_coords,
                           universal_factorization)
 from uda.module_iso import quotient_project, schur_map_of_poly
-from uda.partitions import (EMPTY, Partition, maya_mask, partition_of_indices,
-                            partition_of_mask, partitions_in_rectangle,
-                            wedge_indices)
+from uda.partitions import (EMPTY, Partition, maya_mask, partition_of_mask,
+                            partitions_in_rectangle)
 from uda.poly import FAM_C, MvPolynomial, ONE, ZERO, c_, e_, h_
+from uda.schubert import sigma_bar_plus
 from uda.symfunc import e_series_coeffs, e_to_h_rewrite, h_deformed
 
 
@@ -569,6 +570,12 @@ def _border_strip_height(outer, inner, r):
     return len({a for a, _ in cells}) - 1 if seen == cells else None
 
 
+def wedge_indices(lam, r):
+    """The wedge indices r - j + lam_j of lam, read off the parts: the
+    reference that the Maya diagram's moves are checked against."""
+    return tuple(r - j + lam.part(j) for j in range(1, r + 1))
+
+
 @st.composite
 def _matrix_unit_cases(draw):
     """(r, parts, i, j) with r <= 4, on diagrams up to bit 9 or bit 74 (past
@@ -693,8 +700,8 @@ def test_oracle_result_belongs_to_the_caller():
         first.clear()
         assert star_oracle_coords(op, lam, 2, 4) == expected
     assert ONE == MvPolynomial.const(1)
-    assert wedge_indices(lam, 2) == (3, 1)
-    assert partition_of_indices((3, 1)) == lam
+    assert maya_mask(lam, 2) == 1 << 3 | 1 << 1
+    assert partition_of_mask(1 << 3 | 1 << 1) == lam
 
 
 _CONSTANTS = (MvPolynomial.const(2), MvPolynomial.const(Fraction(-1, 2)), ZERO,
@@ -704,9 +711,9 @@ _CONSTANTS = (MvPolynomial.const(2), MvPolynomial.const(Fraction(-1, 2)), ZERO,
 def _layered_coords(op, lam, r, n, quotient):
     """The oracle step by step through the exterior layer's public API."""
     vec = convert_basis(ExtElement(1, op.vector_tag, dict(
-        ((k,), coeff) for k, coeff in enumerate(op.vector))),
+        (1 << k, coeff) for k, coeff in enumerate(op.vector))),
         BasisTag.DEFORMED_XC, n)
-    u = ExtElement.basis_monomial(wedge_indices(lam, r), BasisTag.DEFORMED_XC)
+    u = ExtElement.basis_monomial(maya_mask(lam, r), BasisTag.DEFORMED_XC)
     w = wedge(vec, contract(op.form, u, n))
     if n is not None and quotient:
         w = reduce_mod_n(w, n)
@@ -796,7 +803,7 @@ def test_oracle_at_the_cut_edge():
             for lam in partitions_in_rectangle(r, n - r):
                 if lam.part(1) != n - r:
                     continue
-                assert wedge_indices(lam, r)[0] == n - 1
+                assert maya_mask(lam, r).bit_length() == n
                 for i in range(n + 1):
                     for j in range(n + 1):
                         for op in (StarOperator.adapted(i, j),
@@ -877,25 +884,29 @@ def test_the_oracle_uses_no_other_route(monkeypatch):
                  "generating_action_adapted", "generating_action_finite",
                  "_matrix_unit", "operator_image"):
         monkeypatch.setattr(gl, name, refuse)
+    for module in (uda.partitions, uda.schubert):   # the strip moves
+        for name in ("horizontal_strips", "vertical_strips"):
+            monkeypatch.setattr(module, name, refuse)
     assert [star_oracle_coords(op, lam, 2, 4)
             for op in ops for lam in lams] == want
 
 
 def test_operator_images_are_formed_on_maya_diagrams_alone(capsys):
-    # no operator image, served or checked, reads the index-tuple encoding:
-    # neither memo table of it sees a call, hit or miss, and the exterior
-    # layer's index insertion never runs; every cache starts empty, so that
-    # nothing reached is hidden behind a memoised value
-    tables = (wedge_indices, partition_of_indices)
-    insert = exterior._insert_index.__code__
-    reached = []
+    # every wedge element formed on a route, served or checked, is keyed by
+    # its Maya diagram, an int with one bit per factor: the watch reads the
+    # keys of every element the exterior layer assembles.  The factorize
+    # check, the closed form and the verify suites form such elements, so
+    # the watch sees some; every cache starts empty, so that nothing reached
+    # is hidden behind a memoised value
+    assemble = ExtElement._of.__code__
+    keys = []
 
     def watch(frame, event, arg):
-        if event == "call" and frame.f_code is insert:
-            reached.append(frame.f_back.f_code.co_name)
+        if event == "call" and frame.f_code is assemble:
+            r = frame.f_locals["r"]
+            keys.extend((key, r) for key in frame.f_locals["terms"])
 
     uda.clear_caches()
-    before = [table.cache_info()[:2] for table in tables]
     lam = Partition((2, 1))
     sys.setprofile(watch)
     try:
@@ -921,13 +932,18 @@ def test_operator_images_are_formed_on_maya_diagrams_alone(capsys):
                      ["act", "--r", "2", "--lambda", "2,1", "--i", "3", "--j",
                       "1", "--dual", "s", "--output", "json"],
                      ["act", "--r", "2", "--n", "4", "--lambda", "2,1", "--i",
-                      "3", "--j", "2"]):
+                      "3", "--j", "2"],
+                     ["factorize", "--r", "2", "--n", "4"],
+                     ["verify", "--suite", "all", "--r", "2", "--n", "4"]):
             assert cli.main(argv) == 0, argv
+        sigma_bar_plus(unit_wedge(3))
     finally:
         sys.setprofile(None)
     capsys.readouterr()
-    assert [table.cache_info()[:2] for table in tables] == before
-    assert reached == []
+    assert keys
+    bad = [(key, r) for key, r in keys
+           if type(key) is not int or key < 0 or key.bit_count() != r]
+    assert bad == []
 
 
 @st.composite

@@ -20,34 +20,34 @@ def test_schur_determinant_maps_to_deformed_monomial():
     # Delta_{(2,1)} in the deformed functions lands on X^3(c) ^ X^1(c)
     p = giambelli(Partition((2, 1)), 2, 4)
     got = poly_to_wedge(p, 2, 4)
-    want = convert_basis(ExtElement(2, XC, {(3, 1): ONE}), X, 4)
+    want = convert_basis(ExtElement(2, XC, {1 << 3 | 1 << 1: ONE}), X, 4)
     assert got == want
 
 
 def test_giambelli_consistency_full_rectangle():
     # every Schur determinant acts on the unit wedge as its deformed monomial,
     # across the whole 3 x 4 rectangle
-    from uda.partitions import partitions_in_rectangle, wedge_indices
+    from uda.partitions import maya_mask, partitions_in_rectangle
     r, n = 3, 7
     for lam in partitions_in_rectangle(r, 4):
         image = poly_to_wedge(giambelli(lam, r, n), r, n)
         want = convert_basis(
-            ExtElement.basis_monomial(wedge_indices(lam, r), XC), X, n)
+            ExtElement.basis_monomial(maya_mask(lam, r), XC), X, n)
         assert image == want, lam
 
 
 def test_h2_maps_to_single_row_wedge():
-    assert poly_to_wedge(h_(2), 2) == ExtElement(2, X, {(3, 0): ONE})
+    assert poly_to_wedge(h_(2), 2) == ExtElement(2, X, {1 << 3 | 1 << 0: ONE})
 
 
 def test_e_variables_rewritten_before_acting():
     # e_2 = h1^2 - h2 acts as the column wedge X^2 ^ X^1
-    assert poly_to_wedge(e_(2), 2) == ExtElement(2, X, {(2, 1): ONE})
+    assert poly_to_wedge(e_(2), 2) == ExtElement(2, X, {1 << 2 | 1 << 1: ONE})
 
 
 def test_wedge_to_poly_golden():
     assert wedge_to_poly(unit_wedge(2, XC), 4) == ONE
-    u = ExtElement(2, XC, {(3, 1): ONE})
+    u = ExtElement(2, XC, {1 << 3 | 1 << 1: ONE})
     assert wedge_to_poly(u, 4) == giambelli(Partition((2, 1)), 2, 4)
 
 

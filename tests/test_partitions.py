@@ -1,14 +1,16 @@
 import copy
 import pickle
+from collections import Counter
+from itertools import combinations
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from uda.exterior import BasisTag, DualDeltaForm, sort_indices
-from uda.partitions import (EMPTY, Partition, maya_mask, partition_of_indices,
+from uda.exterior import BasisTag, DualDeltaForm
+from uda.partitions import (EMPTY, Partition, horizontal_strips, maya_mask,
                             partition_of_mask, partitions_in_rectangle,
-                            wedge_indices)
+                            vertical_strips)
 from uda.poly import ONE, _frozen
 
 
@@ -83,26 +85,41 @@ def test_rectangle_enumeration_sorted_unique():
     assert ps[0] == EMPTY
 
 
+def wedge_indices(lam, r):
+    """The reference wedge indices of lam at rank r: r - j + lam_j."""
+    return tuple(r - j + lam.part(j) for j in range(1, r + 1))
+
+
+def partition_of_indices(idx):
+    """The reference partition of strictly decreasing wedge indices."""
+    return Partition(i - (len(idx) - 1 - k) for k, i in enumerate(idx))
+
+
+def sort_with_sign(seq):
+    """``seq`` sorted decreasing and (-1) to its inversions, None on a
+    repeat: the reference for moving wedge factors into place."""
+    if len(set(seq)) < len(seq):
+        return None
+    inversions = sum(a < b for k, a in enumerate(seq) for b in seq[k + 1:])
+    return tuple(sorted(seq, reverse=True)), -1 if inversions % 2 else 1
+
+
 def test_wedge_indices_round_trip():
     for r in range(1, 4):
         for lam in partitions_in_rectangle(r, 3):
-            idx = wedge_indices(lam, r)
-            assert all(idx[k] > idx[k + 1] for k in range(r - 1))
-            assert partition_of_indices(idx) == lam
-    assert wedge_indices(Partition((2, 1)), 2) == (3, 1)
-    assert wedge_indices(EMPTY, 3) == (2, 1, 0)
+            mask = maya_mask(lam, r)
+            assert mask == sum(1 << i for i in wedge_indices(lam, r))
+            assert partition_of_mask(mask) == lam
+    assert maya_mask(Partition((2, 1)), 2) == 1 << 3 | 1 << 1
+    assert maya_mask(EMPTY, 3) == 0b111
 
 
 def test_index_map_failures_are_not_memoised():
-    sizes = (partition_of_indices.cache_info().currsize,
-             wedge_indices.cache_info().currsize)
+    size = maya_mask.cache_info().currsize
     for _ in range(3):
         with pytest.raises(ValueError):
-            partition_of_indices((1, 2))
-        with pytest.raises(ValueError):
-            wedge_indices(Partition((1, 1, 1)), 2)
-    assert sizes == (partition_of_indices.cache_info().currsize,
-                     wedge_indices.cache_info().currsize)
+            maya_mask(Partition((1, 1, 1)), 2)
+    assert size == maya_mask.cache_info().currsize
 
 
 def test_json():
@@ -134,7 +151,6 @@ def test_copies_and_pickles_rebuild_the_partition():
 
 def test_memoised_partitions_stay_partitions():
     lam = Partition((2, 1))
-    assert type(partition_of_indices((3, 1))) is Partition
     assert type(partition_of_mask(0b1010)) is Partition
     assert partition_of_mask(0b1010) == lam
     # the memo tables freeze their values: a Partition must not come back
@@ -212,12 +228,12 @@ def test_maya_diagrams_match_the_index_tuples(idx, k):
     for s, i in enumerate(idx):
         rest = mask ^ 1 << i
         assert (rest >> i + 1).bit_count() == s
-        assert sort_indices((i,) + idx[:s] + idx[s + 1:]) \
+        assert sort_with_sign((i,) + idx[:s] + idx[s + 1:]) \
             == (idx, -1 if s % 2 else 1)
         assert DualDeltaForm(i).slots(mask, BasisTag.DEFORMED_XC, None) \
             == ((i, s, ONE),)
     # wedging X^k: zero if bit k is set, else the sign of the bits above k
-    merged = sort_indices((k,) + idx)
+    merged = sort_with_sign((k,) + idx)
     if mask >> k & 1:
         assert merged is None
     else:
@@ -227,3 +243,65 @@ def test_maya_diagrams_match_the_index_tuples(idx, k):
                           -1 if above % 2 else 1)
         assert partition_of_mask(mask | 1 << k) == partition_of_indices(
             merged[0])
+
+
+def _small_diagrams():
+    """Every diagram of at most 6 particles in 12 positions, as (mask, its
+    particles from the top down)."""
+    for mask in range(1 << 12):
+        if mask.bit_count() <= 6:
+            yield mask, tuple(i for i in range(11, -1, -1) if mask >> i & 1)
+
+
+def _signed_sum(shifted):
+    """The wedges of the shifted index sequences, sorted and summed: the
+    diagrams left with their coefficients, zeros dropped."""
+    total = Counter()
+    for seq in shifted:
+        merged = sort_with_sign(seq)
+        if merged is not None:
+            total[sum(1 << i for i in merged[0])] += merged[1]
+    return {mask: c for mask, c in total.items() if c}
+
+
+def _compositions(k, slots):
+    """The weak compositions of k into ``slots`` parts (stars and bars)."""
+    for bars in combinations(range(k + slots - 1), slots - 1):
+        edges = (-1, *bars, k + slots - 1)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+
+
+def test_horizontal_strips_match_the_sorted_compositions():
+    # every way of moving the particles up k places in all, each sequence
+    # sorted with its sign: the survivors are the horizontal strips, each
+    # once with coefficient 1 (Pieri's rule)
+    for mask, idx in _small_diagrams():
+        for k in range(5 if len(idx) > 4 else 7):
+            got = horizontal_strips(mask, k)
+            want = _signed_sum(tuple(a + d for a, d in zip(idx, comp))
+                               for comp in _compositions(k, len(idx))) \
+                if idx else ({} if k else {0: 1})
+            assert Counter(got) == want, (mask, k)
+
+
+def test_vertical_strips_match_the_subset_bumps():
+    # every k-subset of the particles moved up one place, sorted with its
+    # sign: the survivors are the vertical strips, each once with sign +1
+    for mask, idx in _small_diagrams():
+        for k in range(len(idx) + 2):
+            got = vertical_strips(mask, k)
+            want = _signed_sum(tuple(a + (slot in subset) for slot, a in enumerate(idx))
+                               for subset in combinations(range(len(idx)), k))
+            assert Counter(got) == want, (mask, k)
+
+
+def test_strips_are_partitions_grown_by_strips():
+    # read back as partitions of at most 3 rows, (3,1) grows by two cells in
+    # distinct columns (horizontal) or in distinct rows (vertical)
+    mask = maya_mask(Partition((3, 1)), 3)
+    assert sorted(map(partition_of_mask, horizontal_strips(mask, 2))) == sorted(
+        Partition(p) for p in ((5, 1), (4, 2), (4, 1, 1), (3, 3), (3, 2, 1)))
+    assert sorted(map(partition_of_mask, vertical_strips(mask, 2))) == sorted(
+        Partition(p) for p in ((4, 2), (4, 1, 1), (3, 2, 1)))
+    assert horizontal_strips(0, 0) == [0] and horizontal_strips(0, 1) == []
+    assert vertical_strips(mask, 4) == [] and vertical_strips(0, 0) == [0]

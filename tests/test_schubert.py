@@ -1,6 +1,6 @@
 import random
 
-from uda.exterior import BasisTag, ExtElement, sort_indices, wedge
+from uda.exterior import BasisTag, ExtElement, wedge
 from uda.module_iso import poly_to_wedge, schur_map_of_poly, wedge_to_poly
 from uda.poly import ONE, c_, h_
 from uda.schubert import (sigma_bar_minus_h, sigma_bar_plus, sigma_coefficient,
@@ -11,11 +11,12 @@ X = BasisTag.PLAIN_X
 
 
 def mono(indices, tag=X, coeff=ONE):
-    return ExtElement(len(indices), tag, {tuple(indices): coeff})
+    """The wedge of the factors X^i, i in ``indices``, keyed by its diagram."""
+    return ExtElement(len(indices), tag, {sum(1 << i for i in indices): coeff})
 
 
 def random_monomial(rng, r, top=8):
-    idx = sort_indices(rng.sample(range(top), r))[0]
+    idx = rng.sample(range(top), r)
     return mono(idx, coeff=c_(rng.randrange(1, 3)) + rng.randrange(-1, 2))
 
 
