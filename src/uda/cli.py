@@ -239,9 +239,11 @@ def _write_action(res: ActionResult, newline: str, out: list[str]) -> None:
 
 
 # the largest Schur determinant ``giambelli`` expands, as counted by
-# ``giambelli_term_bound``: the column 1^22 (49,010 terms) takes about 1 s of
-# CPU on a 2-vCPU Xeon VM, and every two more rows double the terms and the
-# time; a column of a few hundred rows ended in a RecursionError.  Plain
+# ``giambelli_term_bound``: the column 1^22 (49,010 terms) takes 1.1-1.2 s of
+# CPU and peaks at 83 MB in a process of its own on a 2-vCPU Xeon VM (1.3-1.6 s
+# and 180 MB when its minors kept every box), and every two more rows double
+# the terms and the time; a column of a few hundred rows ended in a
+# RecursionError.  Plain
 # ``act`` takes as many terms of X^i over the deformed basis: X^32 (43,820)
 # takes 1.6-2.3 s in a process of its own, and X^40 (215,308) took 9.1 s
 GIAMBELLI_MAX_TERMS = 50_000
@@ -522,18 +524,39 @@ def _xpoly_text(coeffs) -> str:
 # own, with r = 1 .. 14 on a 2-vCPU Xeon VM.  (7,14), at 149,464, takes
 # 1.0 s and (13,13), at 112,814, 4.1 s; (8,16), at 409,536, took 3.9 s,
 # (10,20) 37 s, r=1 n=44 (903,002) 17 s and 401 MB, and r=1 n=70 ran out of
-# a 1 GB address space
+# a 1 GB address space.  ``verify --suite factorize`` takes the same limit on
+# the sum over its checks of every r' <= n' <= n: n = 9 (112,902) takes
+# 0.75 s, n = 10 (256,686) took 1.9 s and n = 12 passed 60 s
 FACTORIZE_MAX_TERM_READS = 150_000
+
+
+def _factorize_reads(r: int, n: int, stop: int) -> int:
+    """The term reads of the factorize check of (r, n): r (min(r, n-r) + 1)
+    for each term of s_0(c) .. s_(n+r-1)(c), exact up to ``stop`` and a
+    count above it past that."""
+    weight = r * (min(r, n - r) + 1)
+    return weight * x_power_term_count(n + r - 1, n, stop // weight)
+
+
+def _factorize_suite_reads(n: int, stop: int) -> int:
+    """The term reads of ``verify --suite factorize`` at n, the factorize
+    check of every r' <= n' <= n, exact up to ``stop`` and a count above it
+    past that, where the sum stops."""
+    reads = 0
+    for nn in range(1, n + 1):
+        for rr in range(1, nn + 1):
+            reads += _factorize_reads(rr, nn, stop - reads)
+            if reads > stop:
+                return reads
+    return reads
 
 
 def cmd_factorize(args: argparse.Namespace) -> str:
     if args.n is None:
         raise UsageError("factorize needs --n")
-    top = args.n + args.r - 1
-    weight = args.r * (min(args.r, args.n - args.r) + 1)
     _check_work(f"--r {args.r} --n {args.n}", f"the check of r={args.r} factors "
-                f"over s_0(c) .. s_{top}(c)", weight * x_power_term_count(
-                    top, args.n, FACTORIZE_MAX_TERM_READS // weight),
+                f"over s_0(c) .. s_{args.n + args.r - 1}(c)", _factorize_reads(
+                    args.r, args.n, FACTORIZE_MAX_TERM_READS),
                 "term reads, r (min(r, n-r) + 1) for each term of those s_k(c)",
                 "factorize", FACTORIZE_MAX_TERM_READS)
     p, q, ok = universal_factorization(args.r, args.n)
@@ -551,6 +574,11 @@ def cmd_verify(args: argparse.Namespace) -> str:
     if not (1 <= args.r <= n):
         raise UsageError(f"verify needs 1 <= r <= n, got r={args.r}, n={n}")
     names = SUITES if args.suite == "all" else (args.suite,)
+    if "factorize" in names:
+        _check_work(f"--n {n}", f"the factorize suite over 1 <= r' <= n' <= {n}",
+                    _factorize_suite_reads(n, FACTORIZE_MAX_TERM_READS),
+                    "term reads, as factorize counts them for each (r', n')",
+                    "verify", FACTORIZE_MAX_TERM_READS)
     checks = [check for name in names for check in SUITES[name](args.r, n)]
     failures = sum(not passed for passed, _ in checks)
     lines = [("PASS " if passed else "FAIL ") + label for passed, label in checks]

@@ -22,9 +22,12 @@ bound n makes c_j vanish for j > n; passing ``n=None`` keeps every c_j, and
 
 Schur determinants are r x r with entry h_{lam_j - j + k}(c) in row k and
 column j.  With lam empty this is the identity pattern, and a single-part
-partition (m) gives back h_m(c).  They are expanded along the first row, each
-minor being the Schur determinant of a smaller partition taken from the same
-cache (see ``_giambelli_cached``).
+partition (m) gives back h_m(c).  Each is expanded along its first or its
+last row, every minor being the Schur determinant of a smaller partition
+taken from the same cache (see ``_giambelli_cached``).  The minor of column
+j along row r has lam_j + r - j boxes fewer than lam, one along row 1 keeps
+all of them, so row r is the default; row 1 is kept for the hook-like
+shapes, where its zero entries h_{<0} leave fewer minors and fewer products.
 """
 
 from __future__ import annotations
@@ -83,19 +86,41 @@ def s_coefficient(k: int, n: int | None) -> MvPolynomial:
                              for i, a in enumerate(cw) if i)
 
 
+def _expand_along_row_one(parts: tuple[int, ...]) -> bool:
+    """Whether the determinant of ``parts`` (r = len(parts)) forms fewer term
+    products along row 1 than along row r: only on shapes with a first part
+    above 1, a last part of 1 and either a first part longer than the
+    second or at least half of the parts equal to 1, the hooks among them."""
+    r = len(parts)
+    return (r > 1 and parts[-1] == 1 < parts[0]
+            and (parts[0] > parts[1] or 2 * parts.count(1) >= r))
+
+
 @memo
 def _giambelli_cached(parts: tuple[int, ...], r: int, n: int | None) -> MvPolynomial:
     """det( h_{lam_j - j + k}(c) ) of size r x r, expanded through this cache.
 
-    Expanding along the first row gives
+    Expanding along the last row gives
+
+      Delta_lam^(r) = sum_j (-1)^(r+j) h_{lam_j - j + r}(c) * Delta_nu(j)^(r-1),
+      nu(j) = (lam_1, ..., lam_{j-1}, lam_{j+1} - 1, ..., lam_r - 1),
+
+    and expanding along the first row
 
       Delta_lam^(r) = sum_j (-1)^(j-1) h_{lam_j - j + 1}(c) * Delta_mu(j)^(r-1),
       mu(j) = (lam_1 + 1, ..., lam_{j-1} + 1, lam_{j+1}, ..., lam_r),
 
-    because deleting row 1 and column j leaves the matrix of mu(j).  The
-    minors are themselves entries of this cache, shared across partitions
-    and calls, and the r products are summed by one ``_sum_of_products``.  For r > len(lam) the matrix is block lower triangular with
-    a unitriangular lower corner, so Delta_lam^(r) = Delta_lam^(len(lam)).
+    because deleting that row and column j leaves the matrix of nu(j) or
+    mu(j).  |nu(j)| = |lam| - lam_j - (r - j), r - j + 1 boxes fewer at the
+    least, while |mu(j)| = |lam| keeps every box: along row 1 a column 1^k
+    caches every hook (m, 1^(k-m)), along row r only the columns below it.  Row 1 still wins where its entries h_{<0}
+    vanish and its few minors are thin hooks, so the shape alone picks the
+    row (``_expand_along_row_one``).  The minors of either row are entries
+    of this cache, shared across partitions and calls, and the r products
+    are summed by one ``_sum_of_products``.  For r > len(lam) the matrix is
+    block lower triangular with a unitriangular lower corner, so
+    Delta_lam^(r) = Delta_lam^(len(lam)); a minor nu(j) whose trailing parts
+    reach 0 is asked for at its own length on that ground.
     """
     if r == 0:
         if parts:
@@ -103,12 +128,19 @@ def _giambelli_cached(parts: tuple[int, ...], r: int, n: int | None) -> MvPolyno
         return ONE
     if r > len(parts):
         return _giambelli_cached(parts, len(parts), n)
-    pairs = []
-    for j in range(r):
-        entry = h_deformed(parts[j] - j, n)
-        if entry:   # the sign goes on the small entry, not on the minor
-            pairs.append((-entry if j & 1 else entry, _giambelli_cached(
-                tuple(p + 1 for p in parts[:j]) + parts[j + 1:r], r - 1, n)))
+    pairs = []   # the sign goes on the entry, an h_k(c) of k + 1 terms at most
+    if _expand_along_row_one(parts):
+        for j in range(r):
+            entry = h_deformed(parts[j] - j, n)
+            if entry:
+                pairs.append((-entry if j & 1 else entry, _giambelli_cached(
+                    tuple(p + 1 for p in parts[:j]) + parts[j + 1:], r - 1, n)))
+    else:
+        for j in range(r):
+            entry = h_deformed(parts[j] - j + r - 1, n)
+            minor = parts[:j] + tuple(p - 1 for p in parts[j + 1:] if p > 1)
+            pairs.append((-entry if (r - 1 - j) & 1 else entry,
+                          _giambelli_cached(minor, len(minor), n)))
     return _sum_of_products(pairs)
 
 

@@ -614,8 +614,9 @@ def test_giambelli_refuses_a_determinant_over_the_term_limit(capsys, parts, boun
 
 
 def test_giambelli_just_under_the_term_limit_finishes(capsys):
-    # 1^22 expands to 49,010 terms, just under the limit; about 1 s of CPU
-    # on a 2-vCPU Xeon VM, and the budget allows ten times that
+    # 1^22 expands to 49,010 terms, just under the limit; 1.1-1.2 s of CPU
+    # and 83 MB in a process of its own on a 2-vCPU Xeon VM, and the budget
+    # allows about eight times that
     assert cli.GIAMBELLI_MAX_TERMS == 50_000
     uda.clear_caches()
     start = time.process_time()
@@ -1230,6 +1231,37 @@ def test_factorize_refuses_over_the_term_read_limit(r, n, reads):
         f"r (min(r, n-r) + 1) for each term of those s_k(c); factorize "
         f"expands at most 150000\n")
     assert cpu < 1.0
+
+
+@pytest.mark.parametrize("suite, n", [
+    ("factorize", 10), ("all", 10), ("factorize", 10 ** 6)])
+def test_verify_refuses_the_factorize_suite_over_the_term_read_limit(
+        capsys, suite, n):
+    # the suite checks every r' <= n' <= n: n = 10 reads 256,686 terms and
+    # took 1.9 s of CPU, n = 12 passed 60 s.  The sum stops once it passes
+    # the limit, so the count is a lower bound and a huge n is refused at once
+    start = time.process_time()
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--r", "2",
+                             "--n", str(n))
+    assert time.process_time() - start < 0.1   # refused before any algebra
+    assert (code, out) == (1, "")
+    assert err == (f"error: --n {n}: the factorize suite over 1 <= r' <= n' <= "
+                   f"{n} expands to at least 159452 term reads, as factorize "
+                   f"counts them for each (r', n'); verify expands at most "
+                   f"150000\n")
+
+
+def test_verify_factorize_just_under_the_term_read_limit_finishes():
+    # n = 9 reads 112,902 terms over its 45 checks: about 0.75 s of CPU in a
+    # process of its own on a 2-vCPU Xeon VM; the budget allows four times
+    # that
+    assert cli._factorize_suite_reads(9, 10 ** 9) == 112_902
+    assert cli._factorize_suite_reads(10, 10 ** 9) == 256_686
+    proc, cpu = run_child("verify", "--suite", "factorize", "--r", "2",
+                          "--n", "9")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.endswith("OK: 45/45 checks passed\n")
+    assert cpu < 3.0
 
 
 def test_factorize_just_under_the_term_read_limit_finishes():
