@@ -17,8 +17,10 @@ its help or error worded, by the whole argparse tree (``build_parser``),
 fed the same declarations.  No parser is built at import.
 
 Output is deterministic: identical configurations produce byte-identical
-documents.  Exit codes: 0 success, 1 invalid configuration (the message
-names the violated bound), 2 internal invariant violation.
+documents; a ``genfun`` document is written in one pass over the operator
+images of ``glaction._images``, which come in its order.  Exit codes: 0
+success, 1 invalid configuration (the message names the violated bound), 2
+internal invariant violation.
 """
 
 from __future__ import annotations
@@ -26,13 +28,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from json.encoder import encode_basestring_ascii as _encode_str
 
 from .errors import AlgebraError
-from .glaction import (ActionResult, _columns, generating_action,
-                       generating_action_adapted, generating_action_finite,
-                       operator_image, universal_factorization)
+from .glaction import (_columns, _images, operator_image,
+                       universal_factorization)
 from .module_iso import schur_map_to_poly
 from .partitions import Partition
 from .poly import _JSON, MvPolynomial
@@ -93,10 +94,9 @@ def _json_doc(payload) -> str:
     is set.  This writer renders what the documents are made of (dicts with
     str keys, lists, str, int, bool and None) itself and hands any other
     value to ``json.dumps``, re-indented to its depth.  An ``MvPolynomial``
-    is written as its ``to_json()`` would be, straight from its terms, and
-    so is an ``ActionResult``, straight from its ``schur_form``
-    (``_write_action``).  The ``matrix`` document has a writer of its own,
-    ``_matrix_json``.
+    is written as its ``to_json()`` would be, straight from its terms.  The
+    ``matrix`` and ``genfun`` documents have writers of their own,
+    ``_matrix_json`` and ``_genfun_json``.
     """
     out: list[str] = []
     _write_json(payload, "\n", out)
@@ -114,8 +114,6 @@ def _write_json(obj, newline: str, out: list[str]) -> None:
         out.append("null" if obj is None else "true" if obj else "false")
     elif kind is MvPolynomial:
         _write_poly(obj, newline, out)
-    elif kind is ActionResult:
-        _write_action(obj, newline, out)
     elif kind is list:
         if not obj:
             out.append("[]")
@@ -207,35 +205,23 @@ def _matrix_json(i: int, j: int, r: int, n: int,
         + "\n}\n")
 
 
-def _write_action(res: ActionResult, newline: str, out: list[str]) -> None:
-    """``res.to_json()`` through ``_write_json``, without building it: the
-    terms of ``schur_form`` in the order (-w, z), the coordinates of each
-    by partition."""
-    i1 = newline + "  "
-    i2 = i1 + "  "
-    i3 = i2 + "  "
-    i4 = i3 + "  "
-    i5 = i4 + "  "
-    z = "{" + i3 + '"z": '
-    w = "," + i3 + '"w": '
-    schur = "," + i3 + '"schur": '
-    partition = "{" + i5 + '"partition": '
-    coeff = "," + i5 + '"coeff": '
-    form = res.schur_form
-    terms = []
-    for key in sorted(form, key=lambda k: (-k[1], k[0])):
-        coords = form[key]
-        terms.append(
-            z + str(key[0]) + w + str(key[1]) + schur
-            + _items([partition + _parts(mu, i5) + coeff
-                      + _encode_str(str(coords[mu])) + i4 + "}"
-                      for mu in sorted(coords)], i3)
-            + i2 + "}")
-    out.append(
-        f'{{{i1}"lambda": {_parts(res.lam, i1)},{i1}"r": {res.r},'
-        f'{i1}"n": {"null" if res.n is None else res.n},'
-        f'{i1}"dual": {_encode_str(res.dual)},{i1}"terms": '
-        + _items(terms, i1) + newline + "}")
+# a genfun document, one of its terms and one coordinate of a term's image
+_GENFUN = '{\n  "lambda": %s,\n  "r": %d,\n  "n": %s,\n  "dual": "%s",\n  "terms": %s\n}\n'
+_TERM = '{\n      "z": %d,\n      "w": %d,\n      "schur": [\n        %s\n      ]\n    }'
+_COORD = '{\n          "partition": %s,\n          "coeff": %s\n        }'
+
+
+def _genfun_json(lam: Partition, r: int, n: int | None, dual: str,
+                 images: Iterable) -> str:
+    """``_json_doc(res.to_json())`` for the generating function ``res`` whose
+    images at w <= 0 are ``images`` (``glaction._images``), written in one
+    pass over them: they come in the order of the terms, (-w, z), each with
+    its coordinates sorted by partition."""
+    terms = [_TERM % (i, w, ",\n        ".join([
+        _COORD % (_parts(mu, "\n          "), _encode_str(str(c))) for mu, c in coords]))
+        for i, w, coords in images]
+    return _GENFUN % (_parts(lam, "\n  "), r, "null" if n is None else n, dual,
+                      "[\n    " + ",\n    ".join(terms) + "\n  ]" if terms else "[]")
 
 
 # the largest Schur determinant ``giambelli`` expands, as counted by
@@ -342,13 +328,15 @@ def cmd_act(args: argparse.Namespace) -> str:
     return f"{value}\n"
 
 
-def _action_text(res) -> str:
-    lines = [f"lambda={res.lam} r={res.r} n={res.n} dual={res.dual}"]
-    for (z, w) in sorted(res.schur_form, key=lambda k: (-k[1], k[0])):
-        poly = schur_map_to_poly(res.schur_form[(z, w)], res.r, res.n)
-        lines.append(f"z^{z} w^{w}: {poly}")
-    if res.positive_w:
-        lines.append(f"# {len(res.positive_w)} nonzero coefficients at positive "
+def _action_text(lam: Partition, r: int, n: int | None, dual: str,
+                 images: list) -> str:
+    """The text document of the generating function whose images are
+    ``images`` (``glaction._images``), in the order of its lines, (-w, z)."""
+    lines = [f"lambda={lam} r={r} n={n} dual={dual}"]
+    lines += [f"z^{z} w^{w}: {schur_map_to_poly(dict(coords), r, n)}"
+              for z, w, coords in images if w <= 0]
+    if positive := sum(w > 0 for _, w, _ in images):
+        lines.append(f"# {positive} nonzero coefficients at positive "
                      "powers of w (no operator of the family); excluded above")
     return "\n".join(lines) + "\n"
 
@@ -418,7 +406,7 @@ def cmd_genfun(args: argparse.Namespace) -> str:
                                  f"for a window")
         _check_widths(args.lam, ("the top operator index n-1", args.n - 1))
         _check_image_parts(args.r, args.r * (args.n - args.r + 1), "r(n-r+1)")
-        res = generating_action_finite(args.lam, args.r, args.n)
+        dual, window = "adapted", (args.n - 1, None, 0)
     else:
         if args.zmax is None:
             raise UsageError("--no-project genfun needs --zmax")
@@ -447,10 +435,8 @@ def cmd_genfun(args: argparse.Namespace) -> str:
                 if args.wmin is None or args.wmin <= 0:
                     wmax = min(wmax, 0)
                 elif args.wmin <= wmax and args.zmax >= 0:
-                    return _json_doc(ActionResult(args.lam, args.r, args.n, "adapted",
-                                                  (args.zmax, args.wmin, wmax), {}))
-            res = generating_action_adapted(args.lam, args.r, args.n, args.zmax,
-                                            wmin=args.wmin, wmax=wmax)
+                    return _genfun_json(args.lam, args.r, args.n, "adapted", ())
+            dual, window = "adapted", (args.zmax, args.wmin, wmax)
         else:
             if args.wmax is not None:
                 raise UsageError("--wmax applies to --dual s only; the plain "
@@ -468,34 +454,43 @@ def cmd_genfun(args: argparse.Namespace) -> str:
                         f"w^-{width - 1} on r={args.r} particles",
                         (args.zmax + 1) * width * args.r, "form values", "genfun",
                         GENFUN_MAX_FORM_VALUES)
-            res = generating_action(args.lam, args.r, args.zmax,
-                                    wmin=args.wmin, n=args.n)
+            dual, window = "plain", (args.zmax, args.wmin, 0)
+    images = _images(args.lam, args.r, args.n, dual, window)
     if args.output == "json":
-        return _json_doc(res)
-    for mu in sorted({mu for coords in res.schur_form.values() for mu in coords}):
-        _check_schur_det(mu, res.n, "the image's partition")
-    return _action_text(res)
+        return _genfun_json(args.lam, args.r, args.n, dual, images)
+    images = list(images)
+    for mu in sorted({mu for _, w, coords in images if w <= 0 for mu, _ in coords}):
+        _check_schur_det(mu, args.n, "the image's partition")
+    return _action_text(args.lam, args.r, args.n, dual, images)
 
 
-# the largest quotient ``matrix`` renders, in basis elements C(n, r): at
-# (9,18), 48,620 columns, the document takes 0.7-1.2 s of CPU and 37 MB as
-# text and 0.8-1.5 s and 53-65 MB as JSON in a process of its own on a
-# 2-vCPU Xeon VM; (10,20), at 184,756, took 3.2 s and 102 MB as text
+# the largest quotient ``matrix`` renders and ``verify --suite bracket``
+# checks, in basis elements C(n, r): at (9,18), 48,620 columns, the document
+# takes 0.7-1.2 s of CPU and 37 MB as text and 0.8-1.5 s and 53-65 MB as JSON,
+# and the bracket suite 4.6 s and 86 MB, in a process of its own on a 2-vCPU
+# Xeon VM; (10,20), at 184,756, took 3.2 s and 102 MB as text, and the suite
+# at (30,60) ran out of a 1 GB address space
 MATRIX_MAX_DIMENSION = 50_000
+
+
+def _check_dimension(r: int, n: int, work: str) -> None:
+    """Refuse, before any algebra, a quotient of more than
+    ``MATRIX_MAX_DIMENSION`` basis elements, for which ``work`` words what
+    is asked.  C(n, r) is counted one factor at a time and the count stops
+    past the limit: math.comb alone takes 13 s at C(10^6, 5 * 10^5)."""
+    dim = 1
+    for t in range(min(r, n - r)):
+        dim = dim * (n - t) // (t + 1)
+        if dim > MATRIX_MAX_DIMENSION:
+            raise UsageError(f"the (r={r}, n={n}) quotient has more than "
+                             f"{MATRIX_MAX_DIMENSION} basis elements; {work} "
+                             f"at most {MATRIX_MAX_DIMENSION}")
 
 
 def cmd_matrix(args: argparse.Namespace) -> str:
     if args.n is None:
         raise UsageError("matrix needs --n")
-    # C(n, r) one factor at a time, stopping past the limit: math.comb
-    # alone takes 13 s at C(10^6, 5 * 10^5)
-    dim = 1
-    for t in range(min(args.r, args.n - args.r)):
-        dim = dim * (args.n - t) // (t + 1)
-        if dim > MATRIX_MAX_DIMENSION:
-            raise UsageError(f"the (r={args.r}, n={args.n}) quotient has more "
-                             f"than {MATRIX_MAX_DIMENSION} basis elements; "
-                             f"matrix renders at most {MATRIX_MAX_DIMENSION}")
+    _check_dimension(args.r, args.n, "matrix renders")
     # a matrix unit moves each column to one row at most
     columns = _columns(args.i, args.j, args.r, args.n)
     if args.output == "json":
@@ -579,6 +574,8 @@ def cmd_verify(args: argparse.Namespace) -> str:
                     _factorize_suite_reads(n, FACTORIZE_MAX_TERM_READS),
                     "term reads, as factorize counts them for each (r', n')",
                     "verify", FACTORIZE_MAX_TERM_READS)
+    if "bracket" in names:
+        _check_dimension(args.r, n, "the bracket suite checks")
     checks = [check for name in names for check in SUITES[name](args.r, n)]
     failures = sum(not passed for passed, _ in checks)
     lines = [("PASS " if passed else "FAIL ") + label for passed, label in checks]

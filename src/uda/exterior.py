@@ -278,8 +278,13 @@ class LinearForm:
         """``(index, slot, value)`` for each factor X^index of the wedge whose
         Maya diagram is ``state`` on which the form is nonzero, in slot
         order."""
+        return self._walk(state, 0, tag, n)
+
+    def _walk(self, state: int, slot: int, tag: BasisTag, n: int | None
+              ) -> list[tuple[int, int, MvPolynomial]]:
+        """``slots`` over the set bits of ``state`` alone, the top one at
+        ``slot``."""
         out = []
-        slot = 0
         while state:
             i = state.bit_length() - 1
             state ^= 1 << i
@@ -331,6 +336,16 @@ class DeltaForm(_IndexForm):
         if tag is BasisTag.PLAIN_X:
             return ONE if i == self.j else ZERO
         return xc_expand(i, n)[self.j] if self.j <= i else ZERO   # X^j in X^i(c)
+
+    def slots(self, state: int, tag: BasisTag, n: int | None
+              ) -> Sequence[tuple[int, int, MvPolynomial]]:
+        if tag is self._own:
+            return super().slots(state, tag, n)
+        # X^b(c) has an X^j term only at j <= b <= j + n: c_k = 0 past k = n
+        j = self.j
+        top = state.bit_length() if n is None else j + n + 1
+        return self._walk(state >> j << j & (1 << top) - 1,
+                          (state >> top).bit_count(), tag, n)
 
 
 class DualDeltaForm(_IndexForm):

@@ -7,18 +7,19 @@ module isomorphism.  ``star_oracle`` does exactly that, slot by slot; it is
 deliberately brute force and serves as the independent reference for the
 closed forms below.
 
-Every generating function is served as a table of operator images, each
-from the route that ``operator_image`` names.  The adapted operator X^i(c)
-(x) del^j(s) is the matrix unit E_ij on the r-th exterior power of the
-deformed basis; ``_matrix_unit`` forms its image, a signed basis element or
-zero, by moving one bit of the Maya diagram of lam.  On the quotient the
-basis is listed once per (r, n), with its diagrams (``_basis``); the column
-maps of E_ij on it (``_columns``) serve the matrices, and ``bracket_check``
-checks the gl_n law on them one column at a time.  The oracle serves the
-rest: the plain operator X^i (x) del^j, a Z[c]-combination of matrix units,
-and X^i(c) (x) phi_k, where phi_k values X^m at s_{m+k}(c), whose image is
-the coefficient at z^i w^k, k > 0, of the adapted form; phi_k is none of
-the forms del^j(s), and the image does not vanish under projection.
+Every generating function is served from one walk over its operator
+images in document order, ``_images``, each from the route that
+``operator_image`` names.  The adapted operator X^i(c) (x) del^j(s) is the
+matrix unit E_ij on the r-th exterior power of the deformed basis;
+``_matrix_unit`` forms its image, a signed basis element or zero, by moving
+one bit of the Maya diagram of lam.  On the quotient the basis is listed
+once per (r, n), with its diagrams (``_basis``); the column maps of E_ij on
+it (``_columns``) serve the matrices, and ``bracket_check`` checks the gl_n
+law on them one column at a time.  The oracle serves the rest: the plain
+operator X^i (x) del^j, a Z[c]-combination of matrix units, and X^i(c) (x)
+phi_k, where phi_k values X^m at s_{m+k}(c), whose image is the coefficient
+at z^i w^k, k > 0, of the adapted form; phi_k is none of the forms
+del^j(s), and the image does not vanish under projection.
 
 The closed forms package all operator images at once and check those
 tables.  The kernel is an r x r determinant: first row the deformed
@@ -39,7 +40,7 @@ beyond z^{n-1}, checked up to an explicit margin, raises ``WindowViolation``.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping, Sequence
 from itertools import combinations, repeat
 from operator import attrgetter
 from types import MappingProxyType
@@ -283,7 +284,7 @@ class ActionResult(_Record):
         """The lambda, r, n and dual, and one term per coefficient of
         ``schur_form`` in the order (-w, z), its coordinates sorted by
         partition; ``window`` and ``positive_w`` are left out.  The CLI
-        writes the same document without building it (``cli._json_doc``)."""
+        writes the same document from ``_images`` (``cli._genfun_json``)."""
         terms = []
         for (z, w) in sorted(self.schur_form, key=lambda k: (-k[1], k[0])):
             coords = self.schur_form[(z, w)]
@@ -331,18 +332,20 @@ def operator_image(i: int, w: int, lam: Partition, r: int, n: int | None,
     return star_oracle_coords(op, lam, r, n, quotient=quotient)
 
 
-def _image_table(lam: Partition, r: int, n: int | None, dual: str,
-                 window: tuple[int, int | None, int]
-                 ) -> dict[tuple[int, int], dict[Partition, int | MvPolynomial]]:
+def _images(lam: Partition, r: int, n: int | None, dual: str,
+            window: tuple[int, int | None, int]
+            ) -> Iterator[tuple[int, int, Sequence[tuple[Partition, int | MvPolynomial]]]]:
     """The nonzero images (``operator_image``, out of the quotient) of the
-    operators in ``window``, keyed (i, w).  Every image below
-    w^-(r-1+lam_1) is zero; a window that misses [-(r-1+lam_1), max(wmax,
-    0)] raises ``ValueError``.
+    operators in ``window``, as (i, w, its (partition, coefficient) pairs
+    by partition), w from the top down, then i upwards: the order of the
+    documents.  Every image below w^-(r-1+lam_1) is zero; a window that
+    misses [-(r-1+lam_1), max(wmax, 0)] raises ``ValueError`` once iterated.
 
     The adapted operator at w = -j <= 0 is the matrix unit E_ij, which
-    moves the particle at j, so only the columns j that hold a particle of
-    the Maya diagram of lam are asked for; w^-(r-1+lam_1) is the top one.
-    Every other operator is asked for at each (i, w) of the window."""
+    moves the particle at j, so ``_matrix_unit`` is asked only at the
+    columns j that hold a particle of the Maya diagram of lam, computed
+    once; w^-(r-1+lam_1) is the top one.  Every other operator is asked
+    for at each (i, w) of the window."""
     zmax, wmin, wmax = window
     if zmax < 0:
         raise ValueError("zmax must be nonnegative")
@@ -351,17 +354,23 @@ def _image_table(lam: Partition, r: int, n: int | None, dual: str,
     if max(wlo, asked) > wmax:
         raise ValueError(f"wmin/wmax ask for the w-window [{asked}, {wmax}], which "
                          f"misses the product's w-range [{wlo}, {max(wmax, 0)}]")
-    ws = range(wmax, max(wlo, asked) - 1, -1)
-    if dual == "adapted":
-        state = maya_mask(lam, r)
-        ws = [w for w in ws if w > 0 or state >> -w & 1]
-    table = {}
-    for i in range(zmax + 1):
-        for w in ws:
-            coords = operator_image(i, w, lam, r, n, dual, quotient=False)
-            if coords:
-                table[(i, w)] = coords
-    return table
+    state = maya_mask(lam, r) if dual == "adapted" else None
+    zs = range(zmax + 1)
+    for w in range(wmax, max(wlo, asked) - 1, -1):
+        if w > 0 or state is None:
+            for i in zs:
+                if coords := operator_image(i, w, lam, r, n, dual, quotient=False):
+                    yield i, w, sorted(coords.items())
+        elif state >> -w & 1:
+            for i in zs:
+                if image := _matrix_unit(i, -w, state):
+                    yield i, w, (image,)
+
+
+def _image_table(lam: Partition, r: int, n: int | None, dual: str,
+                 window: tuple[int, int | None, int]) -> dict:
+    """The images of ``_images`` keyed (i, w), in its order."""
+    return {(i, w): dict(coords) for i, w, coords in _images(lam, r, n, dual, window)}
 
 
 def generating_action(lam: Partition, r: int, zmax: int, wmin: int | None = None,

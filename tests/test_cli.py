@@ -19,9 +19,10 @@ import uda.cli as cli
 import uda.verify
 from uda.cli import main, parse_partition, UsageError
 from uda.exterior import _positive_w_value, x_in_xc
-from uda.glaction import (ActionResult, StarOperator, generating_action,
+from uda.glaction import (StarOperator, generating_action,
                           generating_action_adapted, generating_action_finite,
                           rep_matrix, star_oracle_coords)
+from uda.module_iso import schur_map_to_poly
 from uda.partitions import EMPTY, Partition, partitions_in_rectangle
 from uda.poly import FAM_C, FAM_E, FAM_H, MvPolynomial, ONE, ZERO
 from uda.symfunc import giambelli, giambelli_term_bound, x_power_term_count
@@ -868,34 +869,41 @@ def test_matrix_writer_matches_json_dumps():
     assert zero == 2
 
 
-def test_action_writer_matches_json_dumps():
+def test_action_writer_matches_json_dumps(capsys):
     # every projected document at (1,1), (1,3), (2,4) and (3,6); adapted
     # windows with wmin and with wmax > 0, and one above w^0, whose terms
     # are empty; plain windows with polynomial coefficients, one with n=None;
-    # lambda = () and an image table with an empty coordinate map; at the top
-    # and nested
-    results = [generating_action_finite(lam, r, n)
-               for r, n in ((1, 1), (1, 3), (2, 4), (3, 6))
-               for lam in partitions_in_rectangle(r, n - r)]
+    # lambda = (): each CLI document is the library result's to_json
+    cases = [((str(r), str(n), ",".join(map(str, lam)) or "0", ()),
+              generating_action_finite(lam, r, n))
+             for r, n in ((1, 1), (1, 3), (2, 4), (3, 6))
+             for lam in partitions_in_rectangle(r, n - r)]
     lam = Partition((2, 1))
-    results += [generating_action_adapted(lam, 2, 4, 3, wmin=-2),
-                generating_action_adapted(lam, 2, 4, 3, wmax=2),
-                generating_action_adapted(lam, 2, 5, 4, wmin=-1, wmax=1),
-                generating_action_adapted(lam, 2, 4, 2, wmin=1, wmax=2),
-                generating_action(lam, 2, 3),
-                generating_action(lam, 2, 3, wmin=-2, n=4),
-                generating_action(EMPTY, 3, 2, n=3),
-                generating_action_adapted(EMPTY, 1, 2, 2),
-                ActionResult(EMPTY, 1, None, "plain", None, {(0, 0): {}})]
-    assert results[-1].to_json()["terms"] == [{"z": 0, "w": 0, "schur": []}]
+    adapted = ("--no-project", "--dual", "s", "--zmax")
+    plain = ("--no-project", "--dual", "none", "--zmax")
+    cases += [
+        (("2", "4", "2,1", (*adapted, "3", "--wmin", "-2")),
+         generating_action_adapted(lam, 2, 4, 3, wmin=-2)),
+        (("2", "4", "2,1", (*adapted, "3", "--wmax", "2")),
+         generating_action_adapted(lam, 2, 4, 3, wmax=2)),
+        (("2", "5", "2,1", (*adapted, "4", "--wmin", "-1", "--wmax", "1")),
+         generating_action_adapted(lam, 2, 5, 4, wmin=-1, wmax=1)),
+        (("2", "4", "2,1", (*adapted, "2", "--wmin", "1", "--wmax", "2")),
+         generating_action_adapted(lam, 2, 4, 2, wmin=1, wmax=2)),
+        (("2", None, "2,1", (*plain, "3")), generating_action(lam, 2, 3)),
+        (("2", "4", "2,1", (*plain, "3", "--wmin", "-2")),
+         generating_action(lam, 2, 3, wmin=-2, n=4)),
+        (("3", "3", "0", (*plain, "2")), generating_action(EMPTY, 3, 2, n=3)),
+        (("1", "2", "0", (*adapted, "2")), generating_action_adapted(EMPTY, 1, 2, 2))]
     assert generating_action_adapted(lam, 2, 4, 2, wmin=1, wmax=2).schur_form == {}
     assert generating_action(lam, 2, 3).n is None
     assert any(type(c) is MvPolynomial for c in
                generating_action(lam, 2, 3).schur_form[(1, 0)].values())
-    for res in results:
-        assert cli._json_doc(res) == json.dumps(res.to_json(), indent=2) + "\n"
-        assert cli._json_doc([res, {"genfun": [res]}]) == json.dumps(
-            [res.to_json(), {"genfun": [res.to_json()]}], indent=2) + "\n"
+    for (r, n, lam_arg, extra), res in cases:
+        argv = ["genfun", "--r", r, *(() if n is None else ("--n", n)),
+                "--lambda", lam_arg, *extra, "--output", "json"]
+        assert run_cli(capsys, *argv) == (
+            0, json.dumps(res.to_json(), indent=2) + "\n", ""), argv
 
 
 _POSITIVE_W = ("--r", "1", "--n", "4", "--no-project", "--dual", "s")
@@ -1149,6 +1157,38 @@ def test_matrix_just_under_the_dimension_limit_finishes():
     assert cpu < 9.0
 
 
+@pytest.mark.parametrize("suite, r, n", [
+    ("bracket", 9, 19), ("bracket", 30, 60), ("all", 9, 19)])
+def test_verify_refuses_the_bracket_suite_over_the_dimension_limit(
+        capsys, suite, r, n):
+    # C(19,9) = 92,378 basis elements; at (30,60) the suite's basis ran out
+    # of a 1 GB address space in a raw MemoryError.  Both are refused before
+    # any algebra; --suite all at n = 19 meets the factorize limit first
+    start = time.process_time()
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--r", str(r),
+                             "--n", str(n))
+    assert time.process_time() - start < 0.1
+    assert (code, out) == (1, "")
+    if suite == "bracket":
+        assert err == (f"error: the (r={r}, n={n}) quotient has more than 50000 "
+                       f"basis elements; the bracket suite checks at most 50000\n")
+    else:
+        assert err.startswith(f"error: --n {n}: the factorize suite")
+
+
+def test_verify_lets_the_bracket_suite_just_under_the_dimension_limit_through(
+        capsys, monkeypatch):
+    # C(18,9) = 48,620 passes the check; the suite itself (4.6 s of CPU) is
+    # stood in for, so only the refusal is tested here
+    asked = []
+    monkeypatch.setitem(cli.SUITES, "bracket",
+                        lambda r, n: asked.append((r, n)) or [(True, "stub")])
+    code, out, err = run_cli(capsys, "verify", "--suite", "bracket", "--r", "9",
+                             "--n", "18")
+    assert (code, out, err) == (0, "PASS stub\nOK: 1/1 checks passed\n", "")
+    assert asked == [(9, 18)]
+
+
 def test_giambelli_refuses_a_long_lambda_by_its_h_monomials(capsys):
     # 4960^41 is inside the index and parts limits; its full term bound
     # took 3.2 s, its 1.1 * 10^35 monomials in h alone are counted at once
@@ -1211,8 +1251,11 @@ def test_text_genfun_under_the_limit_renders_every_image(capsys):
     code, out, _ = run_cli(capsys, "genfun", "--r", "6", "--n", "12",
                            "--lambda", "3,2,1")
     assert code == 0
-    assert out == cli._action_text(
-        generating_action_finite(Partition((3, 2, 1)), 6, 12))
+    res = generating_action_finite(Partition((3, 2, 1)), 6, 12)
+    assert out == "\n".join(
+        ["lambda=(3,2,1) r=6 n=12 dual=adapted"]
+        + [f"z^{z} w^{w}: {schur_map_to_poly(res.schur_form[(z, w)], 6, 12)}"
+           for z, w in sorted(res.schur_form, key=lambda k: (-k[1], k[0]))]) + "\n"
 
 
 @pytest.mark.parametrize("r, n, reads", [

@@ -1,5 +1,6 @@
 import random
 from functools import reduce
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -229,6 +230,20 @@ def test_slots_overrides_match_the_generic_value_loop(kind, case, tag):
             if form.value(i, tag, n)]
     assert list(form.slots(state, tag, n)) == want
     assert LinearForm.slots(form, state, tag, n) == want
+
+
+def test_delta_slots_on_the_deformed_basis_walk_only_bits_j_to_j_plus_n():
+    # X^b(c) has an X^j term only at j <= b <= j + n, so the deformed walk
+    # of del^j skips every other particle; it lists what the generic loop
+    # over all of them lists, on every diagram of at most 6 particles in 12
+    # positions
+    states = [diagram(bits) for k in range(7) for bits in combinations(range(12), k)]
+    for j in range(13):
+        form = DeltaForm(j)
+        for n in (None, 0, 1, 2, 4):
+            for state in states:
+                assert form.slots(state, XC, n) == LinearForm.slots(
+                    form, state, XC, n), (j, n, bin(state))
 
 
 def test_duality_of_adapted_forms():

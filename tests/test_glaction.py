@@ -1094,17 +1094,18 @@ def _scanned_table(lam, r, n, dual, window):
 
 def test_image_tables_ask_only_for_the_particles_moves(monkeypatch):
     # the table equals a scan of the whole window, for both duals; an
-    # adapted operator at w <= 0 is asked for only at a particle's column,
-    # so the quotient asks r*n times and holds r*(n-r+1) images: a particle
-    # moves to one of the n-r holes or stays
+    # adapted operator at w <= 0 is asked of _matrix_unit only at a
+    # particle's column of lam's diagram, so the quotient asks r*n times and
+    # holds r*(n-r+1) images: a particle moves to one of the n-r holes or
+    # stays
     asked = []
-    image = gl.operator_image
+    unit = gl._matrix_unit
 
-    def counted(*args, **kwargs):
-        asked.append(args[:2])
-        return image(*args, **kwargs)
+    def counted(i, j, state):
+        asked.append((j, state))
+        return unit(i, j, state)
 
-    monkeypatch.setattr(gl, "operator_image", counted)
+    monkeypatch.setattr(gl, "_matrix_unit", counted)
     for r, n in ((2, 4), (3, 6), (4, 8)):
         for lam in partitions_in_rectangle(r, n - r):
             state = maya_mask(lam, r)
@@ -1115,13 +1116,32 @@ def test_image_tables_ask_only_for_the_particles_moves(monkeypatch):
                                  ("plain", (2, None, 0))):
                 asked.clear()
                 table = gl._image_table(lam, r, n, dual, window)
-                if dual == "adapted":
-                    assert all(w > 0 or state >> -w & 1 for _, w in asked)
+                assert all(at == state and state >> j & 1 for j, at in asked)
                 assert table == _scanned_table(lam, r, n, dual, window), (
                     r, n, lam, dual, window)
             asked.clear()
             table = generating_action_finite(lam, r, n).schur_form
             assert (len(asked), len(table)) == (r * n, r * (n - r + 1))
+
+
+def test_image_tables_iterate_in_document_order():
+    # every table lists its terms as the documents do, w from the top down,
+    # then z upwards, and each image's coordinates by partition
+    def in_order(table):
+        return (list(table) == sorted(table, key=lambda k: (-k[1], k[0]))
+                and all(list(coords) == sorted(coords) for coords in table.values()))
+
+    positive = 0
+    for r, n in ((1, 3), (2, 4), (3, 5)):
+        for lam in partitions_in_rectangle(r, n - r):
+            adapted = generating_action_adapted(lam, r, n, n, wmin=-2, wmax=2)
+            positive += len(adapted.positive_w)
+            for table in (generating_action_finite(lam, r, n).schur_form,
+                          adapted.schur_form, adapted.positive_w,
+                          generating_action(lam, r, 3, n=n).schur_form,
+                          generating_action(lam, r, 2, wmin=-1).schur_form):
+                assert in_order(table), (r, n, lam)
+    assert positive
 
 
 def test_coords_at_raises_outside_the_asked_window():
