@@ -30,7 +30,7 @@ from .module_iso import (poly_to_wedge, quotient_project, schur_map_of_poly,
                          wedge_to_poly)
 from .partitions import Partition, partitions_in_rectangle
 from .poly import (MvPolynomial, ONE, ZERO, c_, clear_caches, e_, h_,
-                   series_inverse, series_mul)
+                   series_mul)
 from .schubert import (sigma_bar_minus_h, sigma_bar_plus, sigma_coefficient,
                        sigma_plus)
 from .symfunc import (e_to_h_rewrite, generic_factor_poly,

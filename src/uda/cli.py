@@ -331,10 +331,19 @@ def cmd_act(args: argparse.Namespace) -> str:
 def _action_text(lam: Partition, r: int, n: int | None, dual: str,
                  images: list) -> str:
     """The text document of the generating function whose images are
-    ``images`` (``glaction._images``), in the order of its lines, (-w, z)."""
+    ``images`` (``glaction._images``), in the order of its lines, (-w, z).
+    Each distinct image is expanded and rendered once: the diagonal images
+    of lam repeat, and a Schur determinant of r rows is built anew on each
+    ``giambelli`` call."""
     lines = [f"lambda={lam} r={r} n={n} dual={dual}"]
-    lines += [f"z^{z} w^{w}: {schur_map_to_poly(dict(coords), r, n)}"
-              for z, w, coords in images if w <= 0]
+    texts: dict[tuple, str] = {}
+    for z, w, coords in images:
+        if w <= 0:
+            key = tuple(coords)
+            text = texts.get(key)
+            if text is None:
+                text = texts[key] = str(schur_map_to_poly(dict(coords), r, n))
+            lines.append(f"z^{z} w^{w}: {text}")
     if positive := sum(w > 0 for _, w, _ in images):
         lines.append(f"# {positive} nonzero coefficients at positive "
                      "powers of w (no operator of the family); excluded above")
@@ -473,18 +482,26 @@ def cmd_genfun(args: argparse.Namespace) -> str:
 MATRIX_MAX_DIMENSION = 50_000
 
 
-def _check_dimension(r: int, n: int, work: str) -> None:
-    """Refuse, before any algebra, a quotient of more than
-    ``MATRIX_MAX_DIMENSION`` basis elements, for which ``work`` words what
-    is asked.  C(n, r) is counted one factor at a time and the count stops
-    past the limit: math.comb alone takes 13 s at C(10^6, 5 * 10^5)."""
+def _binomial(n: int, r: int, stop: int) -> int:
+    """C(n, r), the dimension of the (r, n) quotient, counted one factor at
+    a time: exact up to ``stop``, and a count above it once past it, where
+    the count stops (math.comb alone takes 13 s at C(10^6, 5 * 10^5))."""
     dim = 1
     for t in range(min(r, n - r)):
         dim = dim * (n - t) // (t + 1)
-        if dim > MATRIX_MAX_DIMENSION:
-            raise UsageError(f"the (r={r}, n={n}) quotient has more than "
-                             f"{MATRIX_MAX_DIMENSION} basis elements; {work} "
-                             f"at most {MATRIX_MAX_DIMENSION}")
+        if dim > stop:
+            break
+    return dim
+
+
+def _check_dimension(r: int, n: int, work: str) -> None:
+    """Refuse, before any algebra, a quotient of more than
+    ``MATRIX_MAX_DIMENSION`` basis elements, for which ``work`` words what
+    is asked."""
+    if _binomial(n, r, MATRIX_MAX_DIMENSION) > MATRIX_MAX_DIMENSION:
+        raise UsageError(f"the (r={r}, n={n}) quotient has more than "
+                         f"{MATRIX_MAX_DIMENSION} basis elements; {work} "
+                         f"at most {MATRIX_MAX_DIMENSION}")
 
 
 def cmd_matrix(args: argparse.Namespace) -> str:
@@ -564,6 +581,33 @@ def cmd_factorize(args: argparse.Namespace) -> str:
             f"verified: {ok}\n")
 
 
+# the most steps ``verify --suite oracle`` may take: for each of the C(n, r)
+# basis elements lam, n^2 oracle calls and the closed form of lam, whose
+# coefficients hold up to T terms, T the term bound of the Schur determinant
+# of (n-r+1)^r, each projected over the X terms of s(c) up to s_(ztop+r),
+# ztop = n-1+max(2, r) the top power of z it checks, so C(n, r) (n^2 + T X)
+# in all.  A step took 1.1-3.1 * 10^-6 s of CPU over 18 runs from (3,4) to
+# (6,7), each in a process of its own on a 2-vCPU Xeon VM: (3,6), at 984,300,
+# takes 1.1 s and (8,8), at 744,874, 1.9 s; (5,6), at 1,102,788, took 2.2-2.4
+# s, (9,9) (2,527,281) 6.8 s and 135 MB, (1,24) (7,051,224) 22 s and 365 MB,
+# (6,7) (7,753,242) 20 s and 180 MB, and (4,7) 40 s, while (1,28) passed 45
+# s and 800 MB, and (1,400) and (2,40) 30 s
+ORACLE_MAX_STEPS = 1_000_000
+
+
+def _oracle_suite_steps(r: int, n: int, stop: int) -> int:
+    """The steps of ``verify --suite oracle`` at (r, n), C(n, r) (n^2 + T X)
+    as ``ORACLE_MAX_STEPS`` counts them, exact up to ``stop`` and a count
+    above it past that: the closed-form term is counted only once C(n, r)
+    n^2 is within ``stop``."""
+    dim = _binomial(n, r, stop // (n * n))
+    if dim * n * n > stop:
+        return dim * n * n
+    size = giambelli_term_bound(Partition((n - r + 1,) * r), n)
+    return dim * (n * n + size * x_power_term_count(
+        n + r - 1 + max(2, r), n, stop // (dim * size)))
+
+
 def cmd_verify(args: argparse.Namespace) -> str:
     n = 4 if args.n is None else args.n
     if not (1 <= args.r <= n):
@@ -574,6 +618,11 @@ def cmd_verify(args: argparse.Namespace) -> str:
                     _factorize_suite_reads(n, FACTORIZE_MAX_TERM_READS),
                     "term reads, as factorize counts them for each (r', n')",
                     "verify", FACTORIZE_MAX_TERM_READS)
+    if "oracle" in names:
+        _check_work(f"--r {args.r} --n {n}", f"the oracle suite of the (r={args.r}, "
+                    f"n={n}) quotient", _oracle_suite_steps(args.r, n, ORACLE_MAX_STEPS),
+                    "steps, n^2 oracle calls and the closed form's term reads for "
+                    "each basis element", "verify", ORACLE_MAX_STEPS)
     if "bracket" in names:
         _check_dimension(args.r, n, "the bracket suite checks")
     checks = [check for name in names for check in SUITES[name](args.r, n)]

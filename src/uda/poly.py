@@ -65,7 +65,7 @@ from functools import lru_cache, reduce, wraps
 from operator import itemgetter, or_
 from types import MappingProxyType
 
-from .errors import ExponentOverflow, NonUnitConstantTerm
+from .errors import ExponentOverflow
 
 FAM_C, FAM_E, FAM_H = 0, 1, 2
 _FAM_NAMES = ("c", "e", "h")
@@ -377,12 +377,6 @@ class MvPolynomial:
 
     # -- substitutions -------------------------------------------------------
 
-    def specialize_family_zero(self, fam: int) -> "MvPolynomial":
-        """Set every variable of the given family to zero."""
-        mask = _FAMILY_MASKS[fam]
-        return MvPolynomial._of({m: q for m, q in self._t.items()
-                                 if not m & mask})
-
     def substitute(self, images: Mapping[Var, "MvPolynomial"]) -> "MvPolynomial":
         """Replace each mapped variable by its image polynomial."""
         powers: dict[tuple[Var, int], MvPolynomial] = {}
@@ -571,24 +565,6 @@ def e_(i: int) -> MvPolynomial:
 
 def h_(i: int) -> MvPolynomial:
     return MvPolynomial.variable(FAM_H, i)
-
-
-def series_inverse(coeffs: list[MvPolynomial], order: int) -> list[MvPolynomial]:
-    """Invert a univariate power series with polynomial coefficients.
-
-    ``coeffs`` lists the coefficients of 1, z, z^2, ... (missing entries are
-    zero).  The constant term must be 1.  Returns the coefficients of the
-    inverse through ``z^order``, so that the product is 1 modulo z^(order+1).
-    """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    if not coeffs or coeffs[0] != ONE:
-        raise NonUnitConstantTerm("series inversion needs constant term 1")
-    inv = [ONE]
-    for m in range(1, order + 1):
-        inv.append(-_sum_of_products((coeffs[k], inv[m - k]) for k in
-                                     range(1, min(m, len(coeffs) - 1) + 1)))
-    return inv
 
 
 def series_mul(a: Iterable[MvPolynomial], b: Iterable[MvPolynomial],

@@ -23,11 +23,14 @@ bound n makes c_j vanish for j > n; passing ``n=None`` keeps every c_j, and
 Schur determinants are r x r with entry h_{lam_j - j + k}(c) in row k and
 column j.  With lam empty this is the identity pattern, and a single-part
 partition (m) gives back h_m(c).  Each is expanded along its first or its
-last row, every minor being the Schur determinant of a smaller partition
-taken from the same cache (see ``_giambelli_cached``).  The minor of column
-j along row r has lam_j + r - j boxes fewer than lam, one along row 1 keeps
-all of them, so row r is the default; row 1 is kept for the hook-like
-shapes, where its zero entries h_{<0} leave fewer minors and fewer products.
+last row (``_expand``), every minor being the Schur determinant of a
+smaller partition taken from one memo of minors, ``_giambelli_cached``.
+The minor of column j along row r has lam_j + r - j boxes fewer than lam,
+one along row 1 keeps all of them, so row r is the default; row 1 is kept
+for the hook-like shapes, where its zero entries h_{<0} leave fewer minors
+and fewer products.  The determinant that ``giambelli`` is asked for, of
+len(lam) rows, is no minor of any other of that size: it is built for its
+caller and not kept in the memo.
 """
 
 from __future__ import annotations
@@ -96,9 +99,9 @@ def _expand_along_row_one(parts: tuple[int, ...]) -> bool:
             and (parts[0] > parts[1] or 2 * parts.count(1) >= r))
 
 
-@memo
-def _giambelli_cached(parts: tuple[int, ...], r: int, n: int | None) -> MvPolynomial:
-    """det( h_{lam_j - j + k}(c) ) of size r x r, expanded through this cache.
+def _expand(parts: tuple[int, ...], r: int, n: int | None) -> MvPolynomial:
+    """det( h_{lam_j - j + k}(c) ) of size r x r, a new polynomial expanded
+    over the minors of ``_giambelli_cached``.
 
     Expanding along the last row gives
 
@@ -113,19 +116,20 @@ def _giambelli_cached(parts: tuple[int, ...], r: int, n: int | None) -> MvPolyno
     because deleting that row and column j leaves the matrix of nu(j) or
     mu(j).  |nu(j)| = |lam| - lam_j - (r - j), r - j + 1 boxes fewer at the
     least, while |mu(j)| = |lam| keeps every box: along row 1 a column 1^k
-    caches every hook (m, 1^(k-m)), along row r only the columns below it.  Row 1 still wins where its entries h_{<0}
-    vanish and its few minors are thin hooks, so the shape alone picks the
-    row (``_expand_along_row_one``).  The minors of either row are entries
-    of this cache, shared across partitions and calls, and the r products
-    are summed by one ``_sum_of_products``.  For r > len(lam) the matrix is
-    block lower triangular with a unitriangular lower corner, so
-    Delta_lam^(r) = Delta_lam^(len(lam)); a minor nu(j) whose trailing parts
-    reach 0 is asked for at its own length on that ground.
+    caches every hook (m, 1^(k-m)), along row r only the columns below it.
+    Row 1 still wins where its entries h_{<0} vanish and its few minors are
+    thin hooks, so the shape alone picks the row (``_expand_along_row_one``).
+    The minors of either row are entries of the cache, shared across
+    partitions and calls, and the r products are summed by one
+    ``_sum_of_products``.  For r > len(lam) the matrix is block lower
+    triangular with a unitriangular lower corner, so Delta_lam^(r) =
+    Delta_lam^(len(lam)), read from the cache; a minor nu(j) whose trailing
+    parts reach 0 is asked for at its own length on that ground.
     """
     if r == 0:
         if parts:
             raise ValueError("nonempty partition with r = 0")
-        return ONE
+        return MvPolynomial.one()
     if r > len(parts):
         return _giambelli_cached(parts, len(parts), n)
     pairs = []   # the sign goes on the entry, an h_k(c) of k + 1 terms at most
@@ -144,11 +148,27 @@ def _giambelli_cached(parts: tuple[int, ...], r: int, n: int | None) -> MvPolyno
     return _sum_of_products(pairs)
 
 
+@memo
+def _giambelli_cached(parts: tuple[int, ...], r: int, n: int | None) -> MvPolynomial:
+    """The minors of the Schur determinants, ``_expand`` read-only: every
+    determinant that a Laplace expansion, or a request of more rows than
+    parts, asks for.  ``giambelli``'s request of exactly len(lam) rows is
+    expanded for its caller and not kept here: no determinant of its size
+    has it as a minor."""
+    return _expand(parts, r, n)
+
+
 def giambelli(lam: Partition, r: int, n: int | None) -> MvPolynomial:
-    """The Schur determinant det( h_{lam_j - j + k}(c) ) of size r x r, as cached."""
+    """The Schur determinant det( h_{lam_j - j + k}(c) ) of size r x r.
+
+    With r = len(lam) it is a new polynomial that belongs to the caller;
+    with fewer parts it equals the determinant of len(lam) rows, which may
+    be a minor of a later request, and comes read-only from the cache."""
     if len(lam) > r:
         raise ValueError(f"partition {lam} longer than r={r}")
-    return _giambelli_cached(lam.parts, r, n)
+    if len(lam) < r:
+        return _giambelli_cached(lam.parts, r, n)
+    return _expand(lam.parts, r, n)
 
 
 def _boxed_partition_counts(rows: int, cols: int, top: int) -> list[int]:

@@ -1189,6 +1189,39 @@ def test_verify_lets_the_bracket_suite_just_under_the_dimension_limit_through(
     assert asked == [(9, 18)]
 
 
+@pytest.mark.parametrize("suite, r, n, steps", [
+    ("oracle", 1, 400, 64_000_000), ("oracle", 2, 40, 1_248_000),
+    ("oracle", 5, 6, 1_102_788), ("all", 4, 7, 2_657_165),
+    ("oracle", 500_000, 1_000_000, 10 ** 18)])
+def test_verify_refuses_the_oracle_suite_over_the_step_limit(capsys, suite,
+                                                              r, n, steps):
+    # (1,400) and (2,40) passed 30 s of CPU and (4,7) took 40 s; (5,6), just
+    # past the limit, took 2.2-2.4 s.  Past C(n, r) n^2 the count stops
+    # before the closed-form term, so every refusal comes before any algebra
+    start = time.process_time()
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--r", str(r),
+                             "--n", str(n))
+    assert time.process_time() - start < 0.1
+    assert (code, out) == (1, "")
+    assert err == (f"error: --r {r} --n {n}: the oracle suite of the (r={r}, "
+                   f"n={n}) quotient expands to at least {steps} steps, n^2 "
+                   f"oracle calls and the closed form's term reads for each "
+                   f"basis element; verify expands at most 1000000\n")
+
+
+def test_verify_oracle_just_under_the_step_limit_finishes():
+    # (3,6) counts 20 (36 + 291 * 169) = 984,300 steps: about 1.1 s of CPU
+    # in a process of its own on a 2-vCPU Xeon VM; the budget allows about
+    # four times that
+    assert cli.ORACLE_MAX_STEPS == 1_000_000
+    assert cli._oracle_suite_steps(3, 6, 10 ** 9) == 984_300
+    assert cli._oracle_suite_steps(8, 8, 10 ** 9) == 744_874
+    proc, cpu = run_child("verify", "--suite", "oracle", "--r", "3", "--n", "6")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.endswith("OK: 720/720 checks passed\n")
+    assert cpu < 5.0
+
+
 def test_giambelli_refuses_a_long_lambda_by_its_h_monomials(capsys):
     # 4960^41 is inside the index and parts limits; its full term bound
     # took 3.2 s, its 1.1 * 10^35 monomials in h alone are counted at once
@@ -1256,6 +1289,30 @@ def test_text_genfun_under_the_limit_renders_every_image(capsys):
         ["lambda=(3,2,1) r=6 n=12 dual=adapted"]
         + [f"z^{z} w^{w}: {schur_map_to_poly(res.schur_form[(z, w)], 6, 12)}"
            for z, w in sorted(res.schur_form, key=lambda k: (-k[1], k[0]))]) + "\n"
+
+
+def test_text_genfun_expands_each_distinct_image_once(capsys, monkeypatch):
+    # the 20 images of 3^4 at (4,8) hold 17 distinct (partition, coefficient)
+    # tuples, the diagonal ones repeating lam; each is expanded and rendered
+    # once, and the document is the one written when every line expanded
+    # its own (sha256 of that document)
+    lam = Partition((3, 3, 3, 3))
+    images = list(cli._images(lam, 4, 8, "adapted", (7, None, 0)))
+    distinct = {tuple(coords) for _, _, coords in images}
+    assert (len(images), len(distinct)) == (20, 17)
+    calls = []
+
+    def counting(coords, r, n):
+        calls.append(tuple(sorted(coords.items())))
+        return schur_map_to_poly(coords, r, n)
+
+    monkeypatch.setattr(cli, "schur_map_to_poly", counting)
+    code, out, _ = run_cli(capsys, "genfun", "--r", "4", "--n", "8",
+                           "--lambda", "3,3,3,3")
+    assert code == 0
+    assert len(calls) == len(set(calls)) == 17 and set(calls) == distinct
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "df9659f1bea2ac21d7cf011781d7bc743ddf2855873f7af6a200d055f30cae87")
 
 
 @pytest.mark.parametrize("r, n, reads", [

@@ -12,11 +12,12 @@ from uda import symfunc
 from uda.determinant import exact_det
 from uda.partitions import EMPTY, Partition, partitions_in_rectangle
 from uda.poly import (FAM_C, FAM_H, MvPolynomial, ONE, ZERO, c_, e_, h_,
-                      series_inverse, series_mul)
+                      series_mul)
 from uda.symfunc import (c_series_coeffs, e_series_coeffs, e_to_h_rewrite,
                          generic_factor_poly, generic_monic_coeffs, giambelli,
                          giambelli_term_bound, h_deformed, s_coefficient)
 from uda.symfunc import _giambelli_cached
+from reference import series_inverse, specialize_family_zero
 
 
 def test_deformed_complete_functions_golden():
@@ -82,11 +83,11 @@ def test_hc_series_matches_product_identity():
 
 def test_specialising_c_to_zero():
     for j in range(5):
-        assert h_deformed(j, 4).specialize_family_zero(FAM_C) == \
+        assert specialize_family_zero(h_deformed(j, 4), FAM_C) == \
             (ONE if j == 0 else h_(j))
     assert s_coefficient(0, 4) == ONE
     for i in range(1, 5):
-        assert s_coefficient(i, 4).specialize_family_zero(FAM_C) == ZERO
+        assert specialize_family_zero(s_coefficient(i, 4), FAM_C) == ZERO
     assert s_coefficient(1, 4) == c_(1)
     assert s_coefficient(2, 4) == c_(1) ** 2 - c_(2)
 
@@ -211,6 +212,30 @@ def test_giambelli_forms_fewer_term_products_than_row_one(monkeypatch):
                      ((7, 2, 2) + (1,) * 13, 4), ((3,) + (1,) * 19, None)]:
         ref, got = both([parts], n)
         assert got <= ref, (parts, n, ref, got)
+
+
+def test_giambelli_caches_minors_and_builds_the_requested_determinant():
+    # over the (4,9) box by ascending |lambda|, the schur-det sweep: the 70
+    # determinants of four parts are built for their callers and kept out
+    # of the memo, which no other determinant of four rows reads
+    uda.clear_caches()
+    box = list(partitions_in_rectangle(4, 5))
+    got = [giambelli(lam, 4, 9) for lam in box]
+    info = _giambelli_cached.cache_info()
+    assert (info.currsize, info.hits) == (122, 379)   # 192 and 379 with them
+    for lam, p in zip(box, got):
+        assert p == _giambelli_cached(lam.parts, 4, 9), lam
+    full = [(lam, p) for lam, p in zip(box, got) if len(lam) == 4]
+    assert len(full) == 70
+    lam, p = full[-1]
+    want = MvPolynomial(dict(p.terms))
+    p.terms.clear()   # the caller's to change
+    assert not p and giambelli(lam, 4, 9) == want
+    short = Partition((2, 1))
+    cached = giambelli(short, 4, 9)
+    assert giambelli(short, 4, 9) is cached
+    with pytest.raises((AttributeError, TypeError)):
+        cached.terms.clear()
 
 
 def test_giambelli_with_r_zero():
