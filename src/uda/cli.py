@@ -36,7 +36,8 @@ from .glaction import (_columns, _images, operator_image,
                        universal_factorization)
 from .module_iso import schur_map_to_poly
 from .partitions import Partition
-from .poly import _JSON, MvPolynomial
+from .poly import (_EXPS_CLOSE, _EXPS_OPEN, _JSON, _JSON_SEP, _PARTS, FAM_C,
+                   FAM_E, MvPolynomial)
 from .symfunc import (giambelli, giambelli_h_term_count, giambelli_term_bound,
                       x_power_term_count)
 from .verify import SUITES
@@ -140,34 +141,51 @@ def _write_json(obj, newline: str, out: list[str]) -> None:
         out.append(json.dumps(obj, indent=2).replace("\n", newline))
 
 
+# a polynomial's JSON around its terms' part fragments (``poly._PARTS``),
+# at their depth: the value of a top-level key
+_POLY_NEWLINE = "\n  "
+_NO_TERMS = '{\n    "terms": []\n  }'
+_TERMS_OPEN = '{\n    "terms": [\n      '
+_TERMS_CLOSE = "\n    ]\n  }"
+_NO_EXPS = '{\n        "exps": {},\n        "num": "'
+_DEN = '",\n        "den": "'
+_TERM_SEP = ",\n      "   # cut after the last term
+_TERM_CLOSE = '"\n      }' + _TERM_SEP
+_INT_CLOSE = _DEN + "1" + _TERM_CLOSE
+
+
 def _write_poly(p: MvPolynomial, newline: str, out: list[str]) -> None:
-    """``p.to_json()`` through ``_write_json``, without building it."""
-    i1 = newline + "  "
-    terms = p._sorted()
-    if not terms:
-        out.append("{" + i1 + '"terms": []' + newline + "}")
+    """``p.to_json()`` through ``_write_json``, without building it.
+
+    A term is the JSON fragments of its c-, e- and h-parts, the first
+    non-empty one without its separator, then its coefficient: the c-part's
+    opens "exps" and the h-part's closes it.  The fragments are written at
+    the depth of a top-level value; a polynomial at any other depth is
+    written there and its block re-indented once."""
+    if newline != _POLY_NEWLINE:
+        block: list[str] = []
+        _write_poly(p, _POLY_NEWLINE, block)
+        out.append("".join(block).replace(_POLY_NEWLINE, newline))
         return
-    i2 = i1 + "  "
-    i3 = i2 + "  "
-    i4 = i3 + "  "
-    num = "," + i3 + '"num": "'
-    exps_open = "{" + i3 + '"exps": {' + i4
-    exps_sep = "," + i4
-    exps_close = i3 + "}" + num
-    no_exps = "{" + i3 + '"exps": {}' + num
-    den = '",' + i3 + '"den": "'
-    close = '"' + i2 + "}," + i2   # the comma after the last term is cut
-    int_close = den + "1" + close
-    texts = [(exps_open + exps_sep.join(members) + exps_close
-              if members else no_exps)
-             + (int.__repr__(q) + int_close if type(q) is int
-                else str(q.numerator) + den + str(q.denominator) + close)
-             for _, c, e, h, q, _ in terms
-             for members in (c[_JSON] + e[_JSON] + h[_JSON],)]
-    texts[-1] = texts[-1][:-len(i2) - 1]
-    out.append("{" + i1 + '"terms": [' + i2)
+    rows = p._sorted()
+    if not rows:
+        out.append(_NO_TERMS)
+        return
+    # the empty c- and e-parts' entries, None where no row has them
+    c0, e0 = _PARTS[FAM_C].get(0), _PARTS[FAM_E].get(0)
+    texts = [(c[_JSON] + e[_JSON_SEP] + h[_JSON_SEP] if c is not c0
+              else c[_JSON] + e[_JSON] + h[_JSON_SEP] if e is not e0
+              else c[_JSON] + h[_JSON])
+             + (int.__repr__(q) + _INT_CLOSE if type(q) is int
+                else str(q.numerator) + _DEN + str(q.denominator) + _TERM_CLOSE)
+             for _, c, e, h, q, _ in rows]
+    last = texts[-1]
+    if not rows[-1][5]:   # the constant term comes last, with no members
+        last = _NO_EXPS + last[len(_EXPS_OPEN + _EXPS_CLOSE):]
+    texts[-1] = last[:-len(_TERM_SEP)]
+    out.append(_TERMS_OPEN)
     out += texts
-    out.append(i1 + "]" + newline + "}")
+    out.append(_TERMS_CLOSE)
 
 
 def _parts(lam, indent: str) -> str:

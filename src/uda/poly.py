@@ -41,20 +41,25 @@ largest variable downwards (family order c < e < h, index ascending).  Both
 renderings are deterministic byte-for-byte.  A term is read from its h-, e-
 and c-parts (the monomial masked to one family's fields) in three part
 tables.  Each distinct part is decoded once into its sort key and its
-powers, as texts (``c1^2``) and as JSON members (``"c1": 2``).  A part's
-key is one key per power by descending variable: the family, the index (a
-length byte and its big-endian bytes) and the exponent.  ``_sorted`` makes
-one row per term: the degree in two bytes and the keys of the h-, e- and
-c-parts, whose bytes compare as graded-lex order; the entries of the c-, e-
-and h-parts; the coefficient; and the packed monomial, which
-``sorted_terms`` decodes.  It sorts the rows by key alone, and the writers
-join the parts' powers.  A key reads only the monomial's own powers, so no
-entry changes when another variable gets a field.  Nothing is kept per
-monomial: a Schur determinant, a sum of c-parts times h-parts, has far
-fewer parts than monomials, and a document renders each of its monomials
-once.  One decoder, ``_powers``, reads packed monomials, for the part
-tables and the tuple view alike; it reads only the set fields, so it costs
-O(powers) however many variables have fields.
+powers joined as fragments: as text (``c1^2*c3``) and as the JSON members
+of a term's ``"exps"`` (``"c1": 2`` and ``"c3": 1`` on their own lines, at
+the depth of a polynomial that is a top-level value), each once as the
+first part of a term and once led by its separator (``*c1^2*c3``).  A
+c-part's JSON fragments also open the ``"exps"`` and an h-part's close it.
+A part's key is one key per power by descending variable: the family, the
+index (a length byte and its big-endian bytes) and the exponent.
+``_sorted`` makes one row per term: the degree in two bytes and the keys of
+the h-, e- and c-parts, whose bytes compare as graded-lex order; the
+entries of the c-, e- and h-parts; the coefficient; and the packed
+monomial, which ``sorted_terms`` decodes.  It sorts the rows by key alone,
+and the writers join each term's fragments, one concatenation per part.  A
+key reads only the monomial's own powers, so no entry changes when another
+variable gets a field.  Nothing is kept per monomial: a Schur determinant,
+a sum of c-parts times h-parts, has far fewer parts than monomials, and a
+document renders each of its monomials once.  One decoder, ``_powers``,
+reads packed monomials, for the part tables and the tuple view alike; it
+reads only the set fields, so it costs O(powers) however many variables
+have fields.
 """
 
 from __future__ import annotations
@@ -112,31 +117,59 @@ def _power_key(v: Var, e: int) -> bytes:
     return bytes((fam, n)) + idx.to_bytes(n, "big") + e.to_bytes(2, "big")
 
 
-# what a part entry holds after its key, one item per power: the text
-# "c1^2" and the JSON member '"c1": 2'
-_TEXT, _JSON = 1, 2
+# The JSON layout the part entries are written for: a polynomial that is the
+# value of a top-level key of a ``json.dumps(..., indent=2)`` document.  A
+# term's "exps" opens 8 spaces in and lists its members 10 spaces in; the c-
+# entries carry its opening, and the h-entries its close and the start of
+# the term's "num".
+_EXPS_OPEN = '{\n        "exps": {\n          '
+_MEMBER_SEP = ",\n          "
+_EXPS_CLOSE = '\n        },\n        "num": "'
+
+# what a part entry holds after its key: its powers joined as text
+# ("c1^2*c3") and as JSON members, each once for the first non-empty part of
+# a term and once led by the separator that follows another part
+_TEXT, _TEXT_SEP, _JSON, _JSON_SEP = 1, 2, 3, 4
 
 
 class _FamilyParts(dict):
-    """``part -> (key, texts, JSON members)`` for one family, where a part is
-    a packed monomial masked to the family's fields: the key joins the power
-    keys of its powers by descending variable, and the texts and members
-    list its powers by ascending variable.  All three are read from the
-    part's own powers, so an entry stays valid as the layout grows."""
+    """``part -> (key, text, led text, members, led members)`` for one
+    family, where a part is a packed monomial masked to the family's
+    fields.  The key joins the power keys of its powers by descending
+    variable.  The text and the JSON members join its powers by ascending
+    variable, once as they start a term and once led by their separator
+    ("*" or ``_MEMBER_SEP``); the empty part joins to "", led or not.
+    The members are wrapped in the family's ``opening`` and ``closing``: a
+    c-part always starts a term, so both its forms start with
+    ``_EXPS_OPEN``, and an h-part always ends one, so both its forms end
+    with ``_EXPS_CLOSE``, the empty parts' too.  All of an entry is read
+    from the part's own powers, so it stays valid as the layout grows."""
+
+    __slots__ = ("_opening", "_closing")
+
+    def __init__(self, opening: str = "", closing: str = ""):
+        self._opening = opening
+        self._closing = closing
 
     def __missing__(self, part):
         powers = _powers(part)
         names = [var_name(v) for v, _ in powers]
+        text = "*".join([name if e == 1 else f"{name}^{e}"
+                         for name, (_, e) in zip(names, powers)])
+        members = _MEMBER_SEP.join([f'"{name}": {e}'
+                                    for name, (_, e) in zip(names, powers)])
+        sep = self._opening or (_MEMBER_SEP if members else "")
         value = self[part] = (
             b"".join([_power_key(v, e) for v, e in reversed(powers)]),
-            tuple([name if e == 1 else f"{name}^{e}"
-                   for name, (_, e) in zip(names, powers)]),
-            tuple([f'"{name}": {e}' for name, (_, e) in zip(names, powers)]))
+            text, "*" + text if text else "",
+            self._opening + members + self._closing,
+            sep + members + self._closing)
         return value
 
 
-_C_PARTS, _E_PARTS, _H_PARTS = _PARTS = (
-    _FamilyParts(), _FamilyParts(), _FamilyParts())   # by family code
+_C_PARTS, _E_PARTS, _H_PARTS = _PARTS = (   # by family code
+    _FamilyParts(opening=_EXPS_OPEN), _FamilyParts(),
+    _FamilyParts(closing=_EXPS_CLOSE))
 
 # The masks over the fields of a packed monomial; ``_layout`` grows them.
 _GUARDS = 1 << _FIELD - 1            # the top bit of every field
@@ -399,10 +432,11 @@ class MvPolynomial:
         """One row ``(key, c, e, h, coeff, m)`` per term ``m``, in the
         canonical graded-lex order (leading term first), where c, e and h
         are the entries of its c-, e- and h-parts: a writer joins their
-        powers at ``_TEXT`` or ``_JSON`` in that order.  The key is the
-        degree in two bytes and then the keys of the h-, e- and c-parts, the
-        power keys by descending variable, so bytes compare as graded-lex
-        order; no two monomials share one, so rows sort by key alone."""
+        fragments in that order, the first non-empty one without its
+        separator.  The key is the degree in two bytes and then the keys of
+        the h-, e- and c-parts, the power keys by descending variable, so
+        bytes compare as graded-lex order; no two monomials share one, so
+        rows sort by key alone."""
         c_mask, e_mask, h_mask = _FAMILY_MASKS
         rows = []
         add = rows.append
@@ -420,12 +454,17 @@ class MvPolynomial:
         return [(_unpack(m), q) for *_, q, m in self._sorted()]
 
     def __str__(self) -> str:
+        rows = self._sorted()
+        # the empty c- and e-parts' entries, None where no row has them
+        c0, e0 = _C_PARTS.get(0), _E_PARTS.get(0)
         text = " ".join([
             ("- " if q < 0 else "+ ")
             + (f"{abs(q)}*{mono}" if mono and q != 1 and q != -1
                else mono or str(abs(q)))
-            for _, c, e, h, q, _ in self._sorted()
-            for mono in ("*".join(c[_TEXT] + e[_TEXT] + h[_TEXT]),)])
+            for _, c, e, h, q, _ in rows
+            for mono in (c[_TEXT] + e[_TEXT_SEP] + h[_TEXT_SEP] if c is not c0
+                         else e[_TEXT] + h[_TEXT_SEP] if e is not e0
+                         else h[_TEXT],)])
         return "-" + text[2:] if text.startswith("-") else text[2:] or "0"
 
     def __repr__(self) -> str:

@@ -151,10 +151,11 @@ def _expand(parts: tuple[int, ...], r: int, n: int | None) -> MvPolynomial:
 @memo
 def _giambelli_cached(parts: tuple[int, ...], r: int, n: int | None) -> MvPolynomial:
     """The minors of the Schur determinants, ``_expand`` read-only: every
-    determinant that a Laplace expansion, or a request of more rows than
-    parts, asks for.  ``giambelli``'s request of exactly len(lam) rows is
-    expanded for its caller and not kept here: no determinant of its size
-    has it as a minor."""
+    determinant that a Laplace expansion asks for, and every request of
+    more rows than parts, which ``giambelli`` asks for at its own length,
+    the key under which it is a minor.  A request of exactly len(lam) rows
+    is expanded for its caller and not kept here: no determinant of its
+    size has it as a minor."""
     return _expand(parts, r, n)
 
 
@@ -166,8 +167,8 @@ def giambelli(lam: Partition, r: int, n: int | None) -> MvPolynomial:
     be a minor of a later request, and comes read-only from the cache."""
     if len(lam) > r:
         raise ValueError(f"partition {lam} longer than r={r}")
-    if len(lam) < r:
-        return _giambelli_cached(lam.parts, r, n)
+    if len(lam) < r:   # memoised at its own length, as the minors are
+        return _giambelli_cached(lam.parts, len(lam), n)
     return _expand(lam.parts, r, n)
 
 
@@ -199,7 +200,8 @@ def giambelli_term_bound(lam: Partition, n: int | None) -> int:
         return 1
     top = lam.parts[0] + rows - 1
     hs = _boxed_partition_counts(rows, top, weight)
-    cs = _boxed_partition_counts(rows, top if n is None else min(top, n), weight)
+    cs = (hs if n is None or n >= top
+          else _boxed_partition_counts(rows, n, weight))
     return sum(hs[a] * cs[weight - a] for a in range(weight + 1))
 
 

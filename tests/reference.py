@@ -6,7 +6,7 @@ pin, written with the public ``MvPolynomial`` arithmetic alone.
 """
 
 from uda.errors import NonUnitConstantTerm
-from uda.poly import MvPolynomial, ONE
+from uda.poly import MvPolynomial, ONE, var_name
 
 
 def series_inverse(coeffs: list[MvPolynomial], order: int) -> list[MvPolynomial]:
@@ -33,3 +33,17 @@ def specialize_family_zero(p: MvPolynomial, fam: int) -> MvPolynomial:
     """``p`` with every variable of the family ``fam`` set to zero."""
     return MvPolynomial({m: q for m, q in p.terms.items()
                          if all(v[0] != fam for v, _ in m)})
+
+
+def text_by_powers(p: MvPolynomial) -> str:
+    """``str(p)`` as it was written from each term's powers, joined by "*"
+    term by term, rather than from its parts' joined fragments."""
+    pieces = []
+    for mono, q in p.sorted_terms():
+        text = "*".join(var_name(v) if e == 1 else f"{var_name(v)}^{e}"
+                        for v, e in mono)
+        pieces.append(("- " if q < 0 else "+ ")
+                      + (f"{abs(q)}*{text}" if text and q != 1 and q != -1
+                         else text or str(abs(q))))
+    text = " ".join(pieces)
+    return "-" + text[2:] if text.startswith("-") else text[2:] or "0"

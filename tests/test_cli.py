@@ -423,6 +423,31 @@ def test_json_writer_renders_polynomials_as_their_to_json(payload):
     assert cli._json_doc(payload) == expected
 
 
+# a term for each pattern of empty and non-empty c-, e- and h-parts, the
+# constant among them, with int and Fraction coefficients
+_EVERY_PART_PATTERN = MvPolynomial({
+    (): Fraction(-3, 7), (((FAM_C, 1), 2),): 2, (((FAM_E, 2), 3),): Fraction(1, 2),
+    (((FAM_H, 1), 1),): -1, (((FAM_C, 1), 1), ((FAM_E, 1), 1)): Fraction(-5, 2),
+    (((FAM_C, 3), 1), ((FAM_H, 2), 4)): 7, (((FAM_E, 1), 1), ((FAM_H, 1), 2)): 1,
+    (((FAM_C, 1), 1), ((FAM_C, 2), 1), ((FAM_E, 2), 1), ((FAM_H, 3), 1)): -4})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_poly)
+@example(_EVERY_PART_PATTERN)
+@example(_EVERY_PART_PATTERN - MvPolynomial.const(Fraction(-3, 7)))
+@example(ZERO)
+@example(ONE)
+def test_json_writer_renders_a_polynomial_as_a_value_and_in_a_list(p):
+    # a value of a top-level key, where the part fragments are written, and
+    # one level deeper, in a list, as ``factorize`` writes p and q
+    from reference import text_by_powers
+    for payload in ({"value": p}, {"p": [p, ONE], "verified": True}, p):
+        assert cli._json_doc(payload) == json.dumps(
+            _to_json_payload(payload), indent=2) + "\n"
+    assert str(p) == text_by_powers(p)
+
+
 def test_json_writer_hands_other_values_to_json_dumps():
     payload = {"a": [1.5, (1, [2, {}]), {1: None, "k": ()}], "b": [[], {}]}
     assert cli._json_doc(payload) == json.dumps(payload, indent=2) + "\n"

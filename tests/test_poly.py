@@ -632,19 +632,41 @@ def _full_decode_entry(m):
     its rendering: the graded-lex key (the degree in two bytes, then per
     power by descending variable the family byte, the index as a length
     byte and its big-endian bytes, and the exponent in two bytes), then its
-    powers by ascending variable as texts and as JSON members.  The part
-    tables must compose exactly this."""
+    powers by ascending variable joined as text and as the members of its
+    "exps", and its term from its opening to the start of its "num", as
+    ``json.dumps(..., indent=2)`` writes them for a polynomial that is the
+    value of a top-level key.  The part tables must compose exactly this."""
     degree, powers = _full_decode(m)
     key = degree.to_bytes(2, "big")
     for (fam, idx), e in reversed(powers):
         idx = idx.to_bytes(32, "big").lstrip(b"\0")
         key += bytes((fam, len(idx))) + idx + e.to_bytes(2, "big")
     names = [f"{'ceh'[fam]}{idx}" for (fam, idx), _ in powers]
-    return (key,
-            tuple(name + (f"^{e}" if e > 1 else "")
-                  for name, (_, e) in zip(names, powers)),
-            tuple(json.dumps({name: e})[1:-1]
-                  for name, (_, e) in zip(names, powers)))
+    doc = json.dumps({"value": {"terms": [{
+        "exps": {name: e for name, (_, e) in zip(names, powers)},
+        "num": "1"}]}}, indent=2)
+    num = doc.index('"num": "')
+    members = doc[doc.index('"exps": {') + 9:doc.rindex("}", 0, num)]
+    return (key, "*".join(name + (f"^{e}" if e > 1 else "")
+                          for name, (_, e) in zip(names, powers)),
+            members.strip(), doc[doc.rindex("{", 0, doc.index('"exps"')):num + 8])
+
+
+def _compose(row, first, led):
+    """A row's c-, e- and h-entries joined as the writers join them: the
+    first non-empty part at ``first``, every later one at ``led``."""
+    out, started = "", False
+    for entry in row[1:4]:
+        out += entry[led if started else first]
+        started = started or bool(entry[poly._TEXT])
+    return out
+
+
+# a monomial for each of the 8 patterns of empty and non-empty c-, e- and
+# h-parts, the constant monomial among them
+_EMPTINESS_PATTERNS = [{(fam, fam + 2): fam + 1 for fam in fams}
+                       for fams in ((), (0,), (1,), (2,), (0, 1), (0, 2),
+                                    (1, 2), (0, 1, 2))]
 
 
 @settings(max_examples=200, deadline=None)
@@ -653,17 +675,24 @@ def _full_decode_entry(m):
 @example([{(2, 1): 1, (1, 1): 1, (0, 1): 1}, {(1, 1): 255}, {(0, 1): 254},
           {(0, 1): 120, (2, 10**12): 180}, {(0, 1000): 300, (2, 1): 1}])
 def test_part_decodes_compose_the_full_decode(monos):
-    def part_entry(part):   # a part is keyed without a degree
-        key, *rest = _full_decode_entry(part)
-        return (key[2:], *rest)
+    sep = ",\n          "
+
+    def part_entry(part, fam):   # a part is keyed without a degree
+        key, text, members, _ = _full_decode_entry(part)
+        opening = poly._EXPS_OPEN if fam == FAM_C else ""
+        closing = poly._EXPS_CLOSE if fam == FAM_H else ""
+        return (key[2:], text, "*" + text if text else "",
+                opening + members + closing,
+                (opening or (sep if members else "")) + members + closing)
 
     def rows(m):   # what _sorted makes of the one-term polynomial m
         return [(_full_decode_entry(m)[0],
-                 *[part_entry(m & mask) for mask in poly._FAMILY_MASKS], 1, m)]
+                 *[part_entry(m & mask, fam)
+                   for fam, mask in enumerate(poly._FAMILY_MASKS)], 1, m)]
 
     clear_caches()
     packed = []
-    for mono in [{}, *monos]:   # with the constant monomial
+    for mono in [*_EMPTINESS_PATTERNS, *monos]:
         m = poly._pack(mono.items())
         packed.append(m)
         # the tuple view reads the same one decoder as the part tables
@@ -672,16 +701,19 @@ def test_part_decodes_compose_the_full_decode(monos):
         assert list(MvPolynomial({tuple(mono.items()): 1}).terms) == [want]
         got = MvPolynomial._of({m: 1})._sorted()
         assert got == rows(m), mono
-        # the c-, e- and h-parts' powers join to the monomial's
-        c, e, h = got[0][1:4]
-        assert [c[item] + e[item] + h[item] for item in (poly._TEXT, poly._JSON)
-                ] == list(_full_decode_entry(m)[1:]), mono
+        # the c-, e- and h-fragments join to the monomial's text and to its
+        # term from the opening to the start of "num"; the constant's empty
+        # "exps" joins to the opening and the close alone
+        _, text, members, head = _full_decode_entry(m)
+        assert _compose(got[0], poly._TEXT, poly._TEXT_SEP) == text, mono
+        assert _compose(got[0], poly._JSON, poly._JSON_SEP) == (
+            head if members else poly._EXPS_OPEN + poly._EXPS_CLOSE), mono
         for fam, parts in enumerate(poly._PARTS):
             part = m & poly._FAMILY_MASKS[fam]
-            assert parts[part] == part_entry(part)
+            assert parts[part] == part_entry(part, fam)
     # every entry and row still matches, also one made before a later
     # monomial's variables got fields
-    assert all(parts[part] == part_entry(part)
-               for parts in poly._PARTS for part in list(parts))
+    assert all(parts[part] == part_entry(part, fam)
+               for fam, parts in enumerate(poly._PARTS) for part in list(parts))
     assert all(MvPolynomial._of({m: 1})._sorted() == rows(m) for m in packed)
     assert all(poly._unpack(m) == tuple(_full_decode(m)[1]) for m in packed)

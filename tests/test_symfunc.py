@@ -16,7 +16,7 @@ from uda.poly import (FAM_C, FAM_H, MvPolynomial, ONE, ZERO, c_, e_, h_,
 from uda.symfunc import (c_series_coeffs, e_series_coeffs, e_to_h_rewrite,
                          generic_factor_poly, generic_monic_coeffs, giambelli,
                          giambelli_term_bound, h_deformed, s_coefficient)
-from uda.symfunc import _giambelli_cached
+from uda.symfunc import _boxed_partition_counts, _giambelli_cached
 from reference import series_inverse, specialize_family_zero
 
 
@@ -217,12 +217,15 @@ def test_giambelli_forms_fewer_term_products_than_row_one(monkeypatch):
 def test_giambelli_caches_minors_and_builds_the_requested_determinant():
     # over the (4,9) box by ascending |lambda|, the schur-det sweep: the 70
     # determinants of four parts are built for their callers and kept out
-    # of the memo, which no other determinant of four rows reads
+    # of the memo, which no other determinant of four rows reads; a shorter
+    # lambda is kept at its own length, the key under which it is a minor
     uda.clear_caches()
     box = list(partitions_in_rectangle(4, 5))
     got = [giambelli(lam, 4, 9) for lam in box]
     info = _giambelli_cached.cache_info()
-    assert (info.currsize, info.hits) == (122, 379)   # 192 and 379 with them
+    # 122 and 379 with the shorter ones also keyed by r = 4, and 192 and
+    # 379 with the four-part ones kept too
+    assert (info.currsize, info.hits) == (66, 379)
     for lam, p in zip(box, got):
         assert p == _giambelli_cached(lam.parts, 4, 9), lam
     full = [(lam, p) for lam, p in zip(box, got) if len(lam) == 4]
@@ -234,6 +237,9 @@ def test_giambelli_caches_minors_and_builds_the_requested_determinant():
     short = Partition((2, 1))
     cached = giambelli(short, 4, 9)
     assert giambelli(short, 4, 9) is cached
+    # the memo entry of the minor of two rows, which the caller's own
+    # determinant of two rows equals
+    assert _giambelli_cached((2, 1), 2, 9) is cached == giambelli(short, 2, 9)
     with pytest.raises((AttributeError, TypeError)):
         cached.terms.clear()
 
@@ -293,6 +299,24 @@ def test_term_bound_of_a_column_is_its_term_count(n):
     for k in range(13):
         lam = Partition((1,) * k)
         assert giambelli_term_bound(lam, n) == len(giambelli(lam, k, n).terms)
+
+
+@pytest.mark.parametrize("n", [None, 0, 3, 9])
+def test_term_bound_matches_the_two_call_formula(n):
+    # when n >= lam_1 + len(lam) - 1 cuts no c, the bound reuses its h-counts
+    # as its c-counts; the reference here computes both
+    def two_calls(lam):
+        rows, weight = len(lam.parts), sum(lam.parts)
+        if not rows:
+            return 1
+        top = lam.parts[0] + rows - 1
+        hs = _boxed_partition_counts(rows, top, weight)
+        cs = _boxed_partition_counts(rows, top if n is None else min(top, n),
+                                     weight)
+        return sum(hs[a] * cs[weight - a] for a in range(weight + 1))
+
+    for lam in partitions_in_rectangle(4, 5):
+        assert giambelli_term_bound(lam, n) == two_calls(lam), lam
 
 
 @pytest.mark.parametrize("n", [None, 2, 5])
