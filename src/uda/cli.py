@@ -231,10 +231,10 @@ _COORD = '{\n          "partition": %s,\n          "coeff": %s\n        }'
 
 def _genfun_json(lam: Partition, r: int, n: int | None, dual: str,
                  images: Iterable) -> str:
-    """``_json_doc(res.to_json())`` for the generating function ``res`` whose
-    images at w <= 0 are ``images`` (``glaction._images``), written in one
-    pass over them: they come in the order of the terms, (-w, z), each with
-    its coordinates sorted by partition."""
+    """The JSON document of the generating function of lam whose images at
+    w <= 0 are ``images`` (``glaction._images``), as ``_json_doc`` would
+    write it, in one pass over them: they come in the order of the terms,
+    (-w, z), each with its coordinates sorted by partition."""
     terms = [_TERM % (i, w, ",\n        ".join([
         _COORD % (_parts(mu, "\n          "), _encode_str(str(c))) for mu, c in coords]))
         for i, w, coords in images]

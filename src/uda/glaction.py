@@ -7,19 +7,19 @@ module isomorphism.  ``star_oracle`` does exactly that, slot by slot; it is
 deliberately brute force and serves as the independent reference for the
 closed forms below.
 
-Every generating function is served from one walk over its operator
-images in document order, ``_images``, each from the route that
-``operator_image`` names.  The adapted operator X^i(c) (x) del^j(s) is the
-matrix unit E_ij on the r-th exterior power of the deformed basis;
-``_matrix_unit`` forms its image, a signed basis element or zero, by moving
-one bit of the Maya diagram of lam.  On the quotient the basis is listed
-once per (r, n), with its diagrams (``_basis``); the column maps of E_ij on
-it (``_columns``) serve the matrices, and ``bracket_check`` checks the gl_n
-law on them one column at a time.  The oracle serves the rest: the plain
-operator X^i (x) del^j, a Z[c]-combination of matrix units, and X^i(c) (x)
-phi_k, where phi_k values X^m at s_{m+k}(c), whose image is the coefficient
-at z^i w^k, k > 0, of the adapted form; phi_k is none of the forms
-del^j(s), and the image does not vanish under projection.
+Every generating function, a document or the quotient's table, is read from
+one walk over its operator images in document order, ``_images``, each from
+the route that ``operator_image`` names.  The adapted operator X^i(c) (x)
+del^j(s) is the matrix unit E_ij on the r-th exterior power of the deformed
+basis; ``_matrix_unit`` forms its image, a signed basis element or zero, by
+moving one bit of the Maya diagram of lam.  On the quotient the basis is
+listed once per (r, n), with its diagrams (``_basis``); the column maps of
+E_ij on it (``_columns``) serve the matrices, and ``bracket_check`` checks
+the gl_n law on them one column at a time.  The oracle serves the rest: the
+plain operator X^i (x) del^j, a Z[c]-combination of matrix units, and
+X^i(c) (x) phi_k, where phi_k values X^m at s_{m+k}(c), whose image is the
+coefficient at z^i w^k, k > 0, of the adapted form; phi_k is none of the
+forms del^j(s), and the image does not vanish under projection.
 
 The closed forms package all operator images at once and check those
 tables.  The kernel is an r x r determinant: first row the deformed
@@ -238,63 +238,6 @@ def mixed_schur_det(lam: Partition, r: int, n: int | None) -> BiLaurent:
     return exact_det(rows)
 
 
-class ActionResult(_Record):
-    """A generating function of star-action images on one basis element.
-
-    ``dual`` is "plain" or "adapted".  ``schur_form`` maps (z-exp, w-exp) to
-    the Schur coordinates of that coefficient.  ``window`` is the asked
-    (zmax, wmin, wmax): z in [0, zmax], w in [wmin, wmax], a wmin of None
-    bounding nothing.  The finite form holds the ints 1 and -1, exact at
-    every (i, j), and its ``window`` is None.  For the adapted form read
-    with wmax > 0, the nonzero images of X^i(c) (x) phi_k at (i, k), k > 0,
-    are kept in ``positive_w`` instead of ``schur_form``; it defaults to a
-    new empty dict.  The fields cannot be reassigned; the maps in them are
-    built per call and belong to the caller.
-    """
-
-    __slots__ = ("lam", "r", "n", "dual", "window", "schur_form", "positive_w")
-
-    def __init__(
-            self, lam: Partition, r: int, n: int | None, dual: str,
-            window: tuple[int, int | None, int] | None,
-            schur_form: Mapping[tuple[int, int],
-                                Mapping[Partition, int | MvPolynomial]],
-            positive_w: Mapping[tuple[int, int],
-                                Mapping[Partition, MvPolynomial]] | None = None):
-        self._set(lam, r, n, dual, window, schur_form,
-                  {} if positive_w is None else positive_w)
-
-    def coords_at(self, i: int, j: int) -> Mapping[Partition, int | MvPolynomial]:
-        """Schur coordinates of the image under the (z^i, w^-j) operator.
-
-        Operators are indexed by i, j >= 0; a negative index names none of
-        them and raises ``ValueError``; one outside ``window`` raises
-        ``WindowViolation``.
-        """
-        if i < 0 or j < 0:
-            raise ValueError(f"operator indices must be nonnegative, got ({i}, {j})")
-        if self.window is not None:
-            zmax, wmin, wmax = self.window
-            if i > zmax or -j > wmax or (wmin is not None and -j < wmin):
-                raise WindowViolation(
-                    f"(z^{i}, w^-{j}) outside computed window {self.window}")
-        return self.schur_form.get((i, -j), {})
-
-    def to_json(self) -> dict:
-        """The lambda, r, n and dual, and one term per coefficient of
-        ``schur_form`` in the order (-w, z), its coordinates sorted by
-        partition; ``window`` and ``positive_w`` are left out.  The CLI
-        writes the same document from ``_images`` (``cli._genfun_json``)."""
-        terms = []
-        for (z, w) in sorted(self.schur_form, key=lambda k: (-k[1], k[0])):
-            coords = self.schur_form[(z, w)]
-            schur = [{"partition": mu.to_json(), "coeff": str(coords[mu])}
-                     for mu in sorted(coords)]
-            terms.append({"z": z, "w": w, "schur": schur})
-        return {"lambda": self.lam.to_json(), "r": self.r, "n": self.n,
-                "dual": self.dual, "terms": terms}
-
-
 def _closed_form(lam: Partition, r: int, ambient: int | None, ztop: int,
                  wmax: int | None = None) -> BiLaurent:
     """z^(r-1) * [c(z)] * H(z) * [s(w)] * det on the window z in [0, ztop].
@@ -367,44 +310,9 @@ def _images(lam: Partition, r: int, n: int | None, dual: str,
                     yield i, w, (image,)
 
 
-def _image_table(lam: Partition, r: int, n: int | None, dual: str,
-                 window: tuple[int, int | None, int]) -> dict:
-    """The images of ``_images`` keyed (i, w), in its order."""
-    return {(i, w): dict(coords) for i, w, coords in _images(lam, r, n, dual, window)}
-
-
-def generating_action(lam: Partition, r: int, zmax: int, wmin: int | None = None,
-                      n: int | None = None) -> ActionResult:
-    """Images of all X^i (x) del^j on one basis element, packaged at z^i w^-j.
-
-    The result window is z in [0, zmax], w in [wmin, 0], and every image
-    below w^-(r-1+lam_1) is zero; a ``wmin`` above 0 leaves no w-exponent and
-    raises ``ValueError``.  ``n`` bounds the c-variables only; ``n=0``
-    specialises every c to zero.
-    """
-    window = (zmax, wmin, 0)
-    return ActionResult(lam, r, n, "plain", window,
-                        _image_table(lam, r, n, "plain", window))
-
-
-def generating_action_adapted(lam: Partition, r: int, n: int, zmax: int,
-                              wmin: int | None = None, wmax: int = 0) -> ActionResult:
-    """The scaled form c(z)/c(w) for the adapted operators X^i(c) (x) del^j(s).
-
-    Every coefficient at w <= 0 is one matrix unit; with ``wmax`` > 0, those
-    at w^k, k > 0, the images of X^i(c) (x) phi_k, go into ``positive_w``.  A
-    window that misses the product's w-range raises ``ValueError``.
-    """
-    window = (zmax, wmin, wmax)
-    table = _image_table(lam, r, n, "adapted", window)
-    return ActionResult(lam, r, n, "adapted", window,
-                        {key: v for key, v in table.items() if key[1] <= 0},
-                        {key: v for key, v in table.items() if key[1] > 0})
-
-
 def _finite_closed_form(lam: Partition, r: int, n: int, zero_c: bool = False
                         ) -> dict[tuple[int, int], dict[Partition, MvPolynomial]]:
-    """The Schur form of ``generating_action_finite`` from the closed form.
+    """The table of ``generating_action_finite`` from the closed form.
 
     The adapted product is cut at w <= 0 and every coefficient projected to
     the r x (n-r) rectangle.  A survivor beyond z^{n-1} or below w^{-(n-1)}
@@ -427,20 +335,20 @@ def _finite_closed_form(lam: Partition, r: int, n: int, zero_c: bool = False
     return schur
 
 
-def generating_action_finite(lam: Partition, r: int, n: int) -> ActionResult:
+def generating_action_finite(lam: Partition, r: int, n: int
+                             ) -> dict[tuple[int, int], dict[Partition, int]]:
     """The full quotient-module structure on one rectangle basis element.
 
-    The coefficient at z^i w^-j is the image of X^i(c) (x) del^j(s), one
-    matrix unit for every i, j in [0, n-1]; the Schur form equals the
-    closed form ``_finite_closed_form``.  Every coefficient is an exact
-    signed basis element, so the result has no window.
+    A new dict maps (i, -j) to the image of X^i(c) (x) del^j(s), one signed
+    matrix unit {mu: 1 or -1}, for each nonzero image, i, j in [0, n-1], in
+    the order of ``_images``; it equals ``_finite_closed_form``.
     """
     if not (1 <= r <= n):
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
     if not lam.fits_rectangle(r, n - r):
         raise ValueError(f"partition {lam} does not fit {r}x{n - r}")
-    return ActionResult(lam, r, n, "adapted", None, _image_table(
-        lam, r, n, "adapted", (n - 1, None, 0)))
+    return {(i, w): dict(coords)
+            for i, w, coords in _images(lam, r, n, "adapted", (n - 1, None, 0))}
 
 
 # -- representation matrices -------------------------------------------------------

@@ -2,19 +2,14 @@
 
 Degree-r wedges form a free rank-one module over the polynomial algebra in
 the h's, generated by the unit wedge X^{r-1} ^ ... ^ X^0: each h_i acts as
-the i-th shift coefficient ``sigma_i``.  This file implements the
-isomorphism in both directions and the induced normal form in the quotient
-where partitions are confined to an r x (n-r) rectangle.
-
-  poly_to_wedge:  p  |->  p . unit_wedge        (h_i acting as sigma_i)
-  wedge_to_poly:  u  |->  sum a_lam Delta_lam   (coordinates in the deformed
-                                                 basis, Schur determinants)
-
-``wedge_to_poly(poly_to_wedge(p))`` is the canonical Schur normal form of p;
-it is the identity on polynomials already written in that form.  The
-rectangle filter of ``quotient_project`` is the normal form modulo the ideal
-generated by h_{n-r+1}(c), ..., h_n(c): Schur terms whose first part exceeds
-n-r lie in that ideal, the rest are a basis of the quotient.
+the i-th shift coefficient ``sigma_coefficient``.  The isomorphism is read
+through Schur coordinates: ``schur_map_of_poly`` gives the coordinates of
+p . unit_wedge in the deformed basis, and ``schur_map_to_poly`` sums
+a_lam Delta_lam back, so the round trip is the canonical Schur normal form
+of p.  The rectangle filter of ``quotient_project`` is the normal form
+modulo the ideal generated by h_{n-r+1}(c), ..., h_n(c): Schur terms whose
+first part exceeds n-r lie in that ideal, the rest are a basis of the
+quotient.
 
 Applications of sigma-monomials to the unit wedge are memoised; they are
 c-free and shared across every ambient n, which is what keeps the sweep
@@ -23,7 +18,7 @@ tests cheap.
 
 from __future__ import annotations
 
-from .exterior import BasisTag, ExtElement, unit_wedge, wedge_coords
+from .exterior import ExtElement, unit_wedge, wedge_coords
 from .partitions import Partition
 from .poly import (FAM_C, FAM_H, MvPolynomial, _sum_by_key, _sum_of_products,
                    memo)
@@ -52,21 +47,6 @@ def split_h_terms(p: MvPolynomial):
                      for _ in range(exp)]
         c_part = tuple(power for power in mono if power[0][0] == FAM_C)
         yield tuple(h_indices[::-1]), MvPolynomial({c_part: q})
-
-
-def poly_to_wedge(p: MvPolynomial, r: int, n: int | None = None) -> ExtElement:
-    """The module action of p on the unit wedge; result in the plain basis.
-
-    e-variables are rewritten to h's first, c-variables stay scalars.
-    """
-    return ExtElement._of(r, BasisTag.PLAIN_X, _sum_by_key(
-        (idx, coeff, scalar) for h_indices, scalar in split_h_terms(p)
-        for idx, coeff in sigma_monomial_wedge(r, h_indices).terms.items()))
-
-
-def wedge_to_poly(u: ExtElement, n: int | None = None) -> MvPolynomial:
-    """Schur normal form of the coordinate of u over the unit wedge."""
-    return schur_map_to_poly(wedge_coords(u, n), u.r, n)
 
 
 def schur_map_of_poly(p: MvPolynomial, r: int,

@@ -41,7 +41,7 @@ def golden(r: int, n: int) -> Checks:
         (2, -3): {Partition((1, 1)): ONE},
         (3, -3): {Partition((2, 1)): ONE},
     }
-    yield (fin.schur_form == want_terms,
+    yield (fin == want_terms,
            "six-term Schur form of the (2,1) quotient action, r=2 n=4")
 
 

@@ -8,11 +8,11 @@ import uda.cli  # noqa: F401  (the CLI module is not imported by uda)
 import uda.verify  # noqa: F401
 from uda.exterior import BasisTag, ExtElement
 from uda.glaction import (StarOperator, _finite_closed_form, bracket_check,
-                          generating_action_adapted, star_oracle_coords)
-from uda.module_iso import poly_to_wedge, wedge_to_poly
+                          star_oracle_coords)
 from uda.partitions import Partition
 from uda.poly import _MEMO_TABLES, MvPolynomial, e_, h_
 from uda.symfunc import giambelli
+from reference import image_table, poly_to_wedge, wedge_to_poly
 
 
 def _memo_tables():
@@ -38,7 +38,7 @@ def _fill_every_table():
     poly_to_wedge(h_(1) ** 3, 2)   # a cached wedge with a coefficient 2
     star_oracle_coords(StarOperator.adapted(1, 0), Partition((1,)), 2, 4)
     star_oracle_coords(StarOperator.plain(2, 1), Partition((1,)), 2, 4)
-    generating_action_adapted(Partition((1,)), 2, 4, 1, wmax=1)   # phi_1
+    image_table(Partition((1,)), 2, 4, "adapted", (1, None, 1))   # phi_1
 
 
 def test_clear_caches_empties_every_memo_table():

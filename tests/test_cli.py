@@ -19,13 +19,13 @@ import uda.cli as cli
 import uda.verify
 from uda.cli import main, parse_partition, UsageError
 from uda.exterior import _positive_w_value, x_in_xc
-from uda.glaction import (StarOperator, generating_action,
-                          generating_action_adapted, generating_action_finite,
-                          rep_matrix, star_oracle_coords)
+from uda.glaction import (StarOperator, generating_action_finite, rep_matrix,
+                          star_oracle_coords)
 from uda.module_iso import schur_map_to_poly
 from uda.partitions import EMPTY, Partition, partitions_in_rectangle
 from uda.poly import FAM_C, FAM_E, FAM_H, MvPolynomial, ONE, ZERO
 from uda.symfunc import giambelli, giambelli_term_bound, x_power_term_count
+from reference import genfun_json, image_table
 
 
 def run_cli(capsys, *args):
@@ -123,7 +123,7 @@ def test_json_round_trip_through_document(capsys):
                                   for s in t["schur"]}
                for t in doc["terms"]}
     direct = {key: {mu.parts: str(v) for mu, v in coords.items()}
-              for key, coords in res.schur_form.items()}
+              for key, coords in res.items()}
     assert rebuilt == direct
 
 
@@ -898,37 +898,39 @@ def test_action_writer_matches_json_dumps(capsys):
     # every projected document at (1,1), (1,3), (2,4) and (3,6); adapted
     # windows with wmin and with wmax > 0, and one above w^0, whose terms
     # are empty; plain windows with polynomial coefficients, one with n=None;
-    # lambda = (): each CLI document is the library result's to_json
+    # lambda = (): each CLI document is the reference writer's document of
+    # the library's table of images
     cases = [((str(r), str(n), ",".join(map(str, lam)) or "0", ()),
-              generating_action_finite(lam, r, n))
+              (lam, r, n, "adapted", generating_action_finite(lam, r, n)))
              for r, n in ((1, 1), (1, 3), (2, 4), (3, 6))
              for lam in partitions_in_rectangle(r, n - r)]
     lam = Partition((2, 1))
     adapted = ("--no-project", "--dual", "s", "--zmax")
     plain = ("--no-project", "--dual", "none", "--zmax")
-    cases += [
+    windows = [
         (("2", "4", "2,1", (*adapted, "3", "--wmin", "-2")),
-         generating_action_adapted(lam, 2, 4, 3, wmin=-2)),
+         (lam, 2, 4, "adapted", (3, -2, 0))),
         (("2", "4", "2,1", (*adapted, "3", "--wmax", "2")),
-         generating_action_adapted(lam, 2, 4, 3, wmax=2)),
+         (lam, 2, 4, "adapted", (3, None, 2))),
         (("2", "5", "2,1", (*adapted, "4", "--wmin", "-1", "--wmax", "1")),
-         generating_action_adapted(lam, 2, 5, 4, wmin=-1, wmax=1)),
+         (lam, 2, 5, "adapted", (4, -1, 1))),
         (("2", "4", "2,1", (*adapted, "2", "--wmin", "1", "--wmax", "2")),
-         generating_action_adapted(lam, 2, 4, 2, wmin=1, wmax=2)),
-        (("2", None, "2,1", (*plain, "3")), generating_action(lam, 2, 3)),
+         (lam, 2, 4, "adapted", (2, 1, 2))),
+        (("2", None, "2,1", (*plain, "3")), (lam, 2, None, "plain", (3, None, 0))),
         (("2", "4", "2,1", (*plain, "3", "--wmin", "-2")),
-         generating_action(lam, 2, 3, wmin=-2, n=4)),
-        (("3", "3", "0", (*plain, "2")), generating_action(EMPTY, 3, 2, n=3)),
-        (("1", "2", "0", (*adapted, "2")), generating_action_adapted(EMPTY, 1, 2, 2))]
-    assert generating_action_adapted(lam, 2, 4, 2, wmin=1, wmax=2).schur_form == {}
-    assert generating_action(lam, 2, 3).n is None
+         (lam, 2, 4, "plain", (3, -2, 0))),
+        (("3", "3", "0", (*plain, "2")), (EMPTY, 3, 3, "plain", (2, None, 0))),
+        (("1", "2", "0", (*adapted, "2")), (EMPTY, 1, 2, "adapted", (2, None, 0)))]
+    cases += [(argv, (*head, image_table(*head, window)))
+              for argv, (*head, window) in windows]
+    assert all(w > 0 for _, w in image_table(lam, 2, 4, "adapted", (2, 1, 2)))
     assert any(type(c) is MvPolynomial for c in
-               generating_action(lam, 2, 3).schur_form[(1, 0)].values())
-    for (r, n, lam_arg, extra), res in cases:
+               image_table(lam, 2, None, "plain", (3, None, 0))[(1, 0)].values())
+    for (r, n, lam_arg, extra), ref in cases:
         argv = ["genfun", "--r", r, *(() if n is None else ("--n", n)),
                 "--lambda", lam_arg, *extra, "--output", "json"]
         assert run_cli(capsys, *argv) == (
-            0, json.dumps(res.to_json(), indent=2) + "\n", ""), argv
+            0, json.dumps(genfun_json(*ref), indent=2) + "\n", ""), argv
 
 
 _POSITIVE_W = ("--r", "1", "--n", "4", "--no-project", "--dual", "s")
@@ -1299,7 +1301,7 @@ def test_text_genfun_checks_pass_every_image_under_the_limit(r, n, lam, largest)
     # each image's determinant passes the giambelli checks that act makes;
     # the text of 5^5 at (5,10) is 6 MB, so only its checks run here
     res = generating_action_finite(Partition(lam), r, n)
-    images = {mu for coords in res.schur_form.values() for mu in coords}
+    images = {mu for coords in res.values() for mu in coords}
     assert max(giambelli_term_bound(mu, n) for mu in images) == largest
     for mu in images:
         cli._check_schur_det(mu, n, "the image's partition")
@@ -1312,8 +1314,8 @@ def test_text_genfun_under_the_limit_renders_every_image(capsys):
     res = generating_action_finite(Partition((3, 2, 1)), 6, 12)
     assert out == "\n".join(
         ["lambda=(3,2,1) r=6 n=12 dual=adapted"]
-        + [f"z^{z} w^{w}: {schur_map_to_poly(res.schur_form[(z, w)], 6, 12)}"
-           for z, w in sorted(res.schur_form, key=lambda k: (-k[1], k[0]))]) + "\n"
+        + [f"z^{z} w^{w}: {schur_map_to_poly(res[(z, w)], 6, 12)}"
+           for z, w in sorted(res, key=lambda k: (-k[1], k[0]))]) + "\n"
 
 
 def test_text_genfun_expands_each_distinct_image_once(capsys, monkeypatch):

@@ -17,9 +17,8 @@ from uda.errors import DegreeZeroError, WindowViolation
 from uda.exterior import (BasisTag, DeltaForm, DualDeltaForm, ExtElement,
                           _PositiveWForm, contract, convert_basis,
                           reduce_mod_n, unit_wedge, wedge, wedge_coords)
-from uda.glaction import (ActionResult, RepMatrix, StarOperator, _closed_form,
+from uda.glaction import (RepMatrix, StarOperator, _closed_form,
                           _finite_closed_form, _matrix_unit, bracket_check,
-                          generating_action, generating_action_adapted,
                           generating_action_finite, mixed_schur_det,
                           quotient_action, rep_matrix,
                           star_oracle, star_oracle_coords,
@@ -28,9 +27,9 @@ from uda.module_iso import quotient_project, schur_map_of_poly
 from uda.partitions import (EMPTY, Partition, maya_mask, partition_of_mask,
                             partitions_in_rectangle)
 from uda.poly import FAM_C, MvPolynomial, ONE, ZERO, c_, e_, h_
-from uda.schubert import sigma_bar_plus
 from uda.symfunc import e_series_coeffs, e_to_h_rewrite, h_deformed
-from reference import specialize_family_zero
+from reference import (genfun_json, image_table, sigma_bar_plus,
+                       specialize_family_zero)
 
 
 # -- the brute-force star action ----------------------------------------------------
@@ -164,19 +163,19 @@ def test_generating_action_matches_closed_form_plain():
     for _ in range(4):
         r = rng.choice([1, 2])
         lam = rng.choice(partitions_in_rectangle(r, 2))
-        res = generating_action(lam, r, zmax=3)
+        res = image_table(lam, r, None, "plain", (3, None, 0))
         closed = _closed_form(lam, r, None, 3)
         for i in range(4):
             for j in range(5):
                 if not closed.valid_at(i, -j):
                     continue
                 want = schur_map_of_poly(closed.coeff(i, -j), r, None)
-                assert res.coords_at(i, j) == want
+                assert res.get((i, -j), {}) == want
 
 
 def test_generating_action_adapted_matches_closed_form_and_oracle():
     for lam in (EMPTY, Partition((1,)), Partition((2, 1))):
-        res = generating_action_adapted(lam, 2, 4, zmax=3, wmax=1)
+        res = image_table(lam, 2, 4, "adapted", (3, None, 1))
         closed = _closed_form(lam, 2, 4, 3, wmax=1)
         for i in range(4):
             for j in range(6):
@@ -184,7 +183,7 @@ def test_generating_action_adapted_matches_closed_form_and_oracle():
                     continue
                 want = star_oracle_coords(StarOperator.adapted(i, j), lam, 2,
                                           4, quotient=False)
-                assert res.schur_form.get((i, -j), {}) == want == \
+                assert res.get((i, -j), {}) == want == \
                     schur_map_of_poly(closed.coeff(i, -j), 2, 4)
 
 
@@ -195,34 +194,23 @@ def test_generating_action_adapted_specialises_to_plain():
     adapted = _closed_form(lam, 2, 0, 3, wmax=0)
     for key, val in plain.coeffs.items():
         assert adapted.coeffs.get(key, ZERO) == val
-    assert generating_action(lam, 2, zmax=3, n=0).schur_form == \
-        generating_action_adapted(lam, 2, 0, zmax=3).schur_form
+    assert image_table(lam, 2, 0, "plain", (3, None, 0)) == \
+        image_table(lam, 2, 0, "adapted", (3, None, 0))
 
 
 def test_adapted_positive_w_terms_are_flagged_not_dropped():
-    res = generating_action_adapted(Partition((2, 1)), 2, 4, zmax=2, wmax=2)
-    assert res.positive_w
-    assert all(w <= 0 for (_, w) in res.schur_form)
-    assert all(w > 0 for (_, w) in res.positive_w)
-
-
-def test_coords_at_rejects_negative_indices():
-    # (0, -1) is inside the window, at w^1, where no operator of the family
-    # lives (the coefficient there, nonzero, is the image of X^0(c) (x) phi_1,
-    # kept in positive_w), so {} would be a false zero
-    res = generating_action_adapted(Partition((2, 1)), 2, 4, zmax=2, wmax=2)
+    # a window above w^0 keeps the images of the X^i(c) (x) phi_k at their
+    # positive powers of w, beside those of the X^i(c) (x) del^j(s); the
+    # one at z^0 w^1 is nonzero
+    res = image_table(Partition((2, 1)), 2, 4, "adapted", (2, None, 2))
     assert _closed_form(Partition((2, 1)), 2, 4, 2, wmax=2).coeff(0, 1)
-    assert (0, 1) in res.positive_w
-    fin = generating_action_finite(Partition((2, 1)), 2, 4)
-    for result in (res, fin):
-        for i, j in ((0, -1), (-1, 0), (-2, -3)):
-            with pytest.raises(ValueError):
-                result.coords_at(i, j)
+    assert (0, 1) in res
+    assert any(w <= 0 for (_, w) in res) and any(w > 0 for (_, w) in res)
 
 
 def test_finite_action_golden_schur_form():
     res = generating_action_finite(Partition((2, 1)), 2, 4)
-    assert res.schur_form == {
+    assert res == {
         (0, -1): {Partition((2,)): ONE},
         (1, -1): {Partition((2, 1)): ONE},
         (2, -1): {Partition((2, 2)): ONE},
@@ -230,8 +218,7 @@ def test_finite_action_golden_schur_form():
         (2, -3): {Partition((1, 1)): ONE},
         (3, -3): {Partition((2, 1)): ONE},
     }
-    assert res.window is None
-    assert all(0 <= z <= 3 and -3 <= w <= 0 for z, w in res.schur_form)
+    assert all(0 <= z <= 3 and -3 <= w <= 0 for z, w in res)
 
 
 def test_finite_action_golden_h_form():
@@ -247,17 +234,17 @@ def test_finite_action_golden_h_form():
     }
     res = generating_action_finite(Partition((2, 1)), 2, 4)
     projected = {key: quotient_project(p, 2, 4) for key, p in display.items()}
-    assert projected == res.schur_form
+    assert projected == res
 
 
 def test_finite_action_window_and_validity():
-    # the finite result is exact everywhere, so it carries no window
+    # the finite table is exact everywhere: it holds every nonzero image of
+    # the operators X^i(c) (x) del^j(s), i, j in [0, n-1], and nothing else
     res = generating_action_finite(Partition((1,)), 2, 4)
-    assert res.window is None
-    assert all(0 <= z <= 3 and -3 <= w <= 0 for z, w in res.schur_form)
-    with pytest.raises(WindowViolation):
-        # outside any computed window claim
-        ActionResult(EMPTY, 1, None, "plain", (0, None, 0), {}).coords_at(5, 0)
+    assert type(res) is dict
+    assert all(0 <= z <= 3 and -3 <= w <= 0 for z, w in res)
+    assert res == {(i, -j): dict([image]) for j in range(4) for i in range(4)
+                   if (image := quotient_action(i, j, Partition((1,)), 2, 4))}
 
 
 def test_finite_action_does_no_polynomial_work(monkeypatch):
@@ -274,10 +261,9 @@ def test_finite_action_does_no_polynomial_work(monkeypatch):
     res = generating_action_finite(Partition((2, 1)), 2, 4)
     assert sf._giambelli_cached.cache_info().currsize == 0
     assert sf.h_deformed.cache_info().currsize == 0
-    assert res.window is None
     # exact everywhere: beyond the operator range the coordinates are zero
-    assert res.coords_at(6, 6) == {}
-    assert res.coords_at(2, 1) == {Partition((2, 2)): 1}
+    assert (6, -6) not in res
+    assert res[(2, -1)] == {Partition((2, 2)): 1}
 
 
 def test_adapted_oracle_does_no_polynomial_arithmetic(monkeypatch):
@@ -305,17 +291,16 @@ def test_adapted_oracle_does_no_polynomial_arithmetic(monkeypatch):
 def test_finite_action_is_adapted_form_cut_at_w_nonpositive():
     for (r, n) in ((2, 4), (3, 5)):
         for lam in partitions_in_rectangle(r, n - r):
-            adapted = generating_action_adapted(lam, r, n, zmax=n - 1, wmax=0)
+            adapted = image_table(lam, r, n, "adapted", (n - 1, None, 0))
             want = {}
-            for (z, w), coords in adapted.schur_form.items():
+            for (z, w), coords in adapted.items():
                 rect = {mu: v for mu, v in coords.items()
                         if mu.part(1) <= n - r}
                 if rect and w >= -(n - 1):
                     want[(z, w)] = rect
             assert _finite_closed_form(lam, r, n) == want, (r, n, lam)
             res = generating_action_finite(lam, r, n)
-            assert res.schur_form == want, (r, n, lam)
-            assert not res.positive_w
+            assert res == want, (r, n, lam)
 
 
 def test_finite_action_oracle_equivalence_small():
@@ -324,7 +309,7 @@ def test_finite_action_oracle_equivalence_small():
         for i in range(4):
             for j in range(4):
                 want = star_oracle_coords(StarOperator.adapted(i, j), lam, 2, 4)
-                assert res.coords_at(i, j) == want, (lam, i, j)
+                assert res.get((i, -j), {}) == want, (lam, i, j)
 
 
 def test_window_guard_fires_on_corrupted_series(monkeypatch):
@@ -352,7 +337,7 @@ def test_finite_action_identity_component():
     # the (z^0, w^0) coefficient on the empty partition is 1 in every rank
     for (r, n) in ((1, 2), (2, 3), (3, 4)):
         res = generating_action_finite(EMPTY, r, n)
-        assert res.coords_at(0, 0) == {EMPTY: ONE}
+        assert res[(0, 0)] == {EMPTY: ONE}
 
 
 def test_finite_action_rejects_bad_partition():
@@ -632,7 +617,7 @@ def test_quotient_signs_are_plain_ints():
                     image = quotient_action(i, j, lam, r, n)
                     if image is not None:
                         assert type(image[1]) is int and image[1] in (1, -1)
-            for coords in generating_action_finite(lam, r, n).schur_form.values():
+            for coords in generating_action_finite(lam, r, n).values():
                 assert all(type(v) is int for v in coords.values())
         for i in range(n):
             for j in range(n):
@@ -647,22 +632,14 @@ def test_quotient_signs_are_plain_ints():
 
 
 def test_cached_results_are_read_only():
-    # the finite result is built fresh on every call, so clearing its maps
-    # cannot reach a later call; its fields cannot be reassigned
+    # the finite table is built fresh on every call, so clearing it or its
+    # maps cannot reach a later call
     res = generating_action_finite(Partition((1,)), 2, 4)
-    for clobber in (lambda: setattr(res, "schur_form", {}),
-                    lambda: setattr(res, "positive_w", {}),
-                    lambda: setattr(res, "window", (9, None, 0))):
-        with pytest.raises(AttributeError):
-            clobber()
-    res.schur_form[(0, 0)].clear()
-    res.schur_form.clear()
-    res.positive_w[(9, 9)] = {}
+    res[(0, 0)].clear()
+    res.clear()
     again = generating_action_finite(Partition((1,)), 2, 4)
-    assert sorted(again.schur_form) == [(0, 0), (1, -2), (1, 0), (2, -2),
-                                        (3, -2), (3, 0)]
-    assert again.schur_form[(0, 0)] == {Partition((1,)): ONE}
-    assert not again.positive_w
+    assert sorted(again) == [(0, 0), (1, -2), (1, 0), (2, -2), (3, -2), (3, 0)]
+    assert again[(0, 0)] == {Partition((1,)): ONE}
     # the column maps behind rep_matrix and bracket_check are cached and
     # shared: the map refuses writes, each column is a tuple, and a
     # matrix's entries are its own dict
@@ -881,13 +858,13 @@ def test_the_oracle_uses_no_other_route(monkeypatch):
 
     for name in ("quotient_action", "rep_matrix", "_basis", "_columns",
                  "bracket_check", "_closed_form",
-                 "_finite_closed_form", "generating_action",
-                 "generating_action_adapted", "generating_action_finite",
-                 "_matrix_unit", "operator_image"):
+                 "_finite_closed_form", "generating_action_finite",
+                 "_images", "_matrix_unit", "operator_image"):
         monkeypatch.setattr(gl, name, refuse)
-    for module in (uda.partitions, uda.schubert):   # the strip moves
-        for name in ("horizontal_strips", "vertical_strips"):
-            monkeypatch.setattr(module, name, refuse)
+    for module, name in ((uda.partitions, "horizontal_strips"),   # the strip moves
+                         (uda.partitions, "vertical_strips"),
+                         (uda.schubert, "horizontal_strips")):
+        monkeypatch.setattr(module, name, refuse)
     assert [star_oracle_coords(op, lam, 2, 4)
             for op in ops for lam in lams] == want
 
@@ -914,9 +891,9 @@ def test_operator_images_are_formed_on_maya_diagrams_alone(capsys):
         rep_matrix(2, 0, 2, 4)
         assert bracket_check(1, 0, 0, 1, 2, 4)
         quotient_action(3, 1, lam, 2, 4)
-        generating_action(lam, 2, 3, n=4)
-        generating_action_adapted(lam, 2, 4, 3)
-        generating_action_adapted(lam, 2, 4, 3, wmax=1)
+        image_table(lam, 2, 4, "plain", (3, None, 0))
+        image_table(lam, 2, 4, "adapted", (3, None, 0))
+        image_table(lam, 2, 4, "adapted", (3, None, 1))
         generating_action_finite(Partition((1,)), 2, 4)
         for op in (StarOperator.adapted(3, 1), StarOperator.plain(3, 2),
                    StarOperator((ZERO, ONE), BasisTag.DEFORMED_XC,
@@ -962,7 +939,7 @@ def test_finite_action_matches_closed_form(case):
     lam, r, n = case
     res = generating_action_finite(lam, r, n)
     closed = _finite_closed_form(lam, r, n)
-    assert res.schur_form == closed
+    assert res == closed
 
 
 # -- universal factorisation ---------------------------------------------------------
@@ -997,9 +974,11 @@ def test_universal_factorization_detects_wrong_product():
 
 
 def test_action_result_json_deterministic_and_faithful():
-    res = generating_action_finite(Partition((2, 1)), 2, 4)
-    doc1 = json.dumps(res.to_json())
-    doc2 = json.dumps(generating_action_finite(Partition((2, 1)), 2, 4).to_json())
+    lam = Partition((2, 1))
+    doc1 = json.dumps(genfun_json(lam, 2, 4, "adapted",
+                                  generating_action_finite(lam, 2, 4)))
+    doc2 = json.dumps(genfun_json(lam, 2, 4, "adapted",
+                                  generating_action_finite(lam, 2, 4)))
     assert doc1 == doc2
     payload = json.loads(doc1)
     assert payload["lambda"] == [2, 1]
@@ -1024,20 +1003,20 @@ def test_unprojected_tables_match_the_closed_form(r):
     for n in (None, 0, *range(r, 7)):
         for lam in partitions_in_rectangle(r, 2):
             top = r + lam.part(1)
-            plain = generating_action(lam, r, zmax, n=n)
+            plain = image_table(lam, r, n, "plain", (zmax, None, 0))
             closed = _closed_form(lam, r, n, zmax)
             for i in range(zmax + 1):
                 for j in range(top + 1):
-                    assert plain.coords_at(i, j) == \
+                    assert plain.get((i, -j), {}) == \
                         _closed_coords(closed, r, n, i, j), (r, n, lam, i, j)
             if n is None:
                 continue
             # the window up to w^2 holds the one up to w^1
-            adapted = generating_action_adapted(lam, r, n, zmax, wmax=2)
+            adapted = image_table(lam, r, n, "adapted", (zmax, None, 2))
             closed = _closed_form(lam, r, n, zmax, 2)
             for i in range(zmax + 1):
                 for j in range(top + 1):
-                    assert adapted.coords_at(i, j) == \
+                    assert adapted.get((i, -j), {}) == \
                         _closed_coords(closed, r, n, i, j), (r, n, lam, i, j)
             positive = {}
             for w in (1, 2):
@@ -1045,9 +1024,14 @@ def test_unprojected_tables_match_the_closed_form(r):
                     coords = _closed_coords(closed, r, n, i, -w)
                     if coords:
                         positive[(i, w)] = coords
-            assert adapted.positive_w == positive, (r, n, lam)
-            assert generating_action_adapted(lam, r, n, zmax, wmax=1).positive_w \
+            assert _positive(adapted) == positive, (r, n, lam)
+            assert _positive(image_table(lam, r, n, "adapted", (zmax, None, 1))) \
                 == {key: v for key, v in positive.items() if key[1] == 1}
+
+
+def _positive(table):
+    # the images of a table at w > 0, those of the X^i(c) (x) phi_k
+    return {key: v for key, v in table.items() if key[1] > 0}
 
 
 def _closed_positive_w(lam, r, n, zmax, wmin, wmax):
@@ -1060,14 +1044,13 @@ def _closed_positive_w(lam, r, n, zmax, wmin, wmax):
 
 def test_windows_above_w0_match_the_closed_form():
     # a window with wmin > 0 holds no image of an X^i(c) (x) del^j(s), and
-    # its positive_w is the closed form's, coefficient by coefficient
+    # its images are the closed form's, coefficient by coefficient
     for r, n in ((1, 3), (2, 4), (2, 5), (3, 6)):
         for lam in partitions_in_rectangle(r, n - r):
             for wmin, wmax in ((1, 2), (2, 2), (2, 3)):
-                res = generating_action_adapted(lam, r, n, 4, wmin, wmax)
+                res = image_table(lam, r, n, "adapted", (4, wmin, wmax))
                 want = _closed_positive_w(lam, r, n, 4, wmin, wmax)
-                assert want and res.schur_form == {}
-                assert res.positive_w == want, (r, n, lam, wmin, wmax)
+                assert want and res == want, (r, n, lam, wmin, wmax)
 
 
 @settings(max_examples=25, deadline=None)
@@ -1078,8 +1061,8 @@ def test_positive_w_matches_the_closed_form_at_rank_four(n, data):
     lam, zmax = Partition(parts), data.draw(st.integers(0, 3))
     wmax = data.draw(st.integers(1, 3))
     wmin = data.draw(st.sampled_from([None, *range(1, wmax + 1)]))
-    res = generating_action_adapted(lam, 4, n, zmax, wmin, wmax)
-    assert res.positive_w == _closed_positive_w(lam, 4, n, zmax, wmin, wmax)
+    res = image_table(lam, 4, n, "adapted", (zmax, wmin, wmax))
+    assert _positive(res) == _closed_positive_w(lam, 4, n, zmax, wmin, wmax)
 
 
 def _scanned_table(lam, r, n, dual, window):
@@ -1116,12 +1099,12 @@ def test_image_tables_ask_only_for_the_particles_moves(monkeypatch):
                                  ("adapted", (2, -(r + 1), -1)),
                                  ("plain", (2, None, 0))):
                 asked.clear()
-                table = gl._image_table(lam, r, n, dual, window)
+                table = image_table(lam, r, n, dual, window)
                 assert all(at == state and state >> j & 1 for j, at in asked)
                 assert table == _scanned_table(lam, r, n, dual, window), (
                     r, n, lam, dual, window)
             asked.clear()
-            table = generating_action_finite(lam, r, n).schur_form
+            table = generating_action_finite(lam, r, n)
             assert (len(asked), len(table)) == (r * n, r * (n - r + 1))
 
 
@@ -1135,38 +1118,32 @@ def test_image_tables_iterate_in_document_order():
     positive = 0
     for r, n in ((1, 3), (2, 4), (3, 5)):
         for lam in partitions_in_rectangle(r, n - r):
-            adapted = generating_action_adapted(lam, r, n, n, wmin=-2, wmax=2)
-            positive += len(adapted.positive_w)
-            for table in (generating_action_finite(lam, r, n).schur_form,
-                          adapted.schur_form, adapted.positive_w,
-                          generating_action(lam, r, 3, n=n).schur_form,
-                          generating_action(lam, r, 2, wmin=-1).schur_form):
+            adapted = image_table(lam, r, n, "adapted", (n, -2, 2))
+            positive += len(_positive(adapted))
+            for table in (generating_action_finite(lam, r, n), adapted,
+                          image_table(lam, r, n, "plain", (3, None, 0)),
+                          image_table(lam, r, None, "plain", (2, -1, 0))):
                 assert in_order(table), (r, n, lam)
     assert positive
 
 
-def test_coords_at_raises_outside_the_asked_window():
+def test_images_refuse_a_window_that_misses_the_product():
     lam = Partition((2, 1))   # the product's w-range is [-3, 0]
-    plain = generating_action(lam, 2, zmax=3, wmin=-2)
-    assert plain.window == (3, -2, 0)
-    assert plain.coords_at(3, 2) == plain.schur_form.get((3, -2), {})
-    for i, j in ((4, 0), (0, 3), (0, 9)):
-        with pytest.raises(WindowViolation):
-            plain.coords_at(i, j)
     # with no wmin the window has no lower w bound: below the product's
     # range every image is zero
-    assert generating_action(lam, 2, zmax=3).coords_at(0, 9) == {}
-    adapted = generating_action_adapted(lam, 2, 4, zmax=2, wmin=-3, wmax=-1)
-    assert adapted.window == (2, -3, -1)
-    assert adapted.coords_at(0, 1) == {Partition((2,)): 1}
-    for i, j in ((0, 0), (3, 1), (1, 4)):
-        with pytest.raises(WindowViolation):
-            adapted.coords_at(i, j)
-    # a window that misses the product's w-range is refused up front
+    assert image_table(lam, 2, None, "plain", (3, None, 0)) == \
+        image_table(lam, 2, None, "plain", (3, -9, 0))
+    assert image_table(lam, 2, 4, "adapted", (2, -3, -1))[(0, -1)] == \
+        {Partition((2,)): 1}
+    # a window that misses the product's w-range, or has no z-exponent, is
+    # refused once the walk starts
     with pytest.raises(ValueError, match=r"w-window \[1, 0\].*w-range \[-3, 0\]"):
-        generating_action(lam, 2, zmax=3, wmin=1)
+        list(gl._images(lam, 2, None, "plain", (3, 1, 0)))
     with pytest.raises(ValueError, match=r"w-window \[-3, -4\].*w-range \[-3, 0\]"):
-        generating_action_adapted(lam, 2, 4, zmax=3, wmax=-4)
+        list(gl._images(lam, 2, 4, "adapted", (3, None, -4)))
+    for dual in ("plain", "adapted"):
+        with pytest.raises(ValueError, match="zmax must be nonnegative"):
+            list(gl._images(lam, 2, 4, dual, (-1, None, 0)))
 
 
 # -- the frozen records ------------------------------------------------------------
@@ -1186,13 +1163,10 @@ def test_equal_operators_are_equal_and_hash_equal():
 
 
 def _records():
-    two_one, one = Partition((2, 1)), Partition((1,))
+    one = Partition((1,))
     return (
         StarOperator.adapted(1, 2),
         StarOperator.plain(0, 3),
-        ActionResult(two_one, 2, 5, "adapted", None, {(0, 0): {two_one: 1}}),
-        ActionResult(two_one, 2, None, "plain", (3, None, 0),
-                     {(1, -1): {one: ONE}}, {(0, 1): {two_one: -ONE}}),
         RepMatrix(1, 0, 2, 4, (EMPTY, one), {(one, EMPTY): 1}),
     )
 
@@ -1203,23 +1177,12 @@ def test_record_reprs_match_the_dataclass_text():
         "vector_tag=<BasisTag.DEFORMED_XC: 'Xc'>, form=DualDeltaForm(2))",
         "StarOperator(vector=(MvPolynomial(1),), "
         "vector_tag=<BasisTag.PLAIN_X: 'X'>, form=DeltaForm(3))",
-        "ActionResult(lam=Partition(2, 1), r=2, n=5, dual='adapted', "
-        "window=None, schur_form={(0, 0): {Partition(2, 1): 1}}, positive_w={})",
-        "ActionResult(lam=Partition(2, 1), r=2, n=None, dual='plain', "
-        "window=(3, None, 0), schur_form={(1, -1): {Partition(1,): MvPolynomial(1)}}, "
-        "positive_w={(0, 1): {Partition(2, 1): MvPolynomial(-1)}})",
         "RepMatrix(i=1, j=0, r=2, n=4, basis=(Partition(), Partition(1,)), "
         "entries={(Partition(1,), Partition()): 1})",
     ]
 
 
-def test_records_take_keywords_and_a_fresh_positive_w():
-    a = ActionResult(lam=EMPTY, r=1, n=None, dual="plain", window=None,
-                     schur_form={})
-    b = ActionResult(EMPTY, 1, None, "plain", None, {})
-    assert a.positive_w == {} and a.positive_w is not b.positive_w
-    a.positive_w[(0, 1)] = {}
-    assert b.positive_w == {}
+def test_records_take_keywords():
     m = RepMatrix(i=1, j=0, r=2, n=4, basis=(EMPTY,), entries={})
     assert (m.i, m.j, m.r, m.n, m.dimension) == (1, 0, 2, 4, 1)
     op = StarOperator(vector=(ZERO, c_(1)), vector_tag=BasisTag.PLAIN_X,
@@ -1241,13 +1204,10 @@ def test_records_compare_by_value_and_dict_records_are_unhashable():
     for a, b in zip(_records(), _records()):
         assert a is not b and a == b
         assert pickle.loads(pickle.dumps(a)) == a
-    op, _, res, _, mat = _records()
+    op, _, mat = _records()
     assert hash(op) == hash(StarOperator.adapted(1, 2))
     assert pickle.loads(pickle.dumps(op))._terms == op._terms
-    assert res != ActionResult(res.lam, res.r, res.n, res.dual, res.window,
-                               res.schur_form, {(0, 1): {}})
     assert mat != RepMatrix(1, 0, 2, 4, mat.basis, {})
-    assert res != mat and op != (op.vector, op.vector_tag, op.form)
-    for rec in (res, mat):
-        with pytest.raises(TypeError):
-            hash(rec)
+    assert op != mat and op != (op.vector, op.vector_tag, op.form)
+    with pytest.raises(TypeError):
+        hash(mat)

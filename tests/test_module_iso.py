@@ -1,11 +1,11 @@
 import random
 
 from uda.exterior import BasisTag, ExtElement, convert_basis, unit_wedge
-from uda.module_iso import (poly_to_wedge, quotient_project, schur_map_of_poly,
-                            schur_map_to_poly, wedge_to_poly)
+from uda.module_iso import quotient_project, schur_map_of_poly, schur_map_to_poly
 from uda.partitions import EMPTY, Partition
 from uda.poly import MvPolynomial, ONE, c_, e_, h_
 from uda.symfunc import giambelli, h_deformed
+from reference import poly_to_wedge, wedge_to_poly
 
 X = BasisTag.PLAIN_X
 XC = BasisTag.DEFORMED_XC

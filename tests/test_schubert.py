@@ -1,11 +1,11 @@
 import random
 
 from uda.exterior import BasisTag, ExtElement, wedge
-from uda.module_iso import poly_to_wedge, schur_map_of_poly, wedge_to_poly
+from uda.module_iso import schur_map_of_poly
 from uda.poly import ONE, c_, h_
-from uda.schubert import (sigma_bar_minus_h, sigma_bar_plus, sigma_coefficient,
-                          sigma_plus)
+from uda.schubert import sigma_bar_minus_h, sigma_coefficient
 from uda.symfunc import h_deformed
+from reference import poly_to_wedge, sigma_bar_plus, sigma_plus, wedge_to_poly
 
 X = BasisTag.PLAIN_X
 
